@@ -1,4 +1,4 @@
-"""Duplicate-detection benchmark: naive framework vs streaming vs parallel.
+"""Duplicate-detection benchmark: naive oracle vs streaming vs parallel.
 
 Simulates a register, imports it, flattens a labeled dataset, then runs
 the paper's Section 6.5 detection three ways:
@@ -9,9 +9,13 @@ the paper's Section 6.5 detection three ways:
   uncached naive Monge-Elkan kernel;
 * ``streaming`` — :mod:`repro.dedup.pipeline` in one process: packed
   64-bit candidate keys, prepared record vectors, batched scoring through
-  the fast kernels and the shared LRU;
+  the fast kernels and the prepared table's value-pair memo;
 * ``parallel``  — the same pipeline with pair scoring sharded over a
   process pool, at each requested worker count.
+
+The value-pair memo lives for one scoring call and the kernel caches are
+cleared before every repetition, so each timed repetition starts cold,
+in-process and parallel alike.
 
 All paths must produce bit-identical similarity maps, threshold sweeps
 and best-F1 thresholds — the benchmark aborts otherwise.  Besides wall

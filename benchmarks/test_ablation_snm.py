@@ -9,7 +9,11 @@ both knobs and reports candidate counts (cost) against lost gold pairs
 import pytest
 
 from repro.core import customize
-from repro.dedup import multipass_sorted_neighborhood, pick_blocking_keys
+from repro.dedup import (
+    pick_blocking_keys,
+    sorted_neighborhood_candidates,
+    unpack_pairs,
+)
 from repro.votersim.schema import PERSON_ATTRIBUTES
 
 from bench_utils import write_result
@@ -31,8 +35,10 @@ def sweep(records, gold_pairs, attributes):
     for passes in PASS_COUNTS:
         keys = pick_blocking_keys(records, attributes, passes)
         for window in WINDOWS:
-            candidates = multipass_sorted_neighborhood(records, keys, window)
-            lost = len(gold_pairs - candidates)
+            candidates, _stats = sorted_neighborhood_candidates(
+                records, keys, window
+            )
+            lost = len(gold_pairs - unpack_pairs(candidates, len(records)))
             results[(passes, window)] = (len(candidates), lost)
     return results
 

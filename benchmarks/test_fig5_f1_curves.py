@@ -10,12 +10,10 @@ window 20, weights are entropies over all records.
 import pytest
 
 from repro.dedup import (
+    DetectionPipeline,
     RecordMatcher,
     best_f1,
     evaluate_thresholds,
-    multipass_sorted_neighborhood,
-    pick_blocking_keys,
-    score_candidates,
 )
 from repro.textsim import JaroWinkler, MongeElkan, QgramJaccard
 from repro.votersim.schema import PERSON_ATTRIBUTES
@@ -35,14 +33,14 @@ NC_NAME_ATTRIBUTES = ("first_name", "midl_name", "last_name")
 
 def run_detection(records, gold_pairs, attributes, name_attributes):
     """All three measures on one dataset -> {measure: [EvaluationPoint]}."""
-    keys = pick_blocking_keys(records, attributes, 5)
-    candidates = multipass_sorted_neighborhood(records, keys, window=20)
+    pipeline = DetectionPipeline(window=20, passes=5)
+    candidates, _stats = pipeline.candidates(records, attributes)
     curves = {}
     for label, measure_cls in MEASURES.items():
         matcher = RecordMatcher.from_records(
             records, attributes, measure_cls(), name_attributes
         )
-        similarities = score_candidates(records, candidates, matcher)
+        similarities = pipeline.score(records, candidates, matcher)
         curves[label] = evaluate_thresholds(similarities, gold_pairs, THRESHOLDS)
     return curves
 

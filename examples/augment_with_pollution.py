@@ -23,12 +23,10 @@ from repro.core import RemovalLevel, TestDataGenerator
 from repro.core.augment import AugmentationPlan, Augmenter, strip_synthetic
 from repro.core.heterogeneity import HeterogeneityScorer
 from repro.dedup import (
+    DetectionPipeline,
     RecordMatcher,
     best_f1,
     evaluate_thresholds,
-    multipass_sorted_neighborhood,
-    pick_blocking_keys,
-    score_candidates,
 )
 from repro.textsim import MongeElkan
 from repro.votersim import SimulationConfig, VoterRegisterSimulator
@@ -77,9 +75,9 @@ def detection_report(generator, scorer):
         records, EVAL_ATTRIBUTES, MongeElkan(),
         name_attributes=("first_name", "midl_name", "last_name"),
     )
-    keys = pick_blocking_keys(records, EVAL_ATTRIBUTES, 5)
-    candidates = multipass_sorted_neighborhood(records, keys, 20)
-    similarities = score_candidates(records, candidates, matcher)
+    pipeline = DetectionPipeline(window=20, passes=5)
+    candidates, _stats = pipeline.candidates(records, EVAL_ATTRIBUTES)
+    similarities = pipeline.score(records, candidates, matcher)
     best = best_f1(evaluate_thresholds(similarities, gold, THRESHOLDS))
     predicted = {
         pair for pair, score in similarities.items() if score >= best.threshold

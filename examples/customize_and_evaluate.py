@@ -19,12 +19,11 @@ Run with::
 from repro.core import RemovalLevel, TestDataGenerator, customize
 from repro.core.heterogeneity import HeterogeneityScorer
 from repro.dedup import (
+    DetectionPipeline,
     RecordMatcher,
     best_f1,
     evaluate_thresholds,
-    multipass_sorted_neighborhood,
-    pick_blocking_keys,
-    score_candidates,
+    unpack_pairs,
 )
 from repro.textsim import JaroWinkler, MongeElkan, QgramJaccard
 from repro.votersim import SimulationConfig, VoterRegisterSimulator
@@ -63,9 +62,10 @@ def main() -> None:
             f"avg het {avg_het:.2f}, max het {max_het:.2f}"
         )
 
-        keys = pick_blocking_keys(dataset.records, attributes, 5)
-        candidates = multipass_sorted_neighborhood(dataset.records, keys, window=20)
-        lost = dataset.gold_pairs - candidates
+        # One SNM pass per five most unique attributes, window 20.
+        pipeline = DetectionPipeline(window=20, passes=5)
+        candidates, _stats = pipeline.candidates(dataset.records, attributes)
+        lost = dataset.gold_pairs - unpack_pairs(candidates, len(dataset.records))
         print(f"  blocking: {len(candidates)} candidates, "
               f"{len(lost)} true duplicates lost")
 
@@ -74,7 +74,7 @@ def main() -> None:
                 dataset.records, attributes, measure,
                 name_attributes=("first_name", "midl_name", "last_name"),
             )
-            similarities = score_candidates(dataset.records, candidates, matcher)
+            similarities = pipeline.score(dataset.records, candidates, matcher)
             points = evaluate_thresholds(similarities, dataset.gold_pairs, THRESHOLDS)
             best = best_f1(points)
             print(

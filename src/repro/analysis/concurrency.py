@@ -83,20 +83,6 @@ PROCESS_LOCAL_CACHES: Dict[str, str] = {
         "worker processes rebuilding their own copy is merely a warm-up "
         "cost, never a correctness issue"
     ),
-    "repro.dedup.matching._SHARED_CACHE": (
-        "bounded LRU of pure value-pair similarities, keyed with a "
-        "per-matcher token; worker processes build their own copy at "
-        "import time and never ship it back (asserted by "
-        "tests/dedup/test_cache_isolation.py)"
-    ),
-    "repro.dedup.matching._matcher_tokens": (
-        "per-process counter that namespaces matcher cache keys; only "
-        "uniqueness within one process matters, never the actual value"
-    ),
-    "repro.textsim.cache.LRUCache": (
-        "the cache type itself: single-threaded per process by design "
-        "(see its docstring); parallelism is process-based"
-    ),
     "repro.textsim.fast.tokens_of": (
         "functools.lru_cache of a pure function; process-local by "
         "construction"

@@ -1,25 +1,19 @@
-"""Dedup-pipeline usage hints: naive detection code that will not scale.
+"""Dedup-pipeline usage hints: detection code that will not scale.
 
 :func:`analyze_dedup_usage` inspects Python source (AST-level, nothing is
-executed) and emits ``I406``/``I408`` warnings — the detection-pipeline
-siblings of the ``I401``–``I405`` index-usage hints — wherever candidate
-generation feeds pair scoring in a shape that stops scaling first:
+executed) and emits ``I408`` warnings — the detection-pipeline sibling of
+the ``I401``–``I405`` index-usage hints — wherever the candidate
+*universe* fed to ``score_candidates_packed(...)`` is quadratic or
+window-bound: all pairs from ``itertools.combinations(...)`` (bare or
+wrapped in ``pack_pairs(...)``), or a lone
+``sorted_neighborhood_candidates(...)`` result — including its
+tuple-unpacked first element — either nested in the call or through a
+straight-line local assignment.  On large registers the fix is not a
+faster loop but a sub-quadratic generator: the MinHash–LSH pass
+(:mod:`repro.dedup.lsh`).
 
-* ``I406`` — the result of ``multipass_sorted_neighborhood(...)`` or
-  ``multipass_blocking(...)`` is passed to ``score_candidates(...)``,
-  either nested in the call or through a straight-line local assignment.
-  The eager tuple set and per-pair loop are replaced bit-identically by
-  :mod:`repro.dedup.pipeline`'s packed keys and batched scoring.
-* ``I408`` — the candidate *universe* itself is quadratic or
-  window-bound: all pairs from ``itertools.combinations(...)`` (bare or
-  wrapped in ``pack_pairs(...)``) feed either scorer, or a lone
-  ``sorted_neighborhood_candidates(...)`` result — including its
-  tuple-unpacked first element — feeds ``score_candidates_packed(...)``.
-  On large registers the fix is not a faster loop but a sub-quadratic
-  generator: the MinHash–LSH pass (:mod:`repro.dedup.lsh`).
-
-Like the index-usage hints these are warnings, never errors — the naive
-code is correct, it is just the path that stops scaling first.
+Like the index-usage hints these are warnings, never errors — the code is
+correct, it is just the path that stops scaling first.
 """
 
 from __future__ import annotations
@@ -29,28 +23,14 @@ from typing import Dict, List, Optional, Tuple, Union
 
 from repro.analysis.diagnostics import WARNING, Diagnostic
 
-#: Candidate generators whose eager tuple-set results the hint tracks.
-CANDIDATE_GENERATORS = frozenset(
-    {"multipass_sorted_neighborhood", "multipass_blocking"}
-)
-
 #: All-pairs universes: O(n²) candidates no scoring loop can outrun.
 ALLPAIRS_GENERATORS = frozenset({"combinations"})
 
 #: Window-bound generators whose recall a lone pass caps (I408).
 SNM_ONLY_GENERATORS = frozenset({"sorted_neighborhood_candidates"})
 
-#: The per-pair scoring entry point the streaming pipeline replaces.
-PAIR_SCORERS = frozenset({"score_candidates"})
-
 #: The packed scorer — already fast, but only as good as its candidates.
 PACKED_PAIR_SCORERS = frozenset({"score_candidates_packed"})
-
-_HINT = (
-    "use repro.dedup.pipeline (sorted_neighborhood_candidates / "
-    "blocking_candidates + score_candidates_packed, or DetectionPipeline) "
-    "for packed, streamed, parallel detection with bit-identical results"
-)
 
 _LSH_HINT = (
     "generate candidates sub-quadratically with the MinHash-LSH pass: "
@@ -69,26 +49,18 @@ def _called_name(node: ast.Call) -> Optional[str]:
     return None
 
 
-def _candidates_argument(
-    node: ast.Call, keyword_name: str = "candidates"
-) -> Optional[ast.expr]:
-    """The candidates argument of a scoring call.
-
-    Positionally it is the second argument for both scorers; by keyword
-    it is ``candidates`` for ``score_candidates`` and ``keys`` for
-    ``score_candidates_packed``.
-    """
+def _keys_argument(node: ast.Call) -> Optional[ast.expr]:
+    """The candidate-keys argument of a scoring call: the second
+    positional argument, or ``keys=``."""
     if len(node.args) >= 2:
         return node.args[1]
     for keyword in node.keywords:
-        if keyword.arg == keyword_name:
+        if keyword.arg == "keys":
             return keyword.value
     return None
 
 
-_TRACKED_GENERATORS = (
-    CANDIDATE_GENERATORS | ALLPAIRS_GENERATORS | SNM_ONLY_GENERATORS
-)
+_TRACKED_GENERATORS = ALLPAIRS_GENERATORS | SNM_ONLY_GENERATORS
 
 
 def _generator_of_expression(value: ast.expr) -> Optional[str]:
@@ -118,7 +90,8 @@ def _generator_of_expression(value: ast.expr) -> Optional[str]:
 
 
 class _Scope:
-    """Straight-line ``name = multipass_*(...)`` bindings of one scope."""
+    """Straight-line ``name = <tracked generator>(...)`` bindings of one
+    scope."""
 
     def __init__(self) -> None:
         self.generated: Dict[str, str] = {}  # variable -> generator name
@@ -200,62 +173,39 @@ class _DedupUsageVisitor(ast.NodeVisitor):
 
     def visit_Call(self, node: ast.Call) -> None:
         name = _called_name(node)
-        if name in PAIR_SCORERS:
-            origin = self._candidates_argument_origin(node, "candidates")
-            if origin in CANDIDATE_GENERATORS:
-                self.findings.append(
-                    Diagnostic(
-                        "I406",
-                        WARNING,
-                        f"{self.filename}:{node.lineno}",
-                        f"candidates from {origin}() feed "
-                        f"{name}() directly; the eager tuple set and "
-                        "per-pair scoring loop do not scale past small "
-                        "datasets",
-                        hint=_HINT,
-                    )
-                )
-            elif origin in ALLPAIRS_GENERATORS:
-                self._report_allpairs(node, name, origin)
-        elif name in PACKED_PAIR_SCORERS:
-            origin = self._candidates_argument_origin(node, "keys")
+        if name in PACKED_PAIR_SCORERS:
+            origin = self._keys_argument_origin(node)
             if origin in ALLPAIRS_GENERATORS:
-                self._report_allpairs(node, name, origin)
+                self._report(
+                    node,
+                    f"all pairs from {origin}() feed {name}(); the O(n^2) "
+                    "candidate universe dominates runtime on large "
+                    "registers no matter how fast each pair is scored",
+                )
             elif origin in SNM_ONLY_GENERATORS:
-                self.findings.append(
-                    Diagnostic(
-                        "I408",
-                        WARNING,
-                        f"{self.filename}:{node.lineno}",
-                        f"{name}() scores candidates from a lone "
-                        f"{origin}() pass; on large registers the "
-                        "fixed-window neighbourhood caps recall while "
-                        "pair counts keep growing with n*window",
-                        hint=_LSH_HINT,
-                    )
+                self._report(
+                    node,
+                    f"{name}() scores candidates from a lone {origin}() "
+                    "pass; on large registers the fixed-window "
+                    "neighbourhood caps recall while pair counts keep "
+                    "growing with n*window",
                 )
         self.generic_visit(node)
 
-    def _report_allpairs(
-        self, node: ast.Call, scorer: str, origin: Optional[str]
-    ) -> None:
+    def _report(self, node: ast.Call, message: str) -> None:
         self.findings.append(
             Diagnostic(
                 "I408",
                 WARNING,
                 f"{self.filename}:{node.lineno}",
-                f"all pairs from {origin}() feed {scorer}(); the O(n^2) "
-                "candidate universe dominates runtime on large registers "
-                "no matter how fast each pair is scored",
+                message,
                 hint=_LSH_HINT,
             )
         )
 
-    def _candidates_argument_origin(
-        self, node: ast.Call, keyword_name: str
-    ) -> Optional[str]:
-        """The generator behind the candidates argument, if traceable."""
-        argument = _candidates_argument(node, keyword_name)
+    def _keys_argument_origin(self, node: ast.Call) -> Optional[str]:
+        """The generator behind the candidate-keys argument, if traceable."""
+        argument = _keys_argument(node)
         if argument is None:
             return None
         direct = _generator_of_expression(argument)
@@ -271,19 +221,15 @@ class _DedupUsageVisitor(ast.NodeVisitor):
 def analyze_dedup_usage(
     source: str, filename: str = "<source>"
 ) -> List[Diagnostic]:
-    """``I406``/``I408`` hints for candidate shapes that stop scaling.
+    """``I408`` hints for candidate shapes that stop scaling.
 
-    ``source`` is Python source text; returns one warning per scoring
-    call whose candidates argument is (or was assigned from, in the same
-    or an enclosing scope):
-
-    * a ``multipass_sorted_neighborhood`` / ``multipass_blocking`` call
-      fed to ``score_candidates`` — ``I406``, use the packed pipeline;
-    * an ``itertools.combinations`` universe (bare, ``pack_pairs``-wrapped
-      or assigned) fed to either scorer, or a lone
-      ``sorted_neighborhood_candidates`` result (nested ``[0]`` or
-      tuple-unpacked keys) fed to ``score_candidates_packed`` — ``I408``,
-      switch candidate generation to the sub-quadratic MinHash–LSH pass.
+    ``source`` is Python source text; returns one warning per
+    ``score_candidates_packed`` call whose keys argument is (or was
+    assigned from, in the same or an enclosing scope) an
+    ``itertools.combinations`` universe (bare, ``pack_pairs``-wrapped or
+    assigned) or a lone ``sorted_neighborhood_candidates`` result (nested
+    ``[0]`` or tuple-unpacked keys) — switch candidate generation to the
+    sub-quadratic MinHash–LSH pass.
 
     Raises ``SyntaxError`` if the source does not parse.
     """

@@ -64,7 +64,7 @@ MUTATING_METHODS = frozenset(
         "discard",
         "sort",
         "reverse",
-        "put",  # repro.textsim.cache.LRUCache
+        "put",
         "difference_update",
         "intersection_update",
         "symmetric_difference_update",
@@ -89,7 +89,6 @@ MUTABLE_CONSTRUCTORS = frozenset(
         "defaultdict",
         "Counter",
         "deque",
-        "LRUCache",
     }
 )
 
@@ -567,7 +566,7 @@ class _FunctionVisitor(ast.NodeVisitor):
 
     def _note_value_alias(self, value: ast.AST, line: int) -> None:
         """Storing a mutable global onto an attribute/subscript lets later
-        mutation escape the analysis: ``self._cache = _SHARED_CACHE``."""
+        mutation escape the analysis: ``self._cache = _CACHE``."""
         if isinstance(value, ast.Name) and self._classify(value.id) == "global":
             qualified = self._qualify_global(value.id)
             if qualified in self.ctx.mutable_global_names:
@@ -865,7 +864,7 @@ class _FunctionVisitor(ast.NodeVisitor):
                         Effect("env", "os.environ", node.lineno)
                     )
         # Storing a mutable global onto an attribute lets mutation escape:
-        # ``self._cache = _SHARED_CACHE``.
+        # ``self._cache = _CACHE``.
         self.generic_visit(node)
 
     def visit_Return(self, node: ast.Return) -> None:

@@ -36,7 +36,7 @@ import argparse
 import csv
 import sys
 from pathlib import Path
-from typing import Optional, Sequence
+from typing import Optional, Sequence, Set, Tuple
 
 from repro.core import RemovalLevel, TestDataGenerator, customize
 from repro.core.heterogeneity import HeterogeneityScorer
@@ -318,16 +318,47 @@ def _cmd_customize(args: argparse.Namespace) -> int:
     return 0
 
 
+def _read_gold_pairs(path: Path, record_count: int) -> Set[Tuple[int, int]]:
+    """Canonical ``(min, max)`` gold pairs of a user-supplied gold CSV.
+
+    Raises :class:`ValueError` naming the first row that is not two
+    distinct record ids inside ``range(record_count)``.
+    """
+    gold: Set[Tuple[int, int]] = set()
+    with path.open(newline="", encoding="utf-8") as handle:
+        reader = csv.reader(handle)
+        next(reader, None)
+        for line, row in enumerate(reader, start=2):
+            try:
+                left, right = (int(value) for value in row)
+            except ValueError:
+                raise ValueError(
+                    f"{path}:{line}: expected two integer record ids, got {row}"
+                ) from None
+            if left == right:
+                raise ValueError(f"{path}:{line}: self-pair ({left}, {right})")
+            for record_id in (left, right):
+                if not 0 <= record_id < record_count:
+                    raise ValueError(
+                        f"{path}:{line}: record id {record_id} is outside "
+                        f"range({record_count})"
+                    )
+            gold.add((min(left, right), max(left, right)))
+    return gold
+
+
 def _load_labeled_dataset(args: argparse.Namespace):
-    """(records, attributes, gold pairs) of an evaluate/detect invocation."""
+    """(records, attributes, gold pairs) of an evaluate/detect invocation,
+    or ``None`` (after printing why) when the ``--gold`` file is invalid."""
     from repro.datasets.io import load_dataset
 
     dataset = load_dataset(Path(args.dataset))
     if args.gold:
-        with Path(args.gold).open(newline="", encoding="utf-8") as handle:
-            reader = csv.reader(handle)
-            next(reader)
-            gold = {(int(left), int(right)) for left, right in reader}
+        try:
+            gold = _read_gold_pairs(Path(args.gold), len(dataset.records))
+        except ValueError as exc:
+            print(f"invalid --gold file: {exc}")
+            return None
     else:
         gold = dataset.gold_pairs
     return dataset.records, list(dataset.attributes), gold
@@ -342,7 +373,10 @@ def _cmd_evaluate(args: argparse.Namespace) -> int:
     )
     from repro.textsim import JaroWinkler, MongeElkan, QgramJaccard
 
-    records, attributes, gold = _load_labeled_dataset(args)
+    loaded = _load_labeled_dataset(args)
+    if loaded is None:
+        return 1
+    records, attributes, gold = loaded
 
     # Candidates are generated once (streamed, packed) and scored per
     # measure through the prepared-vector batch path — bit-identical to
@@ -420,7 +454,10 @@ def _cmd_detect(args: argparse.Namespace) -> int:
         "jaro_winkler": JaroWinkler,
         "qgram_jaccard": QgramJaccard,
     }
-    records, attributes, gold = _load_labeled_dataset(args)
+    loaded = _load_labeled_dataset(args)
+    if loaded is None:
+        return 1
+    records, attributes, gold = loaded
     thresholds = list(DEFAULT_THRESHOLDS)
     if args.threshold is not None and args.threshold not in thresholds:
         thresholds.append(args.threshold)

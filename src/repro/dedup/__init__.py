@@ -3,30 +3,24 @@
 Section 6.5's setup:
 
 * candidate generation with a multi-pass Sorted Neighborhood Method —
-  one pass per highly unique attribute, window size 20
-  (:mod:`repro.dedup.blocking`);
+  one pass per highly unique attribute (:func:`pick_blocking_keys`),
+  window size 20 — streamed as packed pair keys
+  (:mod:`repro.dedup.pipeline`);
 * record similarity as the entropy-weighted average of attribute value
   similarities, with the three name attributes matched 1:1 in their best
-  permutation (:mod:`repro.dedup.matching`);
+  permutation, scored through prepared record tables
+  (:mod:`repro.dedup.matching`);
 * classification by similarity threshold and evaluation as precision /
-  recall / F1 over a threshold sweep (:mod:`repro.dedup.evaluate`);
-* a streaming, parallel end-to-end pipeline for all of the above at
-  register scale — packed candidate pairs, prepared record vectors,
-  sharded pair scoring — bit-identical to the naive framework
-  (:mod:`repro.dedup.pipeline`).
+  recall / F1 over a threshold sweep (:mod:`repro.dedup.evaluate`).
+
+:class:`DetectionPipeline` runs all three end to end, in-process or
+sharded over workers; it is the one detection path, checked
+bit-identical against the oracles in :mod:`repro.dedup._reference`.
 """
 
 from __future__ import annotations
 
-from repro.dedup.blocking import (
-    BlockingStats,
-    SortedNeighborhood,
-    StandardBlocking,
-    multipass_blocking,
-    multipass_blocking_with_stats,
-    multipass_sorted_neighborhood,
-    pick_blocking_keys,
-)
+from repro.dedup.blocking import StandardBlocking, pick_blocking_keys
 from repro.dedup.pipeline import (
     CANDIDATE_PASS_TYPES,
     MAX_PACKABLE_RECORDS,
@@ -68,7 +62,6 @@ from repro.dedup.evaluate import (
     evaluate_thresholds,
     f1_score,
     precision_recall_f1,
-    score_candidates,
 )
 from repro.dedup.clustering import (
     closure_pair_metrics,
@@ -80,12 +73,7 @@ from repro.dedup.clustering import (
 from repro.dedup.matching import PreparedRecords, RecordMatcher
 
 __all__ = [
-    "SortedNeighborhood",
     "StandardBlocking",
-    "BlockingStats",
-    "multipass_blocking",
-    "multipass_blocking_with_stats",
-    "multipass_sorted_neighborhood",
     "pick_blocking_keys",
     "RecordMatcher",
     "PreparedRecords",
@@ -119,7 +107,6 @@ __all__ = [
     "score_candidates_packed",
     "EvaluationPoint",
     "best_f1",
-    "score_candidates",
     "evaluate_thresholds",
     "precision_recall_f1",
     "confusion_counts",

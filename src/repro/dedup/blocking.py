@@ -1,16 +1,18 @@
-"""Candidate generation: multi-pass Sorted Neighborhood Method.
+"""Blocking-key choice and the standard-blocking key spec.
 
 The paper reduces the search space with "a multi pass of the Sorted
 Neighborhood Method by using one pass for each of the five most unique
 attributes and a window of size w = 20" and reports that no true duplicate
-was lost (Section 6.5).
+was lost (Section 6.5).  :func:`pick_blocking_keys` chooses those
+attributes; :class:`StandardBlocking` describes a key-based blocking pass.
+The passes themselves stream packed pair keys in
+:mod:`repro.dedup.pipeline` (``sorted_neighborhood_candidates`` /
+``blocking_candidates``).
 """
 
 from __future__ import annotations
 
-import dataclasses
-import itertools
-from typing import Dict, Iterable, List, Sequence, Set, Tuple
+from typing import Dict, List, Sequence
 
 from repro.core.heterogeneity import entropy
 
@@ -31,74 +33,6 @@ def pick_blocking_keys(
     return [attribute for _score, attribute in scored[:count]]
 
 
-class SortedNeighborhood:
-    """A single Sorted Neighborhood pass.
-
-    Records are sorted by the value of ``key_attribute``; every pair within
-    a sliding window of ``window`` records becomes a candidate.
-    """
-
-    def __init__(self, key_attribute: str, window: int = 20) -> None:
-        if window < 2:
-            raise ValueError(f"window must be >= 2, got {window}")
-        self.key_attribute = key_attribute
-        self.window = window
-
-    def candidates(self, records: Sequence[Dict[str, str]]) -> Set[Tuple[int, int]]:
-        """Candidate record-id pairs ``(i, j)`` with ``i < j``."""
-        order = sorted(
-            range(len(records)),
-            key=lambda index: (records[index].get(self.key_attribute) or "").strip(),
-        )
-        pairs: Set[Tuple[int, int]] = set()
-        for position, record_id in enumerate(order):
-            stop = min(position + self.window, len(order))
-            for other_position in range(position + 1, stop):
-                other_id = order[other_position]
-                pair = (record_id, other_id) if record_id < other_id else (other_id, record_id)
-                pairs.add(pair)
-        return pairs
-
-
-def multipass_sorted_neighborhood(
-    records: Sequence[Dict[str, str]],
-    key_attributes: Iterable[str],
-    window: int = 20,
-) -> Set[Tuple[int, int]]:
-    """Union of the candidate pairs of one pass per key attribute."""
-    pairs: Set[Tuple[int, int]] = set()
-    for key_attribute in key_attributes:
-        pairs |= SortedNeighborhood(key_attribute, window).candidates(records)
-    return pairs
-
-
-@dataclasses.dataclass
-class BlockingStats:
-    """What a standard-blocking pass did — including what it dropped.
-
-    Oversized blocks used to be skipped *silently*; a blocking pass that
-    quietly drops its largest blocks reads as "covered everything" when it
-    did not.  The stats make the cap observable: ``blocks_skipped`` counts
-    the blocks over ``max_block_size`` and ``pairs_dropped`` the candidate
-    pairs those blocks would have produced.  The CLI surfaces them, and
-    callers can decide to raise the cap or switch blocking keys.
-    """
-
-    blocks_total: int = 0
-    blocks_skipped: int = 0
-    records_blocked: int = 0
-    pairs_emitted: int = 0
-    pairs_dropped: int = 0
-
-    def merge(self, other: "BlockingStats") -> None:
-        """Accumulate another pass's counters into this one."""
-        self.blocks_total += other.blocks_total
-        self.blocks_skipped += other.blocks_skipped
-        self.records_blocked += other.records_blocked
-        self.pairs_emitted += other.pairs_emitted
-        self.pairs_dropped += other.pairs_dropped
-
-
 class StandardBlocking:
     """Classic key-based blocking: equal blocking keys become candidates.
 
@@ -107,8 +41,8 @@ class StandardBlocking:
     Neighborhood, block sizes are unbounded — ``max_block_size`` guards
     against quadratic blow-up on frequent keys by skipping oversized
     blocks (a standard production safeguard).  Skips are never silent:
-    :meth:`candidates_with_stats` reports how many blocks and pairs the
-    cap dropped.
+    :func:`repro.dedup.pipeline.blocking_candidates` reports, per pass,
+    how many blocks and pairs the cap dropped.
     """
 
     def __init__(
@@ -140,51 +74,3 @@ class StandardBlocking:
                 continue  # empty keys never block together
             blocks.setdefault(key, []).append(record_id)
         return blocks
-
-    def candidates_with_stats(
-        self, records: Sequence[Dict[str, str]]
-    ) -> Tuple[Set[Tuple[int, int]], BlockingStats]:
-        """Candidate pairs plus the pass's :class:`BlockingStats`."""
-        stats = BlockingStats()
-        pairs: Set[Tuple[int, int]] = set()
-        for members in self.blocks(records).values():
-            stats.blocks_total += 1
-            stats.records_blocked += len(members)
-            if len(members) > self.max_block_size:
-                stats.blocks_skipped += 1
-                stats.pairs_dropped += len(members) * (len(members) - 1) // 2
-                continue
-            # Members are in record-id order, so combinations already
-            # yields normalised (i, j) pairs with i < j.
-            before = len(pairs)
-            pairs.update(itertools.combinations(members, 2))
-            stats.pairs_emitted += len(pairs) - before
-        return pairs, stats
-
-    def candidates(self, records: Sequence[Dict[str, str]]) -> Set[Tuple[int, int]]:
-        """Candidate record-id pairs ``(i, j)`` with ``i < j``."""
-        pairs, _stats = self.candidates_with_stats(records)
-        return pairs
-
-
-def multipass_blocking_with_stats(
-    records: Sequence[Dict[str, str]],
-    blockers: Iterable["StandardBlocking"],
-) -> Tuple[Set[Tuple[int, int]], BlockingStats]:
-    """Union of several blocking passes plus their merged stats."""
-    pairs: Set[Tuple[int, int]] = set()
-    stats = BlockingStats()
-    for blocker in blockers:
-        pass_pairs, pass_stats = blocker.candidates_with_stats(records)
-        pairs |= pass_pairs
-        stats.merge(pass_stats)
-    return pairs, stats
-
-
-def multipass_blocking(
-    records: Sequence[Dict[str, str]],
-    blockers: Iterable["StandardBlocking"],
-) -> Set[Tuple[int, int]]:
-    """Union of the candidate pairs of several standard-blocking passes."""
-    pairs, _stats = multipass_blocking_with_stats(records, blockers)
-    return pairs

@@ -3,7 +3,7 @@
 from __future__ import annotations
 
 import dataclasses
-from typing import Callable, Dict, Iterable, List, Sequence, Set, Tuple
+from typing import Dict, List, Sequence, Set, Tuple
 
 Pair = Tuple[int, int]
 
@@ -60,18 +60,6 @@ def precision_recall_f1(predicted: Set[Pair], gold: Set[Pair]) -> Tuple[float, f
     tp, fp, fn = confusion_counts(predicted, gold)
     point = EvaluationPoint(0.0, tp, fp, fn)
     return point.precision, point.recall, point.f1
-
-
-def score_candidates(
-    records: Sequence[Dict[str, str]],
-    candidates: Iterable[Pair],
-    matcher: Callable[[Dict[str, str], Dict[str, str]], float],
-) -> Dict[Pair, float]:
-    """Similarity of every candidate pair (computed once for all sweeps)."""
-    return {
-        pair: matcher(records[pair[0]], records[pair[1]])
-        for pair in candidates
-    }
 
 
 def evaluate_thresholds(

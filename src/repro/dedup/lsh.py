@@ -22,8 +22,8 @@ end to end:
 * oversized buckets (frequent-value pile-ups: empty names, common
   cities) are skipped with **explicit accounting** — bucket counts, a
   bucket-size distribution and the dropped pair count land in
-  :class:`BucketStats`, mirroring the no-silent-caps contract of
-  :class:`repro.dedup.blocking.BlockingStats`;
+  :class:`BucketStats`, mirroring the no-silent-caps contract of the
+  blocking passes' :class:`~repro.dedup.pipeline.PassStats`;
 * signature computation is sharded over
   :func:`repro.core.parallel.run_shards` (contiguous record slices, the
   merge is by position) — a pure per-record function, so any
@@ -90,8 +90,9 @@ DEFAULT_MAX_BUCKET_SIZE = 500
 class BucketStats:
     """What one LSH pass's band buckets did — including what they dropped.
 
-    The LSH sibling of :class:`repro.dedup.blocking.BlockingStats`, with
-    the same no-silent-caps contract: ``buckets_skipped`` counts the
+    The LSH sibling of a blocking pass's skipped-block and dropped-pair
+    counters in :class:`~repro.dedup.pipeline.PassStats`, with the same
+    no-silent-caps contract: ``buckets_skipped`` counts the
     buckets over ``max_bucket_size``, ``pairs_dropped`` the candidate
     pairs those buckets would have emitted, and ``pairs_filtered`` the
     pairs the optional cosine prefilter refused to forward.  The size

@@ -7,15 +7,15 @@ combination of them and used the 1:1 matching with the highest similarity
 for aggregation.  To weight the individual attributes we used again their
 entropy." (Section 6.5)
 
-Two call forms, bit-identical to each other:
-
-* :meth:`RecordMatcher.similarity` — the per-pair path: strips and
-  compares the raw record dicts on every call;
-* :meth:`RecordMatcher.prepare` + :meth:`PreparedRecords.pair_similarity`
-  — the batch path used by :mod:`repro.dedup.pipeline`: per-record value
-  vectors (stripped, interned) are computed **once per record** instead of
-  once per pair, and the name-permutation scores come from a per-pair
-  score matrix instead of re-resolving the cache inside every permutation.
+Every record pair is scored through one path:
+:meth:`RecordMatcher.prepare` builds a :class:`PreparedRecords` table
+(per-record value vectors, stripped and interned **once per record**), and
+:meth:`PreparedRecords.pair_similarity` scores pairs out of it.  The table
+owns a plain ``dict`` memo of value-pair similarities keyed by the
+canonical ``(min, max)`` value pair, so each distinct value pair reaches
+the measure once per table and the memo is freed with it — there is no
+cache that outlives one ``prepare()``.  :meth:`RecordMatcher.similarity`
+is the same path on a two-record table.
 """
 
 from __future__ import annotations
@@ -25,31 +25,11 @@ from typing import Callable, Dict, List, Sequence, Tuple
 
 from repro.core.heterogeneity import entropy_weights
 from repro.textsim import fast
-from repro.textsim.cache import LRUCache
 
 SimilarityFn = Callable[[str, str], float]
 
 #: The attribute group matched 1:1 in its best permutation.
 DEFAULT_NAME_ATTRIBUTES = ("first_name", "midl_name", "last_name")
-
-#: Shared bounded value-similarity cache.  Detection runs create many
-#: matchers over the same snapshot values; a single LRU bounds the total
-#: memory (the old per-matcher dicts grew without limit) while still
-#: sharing hits across matchers.  Keys carry a per-matcher token so two
-#: matchers with different measures can never collide.
-#:
-#: **Process-local by design**: every worker process spawned by
-#: :func:`repro.core.parallel.run_shards` re-imports this module and gets
-#: its own empty cache; entries are pure functions of their keys and
-#: eviction can never change a result, so nothing a worker caches ever
-#: needs to (or can) reach the parent.  This invariant is registered in
-#: :data:`repro.analysis.concurrency.PROCESS_LOCAL_CACHES` and asserted
-#: by ``tests/dedup/test_cache_isolation.py``.
-_SHARED_CACHE: LRUCache = LRUCache(maxsize=131072)
-
-#: Process-local counter namespacing matcher cache keys; only uniqueness
-#: within one process matters (see PROCESS_LOCAL_CACHES), never the value.
-_matcher_tokens = itertools.count(1)
 
 
 class PreparedRecords:
@@ -58,11 +38,11 @@ class PreparedRecords:
     ``name_values[i]`` / ``other_values[i]`` hold record ``i``'s stripped,
     interned values aligned with the matcher's name attributes and
     (zero-weight-free) other attributes.  Scoring a pair through
-    :meth:`pair_similarity` touches only these tuples — the record dicts
-    are never consulted again.
+    :meth:`pair_similarity` touches only these tuples and the table's
+    value-pair memo — the record dicts are never consulted again.
     """
 
-    __slots__ = ("matcher", "name_values", "other_values")
+    __slots__ = ("matcher", "name_values", "other_values", "_memo")
 
     def __init__(
         self,
@@ -73,26 +53,83 @@ class PreparedRecords:
         self.matcher = matcher
         self.name_values = name_values
         self.other_values = other_values
+        self._memo: Dict[Tuple[str, str], float] = {}
 
     def __len__(self) -> int:
         return len(self.name_values)
 
+    def _memoised_measure(self, left: str, right: str) -> float:
+        """Measure of two values: 1.0 when equal, else memoised per table.
+
+        Unequal values are scored in canonical (sorted) argument order, so
+        ``(a, b)`` and ``(b, a)`` share one memo entry and one measure call.
+        """
+        if left == right:
+            return 1.0
+        key = (left, right) if left <= right else (right, left)
+        memo = self._memo
+        score = memo.get(key)
+        if score is None:
+            score = memo[key] = self.matcher.measure(key[0], key[1])
+        return score
+
+    def _name_assignment_score(
+        self, left_values: Sequence[str], right_values: Sequence[str]
+    ) -> float:
+        """Best 1:1 name permutation score over pre-stripped value tuples.
+
+        Every permutation of the right-hand values is scored against the
+        left-hand attribute slots; weights stay attached to the left-hand
+        attribute (the column being filled).  The per-slot similarities
+        are computed once into a matrix (|names|² lookups instead of
+        |names|! · |names|), and the accumulation order inside each
+        permutation matches the historical per-permutation loop exactly —
+        the result is bit-identical.
+        """
+        weights = self.matcher._name_weights
+        count = len(weights)
+        if left_values == right_values:
+            first = left_values[0] if left_values else ""
+            if all(value == first for value in left_values):
+                # All name values are pairwise equal: every matrix entry is
+                # exactly 1.0 for any measure, so every permutation totals
+                # the same sum — accumulate it in slot order and exit early.
+                total = 0.0
+                for weight in weights:
+                    total += weight * 1.0
+                return total
+        value_similarity = self._memoised_measure
+        scores = [
+            [value_similarity(left_value, right_value) for right_value in right_values]
+            for left_value in left_values
+        ]
+        best = -1.0
+        for permutation in itertools.permutations(range(count)):
+            total = 0.0
+            for index in range(count):
+                total += weights[index] * scores[index][permutation[index]]
+            if total > best:
+                best = total
+        return best
+
     def pair_similarity(self, left_id: int, right_id: int) -> float:
         """Similarity of two prepared records, bit-identical to
-        ``matcher.similarity(records[left_id], records[right_id])``."""
+        :func:`repro.dedup._reference.record_similarity_reference`."""
         matcher = self.matcher
         if matcher._total_weight == 0:
             return 0.0
         total = 0.0
         if matcher.name_attributes:
-            total += matcher._name_assignment_score(
+            total += self._name_assignment_score(
                 self.name_values[left_id], self.name_values[right_id]
             )
-        value_similarity = matcher._value_similarity
-        left_values = self.other_values[left_id]
-        right_values = self.other_values[right_id]
-        for index, weight in enumerate(matcher._other_weights):
-            total += weight * value_similarity(left_values[index], right_values[index])
+        value_similarity = self._memoised_measure
+        for weight, left, right in zip(
+            matcher._other_weights,
+            self.other_values[left_id],
+            self.other_values[right_id],
+        ):
+            total += weight * value_similarity(left, right)
         return total / matcher._total_weight
 
 
@@ -134,10 +171,7 @@ class RecordMatcher:
         )
         self._other_weights = tuple(self.weights[a] for a in self._other_attributes)
         self._name_weights = tuple(self.weights[a] for a in self.name_attributes)
-        # Hoisted out of similarity(): it was recomputed for every pair.
         self._total_weight = sum(self.weights.values())
-        self._cache = _SHARED_CACHE
-        self._cache_token = next(_matcher_tokens)
 
     @classmethod
     def from_records(
@@ -150,77 +184,15 @@ class RecordMatcher:
         """Entropy-weight the attributes from the records themselves."""
         return cls(measure, entropy_weights(records, attributes), name_attributes)
 
-    def _value_similarity(self, left: str, right: str) -> float:
-        if left == right:
-            return 1.0
-        if left <= right:
-            key = (self._cache_token, left, right)
-        else:
-            key = (self._cache_token, right, left)
-        cached = self._cache.get(key)
-        if cached is None:
-            cached = self.measure(key[1], key[2])
-            self._cache.put(key, cached)
-        return cached
-
-    def _name_assignment_score(
-        self, left_values: Sequence[str], right_values: Sequence[str]
-    ) -> float:
-        """Best 1:1 name permutation score over pre-stripped value tuples.
-
-        Every permutation of the right-hand values is scored against the
-        left-hand attribute slots; weights stay attached to the left-hand
-        attribute (the column being filled).  The per-slot similarities
-        are computed once into a matrix (|names|² measure lookups instead
-        of |names|! · |names|), and the accumulation order inside each
-        permutation matches the historical per-permutation loop exactly —
-        the result is bit-identical.
-        """
-        weights = self._name_weights
-        count = len(weights)
-        if left_values == right_values:
-            first = left_values[0] if left_values else ""
-            if all(value == first for value in left_values):
-                # All name values are pairwise equal: every matrix entry is
-                # exactly 1.0 for any measure, so every permutation totals
-                # the same sum — accumulate it in slot order and exit early.
-                total = 0.0
-                for weight in weights:
-                    total += weight * 1.0
-                return total
-        value_similarity = self._value_similarity
-        scores = [
-            [value_similarity(left_value, right_value) for right_value in right_values]
-            for left_value in left_values
-        ]
-        best = -1.0
-        for permutation in itertools.permutations(range(count)):
-            total = 0.0
-            for index in range(count):
-                total += weights[index] * scores[index][permutation[index]]
-            if total > best:
-                best = total
-        return best
-
-    def _best_name_assignment(
-        self, left: Dict[str, str], right: Dict[str, str]
-    ) -> float:
-        """Weighted similarity of the best 1:1 name attribute permutation."""
-        attributes = self.name_attributes
-        left_values = tuple((left.get(a) or "").strip() for a in attributes)
-        right_values = tuple((right.get(a) or "").strip() for a in attributes)
-        return self._name_assignment_score(left_values, right_values)
-
     def prepare(self, records: Sequence[Dict[str, str]]) -> PreparedRecords:
-        """Precompute per-record value vectors for batch pair scoring.
+        """Precompute per-record value vectors for pair scoring.
 
         Stripping, ``None`` handling and the name-value tuples happen once
-        per record here instead of once per pair inside ``similarity``;
-        values are interned (:func:`repro.textsim.fast.intern_values`) so
-        the equality short-circuits and cache-key comparisons in the hot
-        loop compare by pointer in the common case.  Scoring through the
-        returned :class:`PreparedRecords` is bit-identical to calling
-        :meth:`similarity` on the raw records.
+        per record; values are interned
+        (:func:`repro.textsim.fast.intern_values`) so the equality
+        short-circuits and memo-key comparisons in the hot loop compare by
+        pointer in the common case.  The returned table's value-pair memo
+        lives exactly as long as the table.
         """
         name_attributes = self.name_attributes
         other_attributes = self._other_attributes
@@ -241,17 +213,7 @@ class RecordMatcher:
 
     def similarity(self, left: Dict[str, str], right: Dict[str, str]) -> float:
         """Weighted average value similarity of two flat records."""
-        if self._total_weight == 0:
-            return 0.0
-        total = 0.0
-        if self.name_attributes:
-            total += self._best_name_assignment(left, right)
-        for index, attribute in enumerate(self._other_attributes):
-            total += self._other_weights[index] * self._value_similarity(
-                (left.get(attribute) or "").strip(),
-                (right.get(attribute) or "").strip(),
-            )
-        return total / self._total_weight
+        return self.prepare((left, right)).pair_similarity(0, 1)
 
     def __call__(self, left: Dict[str, str], right: Dict[str, str]) -> float:
         return self.similarity(left, right)

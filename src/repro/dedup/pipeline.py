@@ -3,12 +3,11 @@
 The paper's headline evaluation runs a multi-pass Sorted Neighborhood
 (window 20, one pass per highly unique attribute) and scores every
 candidate pair with the weighted 1:1-name record matcher.  At register
-scale that is tens of millions of candidate pairs, and the naive framework
-in this package — tuple sets unioned eagerly, one ``similarity()`` call
-per pair in a single process — becomes the bottleneck.  This module is the
-scaled path, **bit-identical** to the naive one (enforced against the
-oracles in :mod:`repro.dedup._reference` by
-``tests/dedup/test_pipeline_equivalence.py``):
+scale that is tens of millions of candidate pairs, which rules out the
+naive shape — tuple sets unioned eagerly, every pair scored from the raw
+record dicts — kept only as the oracle in :mod:`repro.dedup._reference`.
+This module is the package's one detection path, **bit-identical** to
+that oracle (enforced by ``tests/dedup/test_pipeline_equivalence.py``):
 
 * **Packed candidate pairs.**  A pair ``(i, j)`` with ``i < j < n`` is one
   ``int``: ``i * n + j`` (:func:`pack_pair`).  Candidate passes stream
@@ -24,9 +23,11 @@ oracles in :mod:`repro.dedup._reference` by
   (:func:`repro.textsim.fast.intern_values`) so the hot-loop equality
   checks compare by pointer.
 * **Batched scoring** (:func:`score_pairs_batch`) walks packed keys in
-  sorted order and shares the matcher's bounded LRU; the similarity
-  measures route through the thresholded/banded kernels of
-  :mod:`repro.textsim.fast` exactly as the per-pair path does.
+  sorted order through one prepared table, whose value-pair memo scores
+  each distinct value pair once and is freed with the table — one
+  :func:`score_candidates_packed` call or one worker shard.  The
+  similarity measures route through the thresholded/banded kernels of
+  :mod:`repro.textsim.fast`.
 * **Sharded parallel scoring** (:func:`score_candidates_packed` with
   ``max_workers > 0``) fans the packed keys over worker processes through
   :func:`repro.core.parallel.run_shards` — deterministic shard-by-pair-key
@@ -46,12 +47,7 @@ import dataclasses
 from typing import Dict, Iterable, Iterator, List, Optional, Sequence, Set, Tuple
 
 from repro.core.parallel import effective_worker_count, run_shards, shard_of_int
-from repro.dedup.blocking import (
-    BlockingStats,
-    SortedNeighborhood,
-    StandardBlocking,
-    pick_blocking_keys,
-)
+from repro.dedup.blocking import StandardBlocking, pick_blocking_keys
 from repro.dedup.evaluate import (
     EvaluationPoint,
     best_f1,
@@ -148,8 +144,11 @@ def pack_pairs(pairs: Iterable[Pair], record_count: int) -> Set[int]:
 
 
 def unpack_pairs(keys: Iterable[int], record_count: int) -> Set[Pair]:
-    """Unpack a packed-key set back into ``(i, j)`` tuples."""
-    return {divmod(key, record_count) for key in keys}
+    """Unpack a packed-key set back into ``(i, j)`` tuples.
+
+    Every key is validated like :func:`unpack_pair` does.
+    """
+    return {unpack_pair(key, record_count) for key in keys}
 
 
 # -------------------------------------------------- streaming candidate gen
@@ -160,11 +159,10 @@ def iter_sorted_neighborhood_keys(
 ) -> Iterator[int]:
     """One Sorted Neighborhood pass as a stream of packed pair keys.
 
-    Same sort and same sliding window as
-    :class:`repro.dedup.blocking.SortedNeighborhood`, but pairs are
-    yielded lazily as packed ints — nothing per-pass is materialized, and
-    duplicates within the window (impossible for SNM, possible for
-    blocking) would simply collapse in the consuming set.
+    Records are sorted by their stripped ``key_attribute`` value and every
+    pair within a sliding window of ``window`` records is yielded lazily
+    as a canonical ``i < j`` packed int — nothing per-pass is
+    materialized.
     """
     if window < 2:
         raise ValueError(f"window must be >= 2, got {window}")
@@ -187,23 +185,20 @@ def iter_sorted_neighborhood_keys(
 def iter_blocking_keys(
     records: Sequence[Dict[str, str]],
     blocker: StandardBlocking,
-    stats: Optional[BlockingStats] = None,
+    stats: Optional[PassStats] = None,
 ) -> Iterator[int]:
     """One standard-blocking pass as a stream of packed pair keys.
 
     Block membership lists are in record-id order, so the nested loop
-    yields canonical ``i < j`` keys directly.  When ``stats`` is given it
-    is filled in-place (the no-silent-caps counters of
-    :class:`~repro.dedup.blocking.BlockingStats`), because a generator
-    cannot also return a value to its consumer.
+    yields canonical ``i < j`` keys directly.  When ``stats`` is given,
+    the pass's emitted, skipped-block and dropped-pair counters are filled
+    in place, because a generator cannot also return a value to its
+    consumer.
     """
     record_count = len(records)
     _check_packable(record_count)
     for members in blocker.blocks(records).values():
         size = len(members)
-        if stats is not None:
-            stats.blocks_total += 1
-            stats.records_blocked += size
         if size > blocker.max_block_size:
             if stats is not None:
                 stats.blocks_skipped += 1
@@ -310,9 +305,9 @@ def sorted_neighborhood_candidates(
 ) -> Tuple[Set[int], CandidateStats]:
     """Multi-pass SNM candidates as packed keys, one streamed pass per key.
 
-    Equals ``pack_pairs(multipass_sorted_neighborhood(records, keys, w))``
-    — asserted by the equivalence suite — without ever materializing a
-    per-pass tuple set.
+    Equals ``pack_pairs(multipass_pairs_reference(records, keys, w))`` (the
+    oracle in :mod:`repro.dedup._reference`) — asserted by the
+    equivalence suite — without ever materializing a per-pass tuple set.
     """
     return collect_candidates(
         (
@@ -331,15 +326,10 @@ def blocking_candidates(
     keys: Set[int] = set()
     stats = CandidateStats(record_count=len(records))
     for position, blocker in enumerate(blockers):
-        block_stats = BlockingStats()
         pass_stats = PassStats(label=f"block[{position}]")
         before = len(keys)
-        for key in iter_blocking_keys(records, blocker, block_stats):
-            keys.add(key)
-        pass_stats.pairs_emitted = block_stats.pairs_emitted
+        keys.update(iter_blocking_keys(records, blocker, pass_stats))
         pass_stats.pairs_new = len(keys) - before
-        pass_stats.blocks_skipped = block_stats.blocks_skipped
-        pass_stats.pairs_dropped = block_stats.pairs_dropped
         stats.passes.append(pass_stats)
     return keys, stats
 
@@ -355,8 +345,9 @@ def score_pairs_batch(
     """Score a batch of packed candidate keys through prepared vectors.
 
     Returns ``{(i, j): similarity}`` with every float bit-identical to
-    ``matcher.similarity(records[i], records[j])`` — prepared vectors only
-    hoist work out of the pair loop, they never change an operation order.
+    :func:`repro.dedup._reference.record_similarity_reference` — prepared
+    vectors and the table's value-pair memo only hoist work out of the
+    pair loop, they never change an operation order.
     """
     pair_similarity = prepared.pair_similarity
     similarities: Dict[Pair, float] = {}
@@ -377,8 +368,9 @@ def _score_pairs_shard(
     """Worker: rebuild the matcher, prepare once, score this shard's keys.
 
     Only plain data (records, weights, the picklable measure, packed keys)
-    crosses the process boundary; each worker keeps its own caches.  Pure —
-    safe to retry (see :func:`repro.core.parallel.run_shards`).
+    crosses the process boundary; the shard's prepared table owns its
+    value-pair memo and nothing outlives the call.  Pure — safe to retry
+    (see :func:`repro.core.parallel.run_shards`).
     """
     matcher = RecordMatcher(measure, weights, name_attributes)  # type: ignore[arg-type]
     prepared = matcher.prepare(records)
@@ -399,7 +391,9 @@ def score_candidates_packed(
     """Similarity of every packed candidate key, optionally sharded.
 
     ``max_workers=0``/``None`` scores in-process through one prepared
-    vector table.  With workers, keys shard deterministically by
+    vector table, so each distinct value pair reaches the measure once per
+    call; a second call with the same keys scores them afresh.  With
+    workers, keys shard deterministically by
     ``shard_of_int(key, shards)`` and fan out over
     :func:`repro.core.parallel.run_shards` — worker crashes and timeouts
     retry with exponential backoff and ultimately degrade to in-process

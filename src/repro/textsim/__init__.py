@@ -23,7 +23,6 @@ from __future__ import annotations
 from repro.textsim.base import SimilarityMeasure, normalize_for_comparison
 from repro.textsim.cosine import SoftTfIdf, TfIdfCosine, cosine_tokens
 from repro.textsim.generalized_jaccard import GeneralizedJaccard, generalized_jaccard
-from repro.textsim.cache import LRUCache
 from repro.textsim.jaccard import (
     QgramJaccard,
     TokenJaccard,
@@ -55,7 +54,6 @@ __all__ = [
     "damerau_levenshtein_similarity",
     "damerau_levenshtein_within",
     "extended_damerau_levenshtein_similarity",
-    "LRUCache",
     "DamerauLevenshtein",
     "ExtendedDamerauLevenshtein",
     "jaro_similarity",

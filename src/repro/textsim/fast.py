@@ -207,7 +207,7 @@ def intern_values(values: Iterable[str]) -> Tuple[str, ...]:
     Prepared record vectors (:meth:`repro.dedup.matching.RecordMatcher.prepare`)
     hold millions of heavily repeated strings; interning collapses them to
     one object per distinct value, so the ``left == right`` short-circuits
-    and LRU cache-key comparisons in the pair-scoring hot loop resolve by
+    and value-pair memo lookups in the pair-scoring hot loop resolve by
     pointer identity instead of character comparison, and the vectors cost
     one pointer per slot instead of one string copy.
     """

@@ -10,16 +10,15 @@ from itertools import combinations
 
 from repro.dedup import (
     pack_pairs,
-    score_candidates,
     score_candidates_packed,
     sorted_neighborhood_candidates,
 )
 
 
-def allpairs_tuples(records, matcher):
-    """O(n^2) tuple universe straight into the per-pair scorer."""
+def allpairs_bare(records, matcher):
+    """O(n^2) pair universe straight into the scorer."""
     pairs = combinations(range(len(records)), 2)
-    return score_candidates(records, pairs, matcher)
+    return score_candidates_packed(records, pairs, matcher)
 
 
 def allpairs_packed(records, matcher):

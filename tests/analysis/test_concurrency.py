@@ -136,14 +136,15 @@ class TestExemptionRegistry:
         report = self.analyze(exemptions={"cachemod.CACHE": "process-local"})
         assert report.all_findings == []
 
-    def test_shared_matcher_cache_needs_its_registry_entry(self):
-        # The registry is load-bearing: without it, the shared matcher
-        # cache in repro.dedup.matching is (correctly) detected.
-        matching = Path("src/repro/dedup/matching.py")
-        assert matching.is_file()
-        with_registry = analyze_concurrency([matching])
+    def test_predicate_cache_needs_its_registry_entry(self):
+        # The registry is load-bearing: without it, the module-level
+        # compiled-predicate cache in repro.docstore.plancache is
+        # (correctly) detected.
+        plancache = Path("src/repro/docstore/plancache.py")
+        assert plancache.is_file()
+        with_registry = analyze_concurrency([plancache])
         assert with_registry.all_findings == []
-        without = analyze_concurrency([matching], exemptions={})
+        without = analyze_concurrency([plancache], exemptions={})
         assert "R106" in without.counts()
 
     def test_registry_entries_point_at_real_objects(self):

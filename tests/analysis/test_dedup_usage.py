@@ -1,4 +1,4 @@
-"""Unit tests for the dedup-pipeline usage hints (I406, I408).
+"""Unit tests for the dedup-pipeline usage hint (I408).
 
 Mirrors ``tests/analysis/test_index_usage.py``: one class per code for
 shapes that must warn, one for shapes that must stay silent, plus the
@@ -24,79 +24,12 @@ def analyze(source):
     return analyze_dedup_usage(textwrap.dedent(source), filename="check.py")
 
 
-class TestI406Warns:
-    def test_direct_nesting(self):
-        diagnostics = analyze(
-            """
-            scores = score_candidates(
-                records, multipass_sorted_neighborhood(records, keys, 20), matcher
-            )
-            """
-        )
-        assert codes(diagnostics) == ["I406"]
-        assert diagnostics[0].severity == WARNING
-        assert diagnostics[0].path == "check.py:2"
-        assert "multipass_sorted_neighborhood" in diagnostics[0].message
-        assert "pipeline" in diagnostics[0].hint
-
-    def test_assignment_provenance(self):
-        diagnostics = analyze(
-            """
-            def run(records, matcher):
-                candidates = multipass_blocking(records, blockers)
-                print(len(candidates))
-                return score_candidates(records, candidates, matcher)
-            """
-        )
-        assert codes(diagnostics) == ["I406"]
-        assert "multipass_blocking" in diagnostics[0].message
-
-    def test_keyword_candidates_argument(self):
-        diagnostics = analyze(
-            """
-            pairs = multipass_sorted_neighborhood(records, keys)
-            scores = score_candidates(records, matcher=m, candidates=pairs)
-            """
-        )
-        assert codes(diagnostics) == ["I406"]
-
-    def test_module_qualified_calls(self):
-        diagnostics = analyze(
-            """
-            pairs = dedup.multipass_sorted_neighborhood(records, keys)
-            scores = dedup.score_candidates(records, pairs, matcher)
-            """
-        )
-        assert codes(diagnostics) == ["I406"]
-
-    def test_enclosing_scope_binding_visible(self):
-        diagnostics = analyze(
-            """
-            pairs = multipass_blocking(records, blockers)
-
-            def run(matcher):
-                return score_candidates(records, pairs, matcher)
-            """
-        )
-        assert codes(diagnostics) == ["I406"]
-
-    def test_one_warning_per_scoring_call(self):
-        diagnostics = analyze(
-            """
-            pairs = multipass_blocking(records, blockers)
-            a = score_candidates(records, pairs, m1)
-            b = score_candidates(records, pairs, m2)
-            """
-        )
-        assert codes(diagnostics) == ["I406", "I406"]
-
-
 class TestI408Warns:
     def test_allpairs_combinations_into_score_candidates(self):
         diagnostics = analyze(
             """
             pairs = combinations(range(len(records)), 2)
-            scores = score_candidates(records, pairs, matcher)
+            scores = score_candidates_packed(records, pairs, matcher)
             """
         )
         assert codes(diagnostics) == ["I408"]
@@ -109,7 +42,7 @@ class TestI408Warns:
     def test_allpairs_nested_and_module_qualified(self):
         diagnostics = analyze(
             """
-            scores = score_candidates(
+            scores = repro.dedup.score_candidates_packed(
                 records, itertools.combinations(range(n), 2), matcher
             )
             """
@@ -146,6 +79,27 @@ class TestI408Warns:
         )
         assert codes(diagnostics) == ["I408"]
 
+    def test_enclosing_scope_binding_visible(self):
+        diagnostics = analyze(
+            """
+            pairs = combinations(range(len(records)), 2)
+
+            def run(matcher):
+                return score_candidates_packed(records, pairs, matcher)
+            """
+        )
+        assert codes(diagnostics) == ["I408"]
+
+    def test_one_warning_per_scoring_call(self):
+        diagnostics = analyze(
+            """
+            keys, stats = sorted_neighborhood_candidates(records, attrs)
+            a = score_candidates_packed(records, keys, m1)
+            b = score_candidates_packed(records, keys, m2)
+            """
+        )
+        assert codes(diagnostics) == ["I408", "I408"]
+
     def test_keys_keyword_argument(self):
         diagnostics = analyze(
             """
@@ -161,12 +115,12 @@ class TestI408Warns:
         assert codes(diagnostics) == ["I408", "I408", "I408"]
         paths = [d.path for d in diagnostics]
         assert paths == [
-            "naive_quadratic.py:22",
-            "naive_quadratic.py:28",
-            "naive_quadratic.py:34",
+            "naive_quadratic.py:21",
+            "naive_quadratic.py:27",
+            "naive_quadratic.py:33",
         ]
-        allpairs_tuple, allpairs_packed, snm_only = diagnostics
-        assert "score_candidates()" in allpairs_tuple.message
+        allpairs_bare, allpairs_packed, snm_only = diagnostics
+        assert "combinations()" in allpairs_bare.message
         assert "score_candidates_packed()" in allpairs_packed.message
         assert "lone" in snm_only.message
         assert all("lsh" in d.hint for d in diagnostics)
@@ -185,12 +139,13 @@ class TestI408Silent:
         )
 
     def test_multipass_snm_into_packed_scorer_is_silent(self):
-        # Multi-pass provenance is not a lone pass; only the eager
-        # tuple-set shape (I406) tracks multipass generators.
+        # SNM keys unioned with another pass family are not a lone pass.
         assert (
             analyze(
                 """
-                keys = multipass_sorted_neighborhood(records, attrs, 20)
+                keys, stats = sorted_neighborhood_candidates(records, attrs, 20)
+                more, more_stats = lsh_candidates(records, attrs)
+                keys = keys | more
                 scores = score_candidates_packed(records, keys, matcher)
                 """
             )
@@ -203,7 +158,7 @@ class TestI408Silent:
                 """
                 pairs = combinations(range(len(records)), 2)
                 pairs = prune(pairs)
-                scores = score_candidates(records, pairs, matcher)
+                scores = score_candidates_packed(records, pairs, matcher)
                 """
             )
             == []
@@ -231,8 +186,6 @@ class TestI408Silent:
             == []
         )
 
-
-class TestI406Silent:
     def test_clean_pipeline_code(self):
         assert (
             analyze(
@@ -244,34 +197,11 @@ class TestI406Silent:
             == []
         )
 
-    def test_rebinding_kills_provenance(self):
-        assert (
-            analyze(
-                """
-                pairs = multipass_blocking(records, blockers)
-                pairs = prune(pairs)
-                scores = score_candidates(records, pairs, matcher)
-                """
-            )
-            == []
-        )
-
     def test_untracked_candidates_are_silent(self):
         assert (
             analyze(
                 """
-                scores = score_candidates(records, load_pairs(path), matcher)
-                """
-            )
-            == []
-        )
-
-    def test_generator_alone_is_silent(self):
-        assert (
-            analyze(
-                """
-                pairs = multipass_sorted_neighborhood(records, keys, 20)
-                store(pairs)
+                scores = score_candidates_packed(records, load_keys(path), matcher)
                 """
             )
             == []
@@ -282,11 +212,11 @@ class TestI406Silent:
             analyze(
                 """
                 def generate(records):
-                    pairs = multipass_blocking(records, blockers)
-                    return pairs
+                    keys, stats = sorted_neighborhood_candidates(records, attrs)
+                    return keys
 
-                def score(records, pairs, matcher):
-                    return score_candidates(records, pairs, matcher)
+                def score(records, keys, matcher):
+                    return score_candidates_packed(records, keys, matcher)
                 """
             )
             == []

@@ -1,12 +1,13 @@
-"""Tests for Sorted Neighborhood blocking."""
+"""Tests for Sorted Neighborhood blocking (streamed as packed pair keys)."""
 
 import pytest
 
 from repro.dedup import (
-    SortedNeighborhood,
-    multipass_sorted_neighborhood,
     pick_blocking_keys,
+    sorted_neighborhood_candidates,
+    unpack_pairs,
 )
+from repro.dedup.pipeline import iter_sorted_neighborhood_keys
 
 
 RECORDS = [
@@ -16,6 +17,12 @@ RECORDS = [
     {"last_name": "BAKKER", "zip": "28801"},
     {"last_name": "YOUNG", "zip": "27601"},
 ]
+
+
+def snm_pairs(records, key_attributes, window):
+    """Multi-pass SNM candidates as ``(i, j)`` tuples."""
+    keys, _stats = sorted_neighborhood_candidates(records, key_attributes, window)
+    return unpack_pairs(keys, len(records))
 
 
 class TestPickBlockingKeys:
@@ -39,47 +46,50 @@ class TestPickBlockingKeys:
 
 class TestSortedNeighborhood:
     def test_window_two_links_sorted_neighbours(self):
-        pass_ = SortedNeighborhood("last_name", window=2)
-        pairs = pass_.candidates(RECORDS)
+        pairs = snm_pairs(RECORDS, ["last_name"], 2)
         assert (0, 1) in pairs  # ADAMS / ADAMSON adjacent
         assert (2, 3) in pairs  # BAKER / BAKKER adjacent
         assert (0, 4) not in pairs  # ADAMS / YOUNG far apart
 
     def test_pairs_normalised(self):
-        pairs = SortedNeighborhood("last_name", window=3).candidates(RECORDS)
-        assert all(i < j for i, j in pairs)
+        count = len(RECORDS)
+        keys = list(iter_sorted_neighborhood_keys(RECORDS, "last_name", 3))
+        assert all(left < right for left, right in (divmod(k, count) for k in keys))
 
     def test_window_covers_everything_when_large(self):
-        pairs = SortedNeighborhood("last_name", window=50).candidates(RECORDS)
+        pairs = snm_pairs(RECORDS, ["last_name"], 50)
         assert len(pairs) == 10  # C(5, 2)
 
     def test_candidate_count_bounded_by_window(self):
-        pass_ = SortedNeighborhood("last_name", window=2)
-        pairs = pass_.candidates(RECORDS)
+        pairs = snm_pairs(RECORDS, ["last_name"], 2)
         assert len(pairs) <= len(RECORDS) * 1  # w-1 per record
 
     def test_invalid_window(self):
         with pytest.raises(ValueError):
-            SortedNeighborhood("x", window=1)
+            sorted_neighborhood_candidates(RECORDS, ["x"], window=1)
 
     def test_empty_records(self):
-        assert SortedNeighborhood("x", window=5).candidates([]) == set()
+        keys, stats = sorted_neighborhood_candidates([], ["x"], window=5)
+        assert keys == set()
+        assert stats.unique_pairs == 0
 
 
 class TestMultipass:
     def test_union_of_passes(self):
-        single_name = SortedNeighborhood("last_name", 2).candidates(RECORDS)
-        single_zip = SortedNeighborhood("zip", 2).candidates(RECORDS)
-        multi = multipass_sorted_neighborhood(RECORDS, ["last_name", "zip"], 2)
+        single_name = snm_pairs(RECORDS, ["last_name"], 2)
+        single_zip = snm_pairs(RECORDS, ["zip"], 2)
+        multi = snm_pairs(RECORDS, ["last_name", "zip"], 2)
         assert multi == single_name | single_zip
 
     def test_multipass_recovers_pairs_single_pass_misses(self):
         # ADAMS and YOUNG share a zip but sort far apart by name
-        multi = multipass_sorted_neighborhood(RECORDS, ["last_name", "zip"], 2)
-        zip_sorted_only = multipass_sorted_neighborhood(RECORDS, ["zip"], 2)
-        name_sorted_only = multipass_sorted_neighborhood(RECORDS, ["last_name"], 2)
+        multi = snm_pairs(RECORDS, ["last_name", "zip"], 2)
+        zip_sorted_only = snm_pairs(RECORDS, ["zip"], 2)
+        name_sorted_only = snm_pairs(RECORDS, ["last_name"], 2)
         assert multi >= zip_sorted_only
         assert multi >= name_sorted_only
 
     def test_no_passes_yields_nothing(self):
-        assert multipass_sorted_neighborhood(RECORDS, [], 5) == set()
+        keys, stats = sorted_neighborhood_candidates(RECORDS, [], 5)
+        assert keys == set()
+        assert stats.passes == []

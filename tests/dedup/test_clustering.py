@@ -97,12 +97,7 @@ class TestEndToEndClustering:
     def test_pipeline_on_customised_dataset(self, generator):
         from repro.core import customize
         from repro.core.heterogeneity import HeterogeneityScorer
-        from repro.dedup import (
-            RecordMatcher,
-            multipass_sorted_neighborhood,
-            pick_blocking_keys,
-            score_candidates,
-        )
+        from repro.dedup import DetectionPipeline, RecordMatcher
         from repro.textsim import MongeElkan
         from repro.votersim.schema import PERSON_ATTRIBUTES
 
@@ -114,9 +109,9 @@ class TestEndToEndClustering:
             generator, 0.0, 0.25, target_clusters=30, scorer=scorer
         )
         matcher = RecordMatcher.from_records(dataset.records, attributes, MongeElkan())
-        keys = pick_blocking_keys(dataset.records, attributes, 5)
-        candidates = multipass_sorted_neighborhood(dataset.records, keys, 20)
-        similarities = score_candidates(dataset.records, candidates, matcher)
+        pipeline = DetectionPipeline(window=20, passes=5)
+        keys, _stats = pipeline.candidates(dataset.records, attributes)
+        similarities = pipeline.score(dataset.records, keys, matcher)
         predicted_pairs = {
             pair for pair, score in similarities.items() if score >= 0.6
         }

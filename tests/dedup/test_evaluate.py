@@ -4,12 +4,14 @@ import pytest
 
 from repro.dedup import (
     EvaluationPoint,
+    RecordMatcher,
     best_f1,
     confusion_counts,
     evaluate_thresholds,
     f1_score,
+    pack_pairs,
     precision_recall_f1,
-    score_candidates,
+    score_candidates_packed,
 )
 
 
@@ -48,8 +50,11 @@ class TestBasicMetrics:
 class TestScoreCandidates:
     def test_scores_each_pair_once(self):
         records = [{"v": "A"}, {"v": "A"}, {"v": "B"}]
-        similarities = score_candidates(
-            records, [(0, 1), (0, 2)], lambda l, r: 1.0 if l == r else 0.0
+        matcher = RecordMatcher(
+            lambda l, r: 1.0 if l == r else 0.0, {"v": 1.0}, name_attributes=()
+        )
+        similarities = score_candidates_packed(
+            records, pack_pairs([(0, 1), (0, 2)], len(records)), matcher
         )
         assert similarities == {(0, 1): 1.0, (0, 2): 0.0}
 

@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.dedup import RecordMatcher
+from repro.dedup import RecordMatcher, pack_pairs, score_candidates_packed
 from repro.textsim import MongeElkan, jaro_winkler
 
 
@@ -75,6 +75,8 @@ class TestRecordMatcher:
         )
 
     def test_result_cached_across_calls(self):
+        # Within one prepared table, a value pair reaches the measure once,
+        # in canonical order, whichever side each value sits on.
         calls = []
 
         def counting(left, right):
@@ -82,9 +84,29 @@ class TestRecordMatcher:
             return 0.5
 
         matcher = RecordMatcher(counting, {"a": 1.0}, name_attributes=())
-        matcher.similarity({"a": "X"}, {"a": "Y"})
-        matcher.similarity({"a": "Y"}, {"a": "X"})  # symmetric -> cached
-        assert len(calls) == 1
+        prepared = matcher.prepare([{"a": "X"}, {"a": "Y"}, {"a": "X"}])
+        assert prepared.pair_similarity(0, 1) == 0.5
+        assert prepared.pair_similarity(1, 2) == 0.5  # symmetric -> memoised
+        assert calls == [("X", "Y")]
+
+    def test_memo_lives_for_one_scoring_call(self):
+        # Every score_candidates_packed call prepares its own table, so
+        # scoring the same keys twice reaches the measure equally often.
+        calls = []
+
+        def counting(left, right):
+            calls.append((left, right))
+            return 0.25
+
+        records = [{"a": "X"}, {"a": "Y"}, {"a": "Z"}]
+        matcher = RecordMatcher(counting, {"a": 1.0}, name_attributes=())
+        keys = pack_pairs([(0, 1), (0, 2), (1, 2)], len(records))
+        first = score_candidates_packed(records, keys, matcher)
+        first_calls = len(calls)
+        second = score_candidates_packed(records, keys, matcher)
+        assert first == second
+        assert first_calls == 3
+        assert len(calls) == 2 * first_calls
 
     def test_empty_weights_rejected(self):
         with pytest.raises(ValueError):

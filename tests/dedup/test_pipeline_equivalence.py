@@ -1,4 +1,4 @@
-"""The streaming pipeline must be *bit-identical* to the naive framework.
+"""The detection pipeline must be *bit-identical* to the naive oracle.
 
 :mod:`repro.dedup.pipeline` keeps a naive oracle next to it
 (:mod:`repro.dedup._reference`) precisely so this suite can assert exact
@@ -6,10 +6,11 @@ equality — not approximate — for every optimised stage:
 
 * packed-key candidate generation (SNM and standard blocking) against the
   eager tuple-set oracles;
-* the micro-fixed / prepared-vector / batched matcher against the
-  historical per-pair ``similarity`` accumulation;
+* the prepared-table matcher (both call forms) against the historical
+  per-pair ``similarity`` accumulation;
 * sharded parallel scoring and the end-to-end ``DetectionPipeline``
-  against the single-process sweep, for worker counts 0 / 1 / 4.
+  against the oracle and the single-process sweep, for worker counts
+  0 / 1 / 4.
 """
 
 import string
@@ -27,11 +28,8 @@ from repro.dedup import (
     StandardBlocking,
     blocking_candidates,
     evaluate_thresholds,
-    multipass_blocking,
-    multipass_sorted_neighborhood,
     pack_pair,
     pack_pairs,
-    score_candidates,
     score_candidates_packed,
     score_pairs_batch,
     sorted_neighborhood_candidates,
@@ -110,8 +108,14 @@ class TestPackedKeys:
             unpack_pair(-1, 10)
         with pytest.raises(ValueError):
             unpack_pair(100, 10)  # == count * count
+        # the set form validates every key the same way
+        with pytest.raises(ValueError):
+            unpack_pairs({-1}, 10)
+        with pytest.raises(ValueError):
+            unpack_pairs({1, 100}, 10)
         # largest valid key for count=10 decodes fine
         assert unpack_pair(8 * 10 + 9, 10) == (8, 9)
+        assert unpack_pairs({8 * 10 + 9}, 10) == {(8, 9)}
 
 
 class TestCandidateEquivalence:
@@ -123,8 +127,6 @@ class TestCandidateEquivalence:
         packed, stats = sorted_neighborhood_candidates(records, keys, window)
         assert packed == pack_pairs(oracle, len(records))
         assert stats.unique_pairs == len(oracle)
-        # the public (still tuple-based) API must agree too
-        assert multipass_sorted_neighborhood(records, keys, window) == oracle
 
     @given(records_strategy, st.integers(2, 6))
     @settings(max_examples=150, deadline=None)
@@ -137,7 +139,6 @@ class TestCandidateEquivalence:
         )
         packed, stats = blocking_candidates(records, [blocker])
         assert packed == pack_pairs(oracle, len(records))
-        assert multipass_blocking(records, [blocker]) == oracle
         dropped = stats.pairs_dropped
         total_possible = stats.pairs_emitted + dropped
         assert len(oracle) + dropped == total_possible
@@ -274,14 +275,20 @@ class TestEndToEndEquivalence:
         records, gold = small_dataset
         thresholds = [t / 20 for t in range(4, 20)]
 
-        # the naive framework, end to end
-        naive_candidates = multipass_sorted_neighborhood(
+        # the oracle, end to end
+        naive_candidates = ref.multipass_pairs_reference(
             records, ATTRIBUTES[:3], 4
         )
         matcher = RecordMatcher.from_records(
             records, ATTRIBUTES, MongeElkan(), NAME_ATTRIBUTES
         )
-        naive_scores = score_candidates(records, naive_candidates, matcher)
+        naive_scores = ref.score_candidates_reference(
+            records,
+            naive_candidates,
+            tref.symmetric_monge_elkan,
+            matcher.weights,
+            NAME_ATTRIBUTES,
+        )
         naive_points = evaluate_thresholds(naive_scores, gold, thresholds)
 
         pipeline = DetectionPipeline(

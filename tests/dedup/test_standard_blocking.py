@@ -1,13 +1,9 @@
-"""Tests for standard (key-based) blocking."""
+"""Tests for standard (key-based) blocking, streamed as packed pair keys."""
 
 import pytest
 
-from repro.dedup import (
-    BlockingStats,
-    StandardBlocking,
-    multipass_blocking,
-    multipass_blocking_with_stats,
-)
+from repro.dedup import StandardBlocking, blocking_candidates, unpack_pairs
+from repro.dedup.pipeline import CandidateStats, PassStats, iter_blocking_keys
 from repro.textsim import soundex
 
 
@@ -20,39 +16,48 @@ RECORDS = [
 ]
 
 
+def block_pairs(records, blockers):
+    """Multi-pass blocking candidates as ``(i, j)`` tuples plus stats."""
+    keys, stats = blocking_candidates(records, blockers)
+    return unpack_pairs(keys, len(records)), stats
+
+
+def candidates(records, blocker):
+    """One blocking pass as ``(i, j)`` tuples."""
+    return block_pairs(records, [blocker])[0]
+
+
 class TestStandardBlocking:
     def test_equal_keys_blocked(self):
-        blocker = StandardBlocking.on_attribute("last_name")
-        pairs = blocker.candidates(RECORDS)
+        pairs = candidates(RECORDS, StandardBlocking.on_attribute("last_name"))
         assert (2, 3) in pairs
         assert (0, 1) not in pairs  # SMITH != SMYTH literally
 
     def test_transform_applied(self):
         blocker = StandardBlocking.on_attribute("last_name", transform=soundex)
-        pairs = blocker.candidates(RECORDS)
-        assert (0, 1) in pairs  # same soundex code
+        assert (0, 1) in candidates(RECORDS, blocker)  # same soundex code
 
     def test_empty_keys_never_block(self):
-        blocker = StandardBlocking.on_attribute("last_name")
-        pairs = blocker.candidates(RECORDS)
+        pairs = candidates(RECORDS, StandardBlocking.on_attribute("last_name"))
         assert all(4 not in pair for pair in pairs)
 
     def test_pairs_normalised(self):
-        pairs = StandardBlocking.on_attribute("zip").candidates(RECORDS)
-        assert all(i < j for i, j in pairs)
+        count = len(RECORDS)
+        keys = iter_blocking_keys(RECORDS, StandardBlocking.on_attribute("zip"))
+        assert all(left < right for left, right in (divmod(k, count) for k in keys))
 
     def test_oversized_blocks_skipped(self):
         many = [{"k": "SAME"} for _ in range(10)]
         small = StandardBlocking.on_attribute("k", max_block_size=5)
-        assert small.candidates(many) == set()
+        assert candidates(many, small) == set()
         large = StandardBlocking.on_attribute("k", max_block_size=50)
-        assert len(large.candidates(many)) == 45
+        assert len(candidates(many, large)) == 45
 
     def test_custom_key_function(self):
         blocker = StandardBlocking(
             lambda record: (record.get("zip") or "")[:3]
         )
-        pairs = blocker.candidates(RECORDS)
+        pairs = candidates(RECORDS, blocker)
         assert (0, 2) in pairs  # zip prefix 276
         assert (1, 3) in pairs  # zip prefix 288
 
@@ -70,40 +75,41 @@ class TestBlockingStats:
     def test_skipped_blocks_counted(self):
         many = [{"k": "SAME"} for _ in range(10)] + [{"k": "A"}, {"k": "A"}]
         blocker = StandardBlocking.on_attribute("k", max_block_size=5)
-        pairs, stats = blocker.candidates_with_stats(many)
-        assert pairs == {(10, 11)}
-        assert stats.blocks_total == 2
+        stats = PassStats(label="k")
+        keys = set(iter_blocking_keys(many, blocker, stats))
+        assert unpack_pairs(keys, len(many)) == {(10, 11)}
         assert stats.blocks_skipped == 1
-        assert stats.records_blocked == 12
         assert stats.pairs_emitted == 1
         assert stats.pairs_dropped == 10 * 9 // 2
 
     def test_no_skips_means_zero_dropped(self):
-        blocker = StandardBlocking.on_attribute("zip")
-        pairs, stats = blocker.candidates_with_stats(RECORDS)
-        assert stats.blocks_skipped == 0
+        pairs, stats = block_pairs(RECORDS, [StandardBlocking.on_attribute("zip")])
+        assert stats.passes[0].blocks_skipped == 0
         assert stats.pairs_dropped == 0
         assert stats.pairs_emitted == len(pairs)
 
     def test_combinations_match_historical_loop(self):
         # The k(k-1)/2 combinations of a block, all normalised i < j.
         many = [{"k": "SAME"} for _ in range(8)]
-        pairs = StandardBlocking.on_attribute("k").candidates(many)
+        pairs = candidates(many, StandardBlocking.on_attribute("k"))
         assert pairs == {(i, j) for i in range(8) for j in range(i + 1, 8)}
 
     def test_merge_accumulates(self):
-        left = BlockingStats(1, 1, 5, 0, 10)
-        left.merge(BlockingStats(2, 0, 4, 6, 0))
-        assert left == BlockingStats(3, 1, 9, 6, 10)
+        stats = CandidateStats(
+            record_count=10,
+            passes=[PassStats("a", 1, 1, 1, 10), PassStats("b", 6, 5, 0, 0)],
+        )
+        assert stats.pairs_emitted == 7
+        assert stats.unique_pairs == 6
+        assert stats.pairs_dropped == 10
 
     def test_multipass_stats_merged(self):
         many = [{"a": "SAME", "b": str(i)} for i in range(10)]
         capped = StandardBlocking.on_attribute("a", max_block_size=5)
         unique = StandardBlocking.on_attribute("b")
-        pairs, stats = multipass_blocking_with_stats(many, [capped, unique])
+        pairs, stats = block_pairs(many, [capped, unique])
         assert pairs == set()
-        assert stats.blocks_total == 11
-        assert stats.blocks_skipped == 1
+        assert [p.blocks_skipped for p in stats.passes] == [1, 0]
         assert stats.pairs_dropped == 45
 
 
@@ -111,8 +117,11 @@ class TestMultipassBlocking:
     def test_union_of_passes(self):
         by_name = StandardBlocking.on_attribute("last_name", transform=soundex)
         by_zip = StandardBlocking.on_attribute("zip")
-        union = multipass_blocking(RECORDS, [by_name, by_zip])
-        assert union == by_name.candidates(RECORDS) | by_zip.candidates(RECORDS)
+        union, stats = block_pairs(RECORDS, [by_name, by_zip])
+        assert union == candidates(RECORDS, by_name) | candidates(RECORDS, by_zip)
+        assert stats.unique_pairs == len(union)
 
     def test_no_blockers(self):
-        assert multipass_blocking(RECORDS, []) == set()
+        pairs, stats = block_pairs(RECORDS, [])
+        assert pairs == set()
+        assert stats.passes == []

@@ -101,6 +101,63 @@ class TestCustomizeAndEvaluate:
             ])
 
 
+class TestGoldFileValidation:
+    """``--gold`` rows are canonicalised and range-checked at the CLI."""
+
+    @pytest.fixture(scope="class")
+    def dataset(self, workspace):
+        root, _snaps, store = workspace
+        out = root / "gold-check.csv"
+        assert main([
+            "customize", "--store", str(store), "--out", str(out),
+            "--h-lo", "0.0", "--h-hi", "1.0", "--clusters", "20",
+        ]) == 0
+        return out
+
+    @staticmethod
+    def _write_gold(path, rows):
+        with path.open("w", newline="", encoding="utf-8") as handle:
+            writer = csv.writer(handle)
+            writer.writerow(["left", "right"])
+            writer.writerows(rows)
+        return path
+
+    def test_reversed_rows_match_canonical(self, dataset, tmp_path, capsys):
+        gold = dataset.with_suffix(".gold.csv")
+        with gold.open(newline="", encoding="utf-8") as handle:
+            rows = list(csv.reader(handle))[1:]
+        assert rows
+        reversed_gold = self._write_gold(
+            tmp_path / "reversed.csv", [(right, left) for left, right in rows]
+        )
+        capsys.readouterr()
+        assert main(["evaluate", "--dataset", str(dataset), "--gold", str(gold)]) == 0
+        canonical = capsys.readouterr().out
+        assert "(0 gold lost)" in canonical
+        assert main([
+            "evaluate", "--dataset", str(dataset), "--gold", str(reversed_gold),
+        ]) == 0
+        assert capsys.readouterr().out == canonical
+
+    @pytest.mark.parametrize("command", ["evaluate", "detect"])
+    @pytest.mark.parametrize(
+        "row, reason",
+        [
+            (("3", "3"), "self-pair"),
+            (("0", "1000000"), "outside range"),
+            (("-1", "2"), "outside range"),
+            (("0", "x"), "two integer record ids"),
+        ],
+    )
+    def test_invalid_rows_exit_one(self, dataset, tmp_path, capsys, command, row, reason):
+        bad = self._write_gold(tmp_path / "bad.csv", [("0", "1"), row])
+        capsys.readouterr()
+        assert main([command, "--dataset", str(dataset), "--gold", str(bad)]) == 1
+        output = capsys.readouterr().out
+        assert "invalid --gold file" in output
+        assert reason in output
+
+
 def _store_records(store) -> int:
     from repro.docstore import Database
 

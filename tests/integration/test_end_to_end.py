@@ -9,13 +9,13 @@ from repro.core.heterogeneity import HeterogeneityScorer
 from repro.core.plausibility import cluster_plausibility
 from repro.core.versioning import UpdateProcess
 from repro.dedup import (
+    DetectionPipeline,
     RecordMatcher,
-    best_f1,
     evaluate_thresholds,
-    multipass_sorted_neighborhood,
+    pack_pairs,
     pick_blocking_keys,
-    score_candidates,
 )
+from repro.dedup import _reference as dedup_reference
 from repro.docstore import Database
 from repro.textsim import MongeElkan
 from repro.votersim import SimulationConfig, VoterRegisterSimulator
@@ -41,16 +41,25 @@ class TestFullPipeline:
 
     def test_detection_quality_on_clean_subset(self, pipeline):
         _generator, _scorer, dataset = pipeline
+        records, gold = dataset.records, dataset.gold_pairs
         attributes = [a for a in PERSON_ATTRIBUTES if a != "ncid"]
-        matcher = RecordMatcher.from_records(dataset.records, attributes, MongeElkan())
-        keys = pick_blocking_keys(dataset.records, attributes, 5)
-        candidates = multipass_sorted_neighborhood(dataset.records, keys, window=20)
-        similarities = score_candidates(dataset.records, candidates, matcher)
-        points = evaluate_thresholds(
-            similarities, dataset.gold_pairs, [t / 20 for t in range(8, 20)]
+        thresholds = [t / 20 for t in range(8, 20)]
+        matcher = RecordMatcher.from_records(records, attributes, MongeElkan())
+        result = DetectionPipeline(window=20, passes=5, thresholds=thresholds).detect(
+            records, attributes, matcher, gold
         )
-        best = best_f1(points)
-        assert best.f1 > 0.75  # clean data: detection should be easy
+
+        # The oracle, end to end: eager tuple-set SNM and per-pair scoring.
+        keys = pick_blocking_keys(records, attributes, 5)
+        candidates = dedup_reference.multipass_pairs_reference(records, keys, 20)
+        similarities = dedup_reference.score_candidates_reference(
+            records, candidates, matcher.measure, matcher.weights
+        )
+        points = evaluate_thresholds(similarities, gold, thresholds)
+        assert result.candidate_keys == pack_pairs(candidates, len(records))
+        assert result.similarities == similarities
+        assert result.points == points
+        assert result.best.f1 > 0.75  # clean data: detection should be easy
 
     def test_dirty_subset_is_harder(self, pipeline, snapshots):
         generator, scorer, clean = pipeline
@@ -59,15 +68,15 @@ class TestFullPipeline:
         )
         attributes = [a for a in PERSON_ATTRIBUTES if a != "ncid"]
         results = {}
+        detector = DetectionPipeline(
+            window=20, passes=5, thresholds=[t / 20 for t in range(8, 20)]
+        )
         for name, dataset in (("clean", clean), ("dirty", dirty)):
             matcher = RecordMatcher.from_records(dataset.records, attributes, MongeElkan())
-            keys = pick_blocking_keys(dataset.records, attributes, 5)
-            candidates = multipass_sorted_neighborhood(dataset.records, keys, window=20)
-            similarities = score_candidates(dataset.records, candidates, matcher)
-            points = evaluate_thresholds(
-                similarities, dataset.gold_pairs, [t / 20 for t in range(8, 20)]
+            result = detector.detect(
+                dataset.records, attributes, matcher, dataset.gold_pairs
             )
-            results[name] = best_f1(points).f1
+            results[name] = result.best.f1
         assert results["dirty"] < results["clean"]
 
 
