@@ -8,14 +8,15 @@ the paper's Section 6.5 detection three ways:
   per-pair record matcher re-deriving everything per call, and the
   uncached naive Monge-Elkan kernel;
 * ``streaming`` — :mod:`repro.dedup.pipeline` in one process: packed
-  64-bit candidate keys, prepared record vectors, batched scoring through
-  the fast kernels and the prepared table's value-pair memo;
+  64-bit candidate keys, value-id columns, and one scoring batch that
+  sends each distinct value pair through the bit-parallel lane kernels
+  once;
 * ``parallel``  — the same pipeline with pair scoring sharded over a
   process pool, at each requested worker count.
 
-The value-pair memo lives for one scoring call and the kernel caches are
-cleared before every repetition, so each timed repetition starts cold,
-in-process and parallel alike.
+The distinct-pair scores live for one scoring call and the kernel caches
+are cleared before every repetition, so each timed repetition starts
+cold, in-process and parallel alike.
 
 All paths must produce bit-identical similarity maps, threshold sweeps
 and best-F1 thresholds — the benchmark aborts otherwise.  Besides wall
@@ -145,7 +146,7 @@ def run_benchmark(
         naive, repeats
     )
 
-    # -- streaming: packed keys + prepared vectors, one process ------------
+    # -- streaming: packed keys + value-id columns, one process ------------
     def streaming(workers: int = 0):
         def run():
             fast.clear_caches()

@@ -21,13 +21,13 @@ Table 1/2 statistics of a store; ``customize`` extracts a
 heterogeneity-bounded test dataset as CSV plus a gold-pair file;
 ``evaluate`` sweeps thresholds for the three paper measures and reports
 the best F1 per measure; ``detect`` runs the streaming, parallel
-detection pipeline (packed candidate pairs, prepared record vectors,
-sharded pair scoring — bit-identical to ``evaluate`` at any worker
-count); ``recover`` replays a durable store's write-ahead logs and
-reports what crash recovery had to repair; ``scrub`` verifies the store's
-on-disk integrity (WAL CRC frames, snapshot checksums, sequence
-continuity) without modifying it and, with ``--repair``, salvages
-damaged files and lifts any quarantine.
+detection pipeline (packed candidate pairs, one scoring batch of
+distinct value pairs, sharded pair scoring — bit-identical to
+``evaluate`` at any worker count); ``recover`` replays a durable store's
+write-ahead logs and reports what crash recovery had to repair; ``scrub``
+verifies the store's on-disk integrity (WAL CRC frames, snapshot
+checksums, sequence continuity) without modifying it and, with
+``--repair``, salvages damaged files and lifts any quarantine.
 """
 
 from __future__ import annotations
@@ -379,10 +379,13 @@ def _cmd_evaluate(args: argparse.Namespace) -> int:
     records, attributes, gold = loaded
 
     # Candidates are generated once (streamed, packed) and scored per
-    # measure through the prepared-vector batch path — bit-identical to
-    # the historical tuple-set + per-pair loop, measurably faster.
-    pipeline = DetectionPipeline(window=args.window, passes=args.passes)
-    candidate_keys, _stats = pipeline.candidates(records, attributes)
+    # measure as one batch of distinct value pairs — bit-identical to the
+    # historical tuple-set + per-pair loop, measurably faster.
+    candidate_passes, snm_passes = args.passes
+    pipeline = DetectionPipeline(
+        window=args.window, passes=snm_passes, candidate_passes=candidate_passes
+    )
+    candidate_keys, stats = pipeline.candidates(records, attributes)
     record_count = len(records)
     gold_lost = sum(
         1
@@ -390,6 +393,10 @@ def _cmd_evaluate(args: argparse.Namespace) -> int:
         if left * record_count + right not in candidate_keys
     )
     thresholds = [t / 20 for t in range(4, 20)]
+    if "lsh" in candidate_passes:
+        # LSH can skip oversized buckets; its per-pass accounting is never
+        # silent.  SNM-only runs keep the paper's one-line summary.
+        print(stats.render())
     print(
         f"{len(records)} records, {len(gold)} gold pairs, "
         f"{len(candidate_keys)} candidates ({gold_lost} gold lost)"
@@ -416,7 +423,7 @@ def _cmd_evaluate(args: argparse.Namespace) -> int:
 
 
 def _parse_candidate_passes(value: str) -> tuple:
-    """Decode the ``--passes`` argument of ``detect``.
+    """Decode the ``--passes`` argument of ``evaluate`` and ``detect``.
 
     Backwards compatible: a bare integer (``--passes 5``) keeps its
     historical meaning — that many entropy-ranked SNM passes.  Pass
@@ -777,7 +784,11 @@ def build_parser() -> argparse.ArgumentParser:
     evaluate.add_argument("--dataset", required=True, help="CSV from customize")
     evaluate.add_argument("--gold", help="gold CSV (default: <dataset>.gold.csv)")
     evaluate.add_argument("--window", type=int, default=20)
-    evaluate.add_argument("--passes", type=int, default=5)
+    evaluate.add_argument(
+        "--passes", type=_parse_candidate_passes, default=(("snm",), 5),
+        help="an integer (that many SNM passes, the default 5) or candidate "
+        "pass types: 'snm', 'lsh', or 'snm+lsh' (LSH with detect's defaults)",
+    )
     evaluate.set_defaults(func=_cmd_evaluate)
 
     detect = sub.add_parser(
@@ -785,8 +796,8 @@ def build_parser() -> argparse.ArgumentParser:
         help="streaming parallel duplicate detection on a labeled dataset",
         description="Run the end-to-end detection pipeline "
         "(repro.dedup.pipeline): streamed multi-pass Sorted Neighborhood "
-        "candidates over packed pair keys, prepared-vector pair scoring — "
-        "optionally sharded over worker processes — and a threshold sweep "
+        "candidates over packed pair keys, batch scoring of distinct value "
+        "pairs — optionally sharded over worker processes — and a threshold sweep "
         "fed directly into evaluate_thresholds.  Results are bit-identical "
         "for every worker count.",
     )

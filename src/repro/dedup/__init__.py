@@ -8,8 +8,8 @@ Section 6.5's setup:
   (:mod:`repro.dedup.pipeline`);
 * record similarity as the entropy-weighted average of attribute value
   similarities, with the three name attributes matched 1:1 in their best
-  permutation, scored through prepared record tables
-  (:mod:`repro.dedup.matching`);
+  permutation, scored as one batch of distinct value pairs per scoring
+  call (:mod:`repro.dedup.matching`);
 * classification by similarity threshold and evaluation as precision /
   recall / F1 over a threshold sweep (:mod:`repro.dedup.evaluate`).
 

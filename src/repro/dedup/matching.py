@@ -7,130 +7,150 @@ combination of them and used the 1:1 matching with the highest similarity
 for aggregation.  To weight the individual attributes we used again their
 entropy." (Section 6.5)
 
-Every record pair is scored through one path:
-:meth:`RecordMatcher.prepare` builds a :class:`PreparedRecords` table
-(per-record value vectors, stripped and interned **once per record**), and
-:meth:`PreparedRecords.pair_similarity` scores pairs out of it.  The table
-owns a plain ``dict`` memo of value-pair similarities keyed by the
-canonical ``(min, max)`` value pair, so each distinct value pair reaches
-the measure once per table and the memo is freed with it — there is no
-cache that outlives one ``prepare()``.  :meth:`RecordMatcher.similarity`
-is the same path on a two-record table.
+Every record pair is scored through one path, a batch per scoring call:
+:meth:`RecordMatcher.prepare` numbers the distinct stripped values of the
+records (in sorted string order) and keeps their value ids, one row per
+attribute;
+:meth:`PreparedRecords.score` gathers the (left, right) value-id columns of
+all candidate keys — every name-by-name cross column plus one column per
+other attribute — sends each distinct unequal value pair to the measure
+exactly once through :meth:`repro.textsim.SimilarityMeasure.similarities`,
+and assembles the record similarities column by column.  Elementwise
+float64 operations are correctly rounded and never fused, so assembling
+in the per-pair accumulation order gives the same bits as
+:func:`repro.dedup._reference.record_similarity_reference`.  Nothing
+outlives the call.  :meth:`RecordMatcher.similarity` is the same path on a
+two-record table.
 """
 
 from __future__ import annotations
 
 import itertools
-from typing import Callable, Dict, List, Sequence, Tuple
+from typing import Any, Callable, Dict, Iterable, List, Sequence, Tuple
 
 from repro.core.heterogeneity import entropy_weights
 from repro.textsim import fast
+from repro.textsim.base import SimilarityMeasure
 
 SimilarityFn = Callable[[str, str], float]
+Pair = Tuple[int, int]
 
 #: The attribute group matched 1:1 in its best permutation.
 DEFAULT_NAME_ATTRIBUTES = ("first_name", "midl_name", "last_name")
 
 
 class PreparedRecords:
-    """Per-record prepared value vectors for one matcher (see ``prepare``).
+    """Value ids of a record list for one matcher (see ``prepare``).
 
-    ``name_values[i]`` / ``other_values[i]`` hold record ``i``'s stripped,
-    interned values aligned with the matcher's name attributes and
-    (zero-weight-free) other attributes.  Scoring a pair through
-    :meth:`pair_similarity` touches only these tuples and the table's
-    value-pair memo — the record dicts are never consulted again.
+    ``values`` lists the distinct stripped values in sorted order, so a
+    smaller id is a smaller string and ``(min id, max id)`` is the
+    canonical argument order of the measure.  ``ids[a, i]`` is the value
+    id of record ``i`` under the matcher's ``a``-th attribute: its name
+    attributes first, then its (zero-weight-free) other attributes.
     """
 
-    __slots__ = ("matcher", "name_values", "other_values", "_memo")
+    __slots__ = ("matcher", "values", "ids")
 
-    def __init__(
-        self,
-        matcher: "RecordMatcher",
-        name_values: List[Tuple[str, ...]],
-        other_values: List[Tuple[str, ...]],
-    ) -> None:
+    def __init__(self, matcher: "RecordMatcher", values: List[str], ids: Any) -> None:
         self.matcher = matcher
-        self.name_values = name_values
-        self.other_values = other_values
-        self._memo: Dict[Tuple[str, str], float] = {}
+        self.values = values
+        self.ids = ids
 
     def __len__(self) -> int:
-        return len(self.name_values)
+        return self.ids.shape[1]
 
-    def _memoised_measure(self, left: str, right: str) -> float:
-        """Measure of two values: 1.0 when equal, else memoised per table.
+    def _pair_codes(self, left: Any, right: Any) -> Tuple[Any, Any]:
+        """Canonical value-pair codes ``min * len(values) + max``.
 
-        Unequal values are scored in canonical (sorted) argument order, so
-        ``(a, b)`` and ``(b, a)`` share one memo entry and one measure call.
+        Two blocks of columns by keys: every name slot against every name
+        slot (row ``a * names + b`` pairs left slot ``a`` with right slot
+        ``b``), then one row per other attribute.
         """
-        if left == right:
-            return 1.0
-        key = (left, right) if left <= right else (right, left)
-        memo = self._memo
-        score = memo.get(key)
-        if score is None:
-            score = memo[key] = self.matcher.measure(key[0], key[1])
-        return score
+        import numpy as np
 
-    def _name_assignment_score(
-        self, left_values: Sequence[str], right_values: Sequence[str]
-    ) -> float:
-        """Best 1:1 name permutation score over pre-stripped value tuples.
+        stride = len(self.values)
+        names = len(self.matcher.name_attributes)
+        name_left = self.ids[:names, None, :].take(left, axis=2)
+        name_right = self.ids[None, :names, :].take(right, axis=2)
+        name_codes = np.minimum(name_left, name_right)
+        name_codes *= stride
+        name_codes += np.maximum(name_left, name_right)
+        del name_left, name_right
+        lows = self.ids[names:].take(left, axis=1)
+        highs = self.ids[names:].take(right, axis=1)
+        other_codes = np.minimum(lows, highs)
+        other_codes *= stride
+        np.maximum(lows, highs, out=highs)
+        del lows
+        other_codes += highs
+        return name_codes.reshape(names * names, len(left)), other_codes
 
-        Every permutation of the right-hand values is scored against the
-        left-hand attribute slots; weights stay attached to the left-hand
-        attribute (the column being filled).  The per-slot similarities
-        are computed once into a matrix (|names|² lookups instead of
-        |names|! · |names|), and the accumulation order inside each
-        permutation matches the historical per-permutation loop exactly —
-        the result is bit-identical.
+    def score(self, keys: Iterable[int]) -> Dict[Pair, float]:
+        """Similarity of every packed candidate key ``i * len(self) + j``.
+
+        Returns ``{(i, j): similarity}`` in sorted key order, every float
+        bit-identical to
+        :func:`repro.dedup._reference.record_similarity_reference`.  Each
+        distinct unequal value pair reaches the measure once per call;
+        equal values score exactly 1.0 without a measure call.  The
+        accumulation follows the per-pair order column by column: each
+        name permutation sums ``0.0 + w0*s + w1*s + ...`` in slot order,
+        the best one (starting from -1.0) is added to 0.0, then each other
+        attribute's ``w*s`` in order, then the division by the total
+        weight.
         """
-        weights = self.matcher._name_weights
-        count = len(weights)
-        if left_values == right_values:
-            first = left_values[0] if left_values else ""
-            if all(value == first for value in left_values):
-                # All name values are pairwise equal: every matrix entry is
-                # exactly 1.0 for any measure, so every permutation totals
-                # the same sum — accumulate it in slot order and exit early.
-                total = 0.0
-                for weight in weights:
-                    total += weight * 1.0
-                return total
-        value_similarity = self._memoised_measure
-        scores = [
-            [value_similarity(left_value, right_value) for right_value in right_values]
-            for left_value in left_values
-        ]
-        best = -1.0
-        for permutation in itertools.permutations(range(count)):
-            total = 0.0
-            for index in range(count):
-                total += weights[index] * scores[index][permutation[index]]
-            if total > best:
-                best = total
-        return best
+        import numpy as np
 
-    def pair_similarity(self, left_id: int, right_id: int) -> float:
-        """Similarity of two prepared records, bit-identical to
-        :func:`repro.dedup._reference.record_similarity_reference`."""
         matcher = self.matcher
+        packed = fast.sorted_unique(np, np.fromiter(keys, dtype=np.int64))
+        left, right = np.divmod(packed, len(self))
         if matcher._total_weight == 0:
-            return 0.0
-        total = 0.0
-        if matcher.name_attributes:
-            total += self._name_assignment_score(
-                self.name_values[left_id], self.name_values[right_id]
+            return dict.fromkeys(zip(left.tolist(), right.tolist()), 0.0)
+        blocks = [
+            fast.unique_inverse(np, codes) for codes in self._pair_codes(left, right)
+        ]
+        codes = fast.sorted_unique(
+            np, np.concatenate([distinct for distinct, _ in blocks])
+        )
+        lows, highs = np.divmod(codes, len(self.values))
+        unequal = np.flatnonzero(lows != highs)
+        values = self.values
+        lefts = [values[k] for k in lows[unequal].tolist()]
+        rights = [values[k] for k in highs[unequal].tolist()]
+        del lows, highs
+        table = np.ones(len(codes), dtype=np.float64)
+        table[unequal] = matcher._similarities(lefts, rights)
+        del lefts, rights, unequal
+        name_scores, other_scores = (
+            table.take(codes.searchsorted(distinct)).take(rows)
+            for distinct, rows in blocks
+        )
+        del blocks
+
+        total = np.zeros(len(packed), dtype=np.float64)
+        names = len(matcher.name_attributes)
+        if names:
+            weighted = name_scores.reshape(names, names, len(packed))
+            weighted *= np.array(matcher._name_weights)[:, None, None]
+            permutations = np.array(list(itertools.permutations(range(names))))
+            terms = weighted[np.arange(names), permutations]
+            assignments = np.zeros(terms[:, 0].shape, dtype=np.float64)
+            for index in range(names):
+                assignments += terms[:, index]
+            total += np.maximum(assignments.max(axis=0), -1.0)
+            del weighted, terms, assignments
+        if len(other_scores):
+            # total + w0*s0 + w1*s1 + ... in attribute order: one running
+            # sum down the rows (accumulate adds row by row, in order).
+            other_scores *= np.array(matcher._other_weights)[:, None]
+            other_scores[0] += total
+            total = np.add.accumulate(other_scores, axis=0, out=other_scores)[-1]
+        return dict(
+            zip(
+                zip(left.tolist(), right.tolist()),
+                (total / matcher._total_weight).tolist(),
             )
-        value_similarity = self._memoised_measure
-        for weight, left, right in zip(
-            matcher._other_weights,
-            self.other_values[left_id],
-            self.other_values[right_id],
-        ):
-            total += weight * value_similarity(left, right)
-        return total / matcher._total_weight
+        )
 
 
 class RecordMatcher:
@@ -184,36 +204,37 @@ class RecordMatcher:
         """Entropy-weight the attributes from the records themselves."""
         return cls(measure, entropy_weights(records, attributes), name_attributes)
 
-    def prepare(self, records: Sequence[Dict[str, str]]) -> PreparedRecords:
-        """Precompute per-record value vectors for pair scoring.
+    def _similarities(self, lefts: List[str], rights: List[str]) -> List[float]:
+        """The measure over value pairs: its batch method when it is a
+        :class:`~repro.textsim.SimilarityMeasure`, else one call per pair."""
+        measure = self.measure
+        if isinstance(measure, SimilarityMeasure):
+            return measure.similarities(lefts, rights)
+        return [measure(left, right) for left, right in zip(lefts, rights)]
 
-        Stripping, ``None`` handling and the name-value tuples happen once
-        per record; values are interned
-        (:func:`repro.textsim.fast.intern_values`) so the equality
-        short-circuits and memo-key comparisons in the hot loop compare by
-        pointer in the common case.  The returned table's value-pair memo
-        lives exactly as long as the table.
+    def prepare(self, records: Sequence[Dict[str, str]]) -> PreparedRecords:
+        """Number the records' distinct values for batch scoring.
+
+        Values are stripped (``None`` counts as empty) once per record and
+        numbered in sorted string order; the table keeps one row of value
+        ids per attribute (name attributes first), indexed by record.
         """
-        name_attributes = self.name_attributes
-        other_attributes = self._other_attributes
-        name_values: List[Tuple[str, ...]] = []
-        other_values: List[Tuple[str, ...]] = []
-        for record in records:
-            name_values.append(
-                fast.intern_values(
-                    (record.get(a) or "").strip() for a in name_attributes
-                )
-            )
-            other_values.append(
-                fast.intern_values(
-                    (record.get(a) or "").strip() for a in other_attributes
-                )
-            )
-        return PreparedRecords(self, name_values, other_values)
+        import numpy as np
+
+        attributes = self.name_attributes + self._other_attributes
+        columns = [
+            [(record.get(a) or "").strip() for record in records] for a in attributes
+        ]
+        values = sorted({value for column in columns for value in column})
+        index = {value: position for position, value in enumerate(values)}
+        ids = np.array(
+            [[index[value] for value in column] for column in columns], dtype=np.int64
+        ).reshape(len(attributes), len(records))
+        return PreparedRecords(self, values, ids)
 
     def similarity(self, left: Dict[str, str], right: Dict[str, str]) -> float:
         """Weighted average value similarity of two flat records."""
-        return self.prepare((left, right)).pair_similarity(0, 1)
+        return self.prepare((left, right)).score((1,))[(0, 1)]
 
     def __call__(self, left: Dict[str, str], right: Dict[str, str]) -> float:
         return self.similarity(left, right)

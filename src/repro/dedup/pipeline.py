@@ -16,18 +16,19 @@ that oracle (enforced by ``tests/dedup/test_pipeline_equivalence.py``):
   union) and the pair set costs one machine word per pair instead of a
   tuple object plus two boxed ints (~4x less memory, measured in
   ``benchmarks/dedup_bench.py``).
-* **Prepared record vectors.**  Scoring uses
+* **Value-id columns.**  Scoring uses
   :meth:`repro.dedup.matching.RecordMatcher.prepare`: stripping, ``None``
-  handling, name-value tuples and weight normalisation happen once per
-  record instead of once per pair, with interned values
-  (:func:`repro.textsim.fast.intern_values`) so the hot-loop equality
-  checks compare by pointer.
-* **Batched scoring** (:func:`score_pairs_batch`) walks packed keys in
-  sorted order through one prepared table, whose value-pair memo scores
-  each distinct value pair once and is freed with the table — one
-  :func:`score_candidates_packed` call or one worker shard.  The
-  similarity measures route through the thresholded/banded kernels of
-  :mod:`repro.textsim.fast`.
+  handling and weight normalisation happen once per record, and every
+  distinct value gets an id in sorted string order, so each record is one
+  row of value ids.
+* **Batched scoring** (:func:`score_pairs_batch`) scores all packed keys
+  of one :func:`score_candidates_packed` call (or one worker shard) as
+  one batch: it gathers the value-id columns of the keys, sends each
+  distinct unequal value pair to the measure once through its
+  ``similarities`` batch method — the bit-parallel ``uint64`` lane kernels
+  of :mod:`repro.textsim.fast` for the paper's three measures — and
+  assembles the record similarities column by column in the oracle's
+  float order.
 * **Sharded parallel scoring** (:func:`score_candidates_packed` with
   ``max_workers > 0``) fans the packed keys over worker processes through
   :func:`repro.core.parallel.run_shards` — deterministic shard-by-pair-key
@@ -342,19 +343,22 @@ def score_pairs_batch(
     keys: Iterable[int],
     record_count: int,
 ) -> Dict[Pair, float]:
-    """Score a batch of packed candidate keys through prepared vectors.
+    """Score a batch of packed candidate keys through a prepared table.
 
     Returns ``{(i, j): similarity}`` with every float bit-identical to
-    :func:`repro.dedup._reference.record_similarity_reference` — prepared
-    vectors and the table's value-pair memo only hoist work out of the
-    pair loop, they never change an operation order.
+    :func:`repro.dedup._reference.record_similarity_reference`: one
+    :meth:`~repro.dedup.matching.PreparedRecords.score` call, which sends
+    each distinct value pair to the measure once and assembles the record
+    similarities column by column in the oracle's accumulation order.
+    ``record_count`` must be the size of the prepared table the keys were
+    packed for.
     """
-    pair_similarity = prepared.pair_similarity
-    similarities: Dict[Pair, float] = {}
-    for key in keys:
-        pair = divmod(key, record_count)
-        similarities[pair] = pair_similarity(pair[0], pair[1])
-    return similarities
+    if record_count != len(prepared):
+        raise ValueError(
+            f"keys packed for {record_count} records cannot index a prepared "
+            f"table of {len(prepared)} records"
+        )
+    return prepared.score(keys)
 
 
 def _score_pairs_shard(
@@ -368,13 +372,12 @@ def _score_pairs_shard(
     """Worker: rebuild the matcher, prepare once, score this shard's keys.
 
     Only plain data (records, weights, the picklable measure, packed keys)
-    crosses the process boundary; the shard's prepared table owns its
-    value-pair memo and nothing outlives the call.  Pure — safe to retry
+    crosses the process boundary; the shard's keys are one batch of its
+    prepared table and nothing outlives the call.  Pure — safe to retry
     (see :func:`repro.core.parallel.run_shards`).
     """
     matcher = RecordMatcher(measure, weights, name_attributes)  # type: ignore[arg-type]
-    prepared = matcher.prepare(records)
-    return score_pairs_batch(prepared, keys, record_count)
+    return score_pairs_batch(matcher.prepare(records), keys, record_count)
 
 
 def score_candidates_packed(
@@ -390,9 +393,9 @@ def score_candidates_packed(
 ) -> Dict[Pair, float]:
     """Similarity of every packed candidate key, optionally sharded.
 
-    ``max_workers=0``/``None`` scores in-process through one prepared
-    vector table, so each distinct value pair reaches the measure once per
-    call; a second call with the same keys scores them afresh.  With
+    ``max_workers=0``/``None`` scores in-process as one batch of one
+    prepared table, so each distinct value pair reaches the measure once
+    per call; a second call with the same keys scores them afresh.  With
     workers, keys shard deterministically by
     ``shard_of_int(key, shards)`` and fan out over
     :func:`repro.core.parallel.run_shards` — worker crashes and timeouts
@@ -641,24 +644,29 @@ class DetectionPipeline:
         gold: Optional[Set[Pair]] = None,
         thresholds: Optional[Sequence[float]] = None,
     ) -> DetectionResult:
-        """Run the full pipeline and sweep the thresholds against ``gold``."""
+        """Run the full pipeline and sweep the thresholds against ``gold``.
+
+        Gold pairs may be given in either order: each is canonicalised to
+        ``(min, max)`` first.  A self-pair or an id outside
+        ``range(len(records))`` raises :class:`ValueError` (the checks of
+        :func:`pack_pair`) before any candidate is generated.
+        """
+        record_count = len(records)
+        gold_keys = {
+            pack_pair(min(left, right), max(left, right), record_count)
+            for left, right in (gold or ())
+        }
+        gold_pairs = {divmod(key, record_count) for key in gold_keys}
         candidate_keys, stats = self.candidates(records, attributes)
         similarities = self.score(records, candidate_keys, matcher)
-        gold = gold or set()
         sweep = tuple(thresholds) if thresholds is not None else self.thresholds
-        points = evaluate_thresholds(similarities, gold, sweep)
-        record_count = len(records)
-        gold_missed = sum(
-            1
-            for left, right in gold
-            if left * record_count + right not in candidate_keys
-        )
+        points = evaluate_thresholds(similarities, gold_pairs, sweep)
         return DetectionResult(
             record_count=record_count,
             candidate_keys=candidate_keys,
             candidate_stats=stats,
             similarities=similarities,
             points=points,
-            gold_size=len(gold),
-            gold_missed=gold_missed,
+            gold_size=len(gold_pairs),
+            gold_missed=len(gold_keys - candidate_keys),
         )

@@ -1,8 +1,9 @@
 """Naive reference implementations of the string kernels (the oracle).
 
-These are the original, straightforward dynamic-programming and
-set-arithmetic implementations that :mod:`repro.textsim.fast` replaces on
-the hot path.  They stay in-tree for two reasons:
+These are the original, straightforward dynamic-programming, window-loop
+and set-arithmetic implementations that :mod:`repro.textsim.fast` replaces
+on the hot path with bit-parallel recurrences.  They stay in-tree for two
+reasons:
 
 * the property test suite asserts that every fast kernel is **bit-identical**
   to its reference (``tests/textsim/test_fast_equivalence.py``);
@@ -10,9 +11,9 @@ the hot path.  They stay in-tree for two reasons:
   path's speedup against them.
 
 Nothing outside tests and benchmarks should import this module — the public
-functions in :mod:`repro.textsim.levenshtein`, :mod:`repro.textsim.monge_elkan`
-and :mod:`repro.textsim.jaccard` are the supported API and are exactly as
-accurate, only faster.
+functions in :mod:`repro.textsim.levenshtein`, :mod:`repro.textsim.jaro`,
+:mod:`repro.textsim.monge_elkan` and :mod:`repro.textsim.jaccard` are the
+supported API and are exactly as accurate, only faster.
 """
 
 from __future__ import annotations
@@ -80,6 +81,70 @@ def damerau_levenshtein_distance(left: str, right: str) -> int:
             current[j] = best
         two_ago, one_ago = one_ago, current
     return one_ago[-1]
+
+
+def jaro_similarity(left: str, right: str) -> float:
+    """Jaro similarity with the classic matching-window loop.
+
+    Matches are characters equal within a window of
+    ``max(len(l), len(r)) // 2 - 1`` positions; each left character takes
+    the first unmatched equal right character in its window.
+    Transpositions are matched characters in different relative order.
+    """
+    left = normalize_for_comparison(left)
+    right = normalize_for_comparison(right)
+    if left == right:
+        return 1.0
+    len_l, len_r = len(left), len(right)
+    if len_l == 0 or len_r == 0:
+        return 0.0
+    window = max(len_l, len_r) // 2 - 1
+    if window < 0:
+        window = 0
+    left_matched = [False] * len_l
+    right_matched = [False] * len_r
+    matches = 0
+    for i, ch in enumerate(left):
+        start = max(0, i - window)
+        end = min(i + window + 1, len_r)
+        for j in range(start, end):
+            if right_matched[j] or right[j] != ch:
+                continue
+            left_matched[i] = True
+            right_matched[j] = True
+            matches += 1
+            break
+    if matches == 0:
+        return 0.0
+    transpositions = 0
+    j = 0
+    for i in range(len_l):
+        if not left_matched[i]:
+            continue
+        while not right_matched[j]:
+            j += 1
+        if left[i] != right[j]:
+            transpositions += 1
+        j += 1
+    transpositions //= 2
+    return (
+        matches / len_l + matches / len_r + (matches - transpositions) / matches
+    ) / 3.0
+
+
+def jaro_winkler(
+    left: str, right: str, prefix_weight: float = 0.1, max_prefix: int = 4
+) -> float:
+    """Jaro-Winkler similarity: Jaro boosted by a shared prefix."""
+    left = normalize_for_comparison(left)
+    right = normalize_for_comparison(right)
+    jaro = jaro_similarity(left, right)
+    prefix = 0
+    for ch_left, ch_right in zip(left[:max_prefix], right[:max_prefix]):
+        if ch_left != ch_right:
+            break
+        prefix += 1
+    return jaro + prefix * prefix_weight * (1.0 - jaro)
 
 
 def damerau_levenshtein_similarity(left: str, right: str) -> float:

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import abc
+from typing import List, Sequence
 
 
 def normalize_for_comparison(value: object) -> str:
@@ -33,6 +34,16 @@ class SimilarityMeasure(abc.ABC):
     @abc.abstractmethod
     def similarity(self, left: str, right: str) -> float:
         """Return the similarity of ``left`` and ``right`` in ``[0, 1]``."""
+
+    def similarities(self, lefts: Sequence[str], rights: Sequence[str]) -> List[float]:
+        """Similarity of every ``(lefts[k], rights[k])`` pair.
+
+        Batch callers (the record matcher scores each distinct value pair
+        of a candidate set in one call) go through this method.  The
+        default loops over :meth:`similarity`; measures with a batch
+        kernel override it with one that returns the same floats.
+        """
+        return [self.similarity(left, right) for left, right in zip(lefts, rights)]
 
     def distance(self, left: str, right: str) -> float:
         """Return ``1 - similarity`` — convenient for heterogeneity scores."""

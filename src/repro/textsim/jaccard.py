@@ -2,7 +2,7 @@
 
 from __future__ import annotations
 
-from typing import Optional
+from typing import List, Optional, Sequence
 
 from repro.textsim import fast
 from repro.textsim.base import SimilarityMeasure, normalize_for_comparison
@@ -76,3 +76,7 @@ class QgramJaccard(SimilarityMeasure):
     def similarity(self, left: str, right: str) -> float:
         """Jaccard similarity in [0, 1]."""
         return jaccard_qgrams(left, right, self.q, self.pad)
+
+    def similarities(self, lefts: Sequence[str], rights: Sequence[str]) -> List[float]:
+        """q-gram Jaccard of every pair, one gram set per distinct value."""
+        return fast.jaccard_qgram_similarities(lefts, rights, self.q, self.pad)

@@ -2,6 +2,9 @@
 
 from __future__ import annotations
 
+from typing import List, Sequence
+
+from repro.textsim import fast
 from repro.textsim.base import SimilarityMeasure, normalize_for_comparison
 
 
@@ -10,47 +13,13 @@ def jaro_similarity(left: str, right: str) -> float:
 
     Matches are characters equal within a window of
     ``max(len(l), len(r)) // 2 - 1`` positions; transpositions are matched
-    characters in different relative order.
+    characters in different relative order.  Computed by the bit-parallel
+    kernel :func:`repro.textsim.fast.jaro_similarity`, bit-identical to the
+    window loop in :mod:`repro.textsim._reference`.
     """
-    left = normalize_for_comparison(left)
-    right = normalize_for_comparison(right)
-    if left == right:
-        return 1.0
-    len_l, len_r = len(left), len(right)
-    if len_l == 0 or len_r == 0:
-        return 0.0
-    window = max(len_l, len_r) // 2 - 1
-    if window < 0:
-        window = 0
-    left_matched = [False] * len_l
-    right_matched = [False] * len_r
-    matches = 0
-    for i, ch in enumerate(left):
-        start = max(0, i - window)
-        end = min(i + window + 1, len_r)
-        for j in range(start, end):
-            if right_matched[j] or right[j] != ch:
-                continue
-            left_matched[i] = True
-            right_matched[j] = True
-            matches += 1
-            break
-    if matches == 0:
-        return 0.0
-    transpositions = 0
-    j = 0
-    for i in range(len_l):
-        if not left_matched[i]:
-            continue
-        while not right_matched[j]:
-            j += 1
-        if left[i] != right[j]:
-            transpositions += 1
-        j += 1
-    transpositions //= 2
-    return (
-        matches / len_l + matches / len_r + (matches - transpositions) / matches
-    ) / 3.0
+    return fast.jaro_similarity(
+        normalize_for_comparison(left), normalize_for_comparison(right)
+    )
 
 
 def jaro_winkler(left: str, right: str, prefix_weight: float = 0.1, max_prefix: int = 4) -> float:
@@ -65,12 +34,8 @@ def jaro_winkler(left: str, right: str, prefix_weight: float = 0.1, max_prefix: 
         )
     left = normalize_for_comparison(left)
     right = normalize_for_comparison(right)
-    jaro = jaro_similarity(left, right)
-    prefix = 0
-    for ch_left, ch_right in zip(left[:max_prefix], right[:max_prefix]):
-        if ch_left != ch_right:
-            break
-        prefix += 1
+    jaro = fast.jaro_similarity(left, right)
+    prefix = fast.common_prefix_length(left, right, max_prefix)
     return jaro + prefix * prefix_weight * (1.0 - jaro)
 
 
@@ -90,3 +55,9 @@ class JaroWinkler(SimilarityMeasure):
     def similarity(self, left: str, right: str) -> float:
         """Jaro-Winkler similarity in [0, 1]."""
         return jaro_winkler(left, right, self.prefix_weight, self.max_prefix)
+
+    def similarities(self, lefts: Sequence[str], rights: Sequence[str]) -> List[float]:
+        """Jaro-Winkler of every pair through the ``uint64`` lane kernel."""
+        return fast.jaro_winkler_similarities(
+            lefts, rights, self.prefix_weight, self.max_prefix
+        )

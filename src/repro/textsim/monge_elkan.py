@@ -13,7 +13,7 @@ attributes (Section 6.3).
 
 from __future__ import annotations
 
-from typing import Callable, Optional, Sequence
+from typing import Callable, List, Optional, Sequence
 
 from repro.textsim import fast
 from repro.textsim.base import SimilarityMeasure, normalize_for_comparison
@@ -99,3 +99,14 @@ class MongeElkan(SimilarityMeasure):
         if self.symmetric:
             return symmetric_monge_elkan(left, right, self.token_similarity)
         return monge_elkan(left, right, self.token_similarity)
+
+    def similarities(self, lefts: Sequence[str], rights: Sequence[str]) -> List[float]:
+        """Monge-Elkan of every pair.
+
+        The paper's symmetric ME/Lev runs through the batch kernel
+        :func:`repro.textsim.fast.monge_elkan_similarities`; any other
+        configuration loops over :meth:`similarity`.
+        """
+        if self.symmetric and self.token_similarity is damerau_levenshtein_similarity:
+            return fast.monge_elkan_similarities(lefts, rights)
+        return super().similarities(lefts, rights)

@@ -75,19 +75,38 @@ class TestRecordMatcher:
         )
 
     def test_result_cached_across_calls(self):
-        # Within one prepared table, a value pair reaches the measure once,
-        # in canonical order, whichever side each value sits on.
+        # One score() call sends each distinct canonical value pair to the
+        # measure exactly once, whichever side each value sits on; equal
+        # values score 1.0 without a call.  A second call scores afresh.
         calls = []
 
         def counting(left, right):
             calls.append((left, right))
             return 0.5
 
-        matcher = RecordMatcher(counting, {"a": 1.0}, name_attributes=())
-        prepared = matcher.prepare([{"a": "X"}, {"a": "Y"}, {"a": "X"}])
-        assert prepared.pair_similarity(0, 1) == 0.5
-        assert prepared.pair_similarity(1, 2) == 0.5  # symmetric -> memoised
-        assert calls == [("X", "Y")]
+        weights = {"first_name": 1.0, "last_name": 1.0, "a": 2.0}
+        matcher = RecordMatcher(counting, weights, ("first_name", "last_name"))
+        records = [
+            {"first_name": "ANN", "last_name": "LEE", "a": "X"},
+            {"first_name": "LEE", "last_name": "ANN", "a": "Y"},
+            {"first_name": "ANN", "last_name": "LEE", "a": "X"},
+        ]
+        prepared = matcher.prepare(records)
+        keys = pack_pairs([(0, 1), (1, 2), (0, 2)], len(records))
+        scores = prepared.score(keys)
+        # (0, 1) and (1, 2): names swap 1:1 (1.0 + 1.0), a scores 0.5.
+        assert scores == {(0, 1): 3.0 / 4.0, (0, 2): 1.0, (1, 2): 3.0 / 4.0}
+        assert list(scores) == [(0, 1), (0, 2), (1, 2)]
+        assert calls == [("ANN", "LEE"), ("X", "Y")]
+        prepared.score(keys)
+        assert calls == [("ANN", "LEE"), ("X", "Y")] * 2
+
+    def test_empty_batch_scores_nothing(self):
+        weights = {"first_name": 1.0, "last_name": 1.0, "a": 2.0}
+        matcher = RecordMatcher(exact, weights, ("first_name", "last_name"))
+        prepared = matcher.prepare([{"a": "X"}, {"a": "Y"}])
+        assert prepared.score([]) == {}
+        assert score_candidates_packed([{"a": "X"}, {"a": "Y"}], set(), matcher) == {}
 
     def test_memo_lives_for_one_scoring_call(self):
         # Every score_candidates_packed call prepares its own table, so

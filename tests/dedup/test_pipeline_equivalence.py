@@ -6,8 +6,10 @@ equality — not approximate — for every optimised stage:
 
 * packed-key candidate generation (SNM and standard blocking) against the
   eager tuple-set oracles;
-* the prepared-table matcher (both call forms) against the historical
-  per-pair ``similarity`` accumulation;
+* the prepared-table matcher (the batch and the one-pair ``similarity``)
+  against the historical per-pair accumulation, for every measure: the
+  batch kernels of ME, Jaro-Winkler and q-gram Jaccard and the default
+  per-pair loop;
 * sharded parallel scoring and the end-to-end ``DetectionPipeline``
   against the oracle and the single-process sweep, for worker counts
   0 / 1 / 4.
@@ -36,7 +38,7 @@ from repro.dedup import (
     unpack_pair,
     unpack_pairs,
 )
-from repro.textsim import MongeElkan
+from repro.textsim import JaroWinkler, MongeElkan, QgramJaccard, jaro_winkler
 from repro.textsim import _reference as tref
 
 ATTRIBUTES = ("first_name", "midl_name", "last_name", "city", "zip")
@@ -160,18 +162,70 @@ class TestMatcherEquivalence:
     @given(records_strategy, weights_strategy)
     @settings(max_examples=60, deadline=None)
     def test_prepared_batch_matches_per_pair(self, records, weights):
+        # The whole batch against the per-pair oracle, float for float.
         if sum(weights.values()) == 0:
             weights["zip"] = 1.0
         matcher = RecordMatcher(exact, weights, NAME_ATTRIBUTES)
         count = len(records)
-        keys = [
-            pack_pair(i, j, count)
-            for i in range(count)
-            for j in range(i + 1, count)
-        ]
-        batch = score_pairs_batch(matcher.prepare(records), keys, count)
-        for (left_id, right_id), score in batch.items():
-            assert score == matcher.similarity(records[left_id], records[right_id])
+        pairs = [(i, j) for i in range(count) for j in range(i + 1, count)]
+        batch = score_pairs_batch(
+            matcher.prepare(records), pack_pairs(pairs, count), count
+        )
+        assert batch == ref.score_candidates_reference(
+            records, pairs, exact, weights, NAME_ATTRIBUTES
+        )
+        assert list(batch) == pairs
+
+    @pytest.mark.parametrize(
+        "measure, oracle",
+        [
+            (MongeElkan(), tref.symmetric_monge_elkan),
+            (JaroWinkler(), tref.jaro_winkler),
+            (QgramJaccard(), tref.jaccard_qgrams),
+            # Neither is a batch kernel: both go through the default loop.
+            (MongeElkan(symmetric=False), tref.monge_elkan),
+            (jaro_winkler, tref.jaro_winkler),
+        ],
+        ids=["monge_elkan", "jaro_winkler", "qgram_jaccard", "asymmetric_me", "plain_function"],
+    )
+    @given(records=records_strategy, weights=weights_strategy)
+    @settings(max_examples=40, deadline=None)
+    def test_every_measure_batch_matches_naive_kernels(
+        self, measure, oracle, records, weights
+    ):
+        if sum(weights.values()) == 0:
+            weights["city"] = 1.0
+        matcher = RecordMatcher(measure, weights, NAME_ATTRIBUTES)
+        count = len(records)
+        pairs = [(i, j) for i in range(count) for j in range(i + 1, count)]
+        batch = score_candidates_packed(records, pack_pairs(pairs, count), matcher)
+        assert batch == ref.score_candidates_reference(
+            records, pairs, oracle, weights, NAME_ATTRIBUTES
+        )
+
+    @pytest.mark.parametrize(
+        "measure, oracle",
+        [
+            (JaroWinkler(), tref.jaro_winkler),
+            (QgramJaccard(), tref.jaccard_qgrams),
+            (MongeElkan(symmetric=False), tref.monge_elkan),
+            (jaro_winkler, tref.jaro_winkler),
+        ],
+        ids=["jaro_winkler", "qgram_jaccard", "asymmetric_me", "plain_function"],
+    )
+    def test_measures_match_naive_kernel_reference(self, small_dataset, measure, oracle):
+        records, _gold = small_dataset
+        matcher = RecordMatcher.from_records(records, ATTRIBUTES, measure, NAME_ATTRIBUTES)
+        packed, _stats = sorted_neighborhood_candidates(records, ATTRIBUTES[:3], 4)
+        assert score_candidates_packed(records, packed, matcher) == (
+            ref.score_candidates_reference(
+                records,
+                unpack_pairs(packed, len(records)),
+                oracle,
+                matcher.weights,
+                NAME_ATTRIBUTES,
+            )
+        )
 
     def test_monge_elkan_matches_naive_kernel_reference(self, small_dataset):
         records, _gold = small_dataset
@@ -195,7 +249,7 @@ class TestMatcherEquivalence:
         matcher = RecordMatcher(exact, {"city": 0.0}, name_attributes=())
         assert matcher.similarity({"city": "A"}, {"city": "A"}) == 0.0
         prepared = matcher.prepare([{"city": "A"}, {"city": "A"}])
-        assert prepared.pair_similarity(0, 1) == 0.0
+        assert prepared.score((1,)) == {(0, 1): 0.0}
 
 
 @pytest.fixture(scope="module")
@@ -305,6 +359,48 @@ class TestEndToEndEquivalence:
         )
         assert result.gold_size == len(gold)
         assert result.gold_missed == len(gold - naive_candidates)
+
+    def test_gold_pairs_in_either_order_count_alike(self, small_dataset):
+        records, gold = small_dataset
+        pipeline = DetectionPipeline(window=4, passes=3, key_attributes=ATTRIBUTES[:3])
+        matcher = RecordMatcher.from_records(
+            records, ATTRIBUTES, MongeElkan(), NAME_ATTRIBUTES
+        )
+        canonical = pipeline.detect(records, ATTRIBUTES, matcher, gold)
+        reversed_gold = {(right, left) for left, right in gold}
+        flipped = pipeline.detect(records, ATTRIBUTES, matcher, reversed_gold)
+        assert flipped.points == canonical.points
+        assert flipped.gold_missed == canonical.gold_missed
+        assert flipped.gold_size == canonical.gold_size == len(gold)
+
+    def test_reversed_gold_pair_is_a_true_positive(self):
+        # Four records, candidates {(0, 1), (1, 2), (2, 3)} = keys {1, 6, 11}.
+        records = [{"city": value} for value in ("A", "A", "B", "B")]
+        matcher = RecordMatcher(exact, {"city": 1.0}, name_attributes=())
+        pipeline = DetectionPipeline(window=2, key_attributes=("city",), thresholds=(0.5,))
+        result = pipeline.detect(records, ["city"], matcher, {(1, 0)})
+        assert result.candidate_keys == {1, 6, 11}
+        assert result.gold_missed == 0
+        (point,) = result.points
+        assert (point.true_positives, point.false_positives) == (1, 1)
+
+    def test_out_of_range_gold_pair_is_rejected(self):
+        # (0, 6) would pack to key 6 with raw ``left * n + right``: the
+        # candidate (1, 2).  Record 6 does not exist, so it is an error,
+        # not a found duplicate.
+        records = [{"city": value} for value in ("A", "A", "B", "B")]
+        matcher = RecordMatcher(exact, {"city": 1.0}, name_attributes=())
+        pipeline = DetectionPipeline(window=2, key_attributes=("city",))
+        with pytest.raises(ValueError):
+            pipeline.detect(records, ["city"], matcher, {(0, 6)})
+
+    @pytest.mark.parametrize("pair", [(2, 2), (-1, 2), (0, 4), (5, 1)])
+    def test_detect_rejects_invalid_gold_pairs(self, pair):
+        records = [{"city": value} for value in ("A", "A", "B", "B")]
+        matcher = RecordMatcher(exact, {"city": 1.0}, name_attributes=())
+        pipeline = DetectionPipeline(window=2, key_attributes=("city",))
+        with pytest.raises(ValueError):
+            pipeline.detect(records, ["city"], matcher, {(0, 1), pair})
 
     def test_pipeline_validates_parameters(self):
         with pytest.raises(ValueError):

@@ -171,6 +171,69 @@ def _store_records(store) -> int:
     return result[0]["records"] if result else 0
 
 
+class TestEvaluatePasses:
+    """``evaluate --passes`` takes the pass families ``detect`` takes."""
+
+    @pytest.fixture(scope="class")
+    def dataset(self, workspace):
+        root, _snaps, store = workspace
+        out = root / "passes.csv"
+        assert main([
+            "customize", "--store", str(store), "--out", str(out),
+            "--h-lo", "0.0", "--h-hi", "1.0", "--clusters", "40",
+        ]) == 0
+        return out
+
+    @staticmethod
+    def _candidates(dataset, **options):
+        from repro.datasets.io import load_dataset
+        from repro.dedup import DetectionPipeline
+
+        loaded = load_dataset(dataset)
+        keys, stats = DetectionPipeline(**options).candidates(
+            loaded.records, list(loaded.attributes)
+        )
+        return loaded, keys, stats
+
+    def test_integer_passes_output_unchanged(self, dataset, capsys):
+        loaded, keys, _stats = self._candidates(dataset, passes=5)
+        count = len(loaded.records)
+        lost = sum(1 for left, right in loaded.gold_pairs if left * count + right not in keys)
+        capsys.readouterr()
+        assert main(["evaluate", "--dataset", str(dataset), "--passes", "5"]) == 0
+        lines = capsys.readouterr().out.splitlines()
+        assert lines[0] == (
+            f"{count} records, {len(loaded.gold_pairs)} gold pairs, "
+            f"{len(keys)} candidates ({lost} gold lost)"
+        )
+        assert [line.split()[0] for line in lines[1:]] == [
+            "ME/Lev", "JaroWinkler", "Jaccard-3grams",
+        ]
+        assert main(["evaluate", "--dataset", str(dataset)]) == 0
+        assert capsys.readouterr().out.splitlines() == lines
+
+    @pytest.mark.parametrize(
+        "passes, families", [("lsh", ("lsh",)), ("snm+lsh", ("snm", "lsh"))]
+    )
+    def test_pass_families_report_per_pass_counts(self, dataset, capsys, passes, families):
+        loaded, keys, stats = self._candidates(dataset, candidate_passes=families)
+        capsys.readouterr()
+        assert main(["evaluate", "--dataset", str(dataset), "--passes", passes]) == 0
+        output = capsys.readouterr().out
+        assert output.startswith(stats.render() + "\n")
+        pass_lines = [line for line in output.splitlines() if line.startswith("pass ")]
+        assert len(pass_lines) == len(stats.passes)
+        assert pass_lines[-1].startswith("pass lsh: ")
+        summary = output.splitlines()[len(stats.render().splitlines())]
+        assert summary.startswith(f"{len(loaded.records)} records, ")
+        assert f"{len(keys)} candidates (" in summary
+        assert output.count("best F1") == 3
+
+    def test_invalid_passes_rejected(self, dataset):
+        with pytest.raises(SystemExit):
+            main(["evaluate", "--dataset", str(dataset), "--passes", "bogus"])
+
+
 class TestAugmentCommand:
     def test_augment_grows_store(self, workspace, capsys):
         root, _snaps, store = workspace
