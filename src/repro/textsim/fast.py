@@ -168,11 +168,19 @@ def jaro_similarity(left: str, right: str) -> float:
     the lowest free set bit inside its window — exactly the reference
     loop's "first unmatched equal character".  Transpositions pair the
     k-th matched character on each side.
+
+    The shorter string is read character by character.  The greedy
+    matching pairs the same positions whichever string is read: per
+    character, both orders build the leftmost maximum non-crossing
+    matching of positions at most ``window`` apart.  So the match count,
+    the transpositions and the (commutative) formula are unchanged.
     """
     if left == right:
         return 1.0
+    if len(left) > len(right):
+        left, right = right, left
     len_l, len_r = len(left), len(right)
-    if not len_l or not len_r:
+    if not len_l:
         return 0.0
     window = max(len_l, len_r) // 2 - 1
     if window < 0:
@@ -458,17 +466,18 @@ def _jaro_lanes(np: Any, encoding: _Encoding, lefts: Any, rights: Any) -> Any:
     """Jaro similarities of encoded string pairs, one ``uint64`` lane per pair.
 
     The scalar recurrence of :func:`jaro_similarity` on numpy words: the
-    left string is read one character per step, the right string's match
-    masks come from the encoding.  A left character past
-    ``len(right) + window`` has no right position in its window, so a lane
-    reads ``min(len(left), len(right) + window)`` characters; lanes are
-    ordered by that count.  Transpositions pair the k-th set bit of each
-    side's match mask, located through the float exponent of the bit.
+    shorter string of each pair is read one character per step (which the
+    scalar form shows to be exact), the other string's match masks come
+    from the encoding.  Lanes are ordered by the shorter length.
+    Transpositions pair the k-th set bit of each side's match mask,
+    located through the float exponent of the bit.
     """
     lengths = encoding.lane_lengths
+    shorter = lengths[lefts] <= lengths[rights]
+    lefts, rights = np.where(shorter, lefts, rights), np.where(shorter, rights, lefts)
     len_l, len_r = lengths[lefts], lengths[rights]
-    window = np.maximum(np.maximum(len_l, len_r) // 2 - 1, 0)
-    order, active = _by_length(np, np.minimum(len_l, len_r + window))
+    window = np.maximum(len_r // 2 - 1, 0)
+    order, active = _by_length(np, len_l)
     lefts, rights = lefts[order], rights[order]
     len_l, len_r, window = len_l[order], len_r[order], window[order]
     low = _low_masks(np)
