@@ -2,8 +2,20 @@
 
 from __future__ import annotations
 
+import time
 from pathlib import Path
-from typing import Iterable
+from typing import Any, Callable, Iterable, Tuple
+
+
+def timed(fn: Callable[[], Any], repeats: int = 1) -> Tuple[float, Any]:
+    """Best-of-``repeats`` wall time and the last result."""
+    best = float("inf")
+    result = None
+    for _ in range(repeats):
+        start = time.perf_counter()
+        result = fn()
+        best = min(best, time.perf_counter() - start)
+    return best, result
 
 
 def write_result(results_dir: Path, name: str, lines: Iterable[str]) -> None:

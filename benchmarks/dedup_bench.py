@@ -35,7 +35,6 @@ import argparse
 import json
 import os
 import sys
-import time
 from typing import Dict, Optional, Sequence, Set, Tuple
 
 from repro.core import RemovalLevel, TestDataGenerator, customize
@@ -53,6 +52,8 @@ from repro.textsim import MongeElkan, fast
 from repro.textsim import _reference as textref
 from repro.votersim import SimulationConfig, VoterRegisterSimulator
 from repro.votersim.schema import PERSON_ATTRIBUTES
+
+from bench_utils import timed
 
 QUICK_CONFIG = SimulationConfig(
     initial_voters=220,
@@ -83,17 +84,6 @@ def _build_dataset(config: SimulationConfig, target_clusters: int):
     return customize(
         generator, 0.0, 1.0, target_clusters=target_clusters, name="bench"
     )
-
-
-def _timed(fn, repeats: int = 1) -> tuple:
-    """Best-of-``repeats`` wall time and the last result."""
-    best = float("inf")
-    result = None
-    for _ in range(repeats):
-        start = time.perf_counter()
-        result = fn()
-        best = min(best, time.perf_counter() - start)
-    return best, result
 
 
 def _tuple_set_bytes(pairs: Set[Tuple[int, int]]) -> int:
@@ -138,11 +128,11 @@ def run_benchmark(
         points = evaluate_thresholds(scores, gold, THRESHOLDS)
         return pairs, scores, points
 
-    naive_candidates_seconds, naive_pairs = _timed(
+    naive_candidates_seconds, naive_pairs = timed(
         lambda: dedupref.multipass_pairs_reference(records, keys, window),
         repeats,
     )
-    naive_seconds, (naive_pairs, naive_scores, naive_points) = _timed(
+    naive_seconds, (naive_pairs, naive_scores, naive_points) = timed(
         naive, repeats
     )
 
@@ -162,10 +152,10 @@ def run_benchmark(
         return run
 
     pipeline_candidates = DetectionPipeline(window=window, key_attributes=keys)
-    streaming_candidates_seconds, (packed, _stats) = _timed(
+    streaming_candidates_seconds, (packed, _stats) = timed(
         lambda: pipeline_candidates.candidates(records, attributes), repeats
     )
-    streaming_seconds, streaming_result = _timed(streaming(0), repeats)
+    streaming_seconds, streaming_result = timed(streaming(0), repeats)
 
     def check(label: str, result) -> None:
         if result.candidate_keys != pack_pairs(naive_pairs, len(records)):
@@ -217,7 +207,7 @@ def run_benchmark(
 
     for workers in worker_counts:
         label = f"parallel_workers_{workers}"
-        seconds, result = _timed(streaming(workers), repeats)
+        seconds, result = timed(streaming(workers), repeats)
         check(label, result)
         timings[label] = {
             "seconds": seconds,

@@ -31,11 +31,12 @@ import json
 import os
 import random
 import sys
-import time
 from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 from repro.docstore import Collection
 from repro.docstore._reference import aggregate_full_scan, find_full_scan
+
+from bench_utils import timed
 
 CITIES = ["asheville", "boone", "cary", "durham", "elkin", "fuquay", "garner"]
 
@@ -59,17 +60,6 @@ def build_collection(documents: int, seed: int = 20210323) -> Collection:
         for n in range(documents)
     )
     return collection
-
-
-def _timed(fn: Callable[[], object], repeats: int) -> Tuple[float, object]:
-    """Best-of-``repeats`` wall time and the last result."""
-    best = float("inf")
-    result = None
-    for _ in range(repeats):
-        start = time.perf_counter()
-        result = fn()
-        best = min(best, time.perf_counter() - start)
-    return best, result
 
 
 def run_benchmark(documents: int, queries: int, repeats: int) -> Dict:
@@ -123,8 +113,8 @@ def run_benchmark(documents: int, queries: int, repeats: int) -> Dict:
 
     timings: Dict[str, Dict] = {}
     for name, (planned_fn, naive_fn) in workloads.items():
-        planned_seconds, planned_result = _timed(planned_fn, repeats)
-        naive_seconds, naive_result = _timed(naive_fn, repeats)
+        planned_seconds, planned_result = timed(planned_fn, repeats)
+        naive_seconds, naive_result = timed(naive_fn, repeats)
         if planned_result != naive_result:
             raise SystemExit(f"FATAL: {name} planned results differ from full scan")
         timings[name] = {

@@ -246,7 +246,6 @@ def check_determinism(documents: List[dict]) -> Dict:
 
     def compute(max_workers: int, shards: int) -> List:
         collection = build_collection(documents, shards=shards)
-        collection.read_workers = max_workers
         return [
             collection.find({"meta.first_version": {"$lte": 20}}),
             collection.find({"ncid": documents[0]["ncid"]}),

@@ -35,7 +35,6 @@ import json
 import math
 import os
 import sys
-import time
 from typing import Dict, List, Optional, Sequence, Set
 
 from repro.core import RemovalLevel, TestDataGenerator, customize
@@ -48,6 +47,8 @@ from repro.dedup import (
 from repro.sanitizers import determinism_check
 from repro.votersim import SimulationConfig, VoterRegisterSimulator
 from repro.votersim.schema import PERSON_ATTRIBUTES
+
+from bench_utils import timed
 
 SEED = 20210323
 
@@ -97,17 +98,6 @@ def _build_dataset(initial_voters: int):
     )
 
 
-def _timed(fn, repeats: int = 1) -> tuple:
-    """Best-of-``repeats`` wall time and the last result."""
-    best = float("inf")
-    result = None
-    for _ in range(repeats):
-        start = time.perf_counter()
-        result = fn()
-        best = min(best, time.perf_counter() - start)
-    return best, result
-
-
 def _recall(keys: Set[int], gold, record_count: int) -> float:
     if not gold:
         return 1.0
@@ -140,13 +130,13 @@ def run_benchmark(initial_sizes: Sequence[int], repeats: int) -> Dict:
         record_count = len(records)
         snm_keys = pick_blocking_keys(records, attributes, SNM_PASSES)
 
-        snm_seconds, (snm_pairs, _snm_stats) = _timed(
+        snm_seconds, (snm_pairs, _snm_stats) = timed(
             lambda r=records, k=snm_keys: sorted_neighborhood_candidates(
                 r, k, SNM_WINDOW
             ),
             repeats,
         )
-        lsh_seconds, (lsh_pairs, lsh_stats) = _timed(
+        lsh_seconds, (lsh_pairs, lsh_stats) = timed(
             lambda r=records: lsh_candidates(
                 r,
                 attributes,

@@ -25,7 +25,6 @@ import argparse
 import json
 import os
 import sys
-import time
 from typing import Dict, List, Optional, Sequence
 
 from repro.core import RemovalLevel, TestDataGenerator
@@ -35,6 +34,8 @@ from repro.core.parallel import score_clusters_parallel
 from repro.core.plausibility import score_clusters
 from repro.textsim import fast
 from repro.votersim import SimulationConfig, VoterRegisterSimulator
+
+from bench_utils import timed
 
 QUICK_CONFIG = SimulationConfig(
     initial_voters=250,
@@ -62,17 +63,6 @@ def _build_clusters(config: SimulationConfig) -> List[dict]:
     return list(generator.clusters())
 
 
-def _timed(fn, repeats: int = 1) -> tuple:
-    """Best-of-``repeats`` wall time and the last result."""
-    best = float("inf")
-    result = None
-    for _ in range(repeats):
-        start = time.perf_counter()
-        result = fn()
-        best = min(best, time.perf_counter() - start)
-    return best, result
-
-
 def run_benchmark(
     config: SimulationConfig, worker_counts: Sequence[int], repeats: int
 ) -> Dict:
@@ -82,7 +72,7 @@ def run_benchmark(
         len(c["records"]) * (len(c["records"]) - 1) // 2 for c in clusters
     )
 
-    naive_seconds, naive_result = _timed(
+    naive_seconds, naive_result = timed(
         lambda: (
             coreref.score_plausibility_reference(clusters),
             coreref.score_heterogeneity_reference(
@@ -99,7 +89,7 @@ def run_benchmark(
             scorer.score_clusters(clusters, ("person",)),
         )
 
-    fast_seconds, fast_result = _timed(fast_sequential, repeats)
+    fast_seconds, fast_result = timed(fast_sequential, repeats)
 
     if fast_result != naive_result:
         raise SystemExit("FATAL: fast batch scores differ from naive reference")
@@ -114,7 +104,7 @@ def run_benchmark(
 
     for workers in worker_counts:
         label = f"parallel_workers_{workers}"
-        seconds, result = _timed(
+        seconds, result = timed(
             lambda workers=workers: score_clusters_parallel(
                 clusters,
                 heterogeneity_all=scorer,

@@ -95,10 +95,6 @@ PROCESS_LOCAL_CACHES: Dict[str, str] = {
         "functools.lru_cache of a pure function; process-local by "
         "construction"
     ),
-    "repro.core.parallel._cpu_count": (
-        "functools.lru_cache of a pure per-process machine property "
-        "(os.cpu_count()); process-local by construction"
-    ),
     "repro.core.parallel._CLAMP_WARNED": (
         "warn-once set of call-site labels for WorkerClampWarning; "
         "grows monotonically, guards only warning emission (never a "

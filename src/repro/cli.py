@@ -36,7 +36,7 @@ import argparse
 import csv
 import sys
 from pathlib import Path
-from typing import Optional, Sequence, Set, Tuple
+from typing import Callable, Optional, Sequence, Set, Tuple
 
 from repro.core import RemovalLevel, TestDataGenerator, customize
 from repro.core.heterogeneity import HeterogeneityScorer
@@ -451,6 +451,27 @@ def _parse_candidate_passes(value: str) -> tuple:
     return ordered, 5
 
 
+def _count_at_least(minimum: int) -> Callable[[str], int]:
+    """An argparse ``type``: an integer no smaller than ``minimum``.
+
+    Rejecting ``--workers -1`` or ``--shards 0`` here makes it a usage
+    error naming the flag, raised before any input is read.
+    """
+
+    def parse(value: str) -> int:
+        try:
+            count = int(value)
+        except ValueError:
+            raise argparse.ArgumentTypeError(
+                f"expected an integer, got {value!r}"
+            ) from None
+        if count < minimum:
+            raise argparse.ArgumentTypeError(f"must be >= {minimum}, got {count}")
+        return count
+
+    return parse
+
+
 def _cmd_detect(args: argparse.Namespace) -> int:
     from repro.dedup import DetectionPipeline, RecordMatcher
     from repro.dedup.pipeline import DEFAULT_THRESHOLDS
@@ -742,12 +763,12 @@ def build_parser() -> argparse.ArgumentParser:
         help="compute plausibility/heterogeneity statistics (slower)",
     )
     generate.add_argument(
-        "--workers", type=int, default=0,
+        "--workers", type=_count_at_least(0), default=0,
         help="worker processes for the scoring stage (0 = in-process); "
         "results are identical for any worker count",
     )
     generate.add_argument(
-        "--shards", type=int, default=None,
+        "--shards", type=_count_at_least(1), default=None,
         help="cluster shards for parallel scoring (default: one per worker)",
     )
     generate.add_argument(
@@ -829,12 +850,12 @@ def build_parser() -> argparse.ArgumentParser:
     detect.add_argument("--threshold", type=float, default=None,
                         help="also report P/R/F1 at this exact threshold")
     detect.add_argument(
-        "--workers", type=int, default=0,
+        "--workers", type=_count_at_least(0), default=0,
         help="worker processes for pair scoring (0 = in-process); "
         "results are identical for any worker count",
     )
     detect.add_argument(
-        "--shards", type=int, default=None,
+        "--shards", type=_count_at_least(1), default=None,
         help="pair-key shards for parallel scoring (default: one per worker)",
     )
     detect.add_argument(

@@ -17,16 +17,16 @@ id, the scored maps are pure functions of the cluster documents, and the
 per-cluster results are disjoint — so any shard count (including the
 ``max_workers=0`` in-process fallback) produces identical output.
 
-Both stages are also fault tolerant (:func:`run_shards`): a crashed or
-timed-out worker retries its shard with exponential backoff, and repeated
-failure degrades that shard to in-process execution with a structured
-:class:`ParallelDegradedWarning` instead of losing the run.
+Both stages are also fault tolerant (:func:`run_shards`): a crashed
+worker retries its shard under a fixed policy (two retry rounds with
+exponential backoff), and repeated failure degrades that shard to
+in-process execution with a structured :class:`ParallelDegradedWarning`
+instead of losing the run.
 """
 
 from __future__ import annotations
 
 import concurrent.futures
-import functools
 import os
 import time
 import warnings
@@ -72,11 +72,18 @@ class ParallelDegradedWarning(UserWarning):
         )
 
 
-#: Failures worth retrying: a crashed/killed worker (the pool breaks), a
-#: per-shard timeout, or an OS-level resource failure.  Deterministic
-#: Python exceptions raised *by the workload itself* propagate unchanged —
-#: retrying a genuine bug would only hide it.
-_RETRYABLE = (concurrent.futures.BrokenExecutor, TimeoutError, OSError)
+#: Failures worth retrying: a crashed/killed worker (the pool breaks) or
+#: an OS-level resource failure.  Deterministic Python exceptions raised
+#: *by the workload itself* propagate unchanged — retrying a genuine bug
+#: would only hide it.
+_RETRYABLE = (concurrent.futures.BrokenExecutor, OSError)
+
+#: Retry rounds, each with a fresh pool, before failed shards degrade to
+#: in-process execution.
+_MAX_RETRIES = 2
+
+#: Seconds slept before the first retry round; doubles every round.
+_BACKOFF = 0.1
 
 
 class WorkerClampWarning(UserWarning):
@@ -127,14 +134,6 @@ def reset_resilience_counters() -> None:
         _RESILIENCE[key] = 0
 
 
-@functools.lru_cache(maxsize=1)
-def _cpu_count() -> int:
-    """``os.cpu_count()`` memoized: constant per process, queried on every
-    routed read (the docstore's scatter-gather fan-out sizes its pool per
-    query), so the OS lookup is paid once instead of per operation."""
-    return os.cpu_count() or 1
-
-
 def effective_worker_count(
     requested: Optional[int], label: str = "parallel shards", warn: bool = True
 ) -> int:
@@ -142,11 +141,14 @@ def effective_worker_count(
 
     Returns the worker count a pool should actually be sized to.  The first
     time a ``label`` clamps in this process a :class:`WorkerClampWarning`
-    is emitted (suppress with ``warn=False``).
+    is emitted (suppress with ``warn=False``).  A negative request raises
+    :class:`ValueError`.
     """
     if not requested:
         return 0
-    cpus = _cpu_count()
+    if requested < 0:
+        raise ValueError(f"{label}: workers must be >= 0, got {requested}")
+    cpus = os.cpu_count() or 1
     if requested <= cpus:
         return requested
     if warn and label not in _CLAMP_WARNED:
@@ -160,9 +162,6 @@ def run_shards(
     shard_args: Sequence[Tuple],
     max_workers: Optional[int],
     *,
-    max_retries: int = 2,
-    timeout: Optional[float] = None,
-    backoff: float = 0.1,
     label: str = "parallel shards",
 ) -> List[Any]:
     """Run ``worker(*args)`` per shard with retries and graceful fallback.
@@ -170,10 +169,10 @@ def run_shards(
     The fault-tolerance contract of every parallel stage in this module:
 
     * ``max_workers=0``/``None`` — run in-process, sequentially;
-    * a worker crash (``BrokenProcessPool``), per-shard ``timeout`` or OS
-      failure retries only the failed shards, with exponential backoff
-      (``backoff * 2**attempt`` seconds) and a fresh pool each round;
-    * after ``max_retries`` retry rounds the surviving failures degrade to
+    * a worker crash (``BrokenProcessPool``) or OS failure retries only
+      the failed shards, with a fresh pool each round and exponential
+      backoff (0.1 s before the first retry, doubling);
+    * after two retry rounds the surviving failures degrade to
       in-process execution with a :class:`ParallelDegradedWarning` — the
       run never loses data because a worker died.
 
@@ -193,11 +192,11 @@ def run_shards(
     pending = list(range(len(shard_args)))
     last_error: Optional[BaseException] = None
     attempts = 0
-    for attempt in range(max_retries + 1):
+    for attempt in range(_MAX_RETRIES + 1):
         if not pending:
             break
-        if attempt and backoff:
-            time.sleep(backoff * (2 ** (attempt - 1)))
+        if attempt:
+            time.sleep(_BACKOFF * (2 ** (attempt - 1)))
         attempts = attempt + 1
         failed: List[int] = []
         pool = concurrent.futures.ProcessPoolExecutor(
@@ -209,13 +208,13 @@ def run_shards(
             }
             for index, future in futures.items():
                 try:
-                    results[index] = future.result(timeout=timeout)
+                    results[index] = future.result()
                 except _RETRYABLE as exc:
                     failed.append(index)
                     last_error = exc
         finally:
-            # wait=False so a hung worker cannot hang the retry loop; the
-            # abandoned process exits with the interpreter.
+            # wait=False so a workload exception raised by one shard
+            # propagates without waiting out the shards still running.
             pool.shutdown(wait=False, cancel_futures=True)
         _RESILIENCE["shard_retries"] += len(failed)
         pending = failed
@@ -228,34 +227,6 @@ def run_shards(
         for index in pending:
             results[index] = worker(*shard_args[index])
     return results
-
-
-def run_read_shards(
-    worker: Callable[..., Any],
-    shard_args: Sequence[Tuple],
-    max_workers: Optional[int],
-    *,
-    label: str = "parallel read shards",
-) -> List[Any]:
-    """Run ``worker(*args)`` per shard in *threads*; results in input order.
-
-    The thread-based sibling of :func:`run_shards`, for read-only fan-out
-    over shared in-memory state (the docstore's scatter-gather reads):
-    nothing is pickled and workers may hold references into live data
-    structures, which a process pool cannot.  Worker counts clamp to the
-    CPU count like :func:`run_shards`; note that pure-Python scans gain no
-    CPU parallelism under the GIL — the fan-out exists for structure and
-    for workloads that release the GIL.  Exceptions propagate unchanged
-    (reads are not retried: they are deterministic, so a failure is a bug).
-    """
-    max_workers = effective_worker_count(max_workers, label=label)
-    if max_workers <= 1 or len(shard_args) <= 1:
-        return [worker(*args) for args in shard_args]
-    with concurrent.futures.ThreadPoolExecutor(
-        max_workers=min(max_workers, len(shard_args))
-    ) as pool:
-        futures = [pool.submit(worker, *args) for args in shard_args]
-        return [future.result() for future in futures]
 
 
 def shard_of(entity_id: str, shards: int) -> int:
@@ -318,10 +289,6 @@ def import_snapshots_parallel(
     snapshots: Sequence[Snapshot],
     shards: int = 4,
     max_workers: Optional[int] = None,
-    *,
-    max_retries: int = 2,
-    timeout: Optional[float] = None,
-    backoff: float = 0.1,
 ) -> List[ImportStats]:
     """Import ``snapshots`` into ``generator`` using sharded parallelism.
 
@@ -329,8 +296,8 @@ def import_snapshots_parallel(
     incremental updates go through the sequential path, which dedups
     against existing clusters).  ``max_workers=0`` runs the shards
     sequentially in-process — same results, no process overhead (useful
-    for tests and small loads).  Worker crashes and timeouts are retried
-    and ultimately degrade to in-process import (see :func:`run_shards`).
+    for tests and small loads).  Worker crashes are retried and
+    ultimately degrade to in-process import (see :func:`run_shards`).
     """
     if shards < 1:
         raise ValueError(f"shards must be >= 1, got {shards}")
@@ -347,9 +314,6 @@ def import_snapshots_parallel(
             for shard in range(shards)
         ],
         max_workers,
-        max_retries=max_retries,
-        timeout=timeout,
-        backoff=backoff,
         label="parallel snapshot import",
     )
     results.sort(key=lambda item: item[0])
@@ -431,9 +395,6 @@ def score_clusters_parallel(
     primary_groups: Tuple[str, ...] = ("person",),
     shards: int = 4,
     max_workers: Optional[int] = None,
-    max_retries: int = 2,
-    timeout: Optional[float] = None,
-    backoff: float = 0.1,
 ) -> ScoredMaps:
     """Score ``clusters`` in ncid shards; returns ``{ncid: {kind: maps}}``.
 
@@ -443,9 +404,9 @@ def score_clusters_parallel(
     scores are pure functions of each cluster document, the merged result —
     is identical for every shard count and worker count.  ``max_workers=0``
     runs the shards sequentially in-process (same results, no process
-    overhead); the default runs one process per shard.  Worker crashes and
-    timeouts retry the shard with exponential backoff and finally degrade
-    to in-process scoring with a :class:`ParallelDegradedWarning` — a dead
+    overhead); the default runs one process per shard.  Worker crashes
+    retry the shard with exponential backoff and finally degrade to
+    in-process scoring with a :class:`ParallelDegradedWarning` — a dead
     worker can cost time, never the run (see :func:`run_shards`).
     """
     if shards < 1:
@@ -473,9 +434,6 @@ def score_clusters_parallel(
             for bucket in buckets
         ],
         max_workers,
-        max_retries=max_retries,
-        timeout=timeout,
-        backoff=backoff,
         label="parallel cluster scoring",
     )
     for result in shard_results:

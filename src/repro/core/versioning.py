@@ -43,12 +43,14 @@ class UpdateProcess:
 
     ``workers``/``shards`` control the scoring stage: ``workers=0`` (the
     default) scores all clusters in-process through the batched fast paths;
-    ``workers=N`` shards the clusters by ncid and fans the scoring out over
-    a process pool.  Results are identical either way — scores are pure
-    functions of the cluster documents and the shard merge is deterministic
-    (see :mod:`repro.core.parallel`).  A custom ``plausibility_fn`` is
-    always applied in-process (it may close over arbitrary state); the
-    built-in voter scorer ships to the workers.
+    ``workers=N`` shards the clusters by ncid (``shards`` of them, default
+    one per worker) and fans the scoring out over a process pool.  Results
+    are identical either way — scores are pure functions of the cluster
+    documents and the shard merge is deterministic (see
+    :mod:`repro.core.parallel`).  A custom ``plausibility_fn`` is always
+    applied in-process (it may close over arbitrary state); the built-in
+    voter scorer ships to the workers.  ``workers < 0`` or ``shards < 1``
+    raises :class:`ValueError` before anything runs.
     """
 
     def __init__(
@@ -57,9 +59,11 @@ class UpdateProcess:
         plausibility_fn: Optional[PlausibilityFn] = None,
         workers: int = 0,
         shards: Optional[int] = None,
-        max_retries: int = 2,
-        worker_timeout: Optional[float] = None,
     ) -> None:
+        if workers < 0:
+            raise ValueError(f"workers must be >= 0, got {workers}")
+        if shards is not None and shards < 1:
+            raise ValueError(f"shards must be >= 1, got {shards}")
         self.generator = generator
         self._builtin_plausibility = (
             plausibility_fn is None and generator.profile is NC_VOTER_PROFILE
@@ -71,10 +75,6 @@ class UpdateProcess:
         self.plausibility_fn = plausibility_fn
         self.workers = workers
         self.shards = shards
-        #: Retry rounds before a failed scoring shard degrades in-process.
-        self.max_retries = max_retries
-        #: Per-shard timeout (seconds) for worker processes; ``None`` waits.
-        self.worker_timeout = worker_timeout
 
     @classmethod
     def resume(
@@ -169,9 +169,7 @@ class UpdateProcess:
                     checkpoint()
         return published
 
-    def update_statistics(
-        self, workers: Optional[int] = None, shards: Optional[int] = None
-    ) -> None:
+    def update_statistics(self) -> None:
         """Step 2: extend the version-similarity maps for new records.
 
         All clusters are scored through the batched fast paths (global pair
@@ -184,12 +182,7 @@ class UpdateProcess:
         clusters = list(generator.clusters())
         if not clusters:
             return
-        if workers is None:
-            workers = self.workers
-        if shards is None:
-            shards = self.shards
-        if shards is None:
-            shards = workers if workers else 1
+        shards = self.shards if self.shards is not None else max(self.workers, 1)
         all_groups = profile.group_names
         primary_groups = (profile.primary_group,)
         heterogeneity_all = _build_scorer(clusters, all_groups, None)
@@ -209,9 +202,7 @@ class UpdateProcess:
             all_groups=all_groups,
             primary_groups=primary_groups,
             shards=shards,
-            max_workers=workers,
-            max_retries=self.max_retries,
-            timeout=self.worker_timeout,
+            max_workers=self.workers,
         )
         for cluster in clusters:
             maps_by_kind = scored.get(cluster["ncid"], {})

@@ -50,7 +50,7 @@ from typing import Dict, Iterator, List, Optional, Sequence, Set, Tuple
 from repro.core.parallel import effective_worker_count, run_shards
 from repro.dedup.embeddings import (
     DEFAULT_NGRAM,
-    record_shingles,
+    cosine_prefilter,
     shingle_record,
     tfidf_vectors,
 )
@@ -230,16 +230,13 @@ def minhash_signatures(
     seed: int = DEFAULT_SEED,
     shards: int = 1,
     max_workers: Optional[int] = None,
-    max_retries: int = 2,
-    timeout: Optional[float] = None,
-    backoff: float = 0.1,
 ) -> List[Signature]:
     """One ``bands * rows`` MinHash signature per record, optionally sharded.
 
     ``max_workers=0``/``None`` computes in-process.  With workers, the
     records split into ``shards`` contiguous slices that fan out over
-    :func:`repro.core.parallel.run_shards` (same retry / backoff /
-    degradation contract as pair scoring) and merge back by position —
+    :func:`repro.core.parallel.run_shards` (same crash-retry and
+    degradation policy as pair scoring) and merge back by position —
     the slice boundaries depend only on ``len(records)`` and ``shards``,
     and each signature only on its record, so every configuration
     returns the identical list.
@@ -266,9 +263,6 @@ def minhash_signatures(
             for lo, hi in bounds
         ],
         max_workers,
-        max_retries=max_retries,
-        timeout=timeout,
-        backoff=backoff,
         label="minhash signatures",
     )
     signatures: List[Signature] = []
@@ -339,9 +333,6 @@ def lsh_candidates(
     cosine_floor: float = 0.0,
     shards: int = 1,
     max_workers: Optional[int] = None,
-    max_retries: int = 2,
-    timeout: Optional[float] = None,
-    backoff: float = 0.1,
 ) -> Tuple[Set[int], CandidateStats]:
     """One MinHash–LSH candidate pass as packed keys with full accounting.
 
@@ -366,9 +357,6 @@ def lsh_candidates(
         seed=seed,
         shards=shards,
         max_workers=max_workers,
-        max_retries=max_retries,
-        timeout=timeout,
-        backoff=backoff,
     )
     bucket_stats = BucketStats()
     stream = iter_lsh_keys(
@@ -381,15 +369,8 @@ def lsh_candidates(
     )
     keys, stats = collect_candidates((("lsh", stream),), record_count)
     if cosine_floor > 0.0 and keys:
-        vectors = tfidf_vectors(
-            records, attributes, ngram, shingles=record_shingles(records, attributes, ngram)
-        )
-        kept: Set[int] = set()
-        cosine = vectors.cosine
-        for key in sorted(keys):
-            left, right = divmod(key, record_count)
-            if cosine(left, right) >= cosine_floor:
-                kept.add(key)
+        vectors = tfidf_vectors(records, attributes, ngram)
+        kept = set(cosine_prefilter(vectors, keys, record_count, cosine_floor))
         bucket_stats.pairs_filtered = len(keys) - len(kept)
         keys = kept
     emitted = stats.passes[0]

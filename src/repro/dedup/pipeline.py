@@ -32,10 +32,10 @@ that oracle (enforced by ``tests/dedup/test_pipeline_equivalence.py``):
 * **Sharded parallel scoring** (:func:`score_candidates_packed` with
   ``max_workers > 0``) fans the packed keys over worker processes through
   :func:`repro.core.parallel.run_shards` — deterministic shard-by-pair-key
-  (:func:`repro.core.parallel.shard_of_int`), the same retry /
-  backoff / in-process-degradation semantics as parallel cluster scoring,
-  and a merge that is order-independent because pair scores are pure
-  functions of the two records.
+  (:func:`repro.core.parallel.shard_of_int`), the same fixed crash-retry
+  and in-process-degradation policy as parallel cluster scoring, and a
+  merge that is order-independent because pair scores are pure functions
+  of the two records.
 
 :class:`DetectionPipeline` wires the stages together and feeds
 :func:`repro.dedup.evaluate.evaluate_thresholds` directly; the CLI exposes
@@ -387,9 +387,6 @@ def score_candidates_packed(
     *,
     shards: int = 1,
     max_workers: Optional[int] = None,
-    max_retries: int = 2,
-    timeout: Optional[float] = None,
-    backoff: float = 0.1,
 ) -> Dict[Pair, float]:
     """Similarity of every packed candidate key, optionally sharded.
 
@@ -398,9 +395,9 @@ def score_candidates_packed(
     per call; a second call with the same keys scores them afresh.  With
     workers, keys shard deterministically by
     ``shard_of_int(key, shards)`` and fan out over
-    :func:`repro.core.parallel.run_shards` — worker crashes and timeouts
-    retry with exponential backoff and ultimately degrade to in-process
-    scoring, exactly like parallel cluster scoring.  Because every score
+    :func:`repro.core.parallel.run_shards` — worker crashes retry with
+    exponential backoff and ultimately degrade to in-process scoring,
+    exactly like parallel cluster scoring.  Because every score
     is a pure function of the two records, any shard and worker count
     (including zero) produces an identical result map; parallel workers
     additionally require ``matcher.measure`` to be picklable.
@@ -435,9 +432,6 @@ def score_candidates_packed(
             for bucket in buckets
         ],
         max_workers,
-        max_retries=max_retries,
-        timeout=timeout,
-        backoff=backoff,
         label="parallel pair scoring",
     )
     similarities: Dict[Pair, float] = {}
@@ -503,9 +497,6 @@ class DetectionPipeline:
         thresholds: Sequence[float] = DEFAULT_THRESHOLDS,
         workers: int = 0,
         shards: Optional[int] = None,
-        max_retries: int = 2,
-        timeout: Optional[float] = None,
-        backoff: float = 0.1,
         candidate_passes: Sequence[str] = ("snm",),
         bands: int = 16,
         rows: int = 4,
@@ -520,6 +511,8 @@ class DetectionPipeline:
             raise ValueError(f"passes must be >= 1, got {passes}")
         if workers < 0:
             raise ValueError(f"workers must be >= 0, got {workers}")
+        if shards is not None and shards < 1:
+            raise ValueError(f"shards must be >= 1, got {shards}")
         self.candidate_passes = tuple(candidate_passes)
         if not self.candidate_passes:
             raise ValueError("candidate_passes must name at least one pass")
@@ -537,9 +530,6 @@ class DetectionPipeline:
         self.thresholds = tuple(thresholds)
         self.workers = workers
         self.shards = shards if shards is not None else max(workers, 1)
-        self.max_retries = max_retries
-        self.timeout = timeout
-        self.backoff = backoff
         self.bands = bands
         self.rows = rows
         self.ngram = ngram
@@ -595,9 +585,6 @@ class DetectionPipeline:
                     cosine_floor=self.cosine_floor,
                     shards=self.shards,
                     max_workers=self.workers,
-                    max_retries=self.max_retries,
-                    timeout=self.timeout,
-                    backoff=self.backoff,
                 )
                 streams.append(("lsh", iter(sorted(lsh_keys))))
         candidate_keys, stats = collect_candidates(streams, len(records))
@@ -631,9 +618,6 @@ class DetectionPipeline:
             matcher,
             shards=self.shards,
             max_workers=self.workers,
-            max_retries=self.max_retries,
-            timeout=self.timeout,
-            backoff=self.backoff,
         )
 
     def detect(

@@ -70,8 +70,8 @@ class Collection:
     to additionally validate dotted field paths in strict mode.
 
     ``shards``/``shard_key`` select the partition layout (see the module
-    docstring); ``read_workers`` > 1 fans scatter-gather reads out over
-    threads (:func:`repro.core.parallel.run_read_shards`).
+    docstring); scatter-gather reads scan the partitions on the calling
+    thread and k-way merge the results.
     """
 
     def __init__(
@@ -96,8 +96,6 @@ class Collection:
         self.shard_key = shard_key
         #: ``"lazy"`` = copy-on-read document views, ``"eager"`` = deep copies.
         self.copy_mode = copy_mode
-        #: Thread fan-out for scatter-gather reads (0/1 = sequential).
-        self.read_workers = 0
         #: Monotonic write counter: every mutation (and index build) bumps
         #: it, invalidating the plan cache's epoch-scoped entries.
         self._write_epoch = 0
@@ -253,9 +251,6 @@ class Collection:
         if not states and filter_doc:
             compile_filter(filter_doc)  # malformed filters raise as usual
         return states, plan_states(states, filter_doc, sort)
-
-    def _read_workers(self, states: List[Any]) -> int:
-        return self.read_workers if len(states) > 1 else 0
 
     # ------------------------------------------------------------ quarantine
 
@@ -512,7 +507,6 @@ class Collection:
                 plans,
                 skip=skip,
                 limit=limit,
-                max_workers=self._read_workers(states),
                 materialize=self._materialize,
             )
         )
@@ -771,7 +765,6 @@ class Collection:
             plans,
             skip=pushdown.skip,
             limit=pushdown.limit,
-            max_workers=self._read_workers(states),
             materialize=self._materialize,
         )
         return list(run_pipeline(source, rest))

@@ -881,14 +881,13 @@ def execute_sharded_find(
     plans: Sequence[Plan],
     skip: int = 0,
     limit: Optional[int] = None,
-    max_workers: int = 0,
     materialize: Callable[[dict], dict] = lazy_document,
 ) -> Iterator[dict]:
     """Scatter-gather ``execute_find`` over several partition states.
 
     Single-partition reads delegate to :func:`execute_find` unchanged.
-    Multi-partition reads run the per-partition scans (in threads when
-    ``max_workers`` > 1, via :func:`repro.core.parallel.run_read_shards`)
+    Multi-partition reads scan each partition on the calling thread
+    (threads would gain nothing: the GIL serialises pure-Python scans)
     and k-way merge the streams: by internal id for unordered reads, by
     the composite sort key for sorted reads — bit-identical to the
     unsharded execution in every case.  Only the returned window is ever
@@ -909,44 +908,14 @@ def execute_sharded_find(
         # streams lazily in index order; the others sort their matches —
         # both are ordered by the same composite key, so they merge freely.
         key = _merge_key_fn(plan.sort_spec)
-        if max_workers > 1:
-            from repro.core.parallel import run_read_shards
-
-            streams: List[Iterable[tuple]] = run_read_shards(
-                _state_sorted_ids,
-                [(state, state_plan, key) for state, state_plan in zip(states, plans)],
-                max_workers,
-                label="scatter-gather sorted read",
-            )
-        else:
-            streams = [
-                _state_index_ordered(state, state_plan, key)
-                if state_plan.order == "index"
-                else _state_sorted_ids(state, state_plan, key)
-                for state, state_plan in zip(states, plans)
-            ]
+        streams: List[Iterable[tuple]] = [
+            _state_index_ordered(state, state_plan, key)
+            if state_plan.order == "index"
+            else _state_sorted_ids(state, state_plan, key)
+            for state, state_plan in zip(states, plans)
+        ]
         merged = heapq.merge(*streams, key=lambda entry: entry[0])
         for _key, internal_id, state in itertools.islice(merged, skip, stop):
-            yield materialize(state._documents[internal_id])
-        return
-
-    if max_workers > 1:
-        from repro.core.parallel import run_read_shards
-
-        id_lists = run_read_shards(
-            lambda state, state_plan: [
-                (internal_id, state)
-                for internal_id in iter_matching_ids(state, state_plan)
-            ],
-            [(state, state_plan) for state, state_plan in zip(states, plans)],
-            max_workers,
-            label="scatter-gather read",
-        )
-        pairs: Iterator[Tuple[int, Any]] = heapq.merge(
-            *id_lists, key=lambda pair: pair[0]
-        )
-        window = itertools.islice(pairs, skip, stop)
-        for internal_id, state in window:
             yield materialize(state._documents[internal_id])
         return
 

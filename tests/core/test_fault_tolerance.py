@@ -13,6 +13,7 @@ import warnings
 
 import pytest
 
+from repro.core import parallel
 from repro.core.parallel import ParallelDegradedWarning, run_shards
 
 
@@ -43,12 +44,6 @@ def _crash_once(sentinel, value):
     return value
 
 
-def _sleep_in_worker(value):
-    if multiprocessing.parent_process() is not None:
-        time.sleep(30)
-    return value
-
-
 def _raise_value_error(counter_dir, value):
     _record_call(counter_dir, value)
     raise ValueError(f"deterministic bug for {value}")
@@ -65,33 +60,31 @@ class TestInProcess:
         assert run_shards(_double, [], max_workers=2) == []
 
 
+@pytest.fixture()
+def no_backoff(monkeypatch):
+    """Keep the fixed retry policy but skip its sleeps."""
+    monkeypatch.setattr(parallel, "_BACKOFF", 0.0)
+
+
 class TestRetries:
     def test_results_in_shard_order(self):
         results = run_shards(_double, [(3,), (1,), (2,)], max_workers=2)
         assert results == [6, 2, 4]
 
-    def test_crash_retries_then_succeeds(self, tmp_path):
+    def test_crash_retries_then_succeeds(self, tmp_path, no_backoff):
         sentinel = str(tmp_path / "crashed-once")
         with warnings.catch_warnings():
             warnings.simplefilter("error")  # any degradation warning fails
-            results = run_shards(
-                _crash_once,
-                [(sentinel, 7)],
-                max_workers=1,
-                max_retries=2,
-                backoff=0.01,
-            )
+            results = run_shards(_crash_once, [(sentinel, 7)], max_workers=1)
         assert results == [7]
         assert os.path.exists(sentinel)
 
-    def test_persistent_crash_degrades_with_warning(self):
+    def test_persistent_crash_degrades_with_warning(self, no_backoff):
         with pytest.warns(ParallelDegradedWarning) as caught:
             results = run_shards(
                 _always_crash,
                 [(11,), (22,)],
                 max_workers=2,
-                max_retries=1,
-                backoff=0.01,
                 label="test stage",
             )
         assert results == [11, 22]  # recomputed in-process, nothing lost
@@ -104,31 +97,13 @@ class TestRetries:
         )
         assert warning.label == "test stage"
         assert sorted(warning.shard_indices) == [0, 1]
-        assert warning.attempts == 2  # initial + one retry
+        assert warning.attempts == parallel._MAX_RETRIES + 1  # initial + retries
         assert warning.cause is not None
 
-    def test_timeout_degrades_to_in_process(self):
-        start = time.monotonic()
-        with pytest.warns(ParallelDegradedWarning):
-            results = run_shards(
-                _sleep_in_worker,
-                [(9,)],
-                max_workers=1,
-                max_retries=0,
-                timeout=0.3,
-                backoff=0.0,
-            )
-        assert results == [9]
-        assert time.monotonic() - start < 20  # did not wait out the sleep
-
-    def test_deterministic_exception_propagates_without_retry(self, tmp_path):
+    def test_deterministic_exception_propagates_without_retry(
+        self, tmp_path, no_backoff
+    ):
         counter = str(tmp_path / "calls")
         with pytest.raises(ValueError, match="deterministic bug"):
-            run_shards(
-                _raise_value_error,
-                [(counter, 1)],
-                max_workers=1,
-                max_retries=3,
-                backoff=0.01,
-            )
+            run_shards(_raise_value_error, [(counter, 1)], max_workers=1)
         assert len(os.listdir(counter)) == 1  # exactly one attempt, no retries

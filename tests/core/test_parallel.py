@@ -98,6 +98,12 @@ class TestWorkerClamping:
         assert effective_worker_count(0, warn=False) == 0
         assert effective_worker_count(None, warn=False) == 0
 
+    def test_negative_request_rejected(self):
+        from repro.core.parallel import effective_worker_count
+
+        with pytest.raises(ValueError, match="workers must be >= 0, got -1"):
+            effective_worker_count(-1, warn=False)
+
     def test_within_cpu_budget_unchanged(self):
         from repro.core.parallel import effective_worker_count
 
@@ -128,36 +134,3 @@ class TestWorkerClamping:
         if clamps:
             assert clamps[0].message.requested == cpus + 1
             assert clamps[0].message.effective == cpus
-
-
-class TestRunReadShards:
-    def test_results_in_input_order(self):
-        from repro.core.parallel import run_read_shards
-
-        results = run_read_shards(
-            lambda x: x * 2, [(3,), (1,), (2,)], max_workers=2
-        )
-        assert results == [6, 2, 4]
-
-    def test_sequential_when_single_worker(self):
-        from repro.core.parallel import run_read_shards
-
-        assert run_read_shards(lambda x: x + 1, [(1,), (2,)], max_workers=0) == [2, 3]
-
-    def test_exceptions_propagate(self):
-        from repro.core.parallel import run_read_shards
-
-        def boom(x):
-            raise ValueError(f"shard {x}")
-
-        with pytest.raises(ValueError, match="shard"):
-            run_read_shards(boom, [(1,), (2,)], max_workers=2)
-
-    def test_shares_live_state_without_pickling(self):
-        from repro.core.parallel import run_read_shards
-
-        shared = {"a": 1, "b": 2}
-        results = run_read_shards(
-            lambda key: shared[key], [("a",), ("b",)], max_workers=4
-        )
-        assert results == [1, 2]

@@ -116,3 +116,15 @@ class TestUpdateProcessWiring:
                 {cluster["ncid"]: cluster for cluster in gen.clusters()}
             )
         assert documents[0] == documents[1] == documents[2]
+
+    @pytest.mark.parametrize(
+        "options, message",
+        [
+            ({"workers": -1}, "workers must be >= 0, got -1"),
+            ({"shards": 0}, "shards must be >= 1, got 0"),
+            ({"workers": 2, "shards": -3}, "shards must be >= 1, got -3"),
+        ],
+    )
+    def test_rejects_bad_workers_and_shards(self, options, message):
+        with pytest.raises(ValueError, match=message):
+            UpdateProcess(TestDataGenerator(), **options)

@@ -409,5 +409,7 @@ class TestEndToEndEquivalence:
             DetectionPipeline(passes=0)
         with pytest.raises(ValueError):
             DetectionPipeline(workers=-1)
+        with pytest.raises(ValueError, match="shards must be >= 1, got 0"):
+            DetectionPipeline(shards=0)
         with pytest.raises(ValueError):
             score_candidates_packed([], set(), RecordMatcher(exact, {"a": 1.0}), shards=0)

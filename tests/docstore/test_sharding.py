@@ -390,7 +390,6 @@ def test_reads_deterministic_across_shard_and_worker_counts():
         collection = Collection("c", shards=shards)
         collection.create_index("n", "sorted")
         collection.insert_many(dict(doc) for doc in docs)
-        collection.read_workers = max_workers
         return {
             "find": collection.find({"n": {"$gte": 1}}, sort=[("n", -1)]),
             "agg": collection.aggregate(

@@ -234,6 +234,73 @@ class TestEvaluatePasses:
             main(["evaluate", "--dataset", str(dataset), "--passes", "bogus"])
 
 
+class TestWorkerAndShardFlags:
+    """``--workers``/``--shards`` spread the work; they never change output."""
+
+    @pytest.mark.parametrize("command", ["generate", "detect"])
+    @pytest.mark.parametrize(
+        "flag, value, message",
+        [
+            ("--workers", "-1", "must be >= 0, got -1"),
+            ("--shards", "0", "must be >= 1, got 0"),
+            ("--shards", "x", "expected an integer, got 'x'"),
+        ],
+    )
+    def test_invalid_counts_are_usage_errors(
+        self, tmp_path, capsys, command, flag, value, message
+    ):
+        missing = str(tmp_path / "missing")  # argparse rejects before reading
+        inputs = (
+            ["--snapshots", missing, "--store", missing]
+            if command == "generate"
+            else ["--dataset", missing]
+        )
+        with pytest.raises(SystemExit) as exit_info:
+            main([command, *inputs, flag, value])
+        assert exit_info.value.code == 2
+        assert f"argument {flag}: {message}" in capsys.readouterr().err
+
+    def test_generate_stats_same_clusters_for_any_workers(self, workspace, tmp_path):
+        from repro.docstore import Database
+
+        _root, snaps, _store = workspace
+        clusters = []
+        for name, options in (
+            ("in-process", ["--workers", "0"]),
+            ("pooled", ["--workers", "2", "--shards", "3"]),
+        ):
+            store = tmp_path / name
+            assert main([
+                "generate", "--snapshots", str(snaps), "--store", str(store),
+                "--stats", *options,
+            ]) == 0
+            clusters.append(list(Database.load(store)["clusters"].all()))
+        assert any(
+            record.get("heterogeneity")
+            for cluster in clusters[0]
+            for record in cluster["records"]
+        )
+        assert clusters[0] == clusters[1]
+
+    def test_detect_same_report_for_any_workers(self, workspace, capsys):
+        root, _snaps, store = workspace
+        dataset = root / "workers.csv"
+        assert main([
+            "customize", "--store", str(store), "--out", str(dataset),
+            "--h-lo", "0.0", "--h-hi", "1.0", "--clusters", "40",
+        ]) == 0
+        reports = []
+        for options in (["--workers", "0"], ["--workers", "2", "--shards", "3"]):
+            capsys.readouterr()
+            assert main([
+                "detect", "--dataset", str(dataset), "--passes", "snm+lsh",
+                *options,
+            ]) == 0
+            reports.append(capsys.readouterr().out)
+        assert "pass lsh: " in reports[0]
+        assert reports[0] == reports[1]
+
+
 class TestAugmentCommand:
     def test_augment_grows_store(self, workspace, capsys):
         root, _snaps, store = workspace
