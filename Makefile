@@ -93,7 +93,7 @@ test-faults:
 # The chaos suite: everything test-faults runs plus the scrubber,
 # quarantine/degraded-read and repair tests.
 test-chaos:
-	pytest tests/docstore/test_faults.py tests/docstore/test_wal.py tests/docstore/test_scrub.py tests/docstore/test_storage.py tests/core/test_fault_tolerance.py
+	pytest tests/docstore/test_faults.py tests/docstore/test_wal.py tests/docstore/test_scrub.py tests/docstore/test_storage.py tests/core/test_fault_tolerance.py tests/docstore/test_sharding.py
 
 # Run every example end to end (a few minutes total).
 examples:

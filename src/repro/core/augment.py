@@ -173,10 +173,8 @@ class Augmenter:
                 synthetic = self._synthesize(cluster, attributes)
                 if synthetic["hash"] in cluster["meta"]["hashes"]:
                     continue  # corruption produced an existing record
-                cluster["records"].append(synthetic)
-                cluster["meta"]["hashes"].append(synthetic["hash"])
+                self.generator._append_record(cluster["ncid"], synthetic)
                 records_added += 1
-            self.generator._dirty.add(cluster["ncid"])
         return AugmentStats(
             clusters_touched=clusters_touched, records_added=records_added
         )

@@ -9,13 +9,16 @@ every earlier dataset version reconstructible (Section 5.1.2).
 
 Imports accumulate in memory for speed and are written through to the
 aggregate-oriented document store on :meth:`TestDataGenerator.publish` —
-one document per cluster, exactly the layout of Section 5.
+one document per cluster, exactly the layout of Section 5.  Records are
+never removed or reordered (Section 5.1.2), so every change to a stored
+cluster is an append: writers record the paths they write, and publish
+sends each cluster only those paths.
 """
 
 from __future__ import annotations
 
 import dataclasses
-from typing import Dict, Iterable, Iterator, List, Optional, Tuple
+from typing import Any, Dict, Iterable, Iterator, List, Optional, Tuple
 
 from repro.core.clusters import duplicate_pair_count, split_record
 from repro.core.hashing import record_hash
@@ -71,7 +74,9 @@ class TestDataGenerator:
         self.profile = profile
         self.database = database or Database(profile.name)
         self._clusters: Dict[str, dict] = {}
-        self._dirty: set = set()
+        #: Per cluster, the paths (segment tuples) written since the last
+        #: publish; ``None`` marks a cluster the store has not seen yet.
+        self._dirty: Dict[str, Optional[List[Tuple[str, ...]]]] = {}
         self.current_version = 0
         self.import_stats: List[ImportStats] = []
         self._imported_snapshots: List[str] = []
@@ -106,6 +111,12 @@ class TestDataGenerator:
 
     # --------------------------------------------------------------- import
 
+    def _wrote(self, ncid: str, *path: str) -> None:
+        """Record that ``path`` of stored cluster ``ncid`` was written."""
+        paths = self._dirty.setdefault(ncid, [])
+        if paths is not None:
+            paths.append(path)
+
     @property
     def pending_version(self) -> int:
         """The version number the next :meth:`publish` will assign."""
@@ -136,6 +147,7 @@ class TestDataGenerator:
                     },
                 }
                 self._clusters[ncid] = cluster
+                self._dirty[ncid] = None
                 new_clusters += 1
             if hash_attributes is None:
                 digest = record_hash(
@@ -143,17 +155,22 @@ class TestDataGenerator:
                 )
             else:
                 digest = record_hash(record, hash_attributes, trim=trim)
+            records = cluster["records"]
             known = digest in cluster["meta"]["hashes"] and hash_attributes is not None
             if known:
                 # Near-exact duplicate: only remember the snapshot membership
                 # of the already stored record (reproducibility, Section 5.1.2).
-                for stored in cluster["records"]:
+                for position, stored in enumerate(records):
                     if stored["hash"] == digest:
-                        if snapshot.date not in stored["snapshots"]:
-                            stored["snapshots"].append(snapshot.date)
+                        dates = stored["snapshots"]
+                        if snapshot.date not in dates:
+                            self._wrote(
+                                ncid, "records", str(position),
+                                "snapshots", str(len(dates)),
+                            )
+                            dates.append(snapshot.date)
                         break
                 skipped += 1
-                self._dirty.add(ncid)
                 continue
             record_doc = split_record(record, self.profile)
             record_doc["hash"] = digest
@@ -162,11 +179,10 @@ class TestDataGenerator:
             record_doc["plausibility"] = {}
             record_doc["heterogeneity"] = {}
             record_doc["heterogeneity_person"] = {}
-            cluster["records"].append(record_doc)
-            cluster["meta"]["hashes"].append(digest)
+            self._append_record(ncid, record_doc)
             inserts = cluster["meta"]["inserts_per_snapshot"]
             inserts[snapshot.date] = inserts.get(snapshot.date, 0) + 1
-            self._dirty.add(ncid)
+            self._wrote(ncid, "meta", "inserts_per_snapshot", snapshot.date)
             new_records += 1
         stats = ImportStats(
             snapshot_date=snapshot.date,
@@ -178,6 +194,15 @@ class TestDataGenerator:
         self.import_stats.append(stats)
         self._imported_snapshots.append(snapshot.date)
         return stats
+
+    def _append_record(self, ncid: str, record_doc: dict) -> None:
+        """Append a record and its hash to cluster ``ncid``, recording both."""
+        cluster = self._clusters[ncid]
+        self._wrote(ncid, "records", str(len(cluster["records"])))
+        cluster["records"].append(record_doc)
+        hashes = cluster["meta"]["hashes"]
+        self._wrote(ncid, "meta", "hashes", str(len(hashes)))
+        hashes.append(record_doc["hash"])
 
     def import_snapshots(self, snapshots: Iterable[Snapshot]) -> List[ImportStats]:
         """Import several snapshots in order."""
@@ -227,6 +252,11 @@ class TestDataGenerator:
 
         Step 3 of the update process (Figure 2): bump the version number,
         record version metadata, publish.  Returns the new version number.
+
+        Only the changes since the last publish are written.  A cluster new
+        to the store is inserted whole; a stored one gets a single
+        ``update_one`` whose ``$set`` holds the paths written since, in
+        ascending position, which the WAL journals as a delta.
         """
         self.current_version += 1
         clusters = self.database.get_collection("clusters")
@@ -238,8 +268,11 @@ class TestDataGenerator:
             clusters.create_index("meta.first_version", "sorted")
         for ncid in sorted(self._dirty):
             cluster = self._clusters[ncid]
-            if clusters.replace_one({"_id": ncid}, cluster) == 0:
+            paths = self._dirty[ncid]
+            if paths is None:
                 clusters.insert_one(cluster)
+            elif paths:
+                clusters.update_one({"_id": ncid}, {"$set": _delta(cluster, paths)})
         self._dirty.clear()
         versions = self.database.get_collection("versions")
         # Version listings sort on "version"; the sorted index lets those
@@ -285,3 +318,35 @@ class TestDataGenerator:
             for record in cluster["records"]
             if wanted.intersection(record["snapshots"])
         ]
+
+
+def _delta(cluster: dict, paths: List[Tuple[str, ...]]) -> Dict[str, Any]:
+    """``$set`` fields carrying ``cluster``'s current value at each path.
+
+    A key containing ``.`` cannot be addressed, so it is written through
+    its parent; a path under another written path is dropped.  Fields come
+    in ascending position (numeric segments compare as numbers).
+    """
+    written = set()
+    for path in paths:
+        for depth, segment in enumerate(path):
+            if "." in segment:
+                path = path[:depth]
+                break
+        written.add(path)
+    fields: Dict[str, Any] = {}
+    for path in sorted(written, key=_position_key):
+        if any(path[:depth] in written for depth in range(1, len(path))):
+            continue
+        value: Any = cluster
+        for segment in path:
+            value = value[int(segment)] if isinstance(value, list) else value[segment]
+        fields[".".join(path)] = value
+    return fields
+
+
+def _position_key(path: Tuple[str, ...]) -> List[Tuple[int, int, str]]:
+    return [
+        (0, int(segment), "") if segment.isdigit() else (1, 0, segment)
+        for segment in path
+    ]

@@ -323,7 +323,7 @@ def import_snapshots_parallel(
         if overlap:  # pragma: no cover - shard function guarantees disjoint
             raise RuntimeError(f"shards overlap on ids: {sorted(overlap)[:5]}")
         generator._clusters.update(clusters)
-        generator._dirty.update(clusters)
+        generator._dirty.update(dict.fromkeys(clusters))  # all new to the store
         if not merged_stats:
             merged_stats = [
                 ImportStats(

@@ -208,11 +208,13 @@ class UpdateProcess:
             maps_by_kind = scored.get(cluster["ncid"], {})
             if "plausibility" in maps_by_kind:
                 _apply_maps(
-                    cluster, "plausibility", maps_by_kind["plausibility"], version
+                    generator, cluster, "plausibility",
+                    maps_by_kind["plausibility"], version,
                 )
             elif self.plausibility_fn is not None:
                 # Custom scorers may close over arbitrary state — in-process.
                 _apply_maps(
+                    generator,
                     cluster,
                     "plausibility",
                     self.plausibility_fn(cluster, version),
@@ -220,8 +222,9 @@ class UpdateProcess:
                 )
             for kind in ("heterogeneity", "heterogeneity_person"):
                 if kind in maps_by_kind:
-                    _apply_maps(cluster, kind, maps_by_kind[kind], version)
-            generator._dirty.add(cluster["ncid"])
+                    _apply_maps(
+                        generator, cluster, kind, maps_by_kind[kind], version
+                    )
 
 
 def _build_scorer(
@@ -235,16 +238,21 @@ def _build_scorer(
 
 
 def _apply_maps(
+    generator: TestDataGenerator,
     cluster: dict,
     kind: str,
     maps: Dict[int, Dict[int, float]],
     version: int,
 ) -> None:
-    """Append ``{j: {i: score}}`` maps under ``version`` in each record."""
+    """Append ``{j: {i: score}}`` maps under ``version`` in each record.
+
+    Each map is recorded as a written path, so the next publish sends it.
+    """
     records = cluster["records"]
     for j, row in maps.items():
         store = records[j].setdefault(kind, {})
         store[str(version)] = {str(i): round(score, 6) for i, score in row.items()}
+        generator._wrote(cluster["ncid"], "records", str(j), kind, str(version))
 
 
 def similarity_at_version(record_doc: dict, kind: str, version: int) -> Dict[int, float]:

@@ -19,7 +19,13 @@ import warnings
 from typing import Any, Dict, Iterable, Iterator, List, Optional, Tuple
 
 from repro.docstore.aggregation import run_pipeline
-from repro.docstore.documents import deep_copy, get_path, set_path, unset_path
+from repro.docstore.documents import (
+    MISSING,
+    PathCopy,
+    deep_copy,
+    get_path,
+    resolve_path,
+)
 from repro.docstore.errors import (
     DegradedReadError,
     DegradedReadWarning,
@@ -49,8 +55,10 @@ from repro.docstore.views import lazy_document, wrap_value
 #: (the default) or the historical deep-copy-every-result behaviour.
 _COPY_MODES = ("lazy", "eager")
 
-#: Sentinel for $rename on an absent source path (a silent no-op).
-_RENAME_MISSING = object()
+#: The update operators :func:`_next_version` evaluates.
+_UPDATE_OPERATORS = frozenset(
+    ("$set", "$unset", "$inc", "$push", "$addToSet", "$pull", "$rename")
+)
 
 
 class Collection:
@@ -131,8 +139,9 @@ class Collection:
         #: Write-ahead-log hook ``(op, payload, partition) -> None`` set by
         #: :class:`~repro.docstore.database.DurableDatabase`; ``None`` keeps
         #: the collection purely in-memory.  Called *after* the in-memory
-        #: mutation succeeds; the hook serializes immediately, so later
-        #: mutation of the same document cannot corrupt the journal.
+        #: write succeeds and serializes immediately.  Inserts and replaces
+        #: journal the whole document; an update journals only the
+        #: post-states of the paths it wrote (see :class:`PathCopy`).
         self._journal: Optional[Any] = None
         #: Batched journal hook ``(op, [(partition, payload), ...]) -> None``
         #: set alongside ``_journal``; one WAL write + one fsync per batch.
@@ -194,21 +203,6 @@ class Collection:
     def _copy_value(self) -> Any:
         """Extracted-value materializer for the current copy mode."""
         return deep_copy if self.copy_mode == "eager" else wrap_value
-
-    def _expose_for_read(self) -> None:
-        """Drop in-place document ownership before handing out lazy views.
-
-        Lazy results share container structure with live documents, so an
-        in-place update after a read would rewrite views the caller
-        already holds.  Exposing makes the next ``writable_document``
-        deep-copy first; pure write runs (no interleaved reads) keep the
-        mutate-in-place fast path.  Eager mode returns independent deep
-        copies and needs no exposure; snapshot reads serve published
-        states, which writers copy rather than mutate.
-        """
-        if self.copy_mode == "lazy":
-            for partition in self._partitions:
-                partition.expose()
 
     def _placement(self, stored: dict) -> int:
         """Partition index a stored document belongs to."""
@@ -371,11 +365,14 @@ class Collection:
     # ------------------------------------------------------------------ CRUD
 
     def insert_one(self, document: dict) -> Any:
-        """Insert ``document`` and return its ``_id``."""
+        """Insert a copy of ``document`` and return its ``_id``."""
         if not isinstance(document, dict):
             raise QueryError(f"documents must be dicts, got {type(document).__name__}")
+        return self._insert_owned(deep_copy(document))
+
+    def _insert_owned(self, stored: dict) -> Any:
+        """Insert ``stored`` itself, uncopied (recovery hands over parsed docs)."""
         self._bump_epoch()
-        stored = deep_copy(document)
         internal_id = next(self._next_internal_id)
         if "_id" not in stored:
             stored["_id"] = internal_id
@@ -395,7 +392,6 @@ class Collection:
         for index in state._indexes.values():
             index.add(internal_id, stored)
             index.flush()
-        partition.own(internal_id)
         self._log("insert", {"doc": stored}, target)
         return stored["_id"]
 
@@ -452,7 +448,6 @@ class Collection:
             state._by_user_id[_freeze_id(stored["_id"])] = internal_id
             for index in state._indexes.values():
                 index.add(internal_id, stored)
-            self._partitions[target].own(internal_id)
         # One sorted-run merge per touched partition for the whole batch;
         # flushing here (not on first read) keeps shared-state reads
         # logically read-only, so concurrent ``find``s never race.
@@ -497,7 +492,6 @@ class Collection:
         results with a :class:`DegradedReadWarning`.
         """
         self._check_filter(filter_doc)
-        self._expose_for_read()
         states, plans = self._plan_healthy(
             filter_doc, sort, allow_degraded=allow_degraded, op="find"
         )
@@ -544,7 +538,6 @@ class Collection:
                     return [seen[key] for key in sorted(seen)]
         seen = {}
         copy_value = self._copy_value
-        self._expose_for_read()
         for document in self._scan(filter_doc, indices=indices):
             value = get_path(document, path, default=None)
             values = value if isinstance(value, list) else [value]
@@ -561,7 +554,6 @@ class Collection:
     ) -> Optional[dict]:
         """Return the first matching document or ``None``."""
         materialize = self._materialize
-        self._expose_for_read()
         for document in self._scan(
             filter_doc, allow_degraded=allow_degraded, op="find_one"
         ):
@@ -605,53 +597,89 @@ class Collection:
             )
 
     def update_one(self, filter_doc: dict, update: dict) -> int:
-        """Apply ``update`` to the first match; returns 0 or 1."""
+        """Apply ``update`` to the first match; returns 0 or 1.
+
+        The update applies fully or not at all: operators build the next
+        version by path copying (:class:`PathCopy`), and only a version
+        every operator succeeded on is indexed, installed and journaled.
+        """
         self._check_update(update)
         self._bump_epoch()
         for index, internal_id in self._scan_partitions(
             filter_doc, write=True, op="update_one"
         ):
-            document = self._partitions[index].writable_document(internal_id)
-            self._apply_update(index, internal_id, document, update)
-            index = self._migrate_if_moved(index, internal_id, document)
-            self._log("replace", {"id": document["_id"], "doc": document}, index)
+            self._update_document(index, internal_id, update)
             return 1
         return 0
 
     def update_many(self, filter_doc: dict, update: dict) -> int:
-        """Apply ``update`` to every match; returns the match count."""
+        """Apply ``update`` to every match; returns the match count.
+
+        Documents are updated one at a time: when the update fails on one,
+        the documents before it stay updated (and journaled) and it raises.
+        """
         self._check_update(update)
         self._bump_epoch()
         touched = list(
             self._scan_partitions(filter_doc, write=True, op="update_many")
         )
         for index, internal_id in touched:
-            document = self._partitions[index].writable_document(internal_id)
-            self._apply_update(index, internal_id, document, update)
-            index = self._migrate_if_moved(index, internal_id, document)
-            self._log("replace", {"id": document["_id"], "doc": document}, index)
+            self._update_document(index, internal_id, update)
         return len(touched)
+
+    def _update_document(self, index: int, internal_id: int, update: dict) -> None:
+        old = self._partitions[index].live._documents[internal_id]
+        version = _next_version(old, update)
+        self._install(index, internal_id, old, version)
+
+    def _replay_update(self, doc_id: Any, writes: List[list]) -> None:
+        """Apply a journaled ``update`` record; an absent ``_id`` is a no-op."""
+        self._bump_epoch()
+        for index, internal_id in self._scan_partitions(
+            {"_id": doc_id}, write=True, op="update_one"
+        ):
+            old = self._partitions[index].live._documents[internal_id]
+            version = PathCopy(old)
+            version.apply(writes)
+            self._install(index, internal_id, old, version)
+            return
+
+    def _install(
+        self, index: int, internal_id: int, old: dict, version: PathCopy
+    ) -> None:
+        """Index, install and journal a document's next version.
+
+        An update that wrote nothing changes and journals nothing.
+        """
+        if not version.writes:
+            return
+        written = [write[0] for write in version.writes]
+        target = self._place_version(index, internal_id, old, version.document, written)
+        if target == index:
+            self._log(
+                "update", {"id": old["_id"], "writes": version.writes}, index
+            )
+        else:
+            # A document that moved shards is journaled whole to its new
+            # shard's log, so that log replays without the old shard's.
+            self._log(
+                "replace", {"id": old["_id"], "doc": version.document}, target
+            )
 
     def replace_one(self, filter_doc: dict, replacement: dict) -> int:
         """Replace the first matching document wholesale (keeps its ``_id``)."""
+        return self._replace_owned(filter_doc, deep_copy(replacement))
+
+    def _replace_owned(self, filter_doc: dict, stored: dict) -> int:
+        """:meth:`replace_one` with ``stored`` kept as is (uncopied)."""
         self._bump_epoch()
         for index, internal_id in self._scan_partitions(
             filter_doc, write=True, op="replace_one"
         ):
-            partition = self._partitions[index]
-            state = partition.writable()
-            document = state._documents[internal_id]
-            for spec_index in state._indexes.values():
-                spec_index.remove(internal_id, document)
-            stored = deep_copy(replacement)
-            stored["_id"] = document["_id"]
-            state._documents[internal_id] = stored
-            for spec_index in state._indexes.values():
-                spec_index.add(internal_id, stored)
-                spec_index.flush()
-            partition.own(internal_id)
-            index = self._migrate_if_moved(index, internal_id, stored)
-            self._log("replace", {"id": stored["_id"], "doc": stored}, index)
+            old = self._partitions[index].live._documents[internal_id]
+            stored["_id"] = old["_id"]
+            target = self._place_version(index, internal_id, old, stored, None)
+            self._log("replace", {"id": stored["_id"], "doc": stored}, target)
             return 1
         return 0
 
@@ -662,45 +690,60 @@ class Collection:
             self._scan_partitions(filter_doc, write=True, op="delete_many")
         )
         for index, internal_id in doomed:
-            partition = self._partitions[index]
-            state = partition.writable()
+            state = self._partitions[index].writable()
             document = state._documents[internal_id]
             for spec_index in state._indexes.values():
                 spec_index.remove(internal_id, document)
             del state._by_user_id[_freeze_id(document["_id"])]
             del state._documents[internal_id]
-            partition._owned.discard(internal_id)
             self._log("delete", {"id": document["_id"]}, index)
         return len(doomed)
 
-    def _migrate_if_moved(
-        self, partition_index: int, internal_id: int, document: dict
+    def _place_version(
+        self,
+        index: int,
+        internal_id: int,
+        old: dict,
+        new: dict,
+        written: Optional[List[str]],
     ) -> int:
-        """Re-place a document whose shard-key value changed; returns shard."""
-        if len(self._partitions) == 1:
-            return partition_index
-        target = self._placement(document)
-        if target == partition_index:
-            return partition_index
+        """Swap ``old`` for ``new`` in the indexes and the document map.
+
+        ``written`` lists the dotted paths that changed (``None``: any), so
+        only indexes over those paths are maintained.  A document whose
+        shard-key value changed moves to its new shard, which is returned.
+        """
+        target = index if len(self._partitions) == 1 else self._placement(new)
         if target in self._quarantined:
             # Fail-stop: a shard-key rewrite cannot move a document into a
             # shard whose journal is dark (the op could never be replayed).
             raise DegradedWriteError(self.name, [target], "migrate")
-        source_partition = self._partitions[partition_index]
-        source = source_partition.writable()
-        for index in source._indexes.values():
-            index.remove(internal_id, document)
-        del source._documents[internal_id]
-        del source._by_user_id[_freeze_id(document["_id"])]
-        source_partition._owned.discard(internal_id)
-        target_partition = self._partitions[target]
-        state = target_partition.writable()
-        state._documents[internal_id] = document
-        state._by_user_id[_freeze_id(document["_id"])] = internal_id
-        for index in state._indexes.values():
-            index.add(internal_id, document)
-            index.flush()
-        target_partition.own(internal_id)
+        state = self._partitions[index].writable()
+        if target == index:
+            if written is None:
+                affected = list(state._indexes.values())
+            else:
+                affected = [
+                    spec_index
+                    for spec_index in state._indexes.values()
+                    if any(_paths_overlap(path, spec_index.path) for path in written)
+                ]
+            for spec_index in affected:
+                spec_index.remove(internal_id, old)
+                spec_index.add(internal_id, new)
+                spec_index.flush()
+            state._documents[internal_id] = new
+            return index
+        for spec_index in state._indexes.values():
+            spec_index.remove(internal_id, old)
+        del state._documents[internal_id]
+        del state._by_user_id[_freeze_id(old["_id"])]
+        state = self._partitions[target].writable()
+        state._documents[internal_id] = new
+        state._by_user_id[_freeze_id(new["_id"])] = internal_id
+        for spec_index in state._indexes.values():
+            spec_index.add(internal_id, new)
+            spec_index.flush()
         return target
 
     def aggregate(
@@ -731,7 +774,6 @@ class Collection:
             )
         pushdown = split_pushdown(pipeline)
         rest = pushdown.rest
-        self._expose_for_read()
         states, plans = self._plan_healthy(
             pushdown.filter_doc,
             pushdown.sort_spec,
@@ -780,17 +822,7 @@ class Collection:
         if self._quarantined:
             self._healthy_route(None, allow_degraded=allow_degraded, op="all")
         materialize = self._materialize
-        if self.copy_mode == "eager":
-            return (materialize(doc) for doc in self._ordered_documents())
-
-        def generate() -> Iterator[dict]:
-            # Re-exposed per yield: the generator can be interleaved with
-            # writes, and every view handed out must stay write-stable.
-            for document in self._ordered_documents():
-                self._expose_for_read()
-                yield materialize(document)
-
-        return generate()
+        return (materialize(doc) for doc in self._ordered_documents())
 
     # --------------------------------------------------------------- indexes
 
@@ -1012,91 +1044,6 @@ class Collection:
         for state, internal_id in iter_sharded_matching(states, plans):
             yield by_state[id(state)], internal_id
 
-    def _apply_update(
-        self, partition_index: int, internal_id: int, document: dict, update: dict
-    ) -> None:
-        if not update or not all(key.startswith("$") for key in update):
-            raise QueryError("updates must use operators like $set / $unset / $inc / $push")
-        state = self._partitions[partition_index].live
-        # Only indexes whose path the update spec can touch are maintained;
-        # removing/re-adding every index on every update made single-field
-        # updates cost O(indexes) instead of O(touched paths).
-        touched = _update_touched_paths(update)
-        if touched is None:
-            affected = list(state._indexes.values())
-        else:
-            affected = [
-                index
-                for index in state._indexes.values()
-                if any(_paths_overlap(path, index.path) for path in touched)
-            ]
-        for index in affected:
-            index.remove(internal_id, document)
-        try:
-            for op, spec in update.items():
-                if op == "$set":
-                    for path, value in spec.items():
-                        if path == "_id":
-                            raise QueryError("_id is immutable")
-                        set_path(document, path, deep_copy({"v": value})["v"])
-                elif op == "$unset":
-                    for path in spec:
-                        if path == "_id":
-                            raise QueryError("_id is immutable")
-                        unset_path(document, path)
-                elif op == "$inc":
-                    for path, delta in spec.items():
-                        current = get_path(document, path, 0) or 0
-                        set_path(document, path, current + delta)
-                elif op == "$push":
-                    for path, value in spec.items():
-                        current = get_path(document, path)
-                        if current is None:
-                            current = []
-                        if not isinstance(current, list):
-                            raise QueryError(f"$push target {path!r} is not an array")
-                        current.append(deep_copy({"v": value})["v"])
-                        set_path(document, path, current)
-                elif op == "$addToSet":
-                    for path, value in spec.items():
-                        current = get_path(document, path)
-                        if current is None:
-                            current = []
-                        if not isinstance(current, list):
-                            raise QueryError(
-                                f"$addToSet target {path!r} is not an array"
-                            )
-                        if value not in current:
-                            current.append(deep_copy({"v": value})["v"])
-                        set_path(document, path, current)
-                elif op == "$pull":
-                    for path, value in spec.items():
-                        current = get_path(document, path)
-                        if current is None:
-                            continue
-                        if not isinstance(current, list):
-                            raise QueryError(f"$pull target {path!r} is not an array")
-                        set_path(
-                            document,
-                            path,
-                            [element for element in current if element != value],
-                        )
-                elif op == "$rename":
-                    for path, new_path in spec.items():
-                        if path == "_id" or new_path == "_id":
-                            raise QueryError("_id is immutable")
-                        value = get_path(document, path, default=_RENAME_MISSING)
-                        if value is _RENAME_MISSING:
-                            continue
-                        unset_path(document, path)
-                        set_path(document, new_path, value)
-                else:
-                    raise QueryError(f"unknown update operator {op!r}")
-        finally:
-            for index in affected:
-                index.add(internal_id, document)
-                index.flush()
-
     def __len__(self) -> int:
         return sum(len(partition.live._documents) for partition in self._partitions)
 
@@ -1274,23 +1221,67 @@ def _sorted_id_state_pairs(state: Any) -> Iterator[Tuple[int, Any]]:
         yield internal_id, state
 
 
-def _update_touched_paths(update: dict) -> Optional[set]:
-    """Dotted paths an update spec may modify, or ``None`` when unknowable.
+def _next_version(document: dict, update: dict) -> PathCopy:
+    """Evaluate ``update``'s operators into ``document``'s next version.
 
-    ``$rename`` touches both its source and its target path.  A malformed
-    spec (non-dict operand) returns ``None`` so the caller falls back to
-    maintaining every index — ``_apply_update`` will raise on it anyway, and
-    the try/finally there must still restore whatever was removed.
+    Operators run in spec order, each reading the version built so far;
+    ``document`` itself is never modified, so an operator that raises
+    leaves nothing half-applied.  A write that would change nothing
+    (``$unset`` of an absent path, ``$addToSet`` of a present element,
+    ``$pull`` that matches nothing) is skipped and never journaled.
     """
-    paths: set = set()
+    if not update or not all(key.startswith("$") for key in update):
+        raise QueryError("updates must use operators like $set / $unset / $inc / $push")
+    version = PathCopy(document)
+    current = version.document
     for op, spec in update.items():
+        if op not in _UPDATE_OPERATORS:
+            raise QueryError(f"unknown update operator {op!r}")
         if not isinstance(spec, dict):
-            return None
-        for path, value in spec.items():
-            paths.add(str(path))
-            if op == "$rename" and isinstance(value, str):
-                paths.add(value)
-    return paths
+            raise QueryError(f"{op} takes a document of paths, got {spec!r}")
+        if op == "$set":
+            for path, value in spec.items():
+                if path == "_id":
+                    raise QueryError("_id is immutable")
+                version.set(path, deep_copy(value))
+        elif op == "$unset":
+            for path in spec:
+                if path == "_id":
+                    raise QueryError("_id is immutable")
+                version.unset(path)
+        elif op == "$inc":
+            for path, delta in spec.items():
+                value = get_path(current, path, 0) or 0
+                version.set(path, value + delta)
+        elif op in ("$push", "$addToSet"):
+            for path, value in spec.items():
+                array = get_path(current, path)
+                if array is None:
+                    version.set(path, [deep_copy(value)])
+                elif not isinstance(array, list):
+                    raise QueryError(f"{op} target {path!r} is not an array")
+                elif op == "$push" or value not in array:
+                    version.set(f"{path}.{len(array)}", deep_copy(value))
+        elif op == "$pull":
+            for path, value in spec.items():
+                array = get_path(current, path)
+                if array is None:
+                    continue
+                if not isinstance(array, list):
+                    raise QueryError(f"$pull target {path!r} is not an array")
+                kept = [element for element in array if element != value]
+                if len(kept) != len(array):
+                    version.set(path, kept)
+        else:  # $rename
+            for path, new_path in spec.items():
+                if path == "_id" or new_path == "_id":
+                    raise QueryError("_id is immutable")
+                value = resolve_path(current, path)
+                if value is MISSING:  # renaming an absent path is a no-op
+                    continue
+                version.unset(path)
+                version.set(new_path, value)
+    return version
 
 
 def _strip_numeric_segments(path: str) -> str:

@@ -11,6 +11,8 @@ from __future__ import annotations
 import copy
 from typing import Any, Iterator, List, Tuple
 
+from repro.docstore.errors import QueryError
+
 #: Sentinel distinguishing "path resolves to None" from "path is absent".
 MISSING = object()
 
@@ -98,9 +100,123 @@ def unset_path(document: dict, path: str) -> bool:
     return False
 
 
-def deep_copy(document: dict) -> dict:
-    """Deep-copy a document (documents are JSON-like, so this is safe)."""
+def deep_copy(document: Any) -> Any:
+    """Deep-copy a document or value (documents are JSON-like, so this is safe)."""
     return copy.deepcopy(document)
+
+
+class PathCopy:
+    """The next version of a stored document, copied along written paths.
+
+    Stored documents are never mutated in place: snapshots and lazy views
+    may hold the previous version.  The root and each container on a
+    written path are shallow-copied once per version; every untouched
+    subtree stays shared with the previous version.
+
+    :attr:`writes` journals what was written, in order: ``[path, value]``
+    for the post-state of a path, ``[path]`` for a removal.  List elements
+    are addressed by position.  Writing at or past the end of a list pads
+    it with ``None`` and appends (MongoDB's positional ``$set``), so
+    replaying the writes over any version converges on the same result.
+    """
+
+    __slots__ = ("document", "writes", "_private")
+
+    def __init__(self, document: dict) -> None:
+        self.document = dict(document)
+        self.writes: List[list] = []
+        #: Containers this version owns (safe to mutate), keyed by ``id``;
+        #: holding them keeps an id from being reused while it is listed.
+        self._private = {id(self.document): self.document}
+
+    def set(self, path: str, value: Any) -> None:
+        """Write ``value`` at ``path``, creating missing containers."""
+        *parents, last = path.split(".")
+        target = self.document
+        for segment in parents:
+            target = self._private_child(target, segment)
+        _assign(target, last, value)
+        self.writes.append([path, value])
+
+    def unset(self, path: str) -> bool:
+        """Remove the dict entry at ``path``; True when one was removed."""
+        *parents, last = path.split(".")
+        target: Any = self.document
+        for segment in parents:
+            if isinstance(target, list) and not segment.isdigit():
+                return False
+            target = _child(target, segment)
+        if not isinstance(target, dict) or last not in target:
+            return False
+        target = self.document
+        for segment in parents:
+            target = self._private_child(target, segment)
+        del target[last]
+        self.writes.append([path])
+        return True
+
+    def apply(self, writes: List[list]) -> None:
+        """Apply journaled :attr:`writes` (the replay of an ``update``).
+
+        A write addressing a list by a key is skipped.  Replaying from the
+        state the update saw cannot produce one; a stale log replayed over
+        a newer snapshot can, where the container became a list later,
+        and a later write of the same log then replaces it.
+        """
+        for write in writes:
+            try:
+                if len(write) == 2:
+                    self.set(write[0], write[1])
+                else:
+                    self.unset(write[0])
+            except QueryError:
+                continue
+
+    def _private_child(self, parent: Any, segment: str) -> Any:
+        """``parent``'s container at ``segment``, owned by this version.
+
+        A shared container is shallow-copied into ``parent``; a missing or
+        scalar one is replaced by a new dict.
+        """
+        child = _child(parent, segment)
+        if isinstance(child, (dict, list)):
+            if id(child) in self._private:
+                return child
+            child = child.copy()
+        else:
+            child = {}
+        self._private[id(child)] = child
+        _assign(parent, segment, child)
+        return child
+
+
+def _child(parent: Any, segment: str) -> Any:
+    """The value at one path segment, or :data:`MISSING`."""
+    if isinstance(parent, dict):
+        return parent.get(segment, MISSING)
+    if isinstance(parent, list):
+        position = _position(segment)
+        return parent[position] if position < len(parent) else MISSING
+    return MISSING
+
+
+def _assign(parent: Any, segment: str, value: Any) -> None:
+    """Set one segment of a dict, or of a list (padding with ``None``)."""
+    if isinstance(parent, dict):
+        parent[segment] = value
+        return
+    position = _position(segment)
+    if position < len(parent):
+        parent[position] = value
+        return
+    parent.extend([None] * (position - len(parent)))
+    parent.append(value)
+
+
+def _position(segment: str) -> int:
+    if not segment.isdigit():
+        raise QueryError(f"list position must be a non-negative integer, got {segment!r}")
+    return int(segment)
 
 
 def iter_index_keys(document: dict, path: str) -> Iterator[Any]:

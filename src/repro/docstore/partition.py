@@ -16,18 +16,17 @@ readers.  :meth:`Partition.publish` (called by ``Database.commit``) makes
 the current live state the published one in a single reference assignment
 — atomic under the GIL, so a concurrent reader sees either the old epoch
 or the new one, never a mix.  The first write after a publish copies the
-state (:meth:`PartitionState.clone`: shallow document map, cloned
-indexes), and in-place document updates privatize the document first
-(:meth:`Partition.writable_document`), so a published epoch is never
-mutated once a reader can hold it.
+state's maps (:meth:`PartitionState.clone`: shallow document map, cloned
+indexes).  Documents themselves are never mutated in place: an update
+installs a new version that copies only the paths it writes
+(:class:`~repro.docstore.documents.PathCopy`), so a published epoch and
+every view handed out of it stay unchanged.
 """
 
 from __future__ import annotations
 
 import zlib
-from typing import Any, Dict, Optional, Set
-
-from repro.docstore.documents import deep_copy
+from typing import Any, Dict, Optional
 
 __all__ = ["PartitionState", "Partition", "fallback_shard", "shard_key_shard"]
 
@@ -74,9 +73,10 @@ class PartitionState:
     def clone(self) -> "PartitionState":
         """Copy for copy-on-write: new maps, cloned indexes, shared docs.
 
-        Document dicts are shared between the clone and the original until
-        :meth:`Partition.writable_document` privatizes one — cloning is
-        O(partition) in map entries, not in document bytes.
+        Document dicts are shared between the clone and the original for
+        good: writers replace a document with a new version instead of
+        mutating it, so cloning is O(partition) in map entries, not in
+        document bytes.
         """
         return PartitionState(
             documents=dict(self._documents),
@@ -89,9 +89,14 @@ class PartitionState:
 
 
 class Partition:
-    """One hash shard of a collection, with copy-on-write epochs."""
+    """One hash shard of a collection, with copy-on-write epochs.
 
-    __slots__ = ("live", "published", "_owned")
+    The first write after a publish clones the state's maps; writes then
+    replace whole entries (a new document version, a deleted id) and never
+    mutate a stored document, so no per-document ownership is tracked.
+    """
+
+    __slots__ = ("live", "published")
 
     def __init__(self) -> None:
         state = PartitionState()
@@ -99,42 +104,12 @@ class Partition:
         self.live = state
         #: The last published epoch; what snapshot readers iterate.
         self.published = state
-        #: Internal ids whose document dict is private to ``live`` (safe to
-        #: mutate in place).  Reset whenever ``live`` is re-cloned.
-        self._owned: Set[int] = set()
 
     def writable(self) -> PartitionState:
         """The live state, copied first if a reader could be holding it."""
         if self.live is self.published:
             self.live = self.published.clone()
-            self._owned = set()
         return self.live
-
-    def writable_document(self, internal_id: int) -> dict:
-        """A privately-owned copy of a live document, safe to mutate."""
-        state = self.writable()
-        if internal_id not in self._owned:
-            state._documents[internal_id] = deep_copy(state._documents[internal_id])
-            self._owned.add(internal_id)
-        return state._documents[internal_id]
-
-    def own(self, internal_id: int) -> None:
-        """Mark ``internal_id``'s document as private to the live state."""
-        self._owned.add(internal_id)
-
-    def expose(self) -> None:
-        """Forget document ownership after lazy views were handed out.
-
-        Lazy reads materialize views that share container structure with
-        the live documents; once a caller can hold such a view, mutating
-        an owned document in place would silently rewrite the already
-        returned result.  Dropping ownership makes the next
-        :meth:`writable_document` deep-copy first, so results handed out
-        before a write stay bit-stable after it (write-after-read
-        safety), while pure write runs keep the in-place fast path.
-        """
-        if self._owned:
-            self._owned = set()
 
     def publish(self) -> None:
         """Atomically make the live state the published epoch.

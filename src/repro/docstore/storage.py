@@ -64,6 +64,11 @@ MANIFEST_NAME = "manifest.json"
 #: Suffix of the sibling directory a corrupt file is moved into.
 QUARANTINE_SUFFIX = ".quarantined"
 
+#: WAL operation kinds recovery knows how to replay.
+_REPLAYED_OPS = frozenset(
+    ("create", "drop", "insert", "replace", "update", "delete", "index")
+)
+
 
 @dataclass
 class RecoveryReport:
@@ -230,6 +235,8 @@ def _load_jsonl(
 ) -> None:
     """Insert ``path``'s documents into ``collection``, line by line.
 
+    The parsed documents are handed over uncopied: nothing else holds them.
+
     When the manifest recorded a ``checksum`` for the snapshot, the CRC32
     over the raw bytes is verified first — a mismatch means the file is
     not the one the manifest's checkpoint wrote.  ``stale_ok`` covers the
@@ -291,7 +298,7 @@ def _load_jsonl(
                 f"{path}: dropped unparseable line {line_number}"
             )
             continue
-        collection.insert_one(document)
+        collection._insert_owned(document)
     if checksum_error is not None:
         raise checksum_error  # repro: ignore[L004] — a StorageCorruptError
     if dropped:
@@ -526,6 +533,25 @@ def load_database(
                     continue
                 else:
                     raise StorageCorruptError(wal_path, message)
+            unknown = sorted(
+                {str(op.get("op")) for op in recovery.operations}
+                - _REPLAYED_OPS
+            )
+            if unknown:
+                # A record this build cannot apply must never be dropped
+                # silently: replaying around it would serve a state no
+                # commit ever produced.
+                message = (
+                    f"collection {collection_name!r}: unknown WAL operation "
+                    f"kind(s) {unknown}"
+                )
+                if not salvage:
+                    raise StorageCorruptError(wal_path, message)
+                report.notes.append(f"{wal_path}: {message}; skipped")
+                recovery.operations = [
+                    op for op in recovery.operations
+                    if op.get("op") in _REPLAYED_OPS
+                ]
             recoveries.append((wal_path, recovery))
             operations.extend(recovery.operations)
         # The seq high-water mark covers *every* committed record on disk
@@ -667,22 +693,23 @@ def _materialize_collection(
 def _replay_operation(collection: "Collection", operation: Dict[str, object]) -> None:
     """Apply one committed WAL operation idempotently.
 
-    Inserts become replaces when the ``_id`` already exists and deletes of
-    absent documents are no-ops, so replaying a stale log over a newer
-    snapshot converges on the snapshot state instead of erroring.
-    (``create`` operations carry no payload — materializing the collection,
-    done by the caller, is their whole effect.)
+    Inserts become replaces when the ``_id`` already exists, and updates or
+    deletes of absent documents are no-ops.  An update record holds the
+    post-states of the paths it wrote, list elements by position, so
+    replaying a stale log over a newer snapshot converges on the snapshot
+    state instead of erroring.  The parsed documents are installed
+    uncopied.  (``create`` operations carry no payload — materializing
+    the collection, done by the caller, is their whole effect.)
     """
     kind = operation.get("op")
     if kind in ("insert", "replace"):
         document = operation["doc"]
         if not isinstance(document, dict):  # pragma: no cover - defensive
             return
-        doc_id = document.get("_id")
-        if collection.count_documents({"_id": doc_id}):
-            collection.replace_one({"_id": doc_id}, document)
-        else:
-            collection.insert_one(document)
+        if not collection._replace_owned({"_id": document.get("_id")}, document):
+            collection._insert_owned(document)
+    elif kind == "update":
+        collection._replay_update(operation["id"], operation["writes"])  # type: ignore[arg-type]
     elif kind == "delete":
         collection.delete_many({"_id": operation["id"]})
     elif kind == "index":

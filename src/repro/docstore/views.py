@@ -25,9 +25,11 @@ shallow copy of the stored container, so
   requires an exact ``list``.
 
 The stored document is only copied level-by-level along the paths a caller
-actually touches — untouched subtrees are shared with the published
-partition state, riding the same copy-on-write epoch machinery snapshot
-readers already rely on.  ``thaw`` forces a fully independent plain-dict
+actually touches — untouched subtrees are shared with the stored version.
+That sharing is safe because the store never mutates a stored document:
+an update installs a new version that copies only the paths it writes
+(:class:`~repro.docstore.documents.PathCopy`), so a view keeps showing
+the version it was built over, live or published.  ``thaw`` forces a fully independent plain-dict
 deep copy, and ``Collection(copy_mode="eager")`` restores the historical
 deep-copy-per-document behaviour as an escape hatch.
 """

@@ -21,8 +21,10 @@ from hypothesis import strategies as st
 
 from repro import faults
 from repro.core import RemovalLevel, TestDataGenerator
+from repro.core.versioning import UpdateProcess
 from repro.docstore import Database, DurableDatabase, shard_key_shard
 from repro.docstore.errors import DegradedReadWarning, StorageError
+from repro.docstore.storage import _replay_operation
 from repro.docstore.wal import WalWriter, read_wal
 from repro.votersim.schema import empty_record
 from repro.votersim.snapshots import Snapshot
@@ -119,6 +121,36 @@ def generator_workload(directory, mark=None):
     database.close()
 
 
+def generator_delta_workload(directory, mark=None):
+    """Three scored versions whose publishes journal per-cluster deltas.
+
+    Version 2 adds a record to a stored cluster; version 3 repeats an
+    existing record, so its publish appends a snapshot date to a stored
+    record.  The checkpoint after version 2 leaves version 3's deltas to
+    replay over the snapshot.
+    """
+    database = DurableDatabase(Path(directory), "ncvoter")
+    generator = TestDataGenerator.from_database(database)
+    process = UpdateProcess(generator)
+    snapshots = [
+        Snapshot("2012-01-01", [make_record("AA1"), make_record("AA2")]),
+        Snapshot(
+            "2013-01-01",
+            [make_record("AA1", last_name="SMYTH", snapshot_dt="2013-01-01")],
+        ),
+        Snapshot("2014-01-01", [make_record("AA2", snapshot_dt="2014-01-01")]),
+    ]
+    for version, snapshot in enumerate(snapshots, start=1):
+        generator.import_snapshot(snapshot)
+        process.update_statistics()
+        generator.publish(note=f"version {version}")
+        if mark:
+            mark(database)
+        if version == 2:
+            database.checkpoint()
+    database.close()
+
+
 def committed_states(workload, directory):
     """Run ``workload`` fault-free; return the committed canonical states."""
     states = {EMPTY}
@@ -160,6 +192,12 @@ class TestCrashSweep:
 
     def test_generator_workload_crash_mode(self, tmp_path):
         sweep(generator_workload, tmp_path, "crash")
+
+    def test_generator_delta_workload_crash_mode(self, tmp_path):
+        sweep(generator_delta_workload, tmp_path, "crash")
+
+    def test_generator_delta_workload_torn_mode(self, tmp_path):
+        sweep(generator_delta_workload, tmp_path, "torn")
 
     def test_fault_free_run_is_clean(self, tmp_path):
         docstore_workload(tmp_path / "clean")
@@ -460,42 +498,61 @@ class TestOrphanCleanup:
 # ----------------------------------------------------------- property tests
 
 _DOC_IDS = st.sampled_from(["a", "b", "c", "d", "e"])
+
+
+def _update_spec(kind, value):
+    """The update of one ``_OPERATIONS`` kind: every operator is journaled,
+    including list appends, nested paths, removals and positional sets."""
+    return {
+        "update": {"$set": {"value": value}},
+        "push": {"$push": {"tags": value}},
+        "add_to_set": {"$addToSet": {"tags": value % 5}},
+        "pull": {"$pull": {"tags": value % 5}},
+        "inc": {"$inc": {"nested.count": value}},
+        "unset": {"$unset": {"value": ""}},
+        "rename": {"$rename": {"value": "nested.value"}},
+        "set_position": {"$set": {f"tags.{value % 4}": value}},
+    }[kind]
+
+
 _OPERATIONS = st.one_of(
     st.tuples(st.just("insert"), _DOC_IDS, st.integers(0, 99)),
-    st.tuples(st.just("update"), _DOC_IDS, st.integers(0, 99)),
+    st.tuples(
+        st.sampled_from(
+            ["update", "push", "add_to_set", "pull", "inc", "unset", "rename",
+             "set_position"]
+        ),
+        _DOC_IDS,
+        st.integers(0, 99),
+    ),
     st.tuples(st.just("delete"), _DOC_IDS, st.just(0)),
 )
 
 
-def apply_operations(collection, operations):
+def apply_operations(collection, operations, shard_key=False):
+    """Apply ``_OPERATIONS`` tuples; inserted documents hold a list.
+
+    ``shard_key=True`` stamps the shard key on every document, so a fault
+    oracle can project committed states onto healthy shards.
+    """
     for kind, doc_id, value in operations:
         if kind == "insert":
-            if collection.count_documents({"_id": doc_id}):
-                collection.replace_one(
-                    {"_id": doc_id}, {"_id": doc_id, "value": value}
-                )
-            else:
-                collection.insert_one({"_id": doc_id, "value": value})
-        elif kind == "update":
-            collection.update_one({"_id": doc_id}, {"$set": {"value": value}})
-        elif kind == "delete":
-            collection.delete_many({"_id": doc_id})
-
-
-def apply_sharded_operations(collection, operations):
-    """Like :func:`apply_operations` but stamps the shard key on every doc,
-    so a fault oracle can project committed states onto healthy shards."""
-    for kind, doc_id, value in operations:
-        document = {"_id": doc_id, "ncid": doc_id, "value": value}
-        if kind == "insert":
+            document = {"_id": doc_id, "value": value, "tags": [value % 5]}
+            if shard_key:
+                document["ncid"] = doc_id
             if collection.count_documents({"_id": doc_id}):
                 collection.replace_one({"_id": doc_id}, document)
             else:
                 collection.insert_one(document)
-        elif kind == "update":
-            collection.update_one({"_id": doc_id}, {"$set": {"value": value}})
         elif kind == "delete":
             collection.delete_many({"_id": doc_id})
+        else:
+            collection.update_one({"_id": doc_id}, _update_spec(kind, value))
+
+
+def apply_sharded_operations(collection, operations):
+    """:func:`apply_operations` with the shard key stamped on every doc."""
+    apply_operations(collection, operations, shard_key=True)
 
 
 class TestRoundTripProperties:
@@ -577,3 +634,31 @@ class TestRoundTripProperties:
                 pass
         violation = check_recovered_or_quarantined(target, states, shards=2)
         assert violation is None, f"{plan.failed_op}: {violation}"
+
+    @given(
+        before=st.lists(_OPERATIONS, max_size=15),
+        after=st.lists(_OPERATIONS, max_size=20),
+    )
+    @settings(
+        max_examples=25,
+        deadline=None,
+        suppress_health_check=[HealthCheck.function_scoped_fixture],
+    )
+    def test_replaying_the_committed_log_again_changes_nothing(
+        self, before, after, tmp_path_factory
+    ):
+        """Replay is idempotent, as a stale log over a newer snapshot needs."""
+        directory = tmp_path_factory.mktemp("replay")
+        database = DurableDatabase(directory)
+        apply_operations(database["docs"], before)
+        database.checkpoint()
+        apply_operations(database["docs"], after)
+        database.commit()
+        expected = canonical(database)
+        database.close(commit=False)
+        recovered = Database.load(directory)
+        assert canonical(recovered) == expected
+        log = read_wal(directory / "docs.wal", database.committed_epoch)
+        for operation in log.operations:
+            _replay_operation(recovered["docs"], operation)
+        assert canonical(recovered) == expected

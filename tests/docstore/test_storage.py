@@ -4,7 +4,12 @@ import json
 
 import pytest
 
-from repro.docstore import Database, DurableDatabase, StorageCorruptError
+from repro.docstore import (
+    Database,
+    DurableDatabase,
+    StorageCorruptError,
+    repair_database,
+)
 from repro.docstore.storage import RecoveryReport, load_database
 
 
@@ -132,6 +137,23 @@ class TestDurableRecoveryReport:
         assert report.committed_epoch == 1
         assert report.replayed["c"] >= 1
         assert "replayed" in report.render()
+
+    def test_unknown_operation_kind_is_never_dropped(self, tmp_path):
+        db = DurableDatabase(tmp_path)
+        db["c"].insert_one({"_id": 1})
+        db._wals["c"][0].log("frobnicate", {})
+        db.commit()
+        db.close()
+        with pytest.raises(StorageCorruptError) as info:
+            Database.load(tmp_path)
+        assert "'c'" in info.value.reason
+        assert "frobnicate" in info.value.reason
+        with pytest.raises(StorageCorruptError):
+            DurableDatabase(tmp_path)
+        # Salvage keeps what it can apply and says what it skipped.
+        report = repair_database(tmp_path)
+        assert any("frobnicate" in note for note in report.recovery.notes)
+        assert [doc["_id"] for doc in Database.load(tmp_path)["c"].all()] == [1]
 
     def test_committed_data_loss_detected(self, tmp_path):
         db = DurableDatabase(tmp_path)

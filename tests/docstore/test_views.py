@@ -163,9 +163,10 @@ class TestWriteAfterReadStability:
     """Results handed out before a write must never change after it.
 
     Eager mode returned independent deep copies; lazy views must match
-    that: an in-place update applied to a document a view was built over
-    has to copy first (``Partition.expose`` drops in-place ownership on
-    every lazy read), even inside one unpublished epoch.
+    that, even inside one unpublished epoch.  They do because no write
+    mutates a stored document: an update installs a new version that
+    copies only the paths it writes (``PathCopy``), and the version a
+    view was built over stays as it was.
     """
 
     def test_update_after_find_one_leaves_result_stable(self):
