@@ -1,4 +1,7 @@
-.PHONY: install test lint lint-concurrency typecheck bench bench-scoring bench-docstore bench-durability bench-dedup bench-lsh bench-shards bench-hotpath bench-robustness test-faults test-chaos examples validate-docs clean
+.PHONY: install test lint lint-concurrency typecheck bench bench-scoring bench-docstore bench-durability bench-dedup bench-lsh bench-hotpath bench-robustness test-faults test-chaos examples validate-docs clean
+
+# Every target runs against the source tree; no install needed.
+export PYTHONPATH := src$(if $(PYTHONPATH),:$(PYTHONPATH))
 
 install:
 	pip install -e . --no-build-isolation
@@ -13,7 +16,7 @@ lint:
 # the call graph of src/, race/nondeterminism diagnostics on the parallel
 # and durable paths.  Writes the machine-readable report to RCODES.json.
 lint-concurrency:
-	PYTHONPATH=src python -m repro.cli check --concurrency src --json RCODES.json
+	python -m repro.cli check --concurrency src --json RCODES.json
 
 typecheck:
 	mypy src/repro
@@ -25,20 +28,20 @@ bench:
 # Writes machine-readable timings/speedups to BENCH_scoring.json and fails
 # if the sequential fast path is less than 3x the naive reference.
 bench-scoring:
-	PYTHONPATH=src python benchmarks/scoring_bench.py --quick --out BENCH_scoring.json
+	python benchmarks/scoring_bench.py --quick --out BENCH_scoring.json
 
 # Quick docstore benchmark: planned reads (index lookups/ranges, index
 # order, pipeline pushdown) vs forced full scans.  Writes timings/speedups
 # to BENCH_docstore.json and fails if indexed range finds or pushdown
 # aggregates are less than 5x the full-scan reference.
 bench-docstore:
-	PYTHONPATH=src python benchmarks/docstore_bench.py --quick --out BENCH_docstore.json
+	python benchmarks/docstore_bench.py --quick --out BENCH_docstore.json
 
 # Quick durability benchmark: WAL append throughput across fsync-batch
 # settings, commit cost and recovery (WAL replay vs snapshot load).
 # Writes machine-readable timings to BENCH_durability.json.
 bench-durability:
-	PYTHONPATH=src python benchmarks/durability_bench.py --quick --out BENCH_durability.json
+	python benchmarks/durability_bench.py --quick --out BENCH_durability.json
 
 # Quick duplicate-detection benchmark: the streaming/parallel pipeline
 # (packed pair keys, prepared record vectors, sharded scoring) vs the
@@ -47,7 +50,7 @@ bench-durability:
 # best parallel run is less than 5x the naive reference or any path is
 # not bit-identical.
 bench-dedup:
-	PYTHONPATH=src python benchmarks/dedup_bench.py --quick --out BENCH_dedup.json
+	python benchmarks/dedup_bench.py --quick --out BENCH_dedup.json
 
 # Quick LSH blocking benchmark: MinHash-LSH + TF-IDF cosine prefilter vs
 # multi-pass Sorted Neighborhood on a typo-heavy labeled workload at three
@@ -57,25 +60,16 @@ bench-dedup:
 # largest size, the pair budget exceeds 0.5x SNM, or any
 # (workers, shards) configuration is not bit-identical.
 bench-lsh:
-	PYTHONPATH=src python benchmarks/lsh_bench.py --quick --out BENCH_lsh.json
-
-# Quick sharding benchmark: single-shard routing vs scatter-gather vs the
-# unsharded baseline, plus concurrent snapshot readers against a
-# committing writer.  Writes timings to BENCH_shards.json; fails if point
-# routing misses parity with unsharded (≥1.0x after timer noise),
-# scatter-gather misses its gate (>1.5x on 2+ CPUs, parity on one CPU),
-# or readers stall/tear.
-bench-shards:
-	PYTHONPATH=src python benchmarks/shards_bench.py --quick --out BENCH_shards.json
+	python benchmarks/lsh_bench.py --quick --out BENCH_lsh.json
 
 # Quick hot-path benchmark: warm vs cold plan cache on repeated point
 # reads, lazy vs eager result materialization on scan-heavy reads, and
 # batched vs per-op durable inserts under fsync-every-record.  Writes
 # timings (with p50/p95 latencies) to BENCH_hotpath.json; fails if the
 # warm plan cache is <3x cold, lazy is <2x eager, batched insert_many is
-# <5x per-op, or any path is not bit-identical / nondeterministic.
+# <5x per-op, or any path is not bit-identical.
 bench-hotpath:
-	PYTHONPATH=src python benchmarks/hotpath_bench.py --quick --out BENCH_hotpath.json
+	python benchmarks/hotpath_bench.py --quick --out BENCH_hotpath.json
 
 # Quick robustness benchmark: the full fault-model sweep (crash, torn,
 # EIO, ENOSPC, partial fsync at every I/O op — zero silent corruption
@@ -83,17 +77,17 @@ bench-hotpath:
 # the WAL-compaction replay-time payoff.  Writes BENCH_robustness.json;
 # fails on any silently-wrong recovery or a compaction reduction < 3x.
 bench-robustness:
-	PYTHONPATH=src python benchmarks/robustness_bench.py --quick --out BENCH_robustness.json
+	python benchmarks/robustness_bench.py --quick --out BENCH_robustness.json
 
 # The crash-consistency suite: fault-injection sweeps over every I/O
 # operation plus the fault-tolerant parallel scoring tests.
 test-faults:
-	pytest tests/docstore/test_faults.py tests/docstore/test_wal.py tests/core/test_fault_tolerance.py tests/docstore/test_sharding.py
+	pytest tests/docstore/test_faults.py tests/docstore/test_wal.py tests/core/test_fault_tolerance.py tests/docstore/test_oracles.py
 
 # The chaos suite: everything test-faults runs plus the scrubber,
-# quarantine/degraded-read and repair tests.
+# quarantine and repair tests.
 test-chaos:
-	pytest tests/docstore/test_faults.py tests/docstore/test_wal.py tests/docstore/test_scrub.py tests/docstore/test_storage.py tests/core/test_fault_tolerance.py tests/docstore/test_sharding.py
+	pytest tests/docstore/test_faults.py tests/docstore/test_wal.py tests/docstore/test_scrub.py tests/docstore/test_storage.py tests/core/test_fault_tolerance.py tests/docstore/test_oracles.py
 
 # Run every example end to end (a few minutes total).
 examples:

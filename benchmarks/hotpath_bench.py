@@ -4,9 +4,9 @@ Measures the three layers of the docstore's hot-path engine (see
 ``docs/performance.md``, "Layer 6") against their own escape hatches, so
 every speedup is an apples-to-apples comparison on identical data:
 
-* ``plan_cache``      — repeated shard-key point ``find``\\ s with the
+* ``plan_cache``      — repeated ``ncid`` point ``find``\\ s with the
   per-collection plan cache on (warm: bound-plan replay) vs off (cold:
-  route + compile + price every query).  Gate: warm ≥3x cold.
+  compile + price every query).  Gate: warm ≥3x cold.
 * ``materialization`` — a scan-heavy range ``find`` under the default
   ``copy_mode="lazy"`` (copy-on-read ``DocumentView`` results) vs
   ``copy_mode="eager"`` (a full deep copy per returned document).
@@ -21,9 +21,7 @@ Every read workload is verified bit-identical against the
 ``docstore/_reference.py`` full-scan oracles and across its own two
 configurations — the benchmark aborts on any mismatch.  The durable
 stores are re-opened (WAL replay) and compared document-for-document.
-A :func:`repro.sanitizers.determinism_check` sweep over (workers, shards)
-= (1,1)/(2,4)/(4,8) guards the read results against layout-dependent
-output.  Per-query p50/p95 latencies accompany each timing.
+Per-query p50/p95 latencies accompany each timing.
 
 Usage::
 
@@ -46,7 +44,6 @@ from typing import Callable, Dict, List, Tuple
 
 from repro.docstore import Collection, DurableDatabase
 from repro.docstore._reference import find_full_scan
-from repro.sanitizers import DEFAULT_CONFIGS, determinism_check
 
 CITIES = ["asheville", "boone", "cary", "durham", "elkin", "fuquay", "garner"]
 
@@ -68,8 +65,8 @@ def make_documents(count: int, seed: int = 20210323) -> List[dict]:
     ]
 
 
-def build_collection(documents: List[dict], shards: int = 4) -> Collection:
-    collection = Collection("clusters", shards=shards)
+def build_collection(documents: List[dict]) -> Collection:
+    collection = Collection("clusters")
     collection.create_index("ncid", "hash")
     collection.create_index("meta.first_version", "sorted")
     collection.insert_many(dict(document) for document in documents)
@@ -123,7 +120,7 @@ def bench_plan_cache(
     def run() -> List[List[dict]]:
         return [collection.find(f) for _ in range(passes) for f in filters]
 
-    # Oracle check once per hot key, against the routed+planned read.
+    # Oracle check once per hot key, against the planned read.
     for filter_doc in filters:
         if collection.find(filter_doc) != find_full_scan(collection, filter_doc):
             raise SystemExit(f"FATAL: plan_cache results diverge for {filter_doc}")
@@ -134,7 +131,7 @@ def bench_plan_cache(
     cold_latency = _latencies([lambda f=f: collection.find(f) for f in filters])
 
     collection.plan_cache_enabled = True
-    warm_result = run()  # priming pass fills route/template/plan memos
+    warm_result = run()  # priming pass fills the template/plan memos
     if warm_result != cold_result:
         raise SystemExit("FATAL: warm plan-cache results diverge from cold")
     warm_seconds = _timed_best(run, repeats)
@@ -195,7 +192,7 @@ def bench_batched_commit(documents: List[dict], directory: Path) -> Dict:
 
     def load(target: Path, batched: bool) -> Tuple[float, List[float]]:
         database = DurableDatabase(target, fsync_batch=1)
-        collection = database.create_collection("clusters", shards=4)
+        collection = database.create_collection("clusters")
         latencies: List[float] = []
         start = time.perf_counter()
         if batched:
@@ -238,29 +235,6 @@ def bench_batched_commit(documents: List[dict], directory: Path) -> Dict:
     }
 
 
-# ----------------------------------------------------------- determinism
-
-
-def check_determinism(documents: List[dict]) -> Dict:
-    """Reads must not depend on shard layout or worker count."""
-
-    def compute(max_workers: int, shards: int) -> List:
-        collection = build_collection(documents, shards=shards)
-        return [
-            collection.find({"meta.first_version": {"$lte": 20}}),
-            collection.find({"ncid": documents[0]["ncid"]}),
-            collection.aggregate(
-                [{"$group": {"_id": "$city", "n": {"$sum": 1}}}]
-            ),
-        ]
-
-    report = determinism_check(compute, label="hotpath reads")
-    return {
-        "configs": [list(config) for config in report.configs],
-        "consistent": report.consistent,
-    }
-
-
 # ------------------------------------------------------------------ main
 
 
@@ -279,14 +253,12 @@ def run_benchmark(documents_count: int, passes: int, repeats: int) -> Dict:
         )
     finally:
         shutil.rmtree(directory, ignore_errors=True)
-    determinism = check_determinism(documents[: min(len(documents), 1000)])
 
     return {
         "benchmark": "docstore_hotpath",
         "verified_bit_identical": True,
         "workload": {
             "documents": documents_count,
-            "shards": 4,
             "indexes": [["ncid", "hash"], ["meta.first_version", "sorted"]],
         },
         "environment": {
@@ -298,7 +270,6 @@ def run_benchmark(documents_count: int, passes: int, repeats: int) -> Dict:
             "materialization": materialization,
             "batched_commit": batched,
         },
-        "determinism": determinism,
     }
 
 
@@ -324,11 +295,6 @@ def main(argv=None) -> int:
 
     for name, row in report["timings"].items():
         print(f"{name:>16}: {row['speedup']:.2f}x (gate ≥{GATES[name]:.0f}x)")
-    print(
-        "   determinism: "
-        + ("consistent" if report["determinism"]["consistent"] else "DIVERGED")
-        + f" across {DEFAULT_CONFIGS}"
-    )
     print(f"wrote {args.out}")
 
     failed = False
@@ -337,9 +303,6 @@ def main(argv=None) -> int:
         if speedup is None or speedup < floor:
             print(f"WARNING: {name} speedup {speedup:.2f}x below the {floor:.0f}x gate")
             failed = True
-    if not report["determinism"]["consistent"]:
-        print("WARNING: reads diverged across (workers, shards) configs")
-        failed = True
     return 1 if failed else 0
 
 

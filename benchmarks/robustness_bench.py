@@ -5,11 +5,11 @@ Exercises the storage robustness layer (``repro.faults``,
 
 * ``fault_sweep`` — every failure mode of the fault model (``crash``,
   ``torn``, ``eio``, ``enospc``, ``partial_fsync``) injected at every
-  filesystem operation of a sharded generate→commit→checkpoint workload.
+  filesystem operation of a three-collection commit→checkpoint workload.
   Each point must leave the store *recovered or quarantined, never
-  silently wrong*: the reopened (possibly degraded) state has to equal
-  the healthy-shard projection of a committed state.  Any other outcome
-  aborts the benchmark.
+  silently wrong*: the reopened store's healthy collections have to hold
+  exactly what they held in some committed state, and a damaged
+  collection has to be dark.  Any other outcome aborts the benchmark.
 * ``scrub`` — offline :func:`repro.docstore.scrub_database` throughput
   (documents and bytes per second) over a checkpointed register of
   ``--documents`` voter-shaped documents.
@@ -33,22 +33,17 @@ import shutil
 import sys
 import tempfile
 import time
-import warnings
 from pathlib import Path
-from typing import Dict, List, Optional, Sequence
+from typing import Dict, List, Optional, Sequence, Set
 
 from repro import faults
-from repro.docstore import (
-    DegradedReadWarning,
-    DurableDatabase,
-    scrub_database,
-    shard_key_shard,
-)
+from repro.docstore import DurableDatabase, scrub_database
 
 FAULT_MODES = ("crash", "torn", "eio", "enospc", "partial_fsync")
 
-#: Shard-key values covering every shard of the 3-way sweep workload.
+#: The sweep's six documents, dealt round-robin over three collections.
 _SWEEP_IDS = ("AA1", "AA2", "AA7", "AA3", "AA5", "AA9")
+_SWEEP_COLLECTIONS = ("docs0", "docs1", "docs2")
 
 
 def _document(n: int) -> dict:
@@ -66,19 +61,20 @@ def _document(n: int) -> dict:
 
 
 def _sweep_workload(directory: Path, mark=None) -> None:
-    database = DurableDatabase(directory, shards=3)
-    docs = database["docs"]
+    database = DurableDatabase(directory)
     for index, ncid in enumerate(_SWEEP_IDS):
-        docs.insert_one({"_id": ncid, "ncid": ncid, "n": index})
+        database[_SWEEP_COLLECTIONS[index % 3]].insert_one(
+            {"_id": ncid, "ncid": ncid, "n": index}
+        )
     database.commit()
     if mark:
         mark(database)
-    docs.update_one({"_id": "AA1"}, {"$set": {"n": 100}})
+    database["docs0"].update_one({"_id": "AA1"}, {"$set": {"n": 100}})
     database.checkpoint()
     if mark:
         mark(database)
-    docs.delete_many({"_id": "AA2"})
-    docs.insert_one({"_id": "BA1", "ncid": "BA1", "n": 7})
+    database["docs1"].delete_many({"_id": "AA2"})
+    database["docs2"].insert_one({"_id": "BA1", "ncid": "BA1", "n": 7})
     database.commit()
     if mark:
         mark(database)
@@ -86,27 +82,19 @@ def _sweep_workload(directory: Path, mark=None) -> None:
 
 
 def _doc_state(database) -> Dict[str, List[str]]:
-    state = {}
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore", DegradedReadWarning)
-        for name in database.collection_names():
-            state[name] = sorted(
-                json.dumps(doc, sort_keys=True)
-                for doc in database[name].all(allow_degraded=True)
-            )
-    return state
+    """Docs-only state of the healthy collections (dark ones left out)."""
+    return {
+        name: sorted(
+            json.dumps(doc, sort_keys=True) for doc in database[name].all()
+        )
+        for name in database.collection_names()
+        if not database[name].quarantined
+    }
 
 
-def _projection(state, quarantined, shards=3):
-    projected = {}
-    for name, blobs in state.items():
-        dark = quarantined.get(name, set())
-        projected[name] = [
-            blob for blob in blobs
-            if shard_key_shard(str(json.loads(blob).get("ncid")), shards)
-            not in dark
-        ]
-    return projected
+def _projection(state, quarantined: Set[str]):
+    """A committed state without the collections that went dark."""
+    return {name: blobs for name, blobs in state.items() if name not in quarantined}
 
 
 def bench_fault_sweep(directory: Path) -> Dict:
@@ -128,11 +116,11 @@ def bench_fault_sweep(directory: Path) -> Dict:
                     _sweep_workload(target)
                 except (faults.CrashError, OSError):
                     pass
-            reopened = DurableDatabase(target, shards=3)
+            reopened = DurableDatabase(target)
             quarantined = {
-                name: set(reopened[name].quarantined_shards)
+                name
                 for name in reopened.collection_names()
-                if reopened[name].quarantined_shards
+                if reopened[name].quarantined
             }
             actual = _doc_state(reopened)
             reopened.close(commit=False)
@@ -166,7 +154,7 @@ def bench_fault_sweep(directory: Path) -> Dict:
 
 def bench_scrub(directory: Path, documents: int) -> Dict:
     store = directory / "scrub-register"
-    database = DurableDatabase(store, shards=4)
+    database = DurableDatabase(store)
     collection = database.get_collection("clusters")
     for n in range(documents):
         collection.insert_one(_document(n))

@@ -13,11 +13,7 @@ the query still runs — whenever an index that exists can never serve it:
 * ``I404`` — a sort that cannot stream in index order (multi-field, or a
   single field with only a hash index);
 * ``I405`` — a pipeline ``$match`` over indexed paths positioned after a
-  non-pushdown stage, so it can never reach the planner;
-* ``I407`` — on a sharded collection, a query that scatters to every shard
-  even though it *mentions* a shard-key equality — either buried under
-  ``$or`` / ``$nor`` (only top-level and ``$and`` conjuncts route) or with
-  a non-string operand (only string shard-key values hash to a shard).
+  non-pushdown stage, so it can never reach the planner.
 
 ``Collection.explain()`` surfaces these hints alongside the chosen plan;
 the analyzer is also importable on its own for tooling (and through
@@ -26,7 +22,7 @@ the analyzer is also importable on its own for tooling (and through
 
 from __future__ import annotations
 
-from typing import Any, Dict, Iterable, List, Optional, Sequence, Set, Tuple
+from typing import Any, Dict, Iterable, List, Optional, Sequence, Set
 
 from repro.analysis.diagnostics import WARNING, Diagnostic
 from repro.analysis.registry import PUSHDOWN_STAGES
@@ -43,27 +39,14 @@ def analyze_index_usage(
     sort: Optional[Any] = None,
     pipeline: Optional[Sequence[dict]] = None,
     indexes: Iterable[dict] = (),
-    shard_key: Optional[str] = None,
-    shards: int = 1,
 ) -> List[Diagnostic]:
     """Warnings for query/pipeline shapes that cannot use existing indexes.
 
     ``indexes`` is an iterable of ``{"path": ..., "kind": ...}`` specs.  A
-    collection without indexes yields no index hints — there is nothing to
-    miss.  Pass the collection's ``shard_key``/``shards`` to additionally
-    get I407 scatter hints for sharded collections (these do not require
-    any index: routing is a property of the partition layout).
+    collection without indexes yields no hints — there is nothing to miss.
     """
     kinds = _index_kinds(indexes)
     diagnostics: List[Diagnostic] = []
-    if shard_key and shards > 1:
-        routed_filter = filter_doc
-        if routed_filter is None and pipeline:
-            head = pipeline[0] if pipeline else None
-            if isinstance(head, dict) and list(head) == ["$match"]:
-                routed_filter = head["$match"]
-        if isinstance(routed_filter, dict) and routed_filter:
-            _shard_hints(routed_filter, shard_key, shards, diagnostics)
     if not kinds:
         return diagnostics
     if filter_doc:
@@ -241,99 +224,6 @@ def _pipeline_hints(
                         "does not depend on computed fields",
                     )
                 )
-
-
-def _shard_hints(
-    filter_doc: dict,
-    shard_key: str,
-    shards: int,
-    out: List[Diagnostic],
-) -> None:
-    """I407: the query scatters although it mentions a shard-key equality."""
-    from repro.docstore.planner import route_shards
-
-    if route_shards(shard_key, shards, filter_doc) is not None:
-        return  # single-shard (or provably empty) routing — nothing to flag
-    mismatched, buried = _shard_key_equalities(filter_doc, shard_key)
-    for where, operand in mismatched:
-        out.append(
-            Diagnostic(
-                "I407",
-                WARNING,
-                where,
-                f"equality on shard key {shard_key!r} has a non-string "
-                f"operand ({type(operand).__name__}); only string values "
-                f"route, so the query scatters to all {shards} shards",
-                hint=f"store and query {shard_key!r} as a string to enable "
-                "single-shard routing",
-            )
-        )
-    for where in buried:
-        out.append(
-            Diagnostic(
-                "I407",
-                WARNING,
-                where,
-                f"equality on shard key {shard_key!r} is buried under a "
-                f"disjunction; only top-level and $and conjuncts route, so "
-                f"the query scatters to all {shards} shards",
-                hint=f"lift the {shard_key!r} condition out of the "
-                "disjunction (to the top level or an $and branch) to "
-                "enable single-shard routing",
-            )
-        )
-
-
-def _shard_key_equalities(
-    filter_doc: Any, shard_key: str, where: str = "$", in_disjunction: bool = False
-) -> Tuple[List[Tuple[str, Any]], List[str]]:
-    """Shard-key equalities that cannot route: (type mismatches, buried).
-
-    ``mismatched`` lists conjunct-position equalities whose operand is not
-    a string (or an ``$in`` with a non-string element); ``buried`` lists
-    the locations of shard-key equalities only reachable through ``$or`` /
-    ``$nor`` branches.
-    """
-    mismatched: List[Tuple[str, Any]] = []
-    buried: List[str] = []
-    if not isinstance(filter_doc, dict):
-        return mismatched, buried
-    for key, condition in filter_doc.items():
-        if key == "$and" and isinstance(condition, list):
-            for position, branch in enumerate(condition):
-                sub_mismatched, sub_buried = _shard_key_equalities(
-                    branch, shard_key, f"{where}.$and[{position}]", in_disjunction
-                )
-                mismatched.extend(sub_mismatched)
-                buried.extend(sub_buried)
-        elif key in ("$or", "$nor") and isinstance(condition, list):
-            for position, branch in enumerate(condition):
-                sub_mismatched, sub_buried = _shard_key_equalities(
-                    branch, shard_key, f"{where}.{key}[{position}]", True
-                )
-                # Inside a disjunction the burial is the problem; operand
-                # types are secondary, so everything reports as buried.
-                buried.extend(location for location, _ in sub_mismatched)
-                buried.extend(sub_buried)
-        elif key == shard_key:
-            operands: List[Any] = []
-            if _is_operator_doc(condition):
-                for op, operand in condition.items():
-                    if op == "$eq":
-                        operands.append(operand)
-                    elif op == "$in" and isinstance(operand, (list, tuple)):
-                        operands.extend(operand)
-            else:
-                operands.append(condition)
-            if not operands:
-                continue
-            if in_disjunction:
-                buried.append(f"{where}.{key}")
-            else:
-                bad = [value for value in operands if not isinstance(value, str)]
-                if bad:
-                    mismatched.append((f"{where}.{key}", bad[0]))
-    return mismatched, buried
 
 
 def _referenced_paths(filter_doc: Any) -> Set[str]:

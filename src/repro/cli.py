@@ -26,8 +26,10 @@ distinct value pairs, sharded pair scoring — bit-identical to
 ``evaluate`` at any worker count); ``recover`` replays a durable store's
 write-ahead logs and reports what crash recovery had to repair; ``scrub``
 verifies the store's on-disk integrity (WAL CRC frames, snapshot
-checksums, sequence continuity) without modifying it and, with
-``--repair``, salvages damaged files and lifts any quarantine.
+checksums, commit-epoch coverage) without modifying it and, with
+``--repair``, salvages damaged files and lifts any quarantine.  Every
+command that meets a quarantined collection names it, says why it went
+dark and exits 1.
 """
 
 from __future__ import annotations
@@ -42,7 +44,7 @@ from repro.core import RemovalLevel, TestDataGenerator, customize
 from repro.core.heterogeneity import HeterogeneityScorer
 from repro.core.statistics import snapshot_year_stats
 from repro.core.versioning import UpdateProcess
-from repro.docstore import Database
+from repro.docstore import Database, QuarantineError
 from repro.votersim import (
     SimulationConfig,
     VoterRegisterSimulator,
@@ -137,13 +139,7 @@ def _cmd_generate(args: argparse.Namespace) -> int:
 
 
 def _cmd_stats(args: argparse.Namespace) -> int:
-    import warnings
-
-    from repro.docstore import (
-        DegradedReadError,
-        DegradedReadWarning,
-        StorageCorruptError,
-    )
+    from repro.docstore import StorageCorruptError
 
     try:
         database = Database.load(Path(args.store))
@@ -164,17 +160,7 @@ def _cmd_stats(args: argparse.Namespace) -> int:
             }
         },
     ]
-    try:
-        result = clusters.aggregate(pipeline)
-    except DegradedReadError as exc:
-        # A quarantined shard darkens part of the store; report what the
-        # healthy shards hold rather than nothing, and say so loudly.
-        print(f"WARNING: store is degraded ({exc})")
-        print("statistics below cover the healthy shards only; run "
-              "'scrub --repair' to salvage and lift the quarantine")
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore", DegradedReadWarning)
-            result = clusters.aggregate(pipeline, allow_degraded=True)
+    result = clusters.aggregate(pipeline)
     if not result:
         print("store is empty")
         return 1
@@ -206,12 +192,12 @@ def _cmd_stats(args: argparse.Namespace) -> int:
         print()
         print(render_year_stats(snapshot_year_stats(rows)))
     if args.layout:
-        from repro.report import render_resilience, render_shard_stats
+        from repro.report import render_collection_stats, render_resilience
 
         stats = database.stats()
         print()
         print("storage layout:")
-        print(render_shard_stats(stats))
+        print(render_collection_stats(stats))
         print()
         print("resilience:")
         print(render_resilience(stats))
@@ -683,18 +669,15 @@ def _cmd_check(args: argparse.Namespace) -> int:
     if args.customize:
         diagnostics.extend(analyze_customization(_load_spec(args.customize)))
     if collection is not None and (filter_doc is not None or pipeline is not None):
-        # Against a real store we also know the indexes and shard layout,
-        # so index-usage (I4xx) and shard-routing (I407) hints apply.
+        # Against a real store we also know the indexes, so index-usage
+        # (I4xx) hints apply.
         from repro.analysis import analyze_index_usage
 
-        nshards = getattr(collection, "nshards", 1)
         diagnostics.extend(
             analyze_index_usage(
                 filter_doc,
                 pipeline=pipeline if isinstance(pipeline, list) else None,
                 indexes=collection.index_specs(),
-                shard_key=collection.shard_key if nshards > 1 else None,
-                shards=nshards,
             )
         )
 
@@ -787,8 +770,8 @@ def build_parser() -> argparse.ArgumentParser:
     stats.add_argument("--store", required=True)
     stats.add_argument(
         "--layout", action="store_true",
-        help="also print the storage layout: per-collection shard counts, "
-        "per-shard document counts and balance factor",
+        help="also print the storage layout (per-collection document "
+        "counts, indexes and quarantine state) and resilience counters",
     )
     stats.set_defaults(func=_cmd_stats)
 
@@ -950,8 +933,8 @@ def build_parser() -> argparse.ArgumentParser:
         "scrub",
         help="verify a store's on-disk integrity without modifying it",
         description="Walk a store directory and verify write-ahead-log "
-        "CRC frames, snapshot checksums against the manifest, commit-epoch "
-        "coverage and cross-partition sequence continuity.  Exits 0 when "
+        "CRC frames, snapshot checksums against the manifest and commit-epoch "
+        "coverage.  Exits 0 when "
         "the store is clean, 2 when it is degraded or only has repairable "
         "findings, 1 when it holds unrecoverable damage.",
     )
@@ -978,7 +961,14 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     """CLI entry point; returns the process exit code."""
     parser = build_parser()
     args = parser.parse_args(argv)
-    return args.func(args)
+    try:
+        return args.func(args)
+    except QuarantineError as exc:
+        store = getattr(args, "store", None) or "<store>"
+        print(f"collection {exc.collection!r} is quarantined: {exc.reason}")
+        print(f"run 'scrub --store {store} --repair' to salvage it and lift "
+              "the quarantine")
+        return 1
 
 
 if __name__ == "__main__":  # pragma: no cover

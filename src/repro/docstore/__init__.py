@@ -14,10 +14,8 @@ capabilities the pipeline relies on:
   $sort/$limit/...`` pipelines for filtering, transformation, grouping and
   sorting.
 
-Collections can be hash-partitioned into N shards keyed by a per-collection
-shard key (default ``ncid``): point queries on the shard key route to a
-single partition, everything else scatter-gathers with bit-identical
-results, and readers see snapshot-isolated epochs published atomically at
+Each collection is one partition: a document map, an ``_id`` map and its
+indexes.  Readers see snapshot-isolated epochs published atomically at
 ``commit()``.  See ``docs/data-model.md``.
 
 Persistence is line-delimited JSON per collection plus a database manifest,
@@ -32,12 +30,11 @@ from __future__ import annotations
 
 from repro.docstore.collection import Collection, CollectionSnapshot
 from repro.docstore.database import Database, DatabaseReadView, DurableDatabase
-from repro.docstore.partition import Partition, fallback_shard, shard_key_shard
+from repro.docstore.partition import Partition
 from repro.docstore.documents import get_path, set_path, unset_path
 from repro.docstore.errors import (
     CollectionNotFound,
     DegradedReadError,
-    DegradedReadWarning,
     DegradedWriteError,
     DocStoreError,
     DuplicateKeyError,
@@ -63,8 +60,6 @@ __all__ = [
     "Collection",
     "CollectionSnapshot",
     "Partition",
-    "shard_key_shard",
-    "fallback_shard",
     "DocStoreError",
     "DuplicateKeyError",
     "QueryError",
@@ -73,7 +68,6 @@ __all__ = [
     "QuarantineError",
     "DegradedReadError",
     "DegradedWriteError",
-    "DegradedReadWarning",
     "RecoveryReport",
     "ScrubFinding",
     "ScrubReport",

@@ -1,21 +1,15 @@
 """Collections: CRUD, indexes and aggregation over documents.
 
-Storage is partitioned: a collection owns N hash shards
-(:class:`~repro.docstore.partition.Partition`), each with its own document
-map, ``_id`` map and secondary indexes.  ``shards=1`` (the default) is the
-classic single-dict store; sharded collections place documents by the
-collection's ``shard_key`` (``ncid`` by default — string values hash to a
-shard, everything else falls back to an ``_id`` hash) and reads route:
-a filter that pins the shard key touches one shard, anything else
-scatter-gathers with k-way merges that reproduce the unsharded order
-bit-for-bit (:mod:`repro.docstore.planner`).
+A collection stores its documents in one
+:class:`~repro.docstore.partition.Partition`: a document map, an ``_id``
+map and the secondary indexes, with copy-on-write epochs for
+snapshot-isolated readers (:meth:`Collection.snapshot`).  Reads are planned
+by :mod:`repro.docstore.planner`.
 """
 
 from __future__ import annotations
 
-import heapq
 import itertools
-import warnings
 from typing import Any, Dict, Iterable, Iterator, List, Optional, Tuple
 
 from repro.docstore.aggregation import run_pipeline
@@ -28,25 +22,19 @@ from repro.docstore.documents import (
 )
 from repro.docstore.errors import (
     DegradedReadError,
-    DegradedReadWarning,
     DegradedWriteError,
     DuplicateKeyError,
     QueryError,
 )
 from repro.docstore.indexes import HashIndex, build_index
-from repro.docstore.matching import compile_filter
-from repro.docstore.partition import Partition, fallback_shard, shard_key_shard
+from repro.docstore.partition import Partition
 from repro.docstore.plancache import PlanCache
 from repro.docstore.planner import (
-    count_sharded,
-    execute_partial_group,
-    execute_sharded_find,
+    Plan,
+    count_matching,
+    execute_find,
     iter_matching_ids,
-    iter_sharded_matching,
-    partial_group_spec,
     plan_read,
-    plan_states,
-    route_shards,
     split_pushdown,
 )
 from repro.docstore.views import lazy_document, wrap_value
@@ -76,10 +64,6 @@ class Collection:
     :class:`QueryError` — with did-you-mean hints — before a single document
     is scanned.  Attach a :class:`repro.analysis.SchemaPaths` via ``schema``
     to additionally validate dotted field paths in strict mode.
-
-    ``shards``/``shard_key`` select the partition layout (see the module
-    docstring); scatter-gather reads scan the partitions on the calling
-    thread and k-way merge the results.
     """
 
     def __init__(
@@ -87,12 +71,8 @@ class Collection:
         name: str,
         analysis_mode: str = "lax",
         schema: Optional[Any] = None,
-        shards: int = 1,
-        shard_key: str = "ncid",
         copy_mode: str = "lazy",
     ) -> None:
-        if shards < 1:
-            raise QueryError(f"shards must be >= 1, got {shards}")
         if copy_mode not in _COPY_MODES:
             raise QueryError(
                 f"copy_mode must be one of {_COPY_MODES}, got {copy_mode!r}"
@@ -101,7 +81,6 @@ class Collection:
         self.analysis_mode = analysis_mode
         #: Optional ``repro.analysis.SchemaPaths`` for field-path validation.
         self.schema = schema
-        self.shard_key = shard_key
         #: ``"lazy"`` = copy-on-read document views, ``"eager"`` = deep copies.
         self.copy_mode = copy_mode
         #: Monotonic write counter: every mutation (and index build) bumps
@@ -111,84 +90,45 @@ class Collection:
         self._plan_cache = PlanCache()
         #: Escape hatch (and benchmark knob): ``False`` forces cold planning.
         self.plan_cache_enabled = True
-        self._partitions: List[Partition] = [Partition() for _ in range(shards)]
-        #: The last committed epoch as ONE tuple, reassigned atomically at
-        #: the end of :meth:`_publish`.  Snapshots read this single
-        #: attribute instead of walking ``partition.published`` one shard
-        #: at a time, so a snapshot taken while a commit is publishing
-        #: sees the whole old epoch or the whole new one — never a mix.
-        self._published_states: Tuple[Any, ...] = tuple(
-            partition.published for partition in self._partitions
-        )
+        self._partition = Partition()
         self._next_internal_id = itertools.count(1)
-        #: Sticky count of placements that saw a *list* shard-key value.
-        #: Any such document disables shard-key routing permanently (it
-        #: matches string equalities but is fallback-placed), which keeps
-        #: routing sound for snapshots taken at any epoch.
-        self._shard_key_lists = 0
-        #: Highest committed WAL sequence number replayed into this
-        #: collection (set by recovery; journaling resumes after it).
-        self._replayed_seq = 0
-        #: Partition indices recovery took dark (corrupt WAL/snapshot).
-        #: Reads touching them raise :class:`DegradedReadError` (or skip
-        #: them under ``allow_degraded=True``); writes are refused.  Their
-        #: partitions are emptied, so ``len``/iteration see healthy shards.
-        self._quarantined: set = set()
-        #: Reads that opted into degraded results (resilience counter).
-        self._degraded_reads = 0
-        #: Write-ahead-log hook ``(op, payload, partition) -> None`` set by
+        #: Why recovery took the collection dark (a corrupt WAL or
+        #: snapshot), or ``None`` while it is healthy.  Reads of a dark
+        #: collection raise :class:`DegradedReadError`, writes
+        #: :class:`DegradedWriteError`.
+        self._quarantine: Optional[str] = None
+        #: Write-ahead-log hook ``(op, payload) -> None`` set by
         #: :class:`~repro.docstore.database.DurableDatabase`; ``None`` keeps
         #: the collection purely in-memory.  Called *after* the in-memory
         #: write succeeds and serializes immediately.  Inserts and replaces
         #: journal the whole document; an update journals only the
         #: post-states of the paths it wrote (see :class:`PathCopy`).
         self._journal: Optional[Any] = None
-        #: Batched journal hook ``(op, [(partition, payload), ...]) -> None``
-        #: set alongside ``_journal``; one WAL write + one fsync per batch.
+        #: Batched journal hook ``(op, [payload, ...]) -> None`` set
+        #: alongside ``_journal``; one WAL write + one fsync per batch.
         #: Falls back to per-op ``_journal`` calls when unset.
         self._journal_many: Optional[Any] = None
 
-    # ------------------------------------------------------------ partitions
-
-    @property
-    def nshards(self) -> int:
-        """Number of hash partitions (1 = unsharded)."""
-        return len(self._partitions)
+    # --------------------------------------------------------------- storage
 
     @property
     def _documents(self) -> Dict[int, dict]:
-        """The live document map (merged across shards when sharded).
-
-        For ``shards=1`` this is *the* partition's map (same object the
-        planner mutates against); sharded collections return a merged copy
-        — used only by oracles and tests, never on a hot path.
-        """
-        if len(self._partitions) == 1:
-            return self._partitions[0].live._documents
-        merged: Dict[int, dict] = {}
-        for partition in self._partitions:
-            merged.update(partition.live._documents)
-        return merged
+        """The live document map (the planner reads it by this name)."""
+        return self._partition.live._documents
 
     @property
     def _by_user_id(self) -> Dict[Any, int]:
-        if len(self._partitions) == 1:
-            return self._partitions[0].live._by_user_id
-        merged: Dict[Any, int] = {}
-        for partition in self._partitions:
-            merged.update(partition.live._by_user_id)
-        return merged
+        return self._partition.live._by_user_id
 
     @property
     def _indexes(self) -> Dict[str, Any]:
-        """Partition 0's live indexes (every partition has the same specs)."""
-        return self._partitions[0].live._indexes
+        return self._partition.live._indexes
 
     @_indexes.setter
     def _indexes(self, value: Dict[str, Any]) -> None:
-        # Test hook (index spies et al.); only meaningful for shards=1.
+        # Test hook (index spies et al.).
         self._bump_epoch()
-        self._partitions[0].writable()._indexes = value
+        self._partition.writable()._indexes = value
 
     def _bump_epoch(self) -> None:
         """Invalidate epoch-scoped plan-cache entries (called before writes)."""
@@ -204,163 +144,67 @@ class Collection:
         """Extracted-value materializer for the current copy mode."""
         return deep_copy if self.copy_mode == "eager" else wrap_value
 
-    def _placement(self, stored: dict) -> int:
-        """Partition index a stored document belongs to."""
-        shards = len(self._partitions)
-        if shards == 1:
-            return 0
-        value = get_path(stored, self.shard_key, default=None)
-        if isinstance(value, list):
-            self._shard_key_lists += 1
-            value = None
-        if isinstance(value, str):
-            return shard_key_shard(value, shards)
-        return fallback_shard(_freeze_id(stored.get("_id")), shards)
-
-    def _route(self, filter_doc: Optional[dict]) -> List[int]:
-        """Partition indices a filter must touch (in index order)."""
-        shards = len(self._partitions)
-        if shards == 1:
-            return [0]
-        if self._shard_key_lists:
-            return list(range(shards))
-        routed = route_shards(self.shard_key, shards, filter_doc)
-        return list(range(shards)) if routed is None else routed
-
-    def _plan_routed(
+    def _plan(
         self,
         filter_doc: Optional[dict],
         sort: Optional[List[tuple]] = None,
-    ) -> Tuple[List[Any], List[Any]]:
-        """Route, then plan the read per touched partition state.
+    ) -> Plan:
+        """Plan a read of the live state.
 
         Served from the per-collection plan cache when enabled: an exactly
-        repeated query replays its routed indices and bound plans, a new
-        query of a known shape skips option pricing, and any write since
-        the last lookup invalidates both (epoch check).
+        repeated query replays its bound plan, a new query of a known shape
+        skips option pricing, and any write since the last lookup
+        invalidates both (epoch check).
         """
         if self.plan_cache_enabled:
-            return self._plan_cache.routed_plans(self, filter_doc, sort)
-        states = [self._partitions[i].live for i in self._route(filter_doc)]
-        if not states and filter_doc:
-            compile_filter(filter_doc)  # malformed filters raise as usual
-        return states, plan_states(states, filter_doc, sort)
+            return self._plan_cache.plan(self, filter_doc, sort)
+        return plan_read(self._partition.live, filter_doc, sort)
 
     # ------------------------------------------------------------ quarantine
 
     @property
-    def quarantined_shards(self) -> List[int]:
-        """Partition indices currently quarantined (empty when healthy)."""
-        return sorted(self._quarantined)
+    def quarantined(self) -> bool:
+        """Whether recovery took this collection dark (lifted by ``repair()``)."""
+        return self._quarantine is not None
 
-    def _quarantine_shards(self, indices: Iterable[int]) -> None:
-        """Take shards dark: swap in empty partitions with fresh indexes.
+    def _take_dark(self, reason: str) -> None:
+        """Quarantine the collection: swap in an empty, freshly indexed partition.
 
         Called by recovery *after* replay.  The partition is replaced, not
-        merely flagged, so documents a stale snapshot loaded into the dark
-        shard can never be served as live data — the authoritative copy is
-        whatever sits in the quarantine directory until ``repair()``.
+        merely flagged, so documents a stale snapshot loaded can never be
+        served as live data — the authoritative copy is whatever sits in
+        the quarantine directory until ``repair()``.
         """
         specs = self.index_specs()
         self._bump_epoch()
-        for index in indices:
-            partition = Partition()
-            state = partition.live
-            for spec in specs:
-                built = build_index(spec["kind"], spec["path"])
-                built.flush()
-                state._indexes[f"{spec['path']}_{spec['kind']}"] = built
-            self._partitions[index] = partition
-            self._quarantined.add(index)
-        # Re-pin the published epoch so snapshots can never resurrect the
-        # dark shards' stale states (healthy entries are unchanged).
-        self._published_states = tuple(
-            partition.published for partition in self._partitions
-        )
+        partition = Partition()
+        for spec in specs:
+            built = build_index(spec["kind"], spec["path"])
+            built.flush()
+            partition.live._indexes[f"{spec['path']}_{spec['kind']}"] = built
+        self._partition = partition
+        self._quarantine = reason
 
-    def _healthy_route(
-        self,
-        filter_doc: Optional[dict],
-        *,
-        allow_degraded: bool = False,
-        op: str = "read",
-        write: bool = False,
-    ) -> List[int]:
-        """Route, then enforce the quarantine policy on the touched shards.
-
-        Healthy collections (the overwhelmingly common case) route as
-        usual.  When the routing of a degraded collection touches a
-        quarantined shard: writes raise :class:`DegradedWriteError`, reads
-        raise :class:`DegradedReadError` unless ``allow_degraded`` — which
-        instead warns (:class:`DegradedReadWarning`) and returns the
-        healthy subset.
-        """
-        indices = self._route(filter_doc)
-        if not self._quarantined:
-            return indices
-        touched = [index for index in indices if index in self._quarantined]
-        if not touched:
-            return indices
+    def _check_healthy(self, op: str, write: bool = False) -> None:
+        """Raise the typed quarantine error when the collection is dark."""
+        if self._quarantine is None:
+            return
         if write:
-            raise DegradedWriteError(self.name, touched, op)
-        if not allow_degraded:
-            raise DegradedReadError(self.name, touched, op)
-        warnings.warn(
-            DegradedReadWarning(
-                f"{op} on collection {self.name!r} skipped quarantined "
-                f"shard(s) {sorted(touched)}; results cover healthy shards only"
-            ),
-            stacklevel=3,
-        )
-        self._degraded_reads += 1
-        return [index for index in indices if index not in self._quarantined]
-
-    def _plan_healthy(
-        self,
-        filter_doc: Optional[dict],
-        sort: Optional[List[tuple]] = None,
-        *,
-        allow_degraded: bool = False,
-        op: str = "read",
-    ) -> Tuple[List[Any], List[Any]]:
-        """:meth:`_plan_routed` with the quarantine policy applied.
-
-        Degraded collections bypass the plan cache entirely: its memoized
-        shard routes survive epoch bumps by design and know nothing about
-        quarantine, so a cached scatter route could silently read a dark
-        shard's (empty) partition without raising.
-        """
-        if not self._quarantined:
-            return self._plan_routed(filter_doc, sort)
-        indices = self._healthy_route(
-            filter_doc, allow_degraded=allow_degraded, op=op
-        )
-        states = [self._partitions[i].live for i in indices]
-        if not states and filter_doc:
-            compile_filter(filter_doc)
-        return states, plan_states(states, filter_doc, sort)
+            raise DegradedWriteError(self.name, op, self._quarantine)
+        raise DegradedReadError(self.name, op, self._quarantine)
 
     def snapshot(self) -> "CollectionSnapshot":
         """A consistent read-only view of the last published epoch.
 
-        The view pins every partition's ``published`` state: a concurrent
-        writer copies before mutating (copy-on-write), so the snapshot's
-        results never change — even while a commit publishes a new epoch.
+        The view pins the ``published`` state: a concurrent writer copies
+        before mutating (copy-on-write), so the snapshot's results never
+        change — even while a commit publishes a new epoch.
         """
         return CollectionSnapshot(self)
 
     def _publish(self) -> None:
-        """Publish the live state of every partition (commit barrier).
-
-        Per-partition publication (index flushes included) happens first;
-        the final tuple assignment is the single atomic step that makes
-        the new epoch visible to :meth:`snapshot`.
-        """
-        for partition in self._partitions:
-            partition.publish()
-        self._published_states = tuple(
-            partition.published for partition in self._partitions
-        )
+        """Publish the live state (commit barrier); see :meth:`Partition.publish`."""
+        self._partition.publish()
 
     # ------------------------------------------------------------------ CRUD
 
@@ -372,43 +216,40 @@ class Collection:
 
     def _insert_owned(self, stored: dict) -> Any:
         """Insert ``stored`` itself, uncopied (recovery hands over parsed docs)."""
+        self._check_healthy("insert", write=True)
         self._bump_epoch()
         internal_id = next(self._next_internal_id)
         if "_id" not in stored:
             stored["_id"] = internal_id
         user_id = _freeze_id(stored["_id"])
-        for partition in self._partitions:
-            if user_id in partition.live._by_user_id:
-                raise DuplicateKeyError(
-                    f"duplicate _id {stored['_id']!r} in collection {self.name!r}"
-                )
-        target = self._placement(stored)
-        if target in self._quarantined:
-            raise DegradedWriteError(self.name, [target], "insert")
-        partition = self._partitions[target]
-        state = partition.writable()
+        if user_id in self._partition.live._by_user_id:
+            raise DuplicateKeyError(
+                f"duplicate _id {stored['_id']!r} in collection {self.name!r}"
+            )
+        state = self._partition.writable()
         state._documents[internal_id] = stored
         state._by_user_id[user_id] = internal_id
         for index in state._indexes.values():
             index.add(internal_id, stored)
             index.flush()
-        self._log("insert", {"doc": stored}, target)
+        self._log("insert", {"doc": stored})
         return stored["_id"]
 
     def insert_many(self, documents: Iterable[dict]) -> List[Any]:
         """Insert every document; returns the list of assigned ``_id``s.
 
-        Bulk path: documents are validated, placed and id-assigned in
-        order, then applied per partition in one pass (one copy-on-write
-        clone per partition, one index delta per document, one batched
-        journal append per partition instead of one WAL write + fsync per
-        op).  Error semantics match the per-op loop exactly: on the first
-        invalid document the already-validated prefix is inserted and
-        journaled, then the error raises.
+        Bulk path: documents are validated and id-assigned in order, then
+        applied in one pass (one copy-on-write clone, one index delta per
+        document, one batched journal append instead of one WAL write +
+        fsync per op).  Error semantics match the per-op loop exactly: on
+        the first invalid document the already-validated prefix is
+        inserted and journaled, then the error raises.
         """
+        self._check_healthy("insert", write=True)
         self._bump_epoch()
         assigned: List[Any] = []
-        staged: List[Tuple[int, dict, int]] = []  # (partition, stored, iid)
+        staged: List[Tuple[dict, int]] = []  # (stored, internal id)
+        stored_ids = self._partition.live._by_user_id
         batch_user_ids: set = set()
         error: Optional[Exception] = None
         for document in documents:
@@ -422,47 +263,31 @@ class Collection:
             if "_id" not in stored:
                 stored["_id"] = internal_id
             user_id = _freeze_id(stored["_id"])
-            duplicate = user_id in batch_user_ids or any(
-                user_id in partition.live._by_user_id
-                for partition in self._partitions
-            )
-            if duplicate:
+            if user_id in batch_user_ids or user_id in stored_ids:
                 error = DuplicateKeyError(
                     f"duplicate _id {stored['_id']!r} in collection {self.name!r}"
                 )
                 break
             batch_user_ids.add(user_id)
-            target = self._placement(stored)
-            if target in self._quarantined:
-                error = DegradedWriteError(self.name, [target], "insert")
-                break
-            staged.append((target, stored, internal_id))
+            staged.append((stored, internal_id))
             assigned.append(stored["_id"])
 
-        touched: Dict[int, Any] = {}
-        for target, stored, internal_id in staged:
-            state = touched.get(target)
-            if state is None:
-                state = touched[target] = self._partitions[target].writable()
-            state._documents[internal_id] = stored
-            state._by_user_id[_freeze_id(stored["_id"])] = internal_id
-            for index in state._indexes.values():
-                index.add(internal_id, stored)
-        # One sorted-run merge per touched partition for the whole batch;
-        # flushing here (not on first read) keeps shared-state reads
-        # logically read-only, so concurrent ``find``s never race.
-        for state in touched.values():
+        if staged:
+            state = self._partition.writable()
+            for stored, internal_id in staged:
+                state._documents[internal_id] = stored
+                state._by_user_id[_freeze_id(stored["_id"])] = internal_id
+                for index in state._indexes.values():
+                    index.add(internal_id, stored)
+            # One sorted-run merge for the whole batch; flushing here (not
+            # on first read) keeps shared-state reads logically read-only,
+            # so concurrent ``find``s never race.
             for index in state._indexes.values():
                 index.flush()
-        if staged:
-            self._log_many(
-                "insert",
-                [(target, {"doc": stored}) for target, stored, _ in staged],
-            )
+            self._log_many("insert", [{"doc": stored} for stored, _ in staged])
         if error is not None:
-            # Always a QueryError, DuplicateKeyError or DegradedWriteError
-            # staged above; raised here so the validated prefix lands first
-            # (per-op parity).
+            # Always a QueryError or DuplicateKeyError staged above; raised
+            # here so the validated prefix lands first (per-op parity).
             raise error  # repro: ignore[L004]
         return assigned
 
@@ -473,8 +298,6 @@ class Collection:
         sort: Optional[List[tuple]] = None,
         limit: Optional[int] = None,
         skip: int = 0,
-        *,
-        allow_degraded: bool = False,
     ) -> List[dict]:
         """Return matching documents (deep copies), optionally projected.
 
@@ -482,23 +305,15 @@ class Collection:
         range conditions resolve through hash/sorted indexes, a
         single-field ``sort`` matching a sorted index streams in index
         order with no sorting, and only the returned ``skip``/``limit``
-        window is ever deep-copied.  On a sharded collection a filter
-        pinning the shard key routes to a single partition; anything else
-        scatter-gathers with an order-preserving k-way merge.
-
-        On a degraded (partially quarantined) collection a query whose
-        routing touches a dark shard raises :class:`DegradedReadError`;
-        ``allow_degraded=True`` instead returns the healthy shards'
-        results with a :class:`DegradedReadWarning`.
+        window is ever deep-copied.
         """
         self._check_filter(filter_doc)
-        states, plans = self._plan_healthy(
-            filter_doc, sort, allow_degraded=allow_degraded, op="find"
-        )
+        self._check_healthy("find")
+        state = self._partition.live
         results = list(
-            execute_sharded_find(
-                states,
-                plans,
+            execute_find(
+                state,
+                self._plan(filter_doc, sort),
                 skip=skip,
                 limit=limit,
                 materialize=self._materialize,
@@ -508,84 +323,45 @@ class Collection:
             results = list(run_pipeline(results, [{"$project": projection}]))
         return results
 
-    def distinct(
-        self,
-        path: str,
-        filter_doc: Optional[dict] = None,
-        *,
-        allow_degraded: bool = False,
-    ) -> List[Any]:
+    def distinct(self, path: str, filter_doc: Optional[dict] = None) -> List[Any]:
         """Distinct values of ``path`` over matching documents.
 
         Array values are expanded element-wise (MongoDB semantics); the
-        result is sorted by ``repr`` for determinism.  Without a filter,
-        hash indexes on ``path`` whose keys are all strings answer straight
-        from the indexes, never touching a document.
+        result is sorted by ``repr`` for determinism.  Without a filter, a
+        hash index on ``path`` whose keys are all strings answers straight
+        from the index, never touching a document.
         """
         self._check_filter(filter_doc)
-        indices = self._healthy_route(
-            filter_doc, allow_degraded=allow_degraded, op="distinct"
-        )
+        self._check_healthy("distinct")
         if not filter_doc:
-            indexes = [
-                self._partitions[i].live._indexes.get(f"{path}_hash")
-                for i in indices
-            ]
-            if all(isinstance(index, HashIndex) for index in indexes):
-                keys = [key for index in indexes for key in index.keys()]
+            index = self._partition.live._indexes.get(f"{path}_hash")
+            if isinstance(index, HashIndex):
+                keys = list(index.keys())
                 if all(key is None or isinstance(key, str) for key in keys):
                     seen = {repr(key): key for key in keys if key is not None}
                     return [seen[key] for key in sorted(seen)]
-        seen = {}
-        copy_value = self._copy_value
-        for document in self._scan(filter_doc, indices=indices):
-            value = get_path(document, path, default=None)
-            values = value if isinstance(value, list) else [value]
-            for element in values:
-                if element is not None:
-                    seen.setdefault(repr(element), element)
-        return [copy_value(seen[key]) for key in sorted(seen)]
+        return _distinct_values(self._scan(filter_doc, "distinct"), path, self._copy_value)
 
-    def find_one(
-        self,
-        filter_doc: Optional[dict] = None,
-        *,
-        allow_degraded: bool = False,
-    ) -> Optional[dict]:
+    def find_one(self, filter_doc: Optional[dict] = None) -> Optional[dict]:
         """Return the first matching document or ``None``."""
         materialize = self._materialize
-        for document in self._scan(
-            filter_doc, allow_degraded=allow_degraded, op="find_one"
-        ):
+        for document in self._scan(filter_doc, "find_one"):
             return materialize(document)
         return None
 
-    def count_documents(
-        self,
-        filter_doc: Optional[dict] = None,
-        *,
-        allow_degraded: bool = False,
-    ) -> int:
+    def count_documents(self, filter_doc: Optional[dict] = None) -> int:
         """Number of documents matching ``filter_doc``.
 
         When the filter is fully covered by the chosen index access (no
         residual predicate), this is a pure index count — no document is
-        loaded or matched.  Sharded counts sum the per-partition counts.
+        loaded or matched.
         """
         if not filter_doc:
-            if not self._quarantined:
-                return len(self)
-            indices = self._healthy_route(
-                None, allow_degraded=allow_degraded, op="count_documents"
-            )
-            return sum(
-                len(self._partitions[i].live._documents) for i in indices
-            )
+            self._check_healthy("count_documents")
+            return len(self)
         self._check_filter(filter_doc)
-        states, plans = self._plan_healthy(
-            filter_doc, allow_degraded=allow_degraded, op="count_documents"
-        )
-        return count_sharded(states, plans)
+        self._check_healthy("count_documents")
+        return count_matching(self._partition.live, self._plan(filter_doc))
 
     def _check_update(self, update: dict) -> None:
         if self.analysis_mode == "strict":
@@ -605,10 +381,8 @@ class Collection:
         """
         self._check_update(update)
         self._bump_epoch()
-        for index, internal_id in self._scan_partitions(
-            filter_doc, write=True, op="update_one"
-        ):
-            self._update_document(index, internal_id, update)
+        for internal_id in self._matching_ids(filter_doc, "update_one", write=True):
+            self._update_document(internal_id, update)
             return 1
         return 0
 
@@ -620,33 +394,29 @@ class Collection:
         """
         self._check_update(update)
         self._bump_epoch()
-        touched = list(
-            self._scan_partitions(filter_doc, write=True, op="update_many")
-        )
-        for index, internal_id in touched:
-            self._update_document(index, internal_id, update)
+        touched = list(self._matching_ids(filter_doc, "update_many", write=True))
+        for internal_id in touched:
+            self._update_document(internal_id, update)
         return len(touched)
 
-    def _update_document(self, index: int, internal_id: int, update: dict) -> None:
-        old = self._partitions[index].live._documents[internal_id]
+    def _update_document(self, internal_id: int, update: dict) -> None:
+        old = self._partition.live._documents[internal_id]
         version = _next_version(old, update)
-        self._install(index, internal_id, old, version)
+        self._install(internal_id, old, version)
 
     def _replay_update(self, doc_id: Any, writes: List[list]) -> None:
         """Apply a journaled ``update`` record; an absent ``_id`` is a no-op."""
         self._bump_epoch()
-        for index, internal_id in self._scan_partitions(
-            {"_id": doc_id}, write=True, op="update_one"
+        for internal_id in self._matching_ids(
+            {"_id": doc_id}, "update_one", write=True
         ):
-            old = self._partitions[index].live._documents[internal_id]
+            old = self._partition.live._documents[internal_id]
             version = PathCopy(old)
             version.apply(writes)
-            self._install(index, internal_id, old, version)
+            self._install(internal_id, old, version)
             return
 
-    def _install(
-        self, index: int, internal_id: int, old: dict, version: PathCopy
-    ) -> None:
+    def _install(self, internal_id: int, old: dict, version: PathCopy) -> None:
         """Index, install and journal a document's next version.
 
         An update that wrote nothing changes and journals nothing.
@@ -654,17 +424,8 @@ class Collection:
         if not version.writes:
             return
         written = [write[0] for write in version.writes]
-        target = self._place_version(index, internal_id, old, version.document, written)
-        if target == index:
-            self._log(
-                "update", {"id": old["_id"], "writes": version.writes}, index
-            )
-        else:
-            # A document that moved shards is journaled whole to its new
-            # shard's log, so that log replays without the old shard's.
-            self._log(
-                "replace", {"id": old["_id"], "doc": version.document}, target
-            )
+        self._place_version(internal_id, old, version.document, written)
+        self._log("update", {"id": old["_id"], "writes": version.writes})
 
     def replace_one(self, filter_doc: dict, replacement: dict) -> int:
         """Replace the first matching document wholesale (keeps its ``_id``)."""
@@ -673,82 +434,56 @@ class Collection:
     def _replace_owned(self, filter_doc: dict, stored: dict) -> int:
         """:meth:`replace_one` with ``stored`` kept as is (uncopied)."""
         self._bump_epoch()
-        for index, internal_id in self._scan_partitions(
-            filter_doc, write=True, op="replace_one"
-        ):
-            old = self._partitions[index].live._documents[internal_id]
+        for internal_id in self._matching_ids(filter_doc, "replace_one", write=True):
+            old = self._partition.live._documents[internal_id]
             stored["_id"] = old["_id"]
-            target = self._place_version(index, internal_id, old, stored, None)
-            self._log("replace", {"id": stored["_id"], "doc": stored}, target)
+            self._place_version(internal_id, old, stored, None)
+            self._log("replace", {"id": stored["_id"], "doc": stored})
             return 1
         return 0
 
     def delete_many(self, filter_doc: dict) -> int:
         """Delete every matching document; returns the delete count."""
         self._bump_epoch()
-        doomed = list(
-            self._scan_partitions(filter_doc, write=True, op="delete_many")
-        )
-        for index, internal_id in doomed:
-            state = self._partitions[index].writable()
+        doomed = list(self._matching_ids(filter_doc, "delete_many", write=True))
+        for internal_id in doomed:
+            state = self._partition.writable()
             document = state._documents[internal_id]
             for spec_index in state._indexes.values():
                 spec_index.remove(internal_id, document)
             del state._by_user_id[_freeze_id(document["_id"])]
             del state._documents[internal_id]
-            self._log("delete", {"id": document["_id"]}, index)
+            self._log("delete", {"id": document["_id"]})
         return len(doomed)
 
     def _place_version(
         self,
-        index: int,
         internal_id: int,
         old: dict,
         new: dict,
         written: Optional[List[str]],
-    ) -> int:
+    ) -> None:
         """Swap ``old`` for ``new`` in the indexes and the document map.
 
         ``written`` lists the dotted paths that changed (``None``: any), so
-        only indexes over those paths are maintained.  A document whose
-        shard-key value changed moves to its new shard, which is returned.
+        only indexes over those paths are maintained.
         """
-        target = index if len(self._partitions) == 1 else self._placement(new)
-        if target in self._quarantined:
-            # Fail-stop: a shard-key rewrite cannot move a document into a
-            # shard whose journal is dark (the op could never be replayed).
-            raise DegradedWriteError(self.name, [target], "migrate")
-        state = self._partitions[index].writable()
-        if target == index:
-            if written is None:
-                affected = list(state._indexes.values())
-            else:
-                affected = [
-                    spec_index
-                    for spec_index in state._indexes.values()
-                    if any(_paths_overlap(path, spec_index.path) for path in written)
-                ]
-            for spec_index in affected:
-                spec_index.remove(internal_id, old)
-                spec_index.add(internal_id, new)
-                spec_index.flush()
-            state._documents[internal_id] = new
-            return index
-        for spec_index in state._indexes.values():
+        state = self._partition.writable()
+        if written is None:
+            affected = list(state._indexes.values())
+        else:
+            affected = [
+                spec_index
+                for spec_index in state._indexes.values()
+                if any(_paths_overlap(path, spec_index.path) for path in written)
+            ]
+        for spec_index in affected:
             spec_index.remove(internal_id, old)
-        del state._documents[internal_id]
-        del state._by_user_id[_freeze_id(old["_id"])]
-        state = self._partitions[target].writable()
-        state._documents[internal_id] = new
-        state._by_user_id[_freeze_id(new["_id"])] = internal_id
-        for spec_index in state._indexes.values():
             spec_index.add(internal_id, new)
             spec_index.flush()
-        return target
+        state._documents[internal_id] = new
 
-    def aggregate(
-        self, pipeline: List[dict], *, allow_degraded: bool = False
-    ) -> List[dict]:
+    def aggregate(self, pipeline: List[dict]) -> List[dict]:
         """Run an aggregation ``pipeline`` over the collection.
 
         In strict analysis mode the pipeline is statically vetted first —
@@ -760,10 +495,7 @@ class Collection:
         down into the query planner: they run through index accesses and
         windowed, lazily-copied reads, so the remaining stages see an
         already-narrowed stream instead of a deep copy of the whole
-        collection.  On a sharded scatter, an eligible ``$group`` (or
-        ``$count``) immediately after the pushdown is computed as exact
-        per-partition partials and combined — bit-identical to streaming
-        the merged scan through the stage.
+        collection.
         """
         if self.analysis_mode == "strict":
             from repro.analysis import analyze_pipeline, require_clean
@@ -773,54 +505,22 @@ class Collection:
                 f"pipeline for collection {self.name!r}",
             )
         pushdown = split_pushdown(pipeline)
-        rest = pushdown.rest
-        states, plans = self._plan_healthy(
-            pushdown.filter_doc,
-            pushdown.sort_spec,
-            allow_degraded=allow_degraded,
-            op="aggregate",
-        )
-        for plan in plans:
-            plan.pushdown = list(pushdown.pushed)
-        if (
-            len(states) > 1
-            and rest
-            and pushdown.sort_spec is None
-            and pushdown.skip == 0
-            and pushdown.limit is None
-            and isinstance(rest[0], dict)
-            and len(rest[0]) == 1
-        ):
-            (stage_name, stage_spec), = rest[0].items()
-            if stage_name == "$group":
-                parsed = partial_group_spec(stage_spec)
-                if parsed is not None:
-                    groups = execute_partial_group(
-                        states, plans, parsed, copy_value=self._copy_value
-                    )
-                    return list(run_pipeline(groups, rest[1:]))
-            elif stage_name == "$count" and isinstance(stage_spec, str):
-                count = count_sharded(states, plans)
-                return list(run_pipeline([{stage_spec: count}], rest[1:]))
-        source: Iterable[dict] = execute_sharded_find(
-            states,
-            plans,
+        self._check_healthy("aggregate")
+        state = self._partition.live
+        plan = self._plan(pushdown.filter_doc, pushdown.sort_spec)
+        plan.pushdown = list(pushdown.pushed)
+        source: Iterable[dict] = execute_find(
+            state,
+            plan,
             skip=pushdown.skip,
             limit=pushdown.limit,
             materialize=self._materialize,
         )
-        return list(run_pipeline(source, rest))
+        return list(run_pipeline(source, pushdown.rest))
 
-    def all(self, *, allow_degraded: bool = False) -> Iterator[dict]:
-        """Iterate every document (materialized views) in insertion order.
-
-        On a degraded collection this raises :class:`DegradedReadError`
-        up front (unless ``allow_degraded``, which warns): quarantined
-        partitions are empty, so the iteration itself is naturally
-        healthy-shards-only either way.
-        """
-        if self._quarantined:
-            self._healthy_route(None, allow_degraded=allow_degraded, op="all")
+    def all(self) -> Iterator[dict]:
+        """Iterate every document (materialized views) in insertion order."""
+        self._check_healthy("all")
         materialize = self._materialize
         return (materialize(doc) for doc in self._ordered_documents())
 
@@ -830,34 +530,25 @@ class Collection:
         """Create (or return) an index on dotted ``path``.
 
         ``kind`` is ``"hash"`` for equality lookups or ``"sorted"`` for range
-        scans.  Returns the index name ``{path}_{kind}``.  On a sharded
-        collection every partition gets its own index over its documents.
+        scans.  Returns the index name ``{path}_{kind}``.
         """
         name = f"{path}_{kind}"
-        if name in self._partitions[0].live._indexes:
+        if name in self._partition.live._indexes:
             return name
-        if self._quarantined:
-            # An index build touches every partition (and is journaled to
-            # partition 0's WAL), so a degraded collection refuses it.
-            raise DegradedWriteError(
-                self.name, sorted(self._quarantined), "create_index"
-            )
+        self._check_healthy("create_index", write=True)
         self._bump_epoch()
-        for partition in self._partitions:
-            state = partition.writable()
-            if name in state._indexes:
-                continue
-            index = build_index(kind, path)
-            for internal_id, document in state._documents.items():
-                index.add(internal_id, document)
-            index.flush()
-            state._indexes[name] = index
-        self._log("index", {"path": path, "kind": kind}, 0)
+        state = self._partition.writable()
+        index = build_index(kind, path)
+        for internal_id, document in state._documents.items():
+            index.add(internal_id, document)
+        index.flush()
+        state._indexes[name] = index
+        self._log("index", {"path": path, "kind": kind})
         return name
 
     def index_names(self) -> List[str]:
         """Sorted names of the collection's indexes."""
-        return sorted(self._partitions[0].live._indexes)
+        return sorted(self._partition.live._indexes)
 
     def explain(
         self,
@@ -868,13 +559,11 @@ class Collection:
         """Describe how a query (or pipeline) would execute.
 
         Returns the chosen plan — ``"full_scan"`` / ``"id_lookup"`` /
-        ``"index_lookup"`` / ``"index_range"`` / ``"index_order"`` (or
-        ``"mixed"`` when a scatter picks different plans per shard) — plus
+        ``"index_lookup"`` / ``"index_range"`` / ``"index_order"`` — plus
         the index used, the residual predicate the candidates are matched
         against, the candidate count (how many documents would actually be
         examined), pushed-down pipeline stages when ``pipeline`` is given,
-        sharding telemetry (``shards_touched`` / ``total_shards`` /
-        ``routing``), and index-usage hints from
+        and index-usage hints from
         :func:`repro.analysis.analyze_index_usage`.
         """
         remaining: List[dict] = []
@@ -886,53 +575,15 @@ class Collection:
             remaining = pushdown.rest
         else:
             query_filter, query_sort = filter_doc, sort
-        states, plans = self._plan_routed(query_filter, query_sort)
-        for plan in plans:
-            plan.pushdown = list(pushed)
-        total = len(self)
-        shards = len(self._partitions)
-        if plans:
-            description = plans[0].describe(total)
-            description["candidates"] = sum(
-                len(plan.candidate_ids)
-                if plan.candidate_ids is not None
-                else len(state._documents)
-                for plan, state in zip(plans, states)
-            )
-            if len(plans) > 1:
-                names = {plan.plan_name for plan in plans}
-                if len(names) > 1:
-                    description["plan"] = "mixed"
-                description["indexes_used"] = sorted(
-                    {name for plan in plans for name in plan.indexes_used}
-                )
-        else:  # routing proved the result empty; no partition is read
-            description = {
-                "plan": "pruned",
-                "candidates": 0,
-                "documents": total,
-                "index": None,
-                "indexes_used": [],
-                "residual": query_filter,
-                "order": "none",
-                "order_index": None,
-                "pushdown": list(pushed),
-            }
-        description["shards_touched"] = len(states)
-        description["total_shards"] = shards
-        if len(states) == shards:
-            description["routing"] = "scatter" if shards > 1 else "single"
-        elif not states:
-            description["routing"] = "pruned"
-        else:
-            description["routing"] = "single" if len(states) == 1 else "subset"
+        plan = self._plan(query_filter, query_sort)
+        plan.pushdown = list(pushed)
+        description = plan.describe(len(self))
         description["remaining_stages"] = [
             next(iter(stage)) if isinstance(stage, dict) and stage else "?"
             for stage in remaining
         ]
         description["plan_cache"] = self._plan_cache.stats()
         description["materialization"] = self.copy_mode
-        description["quarantined_shards"] = sorted(self._quarantined)
         from repro.analysis import analyze_index_usage
 
         description["hints"] = [
@@ -942,8 +593,6 @@ class Collection:
                 sort=sort,
                 pipeline=pipeline,
                 indexes=self.index_specs(),
-                shard_key=self.shard_key if shards > 1 else None,
-                shards=shards,
             )
         ]
         return description
@@ -952,42 +601,36 @@ class Collection:
         """Serializable descriptions of the collection's indexes."""
         return [
             {"path": index.path, "kind": index.kind}
-            for index in self._partitions[0].live._indexes.values()
+            for index in self._partition.live._indexes.values()
         ]
 
     # ------------------------------------------------------------- internals
 
-    def _log(self, op: str, payload: dict, partition_index: int) -> None:
+    def _log(self, op: str, payload: dict) -> None:
         journal = self._journal
         if journal is not None:
-            journal(op, payload, partition_index)
+            journal(op, payload)
 
-    def _log_many(self, op: str, entries: List[Tuple[int, dict]]) -> None:
-        """Journal a batch of ``(partition, payload)`` records in order.
+    def _log_many(self, op: str, payloads: List[dict]) -> None:
+        """Journal a batch of ``op`` records in order.
 
-        Prefers the batched hook (one WAL write + one fsync per partition
-        per batch); falls back to per-op journaling when only the plain
-        hook is attached.
+        Prefers the batched hook (one WAL write + one fsync per batch);
+        falls back to per-op journaling when only the plain hook is
+        attached.
         """
         journal_many = self._journal_many
         if journal_many is not None:
-            journal_many(op, entries)
+            journal_many(op, payloads)
             return
         journal = self._journal
         if journal is not None:
-            for partition_index, payload in entries:
-                journal(op, payload, partition_index)
+            for payload in payloads:
+                journal(op, payload)
 
     def _ordered_documents(self) -> Iterator[dict]:
-        if len(self._partitions) == 1:
-            documents = self._partitions[0].live._documents
-            for internal_id in sorted(documents):
-                yield documents[internal_id]
-            return
-        states = [partition.live for partition in self._partitions]
-        streams = [_sorted_id_state_pairs(state) for state in states]
-        for _internal_id, state in heapq.merge(*streams, key=lambda pair: pair[0]):
-            yield state._documents[_internal_id]
+        documents = self._partition.live._documents
+        for internal_id in sorted(documents):
+            yield documents[internal_id]
 
     def _check_filter(self, filter_doc: Optional[dict]) -> None:
         if self.analysis_mode == "strict" and filter_doc:
@@ -998,89 +641,47 @@ class Collection:
                 f"filter for collection {self.name!r}",
             )
 
-    def _scan(
-        self,
-        filter_doc: Optional[dict],
-        *,
-        allow_degraded: bool = False,
-        op: str = "read",
-        indices: Optional[List[int]] = None,
-    ) -> Iterator[dict]:
-        for index, internal_id in self._scan_partitions(
-            filter_doc, allow_degraded=allow_degraded, op=op, indices=indices
-        ):
-            yield self._partitions[index].live._documents[internal_id]
+    def _scan(self, filter_doc: Optional[dict], op: str) -> Iterator[dict]:
+        documents = self._partition.live._documents
+        for internal_id in self._matching_ids(filter_doc, op):
+            yield documents[internal_id]
 
-    def _scan_partitions(
-        self,
-        filter_doc: Optional[dict],
-        *,
-        allow_degraded: bool = False,
-        op: str = "read",
-        write: bool = False,
-        indices: Optional[List[int]] = None,
-    ) -> Iterator[Tuple[int, int]]:
-        """``(partition index, internal id)`` of matches, ascending by id.
-
-        Pass ``indices`` to reuse an already-policy-checked route (avoids
-        a second :class:`DegradedReadWarning` from e.g. ``distinct``).
-        """
+    def _matching_ids(
+        self, filter_doc: Optional[dict], op: str, write: bool = False
+    ) -> Iterator[int]:
+        """Internal ids of the matches, ascending (planned cold, uncached)."""
         self._check_filter(filter_doc)
-        if indices is None:
-            indices = self._healthy_route(
-                filter_doc, allow_degraded=allow_degraded, op=op, write=write
-            )
-        if not indices and filter_doc:
-            compile_filter(filter_doc)
-        if len(indices) == 1:
-            state = self._partitions[indices[0]].live
-            plan = plan_read(state, filter_doc)
-            for internal_id in iter_matching_ids(state, plan):
-                yield indices[0], internal_id
-            return
-        states = [self._partitions[i].live for i in indices]
-        plans = plan_states(states, filter_doc)
-        by_state = {id(state): index for state, index in zip(states, indices)}
-        for state, internal_id in iter_sharded_matching(states, plans):
-            yield by_state[id(state)], internal_id
+        self._check_healthy(op, write)
+        state = self._partition.live
+        yield from iter_matching_ids(state, plan_read(state, filter_doc))
 
     def __len__(self) -> int:
-        return sum(len(partition.live._documents) for partition in self._partitions)
+        return len(self._partition.live._documents)
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
-        return (
-            f"Collection(name={self.name!r}, documents={len(self)}, "
-            f"shards={len(self._partitions)})"
-        )
+        return f"Collection(name={self.name!r}, documents={len(self)})"
 
 
 class CollectionSnapshot:
     """A consistent, lock-free read view over the last published epoch.
 
-    Pins every partition's ``published`` state at construction time.
+    Pins the collection's ``published`` state at construction time.
     Writers never mutate a published state (the first write after a commit
     copies it), so every read through the snapshot sees exactly the epoch
     that was committed when the snapshot was taken — while the live
-    collection keeps changing underneath.  Reads are bit-identical to the
-    same queries against an unsharded collection holding that epoch.
+    collection keeps changing underneath.
     """
 
     def __init__(self, collection: Collection) -> None:
         self.name = collection.name
-        self.shard_key = collection.shard_key
         #: Inherited at snapshot time; lazy views over a *published* state
         #: are stable forever (writers copy-on-write, never mutate it).
         self.copy_mode = collection.copy_mode
-        self._collection = collection
-        # One attribute read pins the whole epoch: `_published_states` is
-        # reassigned as a single tuple at commit time, so a concurrent
-        # publish can never hand this snapshot a cross-partition mix.
-        self._states = list(collection._published_states)
-        #: Quarantine set pinned at snapshot time.  Snapshots are strict:
-        #: there is no degraded opt-in — a scatter over a degraded epoch
-        #: raises, because a snapshot is exactly the API that promises a
-        #: complete, consistent epoch.
-        self._quarantined = frozenset(collection._quarantined)
+        self._state = collection._partition.published
+        #: Quarantine pinned at snapshot time: every read of a dark
+        #: collection raises, because a snapshot is exactly the API that
+        #: promises a complete, consistent epoch.
+        self._quarantine = collection._quarantine
 
     @property
     def _materialize(self) -> Any:
@@ -1090,31 +691,17 @@ class CollectionSnapshot:
     def _copy_value(self) -> Any:
         return deep_copy if self.copy_mode == "eager" else wrap_value
 
-    def _routed(
+    def _check_healthy(self, op: str) -> None:
+        if self._quarantine is not None:
+            raise DegradedReadError(self.name, op, self._quarantine)
+
+    def _planned(
         self,
         filter_doc: Optional[dict],
         sort: Optional[List[tuple]] = None,
-    ) -> Tuple[List[Any], List[Any]]:
-        shards = len(self._states)
-        routed: Optional[List[int]] = None
-        # _shard_key_lists is sticky (never decremented), so a flag read at
-        # query time can only be *more* conservative than at snapshot time.
-        if shards > 1 and not self._collection._shard_key_lists:
-            routed = route_shards(self.shard_key, shards, filter_doc)
-        if self._quarantined:
-            touched = [
-                index
-                for index in (routed if routed is not None else range(shards))
-                if index in self._quarantined
-            ]
-            if touched:
-                raise DegradedReadError(self.name, touched, "snapshot read")
-        states = (
-            self._states if routed is None else [self._states[i] for i in routed]
-        )
-        if not states and filter_doc:
-            compile_filter(filter_doc)
-        return states, plan_states(states, filter_doc, sort)
+    ) -> Plan:
+        self._check_healthy("snapshot read")
+        return plan_read(self._state, filter_doc, sort)
 
     def find(
         self,
@@ -1125,10 +712,10 @@ class CollectionSnapshot:
         skip: int = 0,
     ) -> List[dict]:
         """Planned read over the snapshot (same semantics as live ``find``)."""
-        states, plans = self._routed(filter_doc, sort)
+        plan = self._planned(filter_doc, sort)
         results = list(
-            execute_sharded_find(
-                states, plans, skip=skip, limit=limit,
+            execute_find(
+                self._state, plan, skip=skip, limit=limit,
                 materialize=self._materialize,
             )
         )
@@ -1137,88 +724,68 @@ class CollectionSnapshot:
         return results
 
     def find_one(self, filter_doc: Optional[dict] = None) -> Optional[dict]:
-        states, plans = self._routed(filter_doc)
-        materialize = self._materialize
-        for state, internal_id in iter_sharded_matching(states, plans):
-            return materialize(state._documents[internal_id])
+        plan = self._planned(filter_doc)
+        for internal_id in iter_matching_ids(self._state, plan):
+            return self._materialize(self._state._documents[internal_id])
         return None
 
     def count_documents(self, filter_doc: Optional[dict] = None) -> int:
         if not filter_doc:
+            self._check_healthy("snapshot read")
             return len(self)
-        states, plans = self._routed(filter_doc)
-        return count_sharded(states, plans)
+        return count_matching(self._state, self._planned(filter_doc))
 
     def distinct(self, path: str, filter_doc: Optional[dict] = None) -> List[Any]:
-        seen: Dict[str, Any] = {}
-        states, plans = self._routed(filter_doc)
-        for state, internal_id in iter_sharded_matching(states, plans):
-            value = get_path(state._documents[internal_id], path, default=None)
-            values = value if isinstance(value, list) else [value]
-            for element in values:
-                if element is not None:
-                    seen.setdefault(repr(element), element)
-        return [seen[key] for key in sorted(seen)]
+        plan = self._planned(filter_doc)
+        documents = self._state._documents
+        matches = (
+            documents[internal_id]
+            for internal_id in iter_matching_ids(self._state, plan)
+        )
+        return _distinct_values(matches, path, self._copy_value)
 
     def aggregate(self, pipeline: List[dict]) -> List[dict]:
         """Aggregation over the snapshot, with the same pushdown rules."""
         pushdown = split_pushdown(pipeline)
-        rest = pushdown.rest
-        states, plans = self._routed(pushdown.filter_doc, pushdown.sort_spec)
-        for plan in plans:
-            plan.pushdown = list(pushdown.pushed)
-        if (
-            len(states) > 1
-            and rest
-            and pushdown.sort_spec is None
-            and pushdown.skip == 0
-            and pushdown.limit is None
-            and isinstance(rest[0], dict)
-            and len(rest[0]) == 1
-        ):
-            (stage_name, stage_spec), = rest[0].items()
-            if stage_name == "$group":
-                parsed = partial_group_spec(stage_spec)
-                if parsed is not None:
-                    groups = execute_partial_group(
-                        states, plans, parsed, copy_value=self._copy_value
-                    )
-                    return list(run_pipeline(groups, rest[1:]))
-            elif stage_name == "$count" and isinstance(stage_spec, str):
-                count = count_sharded(states, plans)
-                return list(run_pipeline([{stage_spec: count}], rest[1:]))
-        source: Iterable[dict] = execute_sharded_find(
-            states, plans, skip=pushdown.skip, limit=pushdown.limit,
+        plan = self._planned(pushdown.filter_doc, pushdown.sort_spec)
+        plan.pushdown = list(pushdown.pushed)
+        source: Iterable[dict] = execute_find(
+            self._state, plan, skip=pushdown.skip, limit=pushdown.limit,
             materialize=self._materialize,
         )
-        return list(run_pipeline(source, rest))
+        return list(run_pipeline(source, pushdown.rest))
 
     def all(self) -> Iterator[dict]:
         """Iterate the epoch's documents (materialized) in insertion order."""
-        if self._quarantined:
-            raise DegradedReadError(
-                self.name, sorted(self._quarantined), "snapshot all"
-            )
+        self._check_healthy("snapshot all")
         materialize = self._materialize
-        streams = [_sorted_id_state_pairs(state) for state in self._states]
-        for _internal_id, state in heapq.merge(*streams, key=lambda pair: pair[0]):
-            yield materialize(state._documents[_internal_id])
+        documents = self._state._documents
+        for internal_id in sorted(documents):
+            yield materialize(documents[internal_id])
 
     def __len__(self) -> int:
-        return sum(len(state._documents) for state in self._states)
+        return len(self._state._documents)
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return f"CollectionSnapshot(name={self.name!r}, documents={len(self)})"
 
 
-def _sorted_id_state_pairs(state: Any) -> Iterator[Tuple[int, Any]]:
-    """One partition's ``(internal id, state)`` pairs in ascending id order.
+def _distinct_values(
+    documents: Iterable[dict], path: str, copy_value: Any
+) -> List[Any]:
+    """Distinct non-null values of ``path``, arrays expanded, sorted by repr.
 
-    A generator *function* (not an inline genexp) so each stream captures
-    its own ``state`` — a comprehension-scoped closure would late-bind it.
+    Each value goes through ``copy_value``, so a caller that mutates one
+    can never reach the stored container.
     """
-    for internal_id in sorted(state._documents):
-        yield internal_id, state
+    seen: Dict[str, Any] = {}
+    for document in documents:
+        value = get_path(document, path, default=None)
+        values = value if isinstance(value, list) else [value]
+        for element in values:
+            if element is not None:
+                seen.setdefault(repr(element), element)
+    return [copy_value(seen[key]) for key in sorted(seen)]
 
 
 def _next_version(document: dict, update: dict) -> PathCopy:

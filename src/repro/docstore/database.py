@@ -9,11 +9,15 @@ the on-disk state survives a crash at any point (see
 from __future__ import annotations
 
 from pathlib import Path
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, List, Optional
 
 from repro import faults
 from repro.docstore.collection import Collection, CollectionSnapshot
-from repro.docstore.errors import CollectionNotFound, DocStoreError
+from repro.docstore.errors import (
+    CollectionNotFound,
+    DegradedWriteError,
+    DocStoreError,
+)
 
 
 class Database:
@@ -25,17 +29,11 @@ class Database:
     manifest.
     """
 
-    def __init__(
-        self, name: str = "db", shards: int = 1, shard_key: str = "ncid"
-    ) -> None:
+    def __init__(self, name: str = "db") -> None:
         self.name = name
         self._collections: Dict[str, Collection] = {}
         self._analysis_mode = "lax"
         self._schema = None
-        #: Default partition layout for new collections (overridable per
-        #: collection through :meth:`create_collection`).
-        self._default_shards = shards
-        self._default_shard_key = shard_key
 
     def set_analysis_mode(self, mode: str, schema=None) -> None:
         """Switch static query analysis for all collections.
@@ -59,25 +57,12 @@ class Database:
             collection.analysis_mode = mode
             collection.schema = schema
 
-    def create_collection(
-        self,
-        name: str,
-        shards: Optional[int] = None,
-        shard_key: Optional[str] = None,
-    ) -> Collection:
-        """Create collection ``name``; error if it already exists.
-
-        ``shards``/``shard_key`` override the database-wide partition
-        defaults for this collection only.
-        """
+    def create_collection(self, name: str) -> Collection:
+        """Create collection ``name``; error if it already exists."""
         if name in self._collections:
             raise DocStoreError(f"collection {name!r} already exists")
         collection = Collection(
-            name,
-            analysis_mode=self._analysis_mode,
-            schema=self._schema,
-            shards=self._default_shards if shards is None else shards,
-            shard_key=self._default_shard_key if shard_key is None else shard_key,
+            name, analysis_mode=self._analysis_mode, schema=self._schema
         )
         self._collections[name] = collection
         return collection
@@ -106,7 +91,7 @@ class Database:
     def commit(self) -> int:
         """Durability barrier; publishes a new snapshot epoch.
 
-        Publishes every collection's live partition states so subsequent
+        Publishes every collection's live state so subsequent
         :meth:`read_view` snapshots observe the current data (and earlier
         snapshots keep their epoch untouched — writers copy before the
         next mutation).  :class:`DurableDatabase` overrides this to
@@ -127,38 +112,19 @@ class Database:
         return DatabaseReadView(self)
 
     def stats(self) -> dict:
-        """Document counts, partition layout and shard balance per collection.
-
-        ``balance_factor`` is ``max(shard documents) / mean(shard
-        documents)`` — 1.0 is a perfectly even spread, N means the fullest
-        of N shards holds everything.
-        """
+        """Document counts, indexes and quarantine state per collection."""
         collections: Dict[str, dict] = {}
-        degraded_reads = 0
-        quarantined_shards = 0
         for name in self.collection_names():
             collection = self._collections[name]
-            shard_counts = [
-                len(partition.live._documents)
-                for partition in collection._partitions
-            ]
-            total = sum(shard_counts)
-            mean = total / len(shard_counts)
             collections[name] = {
-                "documents": total,
-                "shards": len(shard_counts),
-                "shard_key": collection.shard_key,
-                "shard_documents": shard_counts,
-                "balance_factor": round(max(shard_counts) / mean, 4) if mean else 1.0,
+                "documents": len(collection),
                 "indexes": collection.index_names(),
-                "quarantined_shards": collection.quarantined_shards,
-                "degraded_reads": collection._degraded_reads,
+                "quarantined": collection.quarantined,
             }
-            degraded_reads += collection._degraded_reads
-            quarantined_shards += len(collection._quarantined)
         resilience: Dict[str, object] = {
-            "degraded_reads": degraded_reads,
-            "quarantined_shards": quarantined_shards,
+            "quarantined_collections": sum(
+                entry["quarantined"] for entry in collections.values()
+            ),
         }
         try:
             from repro.core.parallel import resilience_counters
@@ -256,8 +222,6 @@ class DurableDatabase(Database):
         directory: Path,
         name: str = "db",
         fsync_batch: int = 0,
-        shards: int = 1,
-        shard_key: str = "ncid",
         auto_compact: Optional[int] = None,
     ) -> None:
         from repro.docstore.storage import (
@@ -267,7 +231,7 @@ class DurableDatabase(Database):
         )
         from repro.docstore.wal import WalWriter, read_committed_epoch
 
-        super().__init__(name, shards=shards, shard_key=shard_key)
+        super().__init__(name)
         self.directory = Path(directory)
         self.directory.mkdir(parents=True, exist_ok=True)
         self.fsync_batch = fsync_batch
@@ -286,10 +250,8 @@ class DurableDatabase(Database):
         self.last_scrub = None
         self.last_repair = None
         self._wal_writer = WalWriter  # late-bound for subclass/test hooks
-        self._wals: Dict[str, List["WalWriter"]] = {}
-        self._dropped_wals: Dict[str, List["WalWriter"]] = {}
-        #: Last WAL sequence number issued per (sharded) collection name.
-        self._next_seq: Dict[str, int] = {}
+        self._wals: Dict[str, "WalWriter"] = {}
+        self._dropped_wals: Dict[str, "WalWriter"] = {}
         if (self.directory / MANIFEST_NAME).exists() or any(
             self.directory.glob("*.wal")
         ):
@@ -298,7 +260,6 @@ class DurableDatabase(Database):
                 self.directory, name, report=report, truncate=True, quarantine=True
             )
             self._collections = loaded._collections
-            self._next_seq = dict(getattr(loaded, "_wal_max_seq", {}))
             self.last_recovery = report
         self.committed_epoch = read_committed_epoch(self.directory)
         for collection_name in list(self._collections):
@@ -308,86 +269,23 @@ class DurableDatabase(Database):
     # ------------------------------------------------------------ journaling
 
     def _attach(self, collection_name: str) -> None:
-        from repro.docstore.wal import wal_filename
-
-        collection = self._collections[collection_name]
-        shards = collection.nshards
-        writers = self._dropped_wals.pop(collection_name, None)
-        if writers is None or len(writers) != shards:
-            writers = [
-                self._wal_writer(
-                    self.directory / wal_filename(collection_name, index, shards),
-                    fsync_batch=self.fsync_batch,
-                )
-                for index in range(shards)
-            ]
-        self._wals[collection_name] = writers
-
-        if shards == 1:
-            def journal(op: str, payload: Dict, partition: int, _writer=writers[0]) -> None:
-                _writer.log(op, payload)
-
-            def journal_many(
-                op: str, entries: List[Tuple[int, Dict]], _writer=writers[0]
-            ) -> None:
-                _writer.log_many(op, [payload for _partition, payload in entries])
-        else:
-            # Partition logs replay as one stream ordered by a per-collection
-            # sequence number.  The counter lives on the database (seeded
-            # from the highest replayed seq) so it keeps rising across
-            # reopen *and* across drop/recreate cycles whose old records
-            # are still in the logs awaiting a checkpoint.
-            self._next_seq[collection_name] = max(
-                self._next_seq.get(collection_name, 0), collection._replayed_seq
+        writer = self._dropped_wals.pop(collection_name, None)
+        if writer is None:
+            writer = self._wal_writer(
+                self.directory / f"{collection_name}.wal",
+                fsync_batch=self.fsync_batch,
             )
+        self._wals[collection_name] = writer
+        collection = self._collections[collection_name]
+        collection._journal = writer.log
+        collection._journal_many = writer.log_many
 
-            def journal(
-                op: str, payload: Dict, partition: int,
-                _name=collection_name, _writers=writers,
-            ) -> None:
-                seq = self._next_seq[_name] + 1
-                self._next_seq[_name] = seq
-                record = dict(payload)
-                record["seq"] = seq
-                _writers[partition].log(op, record)
-
-            def journal_many(
-                op: str, entries: List[Tuple[int, Dict]],
-                _name=collection_name, _writers=writers,
-            ) -> None:
-                # Sequence numbers are stamped in the caller's (interleaved)
-                # order *before* grouping by partition: replay merges the
-                # partition streams by seq, so contiguous per-partition runs
-                # would reorder a cross-partition batch and change replayed
-                # internal-id assignment.
-                grouped: Dict[int, List[Dict]] = {}
-                for partition, payload in entries:
-                    seq = self._next_seq[_name] + 1
-                    self._next_seq[_name] = seq
-                    record = dict(payload)
-                    record["seq"] = seq
-                    grouped.setdefault(partition, []).append(record)
-                for partition in sorted(grouped):
-                    _writers[partition].log_many(op, grouped[partition])
-
-        collection._journal = journal
-        collection._journal_many = journal_many
-
-    def create_collection(
-        self,
-        name: str,
-        shards: Optional[int] = None,
-        shard_key: Optional[str] = None,
-    ) -> Collection:
-        collection = super().create_collection(name, shards=shards, shard_key=shard_key)
+    def create_collection(self, name: str) -> Collection:
+        collection = super().create_collection(name)
         self._attach(name)
         # Journal the creation so a *committed* empty collection survives
         # reload; staged-only creations are discarded like any other op.
-        # Sharded layouts ride along so replay can rebuild the partitioning.
-        payload: Dict[str, object] = {}
-        if collection.nshards > 1:
-            payload = {"shards": collection.nshards, "shard_key": collection.shard_key}
-        collection._journal("create", payload, 0)
+        collection._journal("create", {})
         return collection
 
     def drop_collection(self, name: str) -> None:
@@ -395,34 +293,34 @@ class DurableDatabase(Database):
 
         The collection's files stay on disk (still receiving commit
         markers) until the next :meth:`checkpoint` removes them, so
-        recovery can tell a committed drop from lost data.
+        recovery can tell a committed drop from lost data.  A quarantined
+        collection cannot be dropped: its log is in quarantine.
         """
-        writers = self._wals.pop(name, None)
-        if writers is not None:
+        writer = self._wals.get(name)
+        if writer is not None:
             collection = self._collections[name]
-            collection._journal("drop", {}, 0)
+            if collection._quarantine is not None:
+                raise DegradedWriteError(name, "drop", collection._quarantine)
+            del self._wals[name]
+            collection._journal("drop", {})
             collection._journal = None
             collection._journal_many = None
-            self._dropped_wals[name] = writers
+            self._dropped_wals[name] = writer
         super().drop_collection(name)
 
     # ------------------------------------------------------- commit/snapshot
 
     def _all_writers(self) -> List["WalWriter"]:
-        # Quarantined partitions' writers are excluded: their log files were
-        # moved into the quarantine directory, and appending a commit marker
-        # through the stale writer would recreate a fresh (history-less) log
-        # that recovery would then misread as lost committed records.
-        writers: List["WalWriter"] = []
-        for name, group in self._wals.items():
-            collection = self._collections.get(name)
-            quarantined = collection._quarantined if collection is not None else set()
-            writers.extend(
-                writer for index, writer in enumerate(group)
-                if index not in quarantined
-            )
-        for group in self._dropped_wals.values():
-            writers.extend(group)
+        # Quarantined collections' writers are excluded: their log may sit
+        # in the quarantine directory, and appending a commit marker through
+        # the stale writer would recreate a fresh (history-less) log that
+        # recovery would then misread as lost committed records.
+        writers = [
+            writer
+            for name, writer in self._wals.items()
+            if not self._collections[name].quarantined
+        ]
+        writers.extend(self._dropped_wals.values())
         return writers
 
     def commit(self) -> int:
@@ -467,9 +365,9 @@ class DurableDatabase(Database):
         crash leaves either the old full log (whose replay over the new
         snapshot is idempotent) or the already-compacted one — never a
         half-truncated file.  Quarantined collections are skipped entirely:
-        their snapshot cannot be rewritten (the healthy shards alone would
-        masquerade as the whole collection) and their surviving logs must
-        keep the history a stale snapshot lacks until :meth:`repair`.
+        their snapshot cannot be rewritten (the dark, empty collection would
+        masquerade as its data) and their surviving logs must keep the
+        history a stale snapshot lacks until :meth:`repair`.
         """
         from repro.docstore.storage import save_database
 
@@ -479,20 +377,17 @@ class DurableDatabase(Database):
             quarantined_collections = frozenset(
                 name
                 for name, collection in self._collections.items()
-                if collection._quarantined
+                if collection.quarantined
             )
             save_database(self, self.directory, skip=quarantined_collections)
             fs = faults.current_fs()
-            for name, writers in sorted(self._dropped_wals.items()):
-                for writer in writers:
-                    writer.close()
-                    fs.remove(writer.path)
+            for name, writer in sorted(self._dropped_wals.items()):
+                writer.close()
+                fs.remove(writer.path)
                 fs.remove(self.directory / f"{name}.jsonl")
             self._dropped_wals.clear()
-            for name, writers in self._wals.items():
-                if name in quarantined_collections:
-                    continue
-                for writer in writers:
+            for name, writer in self._wals.items():
+                if name not in quarantined_collections:
                     writer.rotate()
             self._ops_since_checkpoint = 0
             return epoch
@@ -505,7 +400,7 @@ class DurableDatabase(Database):
         """Verify on-disk integrity without modifying anything.
 
         Checks WAL CRC frames, snapshot checksums against the manifest and
-        cross-partition sequence continuity; see
+        commit-epoch coverage; see
         :func:`repro.docstore.scrub.scrub_database`.  ``deep=False`` skips
         per-line snapshot parsing.  Returns (and stores in
         :attr:`last_scrub`) a :class:`~repro.docstore.scrub.ScrubReport`.
@@ -539,8 +434,6 @@ class DurableDatabase(Database):
             self.directory,
             self.name,
             fsync_batch=self.fsync_batch,
-            shards=self._default_shards,
-            shard_key=self._default_shard_key,
             auto_compact=self.auto_compact,
         )
         self.last_repair = report

@@ -58,46 +58,38 @@ class StorageCorruptError(StorageError):
 
 
 class QuarantineError(DocStoreError):
-    """An operation touched a quarantined (fault-isolated) shard.
+    """An operation touched a quarantined (fault-isolated) collection.
 
-    When recovery finds a corrupt partition WAL or snapshot it moves the
-    damaged file into a ``<file>.quarantined/`` directory and flags the
-    partition in the manifest instead of failing the whole database open
-    (see ``docs/durability.md``).  The collection then serves *degraded*:
-    operations confined to healthy shards proceed normally, operations
-    that would touch a quarantined shard raise a subclass of this error.
+    When recovery finds a corrupt WAL or snapshot it moves the damaged file
+    into a ``<file>.quarantined/`` directory and flags the collection in
+    the manifest instead of failing the whole database open (see
+    ``docs/durability.md``).  The collection then goes dark: every read of
+    it raises :class:`DegradedReadError`, every write
+    :class:`DegradedWriteError`, while the other collections keep serving.
     ``Database.repair()`` re-runs salvage and lifts the quarantine.
+    ``reason`` says what recovery found wrong.
     """
 
-    def __init__(self, collection: str, shards, operation: str) -> None:
+    def __init__(self, collection: str, operation: str, reason: str) -> None:
         self.collection = collection
-        self.shards = sorted(shards)
         self.operation = operation
+        self.reason = reason
         super().__init__(
-            f"{operation} on collection {collection!r} touches quarantined "
-            f"shard(s) {self.shards}; repair() the database to lift quarantine"
+            f"{operation} on quarantined collection {collection!r} "
+            f"({reason}); repair() the database to lift quarantine"
         )
 
 
 class DegradedReadError(QuarantineError):
-    """A read's shard routing includes a quarantined partition.
-
-    Scatter reads can opt into partial results with
-    ``allow_degraded=True``, which returns documents from the healthy
-    shards and emits a :class:`DegradedReadWarning` instead.
-    """
+    """A read touched a quarantined collection."""
 
 
 class DegradedWriteError(QuarantineError):
-    """A write would land on (or migrate into) a quarantined partition.
+    """A write touched a quarantined collection.
 
-    Writes have no degraded opt-in: accepting a write the quarantined
-    shard cannot journal would silently diverge from the log.
+    Accepting a write the quarantined collection cannot journal would
+    silently diverge from its log.
     """
-
-
-class DegradedReadWarning(UserWarning):
-    """A degraded read returned results from healthy shards only."""
 
 
 class UnknownIndexKind(DocStoreError, ValueError):

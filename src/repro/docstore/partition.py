@@ -1,17 +1,13 @@
-"""Hash partitions: per-shard document maps, indexes and COW epochs.
+"""A collection's storage: document map, indexes and COW epochs.
 
-A sharded :class:`~repro.docstore.collection.Collection` splits its
-documents over N :class:`Partition`\\ s by a per-collection shard key
-(``ncid`` by default, falling back to a hash of ``_id``).  Each partition
-owns a :class:`PartitionState` — its private document map, ``_id`` map and
-secondary indexes — shaped exactly like the single-dict store the query
-planner already knows how to read, so every planner entry point
-(:func:`~repro.docstore.planner.plan_read`,
-:func:`~repro.docstore.planner.iter_matching_ids`, ...) works unchanged on
-one partition's state.
+Each :class:`~repro.docstore.collection.Collection` owns one
+:class:`Partition`, whose :class:`PartitionState` holds the document map,
+the ``_id`` map and the secondary indexes, shaped exactly as the query
+planner reads them (:func:`~repro.docstore.planner.plan_read`,
+:func:`~repro.docstore.planner.iter_matching_ids`, ...).
 
-Partitions also carry the snapshot-isolation machinery.  ``live`` is the
-state writers mutate; ``published`` is the state handed to snapshot
+The partition also carries the snapshot-isolation machinery.  ``live`` is
+the state writers mutate; ``published`` is the state handed to snapshot
 readers.  :meth:`Partition.publish` (called by ``Database.commit``) makes
 the current live state the published one in a single reference assignment
 — atomic under the GIL, so a concurrent reader sees either the old epoch
@@ -25,33 +21,13 @@ every view handed out of it stay unchanged.
 
 from __future__ import annotations
 
-import zlib
 from typing import Any, Dict, Optional
 
-__all__ = ["PartitionState", "Partition", "fallback_shard", "shard_key_shard"]
-
-
-def shard_key_shard(value: str, shards: int) -> int:
-    """Stable shard index of a string shard-key value (crc32, seed-free).
-
-    Mirrors :func:`repro.core.parallel.shard_of` (kept inline to avoid an
-    import cycle between the docstore and the parallel runtime): the same
-    ncid lands on the same shard here and in the dedup pipeline.
-    """
-    return zlib.crc32(value.strip().encode("utf-8")) % shards
-
-
-def fallback_shard(frozen_id: Any, shards: int) -> int:
-    """Shard index for documents without a string shard-key value.
-
-    Hashes the (frozen) ``_id`` representation instead, so placement stays
-    deterministic and seed-free for any id type.
-    """
-    return zlib.crc32(repr(frozen_id).encode("utf-8")) % shards
+__all__ = ["PartitionState", "Partition"]
 
 
 class PartitionState:
-    """One epoch of one partition: documents, id map and indexes.
+    """One epoch of a collection: documents, id map and indexes.
 
     Attribute names deliberately match the private storage attributes the
     planner reads on a collection (``_documents`` / ``_by_user_id`` /
@@ -75,7 +51,7 @@ class PartitionState:
 
         Document dicts are shared between the clone and the original for
         good: writers replace a document with a new version instead of
-        mutating it, so cloning is O(partition) in map entries, not in
+        mutating it, so cloning is O(collection) in map entries, not in
         document bytes.
         """
         return PartitionState(
@@ -89,7 +65,7 @@ class PartitionState:
 
 
 class Partition:
-    """One hash shard of a collection, with copy-on-write epochs.
+    """A collection's storage, with copy-on-write epochs.
 
     The first write after a publish clones the state's maps; writes then
     replace whole entries (a new document version, a deleted id) and never

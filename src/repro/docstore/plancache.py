@@ -15,18 +15,17 @@ recompilation.  This module memoizes that work at three grains:
   structure and operator skeleton with every constant replaced by the
   classification the planner actually branches on (``None``-ness,
   list-ness, sorted-range type class).  A template re-binds to any
-  partition state and any same-shaped constants via
+  collection state and any same-shaped constants via
   :func:`repro.docstore.planner.bind_template`, which recomputes all
   value-dependent pieces, so cached decisions can never change results —
   only skip the pricing pass.
-* **Bound plans + routes** (per collection): fully bound per-partition
-  plans (candidate ids included) and ``route_shards`` results keyed by the
-  frozen query, so an exactly repeated read skips planning entirely.
+* **Bound plans** (per collection): fully bound plans (candidate ids
+  included) keyed by the frozen query, so an exactly repeated read skips
+  planning entirely.
 
 Shape templates and bound plans are invalidated wholesale whenever the
-collection's write epoch moves (every mutation and index build bumps it);
-routes depend only on the immutable shard layout and the filter value, so
-they survive epochs.  Caches are size-bounded with FIFO eviction.  Like
+collection's write epoch moves (every mutation and index build bumps it).
+Caches are size-bounded with FIFO eviction.  Like
 the collection itself, the caches may only be shared across threads for
 *reads*; the write path (which bumps the epoch) requires external
 serialization, as documented on :class:`repro.docstore.Collection`.
@@ -44,9 +43,8 @@ from repro.docstore.planner import (
     _range_class,
     _split_conjuncts,
     bind_template,
+    plan_read,
     plan_read_with_choice,
-    plan_states,
-    route_shards,
 )
 
 __all__ = ["PlanCache", "cached_predicate", "freeze_query", "query_shape"]
@@ -248,7 +246,7 @@ def _fresh_plan(plan: Plan) -> Plan:
 
 
 class PlanCache:
-    """Epoch-invalidated routing + planning memo for one collection."""
+    """Epoch-invalidated planning memo for one collection."""
 
     __slots__ = (
         "epoch",
@@ -257,7 +255,6 @@ class PlanCache:
         "invalidated",
         "_plans",
         "_templates",
-        "_routes",
     )
 
     #: FIFO bound for each per-collection map.
@@ -268,12 +265,10 @@ class PlanCache:
         self.hits = 0
         self.misses = 0
         self.invalidated = 0
-        # frozen query -> (routed partition indices, pristine bound plans)
-        self._plans: Dict[Any, Tuple[Tuple[int, ...], List[Plan]]] = {}
+        # frozen query -> pristine bound plan
+        self._plans: Dict[Any, Plan] = {}
         # query shape -> Optional[PlanChoice] (None = full-scan decision)
         self._templates: Dict[Any, Optional[PlanChoice]] = {}
-        # frozen filter -> Optional[Tuple[int, ...]] route_shards result
-        self._routes: Dict[Any, Optional[Tuple[int, ...]]] = {}
 
     def stats(self) -> Dict[str, int]:
         """The counters ``Collection.explain`` reports."""
@@ -285,13 +280,13 @@ class PlanCache:
 
     # -- lookup --------------------------------------------------------
 
-    def routed_plans(
+    def plan(
         self,
         collection: Any,
         filter_doc: Optional[dict],
         sort: Optional[Sequence[Tuple[str, int]]] = None,
-    ) -> Tuple[List[Any], List[Plan]]:
-        """Routed partition states + one bound plan per state, memoized."""
+    ) -> Plan:
+        """The bound plan for a read of ``collection``'s live state, memoized."""
         epoch = collection._write_epoch
         if epoch != self.epoch:
             if self._plans or self._templates:
@@ -300,101 +295,48 @@ class PlanCache:
                 self._templates.clear()
             self.epoch = epoch
 
+        state = collection._partition.live
         if filter_doc is not None and not isinstance(filter_doc, dict):
-            return self._cold(collection, filter_doc, sort)
+            return plan_read(state, filter_doc, sort)
         key = freeze_query(filter_doc, sort)
         if key is _UNHASHABLE:
-            return self._cold(collection, filter_doc, sort)
+            return plan_read(state, filter_doc, sort)
 
-        entry = self._plans.get(key)
-        if entry is not None:
+        plan = self._plans.get(key)
+        if plan is not None:
             self.hits += 1
-            indices, plans = entry
-            states = [collection._partitions[i].live for i in indices]
-            return states, [_fresh_plan(p) for p in plans]
+            return _fresh_plan(plan)
 
         self.misses += 1
-        indices = self._routed_indices(collection, filter_doc, key[0])
-        states = [collection._partitions[i].live for i in indices]
-        if not states and filter_doc:
-            # Pruned-to-nothing routing must still surface malformed-filter
-            # errors exactly like the planned path would.
-            cached_predicate(filter_doc)
-        plans = self._build_plans(states, filter_doc, sort)
-        if plans is None:
-            return states, plan_states(states, filter_doc, sort)
+        plan = self._build_plan(state, filter_doc, sort)
+        if plan is None:
+            return plan_read(state, filter_doc, sort)
         if len(self._plans) >= self.LIMIT:
             self._plans.pop(next(iter(self._plans)), None)
-        self._plans[key] = (indices, plans)
-        return states, [_fresh_plan(p) for p in plans]
+        self._plans[key] = plan
+        return _fresh_plan(plan)
 
     # -- internals -----------------------------------------------------
 
-    def _cold(
+    def _build_plan(
         self,
-        collection: Any,
+        state: Any,
         filter_doc: Optional[dict],
         sort: Optional[Sequence[Tuple[str, int]]],
-    ) -> Tuple[List[Any], List[Plan]]:
-        """The uncached routing + planning path (unfreezable queries)."""
-        states = [
-            collection._partitions[index].live
-            for index in collection._route(filter_doc)
-        ]
-        if not states and filter_doc:
-            compile_filter(filter_doc)
-        return states, plan_states(states, filter_doc, sort)
-
-    def _routed_indices(
-        self, collection: Any, filter_doc: Optional[dict], filter_key: Any
-    ) -> Tuple[int, ...]:
-        shards = collection.nshards
-        if shards <= 1:
-            return (0,)
-        if collection._shard_key_lists:
-            return tuple(range(shards))
-        routed = self._routes.get(filter_key, _MISSING)
-        if routed is _MISSING:
-            hit = route_shards(collection.shard_key, shards, filter_doc)
-            routed = tuple(hit) if hit is not None else None
-            if len(self._routes) >= self.LIMIT:
-                self._routes.pop(next(iter(self._routes)), None)
-            self._routes[filter_key] = routed
-        if routed is None:
-            return tuple(range(shards))
-        return routed  # type: ignore[return-value]
-
-    def _build_plans(
-        self,
-        states: List[Any],
-        filter_doc: Optional[dict],
-        sort: Optional[Sequence[Tuple[str, int]]],
-    ) -> Optional[List[Plan]]:
-        """Template-driven per-state plans, or ``None`` to fall back cold."""
-        if not states:
-            return []
+    ) -> Optional[Plan]:
+        """Template-driven plan, or ``None`` to fall back to cold planning."""
         shape = query_shape(filter_doc) if filter_doc else ()
-        clauses, atoms = _split_conjuncts(filter_doc) if filter_doc else ([], [])
-
         template = self._templates.get(shape, _MISSING)
-        plans: List[Plan] = []
         if template is _MISSING:
-            plan0, choice = plan_read_with_choice(
-                states[0], filter_doc, sort, predicate_for=cached_predicate
+            plan, choice = plan_read_with_choice(
+                state, filter_doc, sort, predicate_for=cached_predicate
             )
             if len(self._templates) >= self.LIMIT:
                 self._templates.pop(next(iter(self._templates)), None)
             self._templates[shape] = choice
-            plans.append(plan0)
-            rest = states[1:]
-        else:
-            choice = template  # type: ignore[assignment]
-            rest = states
-        for state in rest:
-            plan = bind_template(
-                state, choice, filter_doc, clauses, atoms, sort, cached_predicate
-            )
-            if plan is None:
-                return None
-            plans.append(plan)
-        return plans
+            return plan
+        choice: Optional[PlanChoice] = template  # type: ignore[assignment]
+        clauses, atoms = _split_conjuncts(filter_doc) if filter_doc else ([], [])
+        return bind_template(
+            state, choice, filter_doc, clauses, atoms, sort, cached_predicate
+        )

@@ -35,7 +35,6 @@ never planned against an index in the first place.
 from __future__ import annotations
 
 import dataclasses
-import heapq
 import itertools
 from typing import (
     Any,
@@ -53,8 +52,7 @@ from repro.docstore.documents import _freeze, resolve_path
 from repro.docstore.errors import QueryError
 from repro.docstore.indexes import HashIndex, SortedIndex
 from repro.docstore.matching import Predicate, _is_operator_doc, compile_filter
-from repro.docstore.partition import shard_key_shard
-from repro.docstore.views import lazy_document, wrap_value
+from repro.docstore.views import lazy_document
 
 #: Access-path names reported by ``Collection.explain``.
 FULL_SCAN = "full_scan"
@@ -91,7 +89,7 @@ class _Option:
     covered: frozenset  # clause positions the candidate set enforces exactly
     fetch: Callable[[], Iterable[int]]
     #: Constant-free rebuild instructions for the plan cache: how to fetch
-    #: this candidate set against *any* partition state, with the operands
+    #: this candidate set against *any* collection state, with the operands
     #: re-read from the live query's atoms (see ``bind_template``).
     recipe: Optional[tuple] = None
 
@@ -102,7 +100,7 @@ class PlanChoice:
 
     Everything here is derived from the filter's *structure* (operator
     skeleton plus the operand classifications the planner branches on), so
-    a choice recorded for one query can be re-bound to any partition state
+    a choice recorded for one query can be re-bound to any collection state
     and any constants of the same shape: the candidate fetch is re-executed
     through ``recipe`` and the residual is rebuilt from the live clauses.
     ``None`` stands for the no-usable-option full-scan decision.
@@ -586,7 +584,7 @@ def bind_template(
     sort: Optional[Sequence[Tuple[str, int]]],
     predicate_for: Callable[[dict], Predicate] = compile_filter,
 ) -> Optional[Plan]:
-    """Bind a cached :class:`PlanChoice` to one partition state.
+    """Bind a cached :class:`PlanChoice` to one collection state.
 
     The value-dependent pieces — candidate fetch, residual filter and its
     predicate, the ordering decision — are all recomputed from the live
@@ -742,357 +740,15 @@ def execute_find(
         yield materialize(documents[internal_id])
 
 
-# ----------------------------------------------------------- shard routing
+def count_matching(collection: Any, plan: Plan) -> int:
+    """Number of documents a planned read matches.
 
-
-def route_shards(
-    shard_key: str, shards: int, filter_doc: Optional[dict]
-) -> Optional[List[int]]:
-    """Partition indices a filter can be restricted to (``None`` = all).
-
-    Routing is sound only for *string* shard-key conjuncts: string values
-    are placed by their own hash, while every other value type falls back
-    to an ``_id`` hash (:func:`repro.docstore.partition.fallback_shard`).
-    A top-level (or ``$and``-flattened) ``$eq``/``$in`` conjunct on the
-    shard key therefore pins the query to the hash shards of its string
-    operands; multiple such conjuncts intersect (possibly to the empty
-    list — a provably empty result).  Callers must additionally disable
-    routing when any document carries a *list* shard-key value (the
-    collection tracks that): a multikey document matches a string equality
-    but is fallback-placed.
+    A pure index count when the access path covers the whole filter (no
+    residual predicate): no document is loaded or matched.
     """
-    if shards <= 1 or not filter_doc or not isinstance(filter_doc, dict):
-        return None
-    _clauses, atoms = _split_conjuncts(filter_doc)
-    hit: Optional[set] = None
-    for atom in atoms:
-        if atom.path != shard_key:
-            continue
-        if atom.op == "$eq" and isinstance(atom.operand, str):
-            routed = {shard_key_shard(atom.operand, shards)}
-        elif (
-            atom.op == "$in"
-            and isinstance(atom.operand, (list, tuple))
-            and all(isinstance(element, str) for element in atom.operand)
-        ):
-            routed = {shard_key_shard(element, shards) for element in atom.operand}
-        else:
-            continue
-        hit = routed if hit is None else (hit & routed)
-    return sorted(hit) if hit is not None else None
-
-
-# ------------------------------------------------------- sharded execution
-
-
-class _Desc:
-    """Inverts comparison of a sort-key component for descending merges."""
-
-    __slots__ = ("key",)
-
-    def __init__(self, key: Any) -> None:
-        self.key = key
-
-    def __lt__(self, other: "_Desc") -> bool:
-        return other.key < self.key
-
-    def __eq__(self, other: object) -> bool:
-        return isinstance(other, _Desc) and other.key == self.key
-
-
-def _merge_key_fn(
-    sort_spec: Sequence[Tuple[str, int]]
-) -> Callable[[dict, int], tuple]:
-    """Composite merge key reproducing the multi-pass stable sort order.
-
-    A stable multi-pass sort (last field first) over an ascending-id
-    stream orders documents exactly by ``(key_1 dir_1, ..., key_n dir_n,
-    internal id asc)`` — so per-shard streams sorted by this key can be
-    k-way merged into the identical global order.
-    """
-    fields = [(field, direction) for field, direction in sort_spec]
-
-    def key(document: dict, internal_id: int) -> tuple:
-        parts: List[Any] = []
-        for field, direction in fields:
-            component = _sort_key(resolve_path(document, field))
-            parts.append(_Desc(component) if direction == -1 else component)
-        parts.append(internal_id)
-        return tuple(parts)
-
-    return key
-
-
-def plan_states(
-    states: Sequence[Any],
-    filter_doc: Optional[dict] = None,
-    sort: Optional[Sequence[Tuple[str, int]]] = None,
-) -> List[Plan]:
-    """One :class:`Plan` per partition state for the same logical read."""
-    return [plan_read(state, filter_doc, sort) for state in states]
-
-
-def iter_sharded_matching(
-    states: Sequence[Any], plans: Sequence[Plan]
-) -> Iterator[Tuple[Any, int]]:
-    """``(state, internal id)`` pairs in global ascending id order.
-
-    Internal ids are assigned from one collection-wide counter, so they are
-    unique across partitions and a k-way merge of the per-partition
-    ascending streams is exactly the unsharded scan order.
-    """
-    streams = [
-        _id_state_pairs(state, plan) for state, plan in zip(states, plans)
-    ]
-    for internal_id, state in heapq.merge(*streams, key=lambda pair: pair[0]):
-        yield state, internal_id
-
-
-def _id_state_pairs(state: Any, plan: Plan) -> Iterator[Tuple[int, Any]]:
-    for internal_id in iter_matching_ids(state, plan):
-        yield internal_id, state
-
-
-def _state_sorted_ids(state: Any, plan: Plan, key: Callable) -> List[tuple]:
-    """One partition's matching ids as ``(merge key, id, state)``, sorted."""
-    documents = state._documents
-    entries = [
-        (key(documents[internal_id], internal_id), internal_id, state)
-        for internal_id in iter_matching_ids(state, plan)
-    ]
-    entries.sort(key=lambda entry: entry[0])
-    return entries
-
-
-def _state_index_ordered(state: Any, plan: Plan, key: Callable) -> Iterator[tuple]:
-    """One partition's index-ordered stream as ``(merge key, id, state)``.
-
-    Valid because ``order_usable`` guarantees index order equals the sort
-    routine's order, and equal-key runs stream in ascending id order in
-    both directions — so the stream is already sorted by the merge key.
-    """
-    documents = state._documents
-    for internal_id in _ordered_id_stream(state, plan):
-        yield key(documents[internal_id], internal_id), internal_id, state
-
-
-def execute_sharded_find(
-    states: Sequence[Any],
-    plans: Sequence[Plan],
-    skip: int = 0,
-    limit: Optional[int] = None,
-    materialize: Callable[[dict], dict] = lazy_document,
-) -> Iterator[dict]:
-    """Scatter-gather ``execute_find`` over several partition states.
-
-    Single-partition reads delegate to :func:`execute_find` unchanged.
-    Multi-partition reads scan each partition on the calling thread
-    (threads would gain nothing: the GIL serialises pure-Python scans)
-    and k-way merge the streams: by internal id for unordered reads, by
-    the composite sort key for sorted reads — bit-identical to the
-    unsharded execution in every case.  Only the returned window is ever
-    materialized (lazy views by default, deep copies in eager mode).
-    """
-    if len(states) == 1:
-        yield from execute_find(
-            states[0], plans[0], skip=skip, limit=limit, materialize=materialize
-        )
-        return
-    if not states:
-        return
-    plan = plans[0]
-    stop = None if limit is None else skip + limit
-
-    if plan.sort_spec:
-        # Sorted scatter-gather.  A partition whose index is order-usable
-        # streams lazily in index order; the others sort their matches —
-        # both are ordered by the same composite key, so they merge freely.
-        key = _merge_key_fn(plan.sort_spec)
-        streams: List[Iterable[tuple]] = [
-            _state_index_ordered(state, state_plan, key)
-            if state_plan.order == "index"
-            else _state_sorted_ids(state, state_plan, key)
-            for state, state_plan in zip(states, plans)
-        ]
-        merged = heapq.merge(*streams, key=lambda entry: entry[0])
-        for _key, internal_id, state in itertools.islice(merged, skip, stop):
-            yield materialize(state._documents[internal_id])
-        return
-
-    for state, internal_id in itertools.islice(
-        iter_sharded_matching(states, plans), skip, stop
-    ):
-        yield materialize(state._documents[internal_id])
-
-
-def count_sharded(states: Sequence[Any], plans: Sequence[Plan]) -> int:
-    """Sum of per-partition match counts (pure index counts when covered)."""
-    total = 0
-    for state, plan in zip(states, plans):
-        if plan.residual is None and plan.candidate_ids is not None:
-            total += len(plan.candidate_ids)
-        else:
-            total += sum(1 for _ in iter_matching_ids(state, plan))
-    return total
-
-
-# ------------------------------------------------- partial group combining
-
-
-#: ``$group`` accumulators that combine *exactly* across partitions.
-#: ``$sum`` qualifies only with an integer-literal expression (count-style):
-#: float sums are not associative bit-for-bit, so they fall back to grouping
-#: over the merged stream.
-_PARTIAL_GROUP_OPS = frozenset({"$min", "$max", "$first", "$last", "$sum"})
-
-
-def partial_group_spec(spec: Any) -> Optional[dict]:
-    """Parse a ``$group`` spec whose accumulators all combine exactly.
-
-    Returns ``{"id": expr, "accumulators": {field: (op, expr)}}`` when the
-    per-partition partial aggregates can be combined into bit-identical
-    global results, or ``None`` to fall back to streaming the merged scan
-    through the ordinary ``$group`` stage.
-    """
-    if not isinstance(spec, dict) or "_id" not in spec:
-        return None
-    accumulators: Dict[str, Tuple[str, Any]] = {}
-    for field, accumulator in spec.items():
-        if field == "_id":
-            continue
-        if not isinstance(accumulator, dict) or len(accumulator) != 1:
-            return None
-        (op, expression), = accumulator.items()
-        if op not in _PARTIAL_GROUP_OPS:
-            return None
-        if op == "$sum" and (
-            isinstance(expression, bool) or not isinstance(expression, int)
-        ):
-            return None
-        accumulators[field] = (op, expression)
-    return {"id": spec["_id"], "accumulators": accumulators}
-
-
-def _feed_partial(
-    accs: dict,
-    accumulators: Dict[str, Tuple[str, Any]],
-    document: dict,
-    internal_id: int,
-) -> None:
-    from repro.docstore.aggregation import evaluate
-
-    for field, (op, expression) in accumulators.items():
-        if op == "$sum":
-            accs[field] = (accs.get(field) or 0) + 1
-            continue
-        value = evaluate(expression, document)
-        if op == "$first":
-            if field not in accs:
-                accs[field] = (internal_id, value)
-            continue
-        if op == "$last":
-            accs[field] = (internal_id, value)
-            continue
-        # $min / $max, numeric values only (the accumulator's feed filter).
-        if not isinstance(value, (int, float)) or isinstance(value, bool):
-            accs.setdefault(field, None)
-            continue
-        best = accs.get(field)
-        if best is None:
-            accs[field] = (value, internal_id)
-        elif (op == "$min" and value < best[0]) or (op == "$max" and best[0] < value):
-            accs[field] = (value, internal_id)
-
-
-def _combine_partials(
-    target: dict, other: dict, accumulators: Dict[str, Tuple[str, Any]]
-) -> None:
-    """Fold ``other``'s partial aggregates into ``target`` (in place)."""
-    if other["first_id"] < target["first_id"]:
-        target["first_id"] = other["first_id"]
-        target["gid"] = other["gid"]
-    mine_accs, their_accs = target["accs"], other["accs"]
-    for field, (op, _expression) in accumulators.items():
-        mine, theirs = mine_accs.get(field), their_accs.get(field)
-        if op == "$sum":
-            mine_accs[field] = (mine or 0) + (theirs or 0)
-        elif theirs is None:
-            continue
-        elif mine is None:
-            mine_accs[field] = theirs
-        elif op == "$first":
-            if theirs[0] < mine[0]:
-                mine_accs[field] = theirs
-        elif op == "$last":
-            if theirs[0] > mine[0]:
-                mine_accs[field] = theirs
-        elif op == "$min":
-            if theirs[0] < mine[0] or (
-                not (mine[0] < theirs[0]) and theirs[1] < mine[1]
-            ):
-                mine_accs[field] = theirs
-        elif op == "$max":
-            if mine[0] < theirs[0] or (
-                not (theirs[0] < mine[0]) and theirs[1] < mine[1]
-            ):
-                mine_accs[field] = theirs
-
-
-def execute_partial_group(
-    states: Sequence[Any],
-    plans: Sequence[Plan],
-    group: dict,
-    copy_value: Callable[[Any], Any] = wrap_value,
-) -> List[dict]:
-    """Pushed-down ``$group`` via per-partition partials + exact combine.
-
-    Each partition aggregates its own matching documents (one pass, in id
-    order); partials merge by group key, tracking the first internal id a
-    group was seen at so both the output *order* (first-seen over the
-    global stream) and order-sensitive accumulators (``$first``/``$last``,
-    tie-breaks in ``$min``/``$max``) reproduce the unsharded stage
-    bit-for-bit.
-    """
-    from repro.docstore.aggregation import evaluate
-
-    id_expression = group["id"]
-    accumulators = group["accumulators"]
-    merged: Dict[str, dict] = {}
-    for state, plan in zip(states, plans):
-        documents = state._documents
-        partials: Dict[str, dict] = {}
-        for internal_id in iter_matching_ids(state, plan):
-            document = documents[internal_id]
-            gid = evaluate(id_expression, document)
-            key = repr(gid)
-            partial = partials.get(key)
-            if partial is None:
-                partial = partials[key] = {
-                    "first_id": internal_id,
-                    "gid": gid,
-                    "accs": {},
-                }
-            _feed_partial(partial["accs"], accumulators, document, internal_id)
-        for key, partial in partials.items():
-            existing = merged.get(key)
-            if existing is None:
-                merged[key] = partial
-            else:
-                _combine_partials(existing, partial, accumulators)
-    results: List[dict] = []
-    for partial in sorted(merged.values(), key=lambda p: p["first_id"]):
-        result = {"_id": copy_value(partial["gid"])}
-        for field, (op, expression) in accumulators.items():
-            value = partial["accs"].get(field)
-            if op == "$sum":
-                result[field] = (value or 0) * expression
-            elif value is None:
-                result[field] = None
-            else:
-                stored = value[0] if op in ("$min", "$max") else value[1]
-                result[field] = copy_value(stored)
-        results.append(result)
-    return results
+    if plan.residual is None and plan.candidate_ids is not None:
+        return len(plan.candidate_ids)
+    return sum(1 for _ in iter_matching_ids(collection, plan))
 
 
 # --------------------------------------------------------------- pushdown

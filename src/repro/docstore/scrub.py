@@ -2,8 +2,8 @@
 
 :func:`scrub_database` walks a persisted database directory and verifies
 everything recovery would rely on — WAL record CRC frames, snapshot
-checksums against the manifest, commit-epoch coverage, cross-partition
-``seq`` continuity — without modifying a single byte.  The result is a
+checksums against the manifest, commit-epoch coverage — without modifying
+a single byte.  The result is a
 :class:`ScrubReport` of per-file :class:`ScrubFinding`\\ s, split into
 errors (recovery would refuse or quarantine) and warnings (recovery would
 repair silently: torn tails, uncommitted records, orphaned tmp files).
@@ -38,12 +38,7 @@ from repro.docstore.storage import (
     quarantine_dirs,
     save_database,
 )
-from repro.docstore.wal import (
-    COMMIT_FILE,
-    read_committed_epoch,
-    read_wal,
-    split_wal_stem,
-)
+from repro.docstore.wal import COMMIT_FILE, read_committed_epoch, read_wal
 
 
 @dataclass
@@ -52,20 +47,16 @@ class ScrubFinding:
 
     path: str
     #: Short machine-readable category: ``wal-corrupt``, ``wal-behind``,
-    #: ``snapshot-checksum``, ``snapshot-parse``, ``seq-continuity``, ...
+    #: ``snapshot-checksum``, ``snapshot-parse``, ``quarantine``, ...
     kind: str
     detail: str
     #: ``"error"`` — recovery would refuse or quarantine; ``"warning"`` —
     #: recovery would silently repair or ignore.
     severity: str = "error"
     collection: Optional[str] = None
-    partition: Optional[int] = None
 
     def render(self) -> str:
-        where = self.path
-        if self.partition is not None:
-            where = f"{where} (partition {self.partition})"
-        return f"[{self.severity}] {self.kind} {where}: {self.detail}"
+        return f"[{self.severity}] {self.kind} {self.path}: {self.detail}"
 
     def to_dict(self) -> dict:
         return {
@@ -74,7 +65,6 @@ class ScrubFinding:
             "detail": self.detail,
             "severity": self.severity,
             "collection": self.collection,
-            "partition": self.partition,
         }
 
 
@@ -87,8 +77,8 @@ class ScrubReport:
     files_checked: int = 0
     bytes_checked: int = 0
     findings: List[ScrubFinding] = field(default_factory=list)
-    #: Shards flagged quarantined in the manifest, per collection.
-    quarantined: Dict[str, List[int]] = field(default_factory=dict)
+    #: Collections flagged quarantined in the manifest.
+    quarantined: List[str] = field(default_factory=list)
 
     def _add(
         self,
@@ -97,17 +87,16 @@ class ScrubReport:
         kind: str,
         detail: str,
         collection: Optional[str] = None,
-        partition: Optional[int] = None,
     ) -> None:
         self.findings.append(
-            ScrubFinding(str(path), kind, detail, severity, collection, partition)
+            ScrubFinding(str(path), kind, detail, severity, collection)
         )
 
-    def error(self, path, kind, detail, collection=None, partition=None):
-        self._add("error", path, kind, detail, collection, partition)
+    def error(self, path, kind, detail, collection=None):
+        self._add("error", path, kind, detail, collection)
 
-    def warning(self, path, kind, detail, collection=None, partition=None):
-        self._add("warning", path, kind, detail, collection, partition)
+    def warning(self, path, kind, detail, collection=None):
+        self._add("warning", path, kind, detail, collection)
 
     @property
     def errors(self) -> List[ScrubFinding]:
@@ -134,10 +123,7 @@ class ScrubReport:
             f"{self.committed_epoch}"
         ]
         for name in sorted(self.quarantined):
-            lines.append(
-                f"collection {name!r}: shard(s) {self.quarantined[name]} "
-                f"in quarantine"
-            )
+            lines.append(f"collection {name!r} in quarantine")
         lines.extend(finding.render() for finding in self.findings)
         if self.clean:
             lines.append("no problems found")
@@ -161,10 +147,9 @@ def scrub_database(directory: Path, name: str = "db", deep: bool = True) -> Scru
     Checks, in order: the commit-epoch file parses; the manifest parses;
     every snapshot matches its manifest CRC32/size (and, with ``deep``,
     parses line by line); no orphaned tmp files or quarantine directories
-    linger; every WAL's committed region frames and checksums cleanly,
-    reaches the database's committed epoch, and — for sharded collections —
-    carries a duplicate-free, gap-free committed ``seq`` sequence across
-    its partition logs.  Raises :class:`StorageError` when ``directory``
+    linger; every WAL's committed region frames and checksums cleanly and
+    reaches the database's committed epoch.  Raises :class:`StorageError`
+    when ``directory``
     holds no database at all; every other problem becomes a finding.
     """
     fs = faults.current_fs()
@@ -199,14 +184,14 @@ def scrub_database(directory: Path, name: str = "db", deep: bool = True) -> Scru
 
     for collection_name in sorted(entries):
         spec = entries[collection_name] or {}
-        flagged = sorted(int(i) for i in spec.get("quarantined", []))
+        flagged = bool(spec.get("quarantined"))
         if flagged:
-            report.quarantined[collection_name] = flagged
+            report.quarantined.append(collection_name)
             report.warning(
                 manifest_path,
                 "quarantine",
-                f"collection {collection_name!r} shard(s) {flagged} flagged "
-                f"quarantined (repair to lift)",
+                f"collection {collection_name!r} flagged quarantined "
+                f"(repair to lift)",
                 collection=collection_name,
             )
         jsonl_path = directory / f"{collection_name}.jsonl"
@@ -283,88 +268,40 @@ def scrub_database(directory: Path, name: str = "db", deep: bool = True) -> Scru
             pass
         report.warning(qdir, "quarantine", detail)
 
-    groups: Dict[str, List[Path]] = {}
     for wal_path in wal_paths:
-        collection_name, _partition = split_wal_stem(wal_path.stem)
-        groups.setdefault(collection_name, []).append(wal_path)
-    for collection_name in sorted(groups):
-        group_paths = groups[collection_name]
+        collection_name = wal_path.stem
         spec = entries.get(collection_name) or {}
         collection_epoch = int(spec.get("epoch", global_epoch) or 0)
-        flagged_set = {int(i) for i in spec.get("quarantined", [])}
-        sharded = len(group_paths) > 1 or any(
-            split_wal_stem(path.stem)[0] != path.stem for path in group_paths
-        )
-        committed_seqs: List[int] = []
-        for wal_path in group_paths:
-            _, partition_index = split_wal_stem(wal_path.stem)
-            report.files_checked += 1
-            try:
-                report.bytes_checked += wal_path.stat().st_size
-                recovery = read_wal(wal_path, committed, truncate_torn=False)
-            except StorageCorruptError as exc:
-                report.error(
-                    wal_path, "wal-corrupt", exc.reason,
-                    collection=collection_name, partition=partition_index,
-                )
-                continue
-            except OSError as exc:
-                report.error(
-                    wal_path, "wal-unreadable", str(exc),
-                    collection=collection_name, partition=partition_index,
-                )
-                continue
-            for note in recovery.notes:
-                report.warning(
-                    wal_path, "wal-tail", note,
-                    collection=collection_name, partition=partition_index,
-                )
-            behind = (
-                collection_name in entries
-                and committed > collection_epoch
-                and recovery.last_epoch < committed
+        report.files_checked += 1
+        try:
+            report.bytes_checked += wal_path.stat().st_size
+            recovery = read_wal(wal_path, committed, truncate_torn=False)
+        except StorageCorruptError as exc:
+            report.error(
+                wal_path, "wal-corrupt", exc.reason, collection=collection_name
             )
-            if behind and partition_index not in flagged_set:
-                report.error(
-                    wal_path,
-                    "wal-behind",
-                    f"committed records lost: log ends at epoch "
-                    f"{recovery.last_epoch}, database committed epoch "
-                    f"{committed}",
-                    collection=collection_name,
-                    partition=partition_index,
-                )
-            if sharded:
-                committed_seqs.extend(
-                    operation["seq"]
-                    for operation in recovery.operations
-                    if isinstance(operation.get("seq"), int)
-                    and int(operation.get("commit_epoch", 0) or 0) > collection_epoch
-                )
-        # Replay merges the partition streams on seq; the committed,
-        # not-yet-checkpointed records must therefore carry each seq exactly
-        # once and without holes.  Quarantined shards legitimately remove a
-        # slice of the sequence, so the check is skipped while flags stand.
-        if sharded and committed_seqs and not flagged_set:
-            unique = sorted(set(committed_seqs))
-            if len(unique) != len(committed_seqs):
-                report.error(
-                    directory,
-                    "seq-continuity",
-                    f"{len(committed_seqs) - len(unique)} duplicate committed "
-                    f"seq number(s) across {collection_name!r} partition logs",
-                    collection=collection_name,
-                )
-            low, high = unique[0], unique[-1]
-            missing = (high - low + 1) - len(unique)
-            if missing:
-                report.warning(
-                    directory,
-                    "seq-continuity",
-                    f"{missing} missing committed seq number(s) in range "
-                    f"{low}..{high} of {collection_name!r} partition logs",
-                    collection=collection_name,
-                )
+            continue
+        except OSError as exc:
+            report.error(
+                wal_path, "wal-unreadable", str(exc), collection=collection_name
+            )
+            continue
+        for note in recovery.notes:
+            report.warning(wal_path, "wal-tail", note, collection=collection_name)
+        behind = (
+            collection_name in entries
+            and committed > collection_epoch
+            and recovery.last_epoch < committed
+        )
+        if behind and not spec.get("quarantined"):
+            report.error(
+                wal_path,
+                "wal-behind",
+                f"committed records lost: log ends at epoch "
+                f"{recovery.last_epoch}, database committed epoch "
+                f"{committed}",
+                collection=collection_name,
+            )
     return report
 
 

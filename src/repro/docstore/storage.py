@@ -28,10 +28,14 @@ parseable lines of a damaged snapshot instead of raising.
 
 Fault-domain isolation: with ``quarantine=True`` (the
 :class:`~repro.docstore.database.DurableDatabase` open path), damage
-confined to one partition's WAL or one collection's snapshot no longer
-fails the whole open.  The damaged file is moved into a sibling
-``<file>.quarantined/`` directory, the shard is flagged in the manifest,
-and the collection serves *degraded* — see ``docs/durability.md``.
+confined to one collection's WAL or snapshot no longer fails the whole
+open.  The damaged file is moved into a sibling ``<file>.quarantined/``
+directory, the collection is flagged in the manifest and goes dark, and
+the other collections keep serving — see ``docs/durability.md``.
+
+Stores in the retired hash-partitioned layout (a manifest entry or a
+committed ``create`` record with ``shards`` > 1) are refused with a
+:class:`~repro.docstore.errors.StorageError`.
 """
 
 from __future__ import annotations
@@ -40,7 +44,7 @@ import json
 import zlib
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import TYPE_CHECKING, Dict, List, Optional, Set
+from typing import TYPE_CHECKING, Dict, List, Optional
 
 from repro import faults
 from repro.docstore.errors import (
@@ -48,12 +52,7 @@ from repro.docstore.errors import (
     StorageCorruptError,
     StorageError,
 )
-from repro.docstore.wal import (
-    atomic_write_text,
-    read_committed_epoch,
-    read_wal,
-    split_wal_stem,
-)
+from repro.docstore.wal import atomic_write_text, read_committed_epoch, read_wal
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
     from repro.docstore.collection import Collection
@@ -82,8 +81,8 @@ class RecoveryReport:
     salvaged: Dict[str, int] = field(default_factory=dict)
     #: Orphaned ``*.tmp`` files (crash mid-atomic-write) swept on open.
     orphans_removed: int = 0
-    #: Shards *newly* quarantined by this load, per collection.
-    quarantined: Dict[str, List[int]] = field(default_factory=dict)
+    #: Collections *newly* quarantined by this load.
+    quarantined: List[str] = field(default_factory=list)
     #: Human-readable notes: torn tails truncated, operations discarded...
     notes: List[str] = field(default_factory=list)
 
@@ -100,9 +99,7 @@ class RecoveryReport:
         for path in sorted(self.salvaged):
             lines.append(f"salvaged {path}: dropped {self.salvaged[path]} bad line(s)")
         for name in sorted(self.quarantined):
-            lines.append(
-                f"quarantined shard(s) {self.quarantined[name]} of {name!r}"
-            )
+            lines.append(f"quarantined collection {name!r}")
         lines.extend(self.notes)
         return "\n".join(lines)
 
@@ -160,9 +157,9 @@ def save_database(
     ``skip`` names collections whose snapshot must *not* be rewritten
     (quarantined collections at checkpoint time: their manifest entry is
     carried over verbatim so the old snapshot still verifies and its epoch
-    still gates replay).  Saving a degraded collection *without* skipping
-    it raises :class:`DegradedWriteError` — a snapshot that silently
-    dropped a quarantined shard's documents would look healthy.
+    still gates the lost-records check).  Saving a quarantined collection
+    *without* skipping it raises :class:`DegradedWriteError` — an empty
+    snapshot of a dark collection would look healthy.
     """
     directory = Path(directory)
     directory.mkdir(parents=True, exist_ok=True)
@@ -175,19 +172,15 @@ def save_database(
     manifest["collections"] = collections
     for name in database.collection_names():
         collection = database[name]
-        quarantined = sorted(getattr(collection, "_quarantined", ()))
         if name in skip:
             entry = dict(previous.get(name, {}))
             entry.setdefault("indexes", collection.index_specs())
-            if getattr(collection, "nshards", 1) > 1:
-                entry["shards"] = collection.nshards
-                entry["shard_key"] = collection.shard_key
-            if quarantined:
-                entry["quarantined"] = quarantined
+            if collection.quarantined:
+                entry["quarantined"] = True
             collections[name] = entry
             continue
-        if quarantined:
-            raise DegradedWriteError(name, quarantined, "snapshot")
+        if collection._quarantine is not None:
+            raise DegradedWriteError(name, "snapshot", collection._quarantine)
         lines = [
             json.dumps(document, ensure_ascii=False, sort_keys=True)
             for document in collection.all()
@@ -199,9 +192,6 @@ def save_database(
             "indexes": collection.index_specs(),
             "checksum": {"crc32": zlib.crc32(encoded), "bytes": len(encoded)},
         }
-        if getattr(collection, "nshards", 1) > 1:
-            entry["shards"] = collection.nshards
-            entry["shard_key"] = collection.shard_key
         if epoch is not None:
             entry["epoch"] = epoch
         collections[name] = entry
@@ -331,13 +321,12 @@ def load_database(
     ``recover``): a plain read-only load must not cut off operations a
     live writer has staged but not yet committed.
 
-    ``quarantine=True`` isolates instead of failing: a corrupt partition
-    WAL (or whole-collection snapshot) is moved into a
-    ``<file>.quarantined/`` directory, the shard is flagged in the
-    manifest, and the collection loads in degraded mode.  Quarantine flags
-    already present in the manifest are honored by *every* load — a
-    degraded store never silently serves a quarantined shard's stale
-    snapshot documents.
+    ``quarantine=True`` isolates instead of failing: a corrupt WAL or
+    snapshot is moved into a ``<file>.quarantined/`` directory, the
+    collection is flagged in the manifest and loads dark (see
+    :meth:`Collection.quarantined`).  Quarantine flags already present in
+    the manifest are honored by *every* load — a quarantined collection
+    never silently serves its stale snapshot documents.
 
     ``salvage=True`` is the ``repair()`` path: quarantine flags are
     ignored (the damaged files are expected to have been restored from
@@ -386,30 +375,20 @@ def load_database(
     stale_checksum_ok = committed > global_epoch
 
     database = Database(name)
-    #: Highest committed WAL ``seq`` seen per collection name (including
-    #: collections that end up dropped); ``DurableDatabase`` seeds its
-    #: sequence counters from this so appends keep a total order.
-    database._wal_max_seq = {}  # type: ignore[attr-defined]
-    #: Shards flagged quarantined: manifest flags plus new findings.
-    flagged: Dict[str, Set[int]] = {}
-    #: Collections whose *snapshot* was quarantined this load (all shards
-    #: dark): their WALs are left in place, untouched, for ``repair()``.
-    snapshot_quarantined: Set[str] = set()
+    #: Collections going dark, with the reason: manifest flags (earlier
+    #: releases wrote a list of shard indices, which reads as a flag too)
+    #: plus the damage this load finds.
+    dark: Dict[str, str] = {}
     for collection_name, spec in manifest["collections"].items():
-        collection = database.create_collection(
-            collection_name,
-            shards=int(spec.get("shards", 1) or 1),
-            shard_key=str(spec.get("shard_key", "ncid")),
-        )
-        previous_flags = [int(i) for i in spec.get("quarantined", [])]
-        if previous_flags and not salvage:
-            flagged.setdefault(collection_name, set()).update(previous_flags)
-            report.notes.append(
-                f"collection {collection_name!r} shard(s) {sorted(previous_flags)} "
-                f"in quarantine (repair to lift)"
-            )
+        _refuse_hash_partitions(spec, collection_name, manifest_path)
+        collection = database.create_collection(collection_name)
         jsonl_path = directory / f"{collection_name}.jsonl"
-        if jsonl_path.exists():
+        if spec.get("quarantined") and not salvage:
+            dark[collection_name] = _quarantine_reason(directory, collection_name)
+            report.notes.append(
+                f"collection {collection_name!r} in quarantine (repair to lift)"
+            )
+        elif jsonl_path.exists():
             try:
                 _load_jsonl(
                     collection,
@@ -424,11 +403,7 @@ def load_database(
                     # Drop the partially-loaded documents and retake the
                     # file line by line, ignoring the stale checksum.
                     database.drop_collection(collection_name)
-                    collection = database.create_collection(
-                        collection_name,
-                        shards=int(spec.get("shards", 1) or 1),
-                        shard_key=str(spec.get("shard_key", "ncid")),
-                    )
+                    collection = database.create_collection(collection_name)
                     try:
                         _load_jsonl(collection, jsonl_path, True, report)
                     except OSError as retry_exc:
@@ -436,21 +411,11 @@ def load_database(
                             f"{jsonl_path}: unreadable, skipped ({retry_exc})"
                         )
                 elif quarantine:
-                    # The snapshot covers every shard, so a bad snapshot
-                    # darkens the whole collection.  Its WALs stay on disk
-                    # for repair; replay is skipped below.
+                    # The collection's WAL stays on disk for repair; its
+                    # replay is skipped below.
                     quarantine_file(jsonl_path, str(exc))
-                    database.drop_collection(collection_name)
-                    collection = database.create_collection(
-                        collection_name,
-                        shards=int(spec.get("shards", 1) or 1),
-                        shard_key=str(spec.get("shard_key", "ncid")),
-                    )
-                    all_shards = set(range(collection.nshards))
-                    flagged.setdefault(collection_name, set()).update(all_shards)
-                    new = report.quarantined.setdefault(collection_name, [])
-                    new.extend(sorted(all_shards - set(new)))
-                    snapshot_quarantined.add(collection_name)
+                    dark[collection_name] = str(exc)
+                    report.quarantined.append(collection_name)
                     report.notes.append(
                         f"{jsonl_path}: snapshot quarantined ({exc})"
                     )
@@ -459,195 +424,144 @@ def load_database(
         for index_spec in spec.get("indexes", []):
             collection.create_index(index_spec["path"], index_spec["kind"])
 
-    # Partition logs (``<name>@p<i>.wal``) replay as one per-collection
-    # stream, merged on the ``seq`` number each sharded record carries.
-    groups: Dict[str, List[Path]] = {}
     for wal_path in wal_paths:
-        collection_name, _partition = split_wal_stem(wal_path.stem)
-        groups.setdefault(collection_name, []).append(wal_path)
-    for collection_name in sorted(groups):
-        group_paths = groups[collection_name]
-        entry = manifest["collections"].get(collection_name) or {}
-        # Quarantined collections are skipped at checkpoint time, so their
-        # snapshot epoch lags the global one; the per-collection epoch
-        # written next to the checksum keeps the replay filter correct.
-        collection_epoch = int(entry.get("epoch", global_epoch) or 0)
-        if collection_name in snapshot_quarantined:
+        collection_name = wal_path.stem
+        if collection_name in dark:
             report.notes.append(
                 f"skipped WAL replay for quarantined collection "
                 f"{collection_name!r}"
             )
             continue
-        sharded = len(group_paths) > 1 or any(
-            split_wal_stem(path.stem)[0] != path.stem for path in group_paths
-        )
-        quarantined_here = flagged.get(collection_name, set())
-        operations: List[Dict[str, object]] = []
-        recoveries = []
-        seq_floor = 0
-        for wal_path in group_paths:
-            _, partition_index = split_wal_stem(wal_path.stem)
-            try:
-                recovery = read_wal(
-                    wal_path, committed, truncate_torn=truncate,
-                    best_effort=salvage,
-                )
-            except OSError as exc:
-                if salvage:
-                    report.notes.append(
-                        f"{wal_path}: unreadable, skipped ({exc})"
-                    )
-                    continue
-                if quarantine:
-                    seq_floor = max(
-                        seq_floor,
-                        _quarantine_wal(
-                            wal_path, partition_index, collection_name,
-                            str(exc), committed, flagged, report,
-                        ),
-                    )
-                    continue
-                raise
-            lost = (
-                collection_name in manifest["collections"]
-                and committed > collection_epoch
-                and recovery.last_epoch < committed
+        entry = manifest["collections"].get(collection_name) or {}
+        # Quarantined collections are skipped at checkpoint time, so their
+        # snapshot epoch lags the global one; the per-collection epoch
+        # written next to the checksum keeps the lost-records check right.
+        collection_epoch = int(entry.get("epoch", global_epoch) or 0)
+        try:
+            recovery = read_wal(
+                wal_path, committed, truncate_torn=truncate, best_effort=salvage
             )
-            if lost and partition_index not in quarantined_here:
-                # The snapshot predates the committed epoch and the WAL
-                # does not carry us up to it: committed operations gone.
-                message = (
-                    f"committed records lost: log ends at epoch "
-                    f"{recovery.last_epoch}, database committed epoch {committed}"
-                )
-                if salvage:
-                    report.notes.append(f"{wal_path}: {message}")
-                elif quarantine:
-                    seq_floor = max(
-                        seq_floor,
-                        _quarantine_wal(
-                            wal_path, partition_index, collection_name,
-                            message, committed, flagged, report,
-                        ),
-                    )
-                    continue
-                else:
-                    raise StorageCorruptError(wal_path, message)
-            unknown = sorted(
-                {str(op.get("op")) for op in recovery.operations}
-                - _REPLAYED_OPS
-            )
-            if unknown:
-                # A record this build cannot apply must never be dropped
-                # silently: replaying around it would serve a state no
-                # commit ever produced.
-                message = (
-                    f"collection {collection_name!r}: unknown WAL operation "
-                    f"kind(s) {unknown}"
-                )
-                if not salvage:
-                    raise StorageCorruptError(wal_path, message)
-                report.notes.append(f"{wal_path}: {message}; skipped")
-                recovery.operations = [
-                    op for op in recovery.operations
-                    if op.get("op") in _REPLAYED_OPS
-                ]
-            recoveries.append((wal_path, recovery))
-            operations.extend(recovery.operations)
-        # The seq high-water mark covers *every* committed record on disk
-        # (even ones the epoch filter below skips): a reopened writer must
-        # never reuse a seq that stale, not-yet-truncated files still hold.
-        max_seq = max(
-            (_operation_seq(op) for op in operations), default=0
+        except OSError as exc:
+            if salvage:
+                report.notes.append(f"{wal_path}: unreadable, skipped ({exc})")
+                continue
+            if quarantine:
+                _quarantine_wal(wal_path, str(exc), dark, report)
+                continue
+            raise
+        lost = (
+            collection_name in manifest["collections"]
+            and committed > collection_epoch
+            and recovery.last_epoch < committed
         )
-        max_seq = max(max_seq, seq_floor)
-        if sharded:
-            # A checkpoint truncates the partition logs one file at a time;
-            # a crash mid-way can lose a cross-file *prefix* of the history.
-            # Operations from epochs at or before the snapshot epoch are
-            # already captured by the snapshot — replaying a partial prefix
-            # of them would regress newer state, so skip them outright.
-            operations = [
-                operation
-                for operation in operations
-                if _operation_epoch(operation) > collection_epoch
+        if lost:
+            # The snapshot predates the committed epoch and the WAL does
+            # not carry us up to it: committed operations gone.
+            message = (
+                f"committed records lost: log ends at epoch "
+                f"{recovery.last_epoch}, database committed epoch {committed}"
+            )
+            if salvage:
+                report.notes.append(f"{wal_path}: {message}")
+            elif quarantine:
+                _quarantine_wal(wal_path, message, dark, report)
+                continue
+            else:
+                raise StorageCorruptError(wal_path, message)
+        unknown = sorted(
+            {str(op.get("op")) for op in recovery.operations} - _REPLAYED_OPS
+        )
+        if unknown:
+            # A record this build cannot apply must never be dropped
+            # silently: replaying around it would serve a state no commit
+            # ever produced.
+            message = (
+                f"collection {collection_name!r}: unknown WAL operation "
+                f"kind(s) {unknown}"
+            )
+            if not salvage:
+                raise StorageCorruptError(wal_path, message)
+            report.notes.append(f"{wal_path}: {message}; skipped")
+            recovery.operations = [
+                op for op in recovery.operations if op.get("op") in _REPLAYED_OPS
             ]
-            operations.sort(key=_operation_seq)
         # A WAL with no committed content must not materialize a collection
         # the committed state never had (e.g. staged ops from a crash).
         collection = database._collections.get(collection_name)
-        for operation in operations:
-            if operation.get("op") == "drop":
+        for operation in recovery.operations:
+            kind = operation.get("op")
+            if kind == "drop":
                 database.drop_collection(collection_name)
                 collection = None
                 continue
+            if kind == "create":
+                _refuse_hash_partitions(operation, collection_name, wal_path)
             if collection is None:
-                collection = _materialize_collection(
-                    database, collection_name, operation
-                )
+                collection = database.create_collection(collection_name)
             _replay_operation(collection, operation)
-        if max_seq:
-            database._wal_max_seq[collection_name] = max_seq  # type: ignore[attr-defined]
-            if collection is not None:
-                collection._replayed_seq = max_seq
-        if operations:
-            report.replayed[collection_name] = len(operations)
-        for wal_path, recovery in recoveries:
-            if recovery.truncated_at is not None:
-                report.notes.append(
-                    f"{wal_path}: truncated torn/uncommitted tail at byte "
-                    f"{recovery.truncated_at}"
-                )
-            report.notes.extend(f"{wal_path}: {note}" for note in recovery.notes)
+        if recovery.operations:
+            report.replayed[collection_name] = len(recovery.operations)
+        if recovery.truncated_at is not None:
+            report.notes.append(
+                f"{wal_path}: truncated torn/uncommitted tail at byte "
+                f"{recovery.truncated_at}"
+            )
+        report.notes.extend(f"{wal_path}: {note}" for note in recovery.notes)
 
     if not salvage:
-        for collection_name, indices in flagged.items():
+        for collection_name, reason in dark.items():
             collection = database._collections.get(collection_name)
-            if collection is not None and indices:
-                collection._quarantine_shards(sorted(indices))
+            if collection is None:
+                # Only a log held it, and that log is now in quarantine.
+                collection = database.create_collection(collection_name)
+            collection._take_dark(reason)
     if quarantine and report.quarantined:
-        _persist_quarantine_flags(manifest, manifest_path, database, flagged)
+        _persist_quarantine_flags(manifest, manifest_path, database, dark)
     return database
 
 
-def _quarantine_wal(
-    wal_path: Path,
-    partition_index: int,
-    collection_name: str,
-    reason: str,
-    committed: int,
-    flagged: Dict[str, Set[int]],
-    report: RecoveryReport,
-) -> int:
-    """Quarantine one partition WAL; returns its best-effort max ``seq``.
+def _refuse_hash_partitions(spec: Dict[str, object], name: str, path: Path) -> None:
+    """Raise :class:`StorageError` for a collection in the retired layout.
 
-    The salvageable committed prefix of the moved file is scanned for its
-    highest ``seq`` so a reopened writer keeps numbering past it — damage
-    may hide higher seqs, but colliding seqs can only belong to different
-    shards' documents, whose relative replay order is immaterial.
+    ``spec`` is a manifest entry or a ``create`` record; hash-partitioned
+    collections carried ``shards`` > 1 there and spread over per-partition
+    logs that this build no longer reads or merges.
     """
-    qdir = quarantine_file(wal_path, reason)
-    flagged.setdefault(collection_name, set()).add(partition_index)
-    new = report.quarantined.setdefault(collection_name, [])
-    if partition_index not in new:
-        new.append(partition_index)
-        new.sort()
-    report.notes.append(f"{wal_path}: quarantined ({reason})")
-    try:
-        ghost = read_wal(
-            qdir / wal_path.name, committed, truncate_torn=False,
-            best_effort=True,
+    shards = spec.get("shards", 1)
+    if isinstance(shards, int) and shards > 1:
+        raise StorageError(
+            f"{path}: collection {name!r} uses the hash-partitioned layout "
+            f"({shards} shards), which is no longer read; there is no "
+            f"conversion path"
         )
-    except OSError:
-        return 0
-    return max((_operation_seq(op) for op in ghost.operations), default=0)
+
+
+def _quarantine_reason(directory: Path, name: str) -> str:
+    """Why an earlier open quarantined ``name``, from the recorded finding."""
+    for suffix in (".jsonl", ".wal"):
+        finding = directory / f"{name}{suffix}{QUARANTINE_SUFFIX}" / "finding.json"
+        try:
+            return str(json.loads(faults.current_fs().read_text(finding))["reason"])
+        except (OSError, ValueError, KeyError, TypeError):
+            continue
+    return "flagged quarantined in the manifest"
+
+
+def _quarantine_wal(
+    wal_path: Path, reason: str, dark: Dict[str, str], report: RecoveryReport
+) -> None:
+    """Quarantine one collection's WAL and take the collection dark."""
+    quarantine_file(wal_path, reason)
+    dark[wal_path.stem] = reason
+    report.quarantined.append(wal_path.stem)
+    report.notes.append(f"{wal_path}: quarantined ({reason})")
 
 
 def _persist_quarantine_flags(
     manifest: Dict[str, dict],
     manifest_path: Path,
     database: "Database",
-    flagged: Dict[str, Set[int]],
+    dark: Dict[str, str],
 ) -> None:
     """Record quarantine flags in the manifest (atomically rewritten).
 
@@ -655,39 +569,12 @@ def _persist_quarantine_flags(
     survives; everything else in the manifest is carried over verbatim.
     """
     collections = manifest.setdefault("collections", {})
-    for collection_name, indices in flagged.items():
+    for collection_name in dark:
         entry = collections.setdefault(collection_name, {})
         if "indexes" not in entry:
-            collection = database._collections.get(collection_name)
-            if collection is not None:
-                entry["indexes"] = collection.index_specs()
-                if collection.nshards > 1:
-                    entry["shards"] = collection.nshards
-                    entry["shard_key"] = collection.shard_key
-        entry["quarantined"] = sorted(indices)
+            entry["indexes"] = database[collection_name].index_specs()
+        entry["quarantined"] = True
     atomic_write_text(manifest_path, json.dumps(manifest, indent=2))
-
-
-def _operation_seq(operation: Dict[str, object]) -> int:
-    seq = operation.get("seq")
-    return seq if isinstance(seq, int) else 0
-
-
-def _operation_epoch(operation: Dict[str, object]) -> int:
-    epoch = operation.get("commit_epoch")
-    return epoch if isinstance(epoch, int) else 0
-
-
-def _materialize_collection(
-    database: "Database", name: str, operation: Dict[str, object]
-) -> "Collection":
-    """Create a collection mid-replay, honoring a ``create`` op's layout."""
-    shards = 1
-    shard_key = "ncid"
-    if operation.get("op") == "create":
-        shards = int(operation.get("shards", 1) or 1)  # type: ignore[arg-type]
-        shard_key = str(operation.get("shard_key", "ncid"))
-    return database.create_collection(name, shards=shards, shard_key=shard_key)
 
 
 def _replay_operation(collection: "Collection", operation: Dict[str, object]) -> None:
@@ -698,8 +585,8 @@ def _replay_operation(collection: "Collection", operation: Dict[str, object]) ->
     post-states of the paths it wrote, list elements by position, so
     replaying a stale log over a newer snapshot converges on the snapshot
     state instead of erroring.  The parsed documents are installed
-    uncopied.  (``create`` operations carry no payload — materializing
-    the collection, done by the caller, is their whole effect.)
+    uncopied.  (Materializing the collection, done by the caller, is the
+    whole effect of a ``create`` operation.)
     """
     kind = operation.get("op")
     if kind in ("insert", "replace"):

@@ -66,33 +66,6 @@ _RECORD_PREFIX = struct.Struct("<II")
 COMMIT_FILE = "COMMITTED"
 
 
-def wal_filename(collection: str, partition: int = 0, shards: int = 1) -> str:
-    """WAL file name for one partition of a collection.
-
-    Unsharded collections keep the legacy ``<collection>.wal``; sharded
-    collections write one ``<collection>@p<i>.wal`` per partition, each
-    carrying that partition's operations (with per-collection ``seq``
-    numbers for cross-file replay ordering) plus every commit marker.
-    """
-    if shards <= 1:
-        return f"{collection}.wal"
-    return f"{collection}@p{partition}.wal"
-
-
-def split_wal_stem(stem: str) -> Tuple[str, int]:
-    """``(collection name, partition index)`` from a WAL file stem.
-
-    The ``@p<digits>`` suffix marks a partition file; anything else is an
-    unsharded log for the whole stem.  (A collection whose *name* ends in
-    ``@p<digits>`` would be misparsed — collection names are expected not
-    to use the reserved suffix.)
-    """
-    name, sep, suffix = stem.rpartition("@p")
-    if sep and suffix.isdigit():
-        return name, int(suffix)
-    return stem, 0
-
-
 # ------------------------------------------------------------ atomic writes
 
 
@@ -340,8 +313,8 @@ class WalWriter:
         a new header-only file is written beside the log, fsynced, and
         renamed over it.  Until the rename lands the old log is intact,
         and a stale log replaying onto the fresh checkpoint snapshot is
-        idempotent-safe (the epoch filter skips captured history), so a
-        crash at *any* operation of the swap recovers cleanly.
+        idempotent, so a crash at *any* operation of the swap recovers
+        cleanly.
         """
         self.close()
         atomic_write_bytes(self.path, WAL_MAGIC)
@@ -476,12 +449,6 @@ def read_wal(
                 # this epoch — and everything after it — is uncommitted.
                 sealed = True
                 continue
-            # Stamp each operation with its commit epoch so replay can
-            # skip epochs a checkpoint snapshot already captured (needed
-            # when a crash truncates only some of a sharded collection's
-            # partition logs, losing a cross-file prefix of the history).
-            for operation_record in staged:
-                operation_record["commit_epoch"] = epoch
             recovery.operations.extend(staged)
             recovery.last_epoch = epoch
             recovery.committed_end = end

@@ -34,30 +34,22 @@ def render_table(header: Sequence[str], rows: Iterable[Sequence[str]]) -> str:
     return "\n".join(lines)
 
 
-def render_shard_stats(stats: Dict) -> str:
+def render_collection_stats(stats: Dict) -> str:
     """Storage-layout table from :meth:`repro.docstore.Database.stats`.
 
-    One row per collection: document count, shard layout, per-shard
-    document counts and the balance factor (max shard / mean shard; 1.0
-    is perfectly even).
+    One row per collection: document count, index names and whether the
+    collection is quarantined.
     """
-    header = ("collection", "documents", "shards", "shard key",
-              "per-shard", "balance", "quarantined")
-    body = []
-    for name in sorted(stats.get("collections", {})):
-        entry = stats["collections"][name]
-        quarantined = entry.get("quarantined_shards") or []
-        body.append(
-            (
-                name,
-                entry["documents"],
-                entry["shards"],
-                entry["shard_key"] if entry["shards"] > 1 else "-",
-                "/".join(str(count) for count in entry["shard_documents"]),
-                f"{entry['balance_factor']:.2f}",
-                ",".join(str(index) for index in quarantined) or "-",
-            )
+    header = ("collection", "documents", "indexes", "quarantined")
+    body = [
+        (
+            name,
+            entry["documents"],
+            ", ".join(entry["indexes"]) or "-",
+            "yes" if entry["quarantined"] else "-",
         )
+        for name, entry in sorted(stats.get("collections", {}).items())
+    ]
     return render_table(header, body)
 
 
@@ -65,8 +57,7 @@ def render_resilience(stats: Dict) -> str:
     """Resilience counters from :meth:`repro.docstore.Database.stats`.
 
     Covers the parallel layer's retry/degradation telemetry and the
-    storage layer's quarantine/degraded-read state; all zeros on a
-    healthy run.
+    storage layer's quarantine count; all zeros on a healthy run.
     """
     resilience = stats.get("resilience", {})
     header = ("counter", "value")

@@ -136,61 +136,12 @@ class TestCheckConcurrency:
         assert "no concurrency findings" in out
 
 
-class TestCheckShardHints:
-    def _sharded_store(self, tmp_path):
-        from repro.docstore import Database
-
-        database = Database(shards=4)
-        database["clusters"].insert_many(
-            {"_id": i, "ncid": f"AA{i}", "n": i} for i in range(8)
-        )
-        database.save(tmp_path / "store")
-        return str(tmp_path / "store")
-
-    def test_scattering_shard_key_equality_warns_i407(self, capsys, tmp_path):
-        store = self._sharded_store(tmp_path)
-        code, out = run(
-            capsys,
-            "--store", store,
-            "--collection", "clusters",
-            "--filter", '{"ncid": 7}',
-        )
-        assert code == 0  # warnings only
-        assert "I407" in out and "scatters" in out
-
-    def test_routed_query_has_no_shard_hint(self, capsys, tmp_path):
-        store = self._sharded_store(tmp_path)
-        code, out = run(
-            capsys,
-            "--store", store,
-            "--collection", "clusters",
-            "--filter", '{"ncid": "AA1"}',
-        )
-        assert code == 0
-        assert "I407" not in out
-
-    def test_pipeline_head_match_gets_shard_hint(self, capsys, tmp_path):
-        store = self._sharded_store(tmp_path)
-        pipeline = [
-            {"$match": {"$or": [{"ncid": "AA1"}, {"n": 3}]}},
-            {"$group": {"_id": "$n", "total": {"$sum": 1}}},
-        ]
-        code, out = run(
-            capsys,
-            "--store", store,
-            "--collection", "clusters",
-            "--pipeline", json.dumps(pipeline),
-        )
-        assert code == 0
-        assert "I407" in out and "disjunction" in out
-
-
 class TestStatsLayout:
-    def test_layout_table_lists_shards(self, capsys, tmp_path):
+    def test_layout_table_lists_collections(self, capsys, tmp_path):
         from repro.cli import main as cli_main
         from repro.docstore import Database
 
-        database = Database(shards=3)
+        database = Database()
         clusters = database["clusters"]
         clusters.insert_many(
             {"_id": i, "ncid": f"AA{i}", "records": [{"n": i}]} for i in range(9)
@@ -203,5 +154,5 @@ class TestStatsLayout:
         out = capsys.readouterr().out
         assert code == 0
         assert "storage layout:" in out
-        assert "balance" in out
-        assert "clusters" in out
+        assert "quarantined" in out
+        assert "clusters" in out and "versions" in out

@@ -171,74 +171,3 @@ class TestExplainSurfacesHints:
         collection.insert_many([{"age": n} for n in range(5)])
         explained = collection.explain({"age": {"$gt": 2}}, sort=[("age", 1)])
         assert explained["hints"] == []
-
-
-class TestI407ShardScatter:
-    def test_type_mismatched_shard_key_equality(self):
-        diagnostics = analyze_index_usage(
-            {"ncid": 7}, indexes=[], shard_key="ncid", shards=4
-        )
-        assert codes(diagnostics) == ["I407"]
-        assert diagnostics[0].severity == WARNING
-        assert "non-string operand" in diagnostics[0].message
-
-    def test_in_with_non_string_element(self):
-        diagnostics = analyze_index_usage(
-            {"ncid": {"$in": ["AA1", 2]}}, indexes=[], shard_key="ncid", shards=4
-        )
-        assert codes(diagnostics) == ["I407"]
-
-    def test_equality_buried_under_or(self):
-        diagnostics = analyze_index_usage(
-            {"$or": [{"ncid": "AA1"}, {"n": 2}]},
-            indexes=[],
-            shard_key="ncid",
-            shards=4,
-        )
-        assert codes(diagnostics) == ["I407"]
-        assert "disjunction" in diagnostics[0].message
-
-    def test_routed_query_is_silent(self):
-        assert (
-            analyze_index_usage(
-                {"ncid": "AA1"}, indexes=[], shard_key="ncid", shards=4
-            )
-            == []
-        )
-        assert (
-            analyze_index_usage(
-                {"$and": [{"ncid": "AA1"}, {"n": 1}]},
-                indexes=[],
-                shard_key="ncid",
-                shards=4,
-            )
-            == []
-        )
-
-    def test_scatter_without_shard_key_mention_is_silent(self):
-        assert (
-            analyze_index_usage({"n": 1}, indexes=[], shard_key="ncid", shards=4)
-            == []
-        )
-
-    def test_unsharded_collection_is_silent(self):
-        assert analyze_index_usage({"ncid": 7}, indexes=[], shards=1) == []
-
-    def test_pipeline_head_match_is_analyzed(self):
-        diagnostics = analyze_index_usage(
-            pipeline=[{"$match": {"ncid": 7}}, {"$group": {"_id": None}}],
-            indexes=[],
-            shard_key="ncid",
-            shards=4,
-        )
-        assert codes(diagnostics) == ["I407"]
-
-    def test_explain_surfaces_i407(self):
-        collection = Collection("c", shards=4)
-        collection.insert_many({"_id": i, "ncid": f"AA{i}"} for i in range(6))
-        explained = collection.explain({"$or": [{"ncid": "AA1"}, {"_id": 5}]})
-        assert explained["routing"] == "scatter"
-        assert any("I407" in hint for hint in explained["hints"])
-        routed = collection.explain({"ncid": "AA1"})
-        assert routed["routing"] == "single"
-        assert routed["hints"] == []

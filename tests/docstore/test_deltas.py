@@ -251,21 +251,3 @@ class TestDeltaJournal:
         reopened = DurableDatabase(tmp_path)
         assert list(reopened["docs"].all()) == [{"_id": 1, "a": [1]}]
         reopened.close()
-
-    def test_shard_move_journals_the_whole_document(self, tmp_path):
-        database = DurableDatabase(tmp_path, shards=3)
-        docs = database["docs"]
-        docs.insert_one({"_id": "x", "ncid": "AA1", "n": 1})
-        docs.update_one({"_id": "x"}, {"$set": {"ncid": "AA2"}})
-        database.close()
-        kinds = {
-            op["op"]
-            for path in tmp_path.glob("docs@p*.wal")
-            for op in read_wal(path, 10**9, truncate_torn=False).operations
-        }
-        assert "update" not in kinds and "replace" in kinds
-        reopened = DurableDatabase(tmp_path, shards=3)
-        assert reopened["docs"].find_one({"ncid": "AA2"}) == {
-            "_id": "x", "ncid": "AA2", "n": 1,
-        }
-        reopened.close()

@@ -12,7 +12,6 @@ workload committed.
 
 import errno
 import json
-import warnings
 from pathlib import Path
 
 import pytest
@@ -22,8 +21,8 @@ from hypothesis import strategies as st
 from repro import faults
 from repro.core import RemovalLevel, TestDataGenerator
 from repro.core.versioning import UpdateProcess
-from repro.docstore import Database, DurableDatabase, shard_key_shard
-from repro.docstore.errors import DegradedReadWarning, StorageError
+from repro.docstore import Database, DurableDatabase
+from repro.docstore.errors import StorageError
 from repro.docstore.storage import _replay_operation
 from repro.docstore.wal import WalWriter, read_wal
 from repro.votersim.schema import empty_record
@@ -239,27 +238,30 @@ class TestFaultShim:
 
 # ------------------------------------------------ full fault-model sweeps
 
-#: Shard-key values covering every shard of a 3-way layout twice
-#: (``shard_key_shard`` placement: AA1/AA3 → 0, AA2/AA5 → 1, AA7/AA9 → 2).
-_SHARDED_IDS = ("AA1", "AA2", "AA7", "AA3", "AA5", "AA9")
+#: The sweep's six documents, dealt round-robin over three collections
+#: (AA1/AA3, AA2/AA5, AA7/AA9), so one dark collection spares the others.
+_SWEEP_IDS = ("AA1", "AA2", "AA7", "AA3", "AA5", "AA9")
+_SWEEP_COLLECTIONS = ("docs0", "docs1", "docs2")
 
 
-def sharded_workload(directory, mark=None):
-    """Insert/index/update/checkpoint/delete over a 3-shard collection."""
-    database = DurableDatabase(Path(directory), shards=3)
-    docs = database.get_collection("docs")
-    for index, ncid in enumerate(_SHARDED_IDS):
-        docs.insert_one({"_id": ncid, "ncid": ncid, "n": index})
-    docs.create_index("ncid")
+def collections_workload(directory, mark=None):
+    """Insert/index/update/checkpoint/delete across three collections."""
+    database = DurableDatabase(Path(directory))
+    for index, ncid in enumerate(_SWEEP_IDS):
+        database[_SWEEP_COLLECTIONS[index % 3]].insert_one(
+            {"_id": ncid, "ncid": ncid, "n": index}
+        )
+    for name in _SWEEP_COLLECTIONS:
+        database[name].create_index("ncid")
     database.commit()
     if mark:
         mark(database)
-    docs.update_one({"_id": "AA1"}, {"$set": {"n": 100}})
+    database["docs0"].update_one({"_id": "AA1"}, {"$set": {"n": 100}})
     database.checkpoint()
     if mark:
         mark(database)
-    docs.delete_many({"_id": "AA2"})
-    docs.insert_one({"_id": "BA1", "ncid": "BA1", "n": 7})
+    database["docs1"].delete_many({"_id": "AA2"})
+    database["docs2"].insert_one({"_id": "BA1", "ncid": "BA1", "n": 7})
     database.commit()
     if mark:
         mark(database)
@@ -267,16 +269,14 @@ def sharded_workload(directory, mark=None):
 
 
 def doc_state(database):
-    """Docs-only state (degraded-tolerant): healthy shards' documents."""
-    state = {}
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore", DegradedReadWarning)
-        for name in database.collection_names():
-            state[name] = sorted(
-                json.dumps(doc, sort_keys=True)
-                for doc in database[name].all(allow_degraded=True)
-            )
-    return state
+    """Docs-only state of the healthy collections (dark ones left out)."""
+    return {
+        name: sorted(
+            json.dumps(doc, sort_keys=True) for doc in database[name].all()
+        )
+        for name in database.collection_names()
+        if not database[name].quarantined
+    }
 
 
 def committed_doc_states(workload, directory):
@@ -286,47 +286,43 @@ def committed_doc_states(workload, directory):
     return states
 
 
-def healthy_projection(state, quarantined, shards):
-    """Project a committed state onto the shards ``quarantined`` spares."""
-    projected = {}
-    for name, blobs in state.items():
-        dark = quarantined.get(name, set())
-        kept = []
-        for blob in blobs:
-            doc = json.loads(blob)
-            if shard_key_shard(str(doc.get("ncid")), shards) not in dark:
-                kept.append(blob)
-        projected[name] = kept
-    return projected
+def healthy_projection(state, quarantined):
+    """Project a committed state onto the collections ``quarantined`` spares."""
+    return {
+        name: blobs for name, blobs in state.items() if name not in quarantined
+    }
 
 
-def check_recovered_or_quarantined(target, states, shards):
+def check_recovered_or_quarantined(target, states):
     """The tentpole invariant: recovered-or-quarantined, never silently wrong.
 
-    Returns ``None`` when the reopened store's (degraded) state is the
-    healthy-shard projection of some committed state, else a description
+    Returns ``None`` when the reopened store's healthy collections hold
+    exactly what some committed state holds in them, else a description
     of the violation.
     """
     try:
-        reopened = DurableDatabase(target, shards=shards)
+        reopened = DurableDatabase(target)
     except Exception as exc:  # noqa: BLE001 - any failure to open is the bug
         return f"reopen failed: {exc!r}"
     try:
         quarantined = {
-            name: set(reopened[name].quarantined_shards)
+            name
             for name in reopened.collection_names()
-            if reopened[name].quarantined_shards
+            if reopened[name].quarantined
         }
         actual = doc_state(reopened)
         for state in states:
-            if actual == healthy_projection(state, quarantined, shards):
+            if actual == healthy_projection(state, quarantined):
                 return None
-        return f"state not a committed projection (quarantined={quarantined})"
+        return (
+            f"state not a committed projection "
+            f"(quarantined={sorted(quarantined)})"
+        )
     finally:
         reopened.close(commit=False)
 
 
-def fault_sweep(workload, tmp_path, mode, shards=3):
+def fault_sweep(workload, tmp_path, mode):
     """Inject ``mode`` at every op; assert the store is never silently wrong."""
     states = committed_doc_states(workload, tmp_path / "reference")
     total = faults.count_ops(lambda: workload(tmp_path / "count"))
@@ -339,44 +335,44 @@ def fault_sweep(workload, tmp_path, mode, shards=3):
                 workload(target)
             except (faults.CrashError, OSError):
                 pass  # the fault surfaced; the store must still open below
-        violation = check_recovered_or_quarantined(target, states, shards)
+        violation = check_recovered_or_quarantined(target, states)
         if violation is not None:
             failures.append((plan.fail_at, plan.failed_op, violation))
     assert not failures, f"{len(failures)}/{total} fault points leaked: {failures}"
 
 
 class TestFaultModeSweep:
-    """The full I/O fault model over a sharded generate→commit→checkpoint run."""
+    """The full I/O fault model over a three-collection commit→checkpoint run."""
 
-    def test_sharded_workload_crash_mode(self, tmp_path):
-        sweep(sharded_workload, tmp_path, "crash")
+    def test_collections_workload_crash_mode(self, tmp_path):
+        sweep(collections_workload, tmp_path, "crash")
 
-    def test_sharded_workload_torn_mode(self, tmp_path):
-        fault_sweep(sharded_workload, tmp_path, "torn")
+    def test_collections_workload_torn_mode(self, tmp_path):
+        fault_sweep(collections_workload, tmp_path, "torn")
 
-    def test_sharded_workload_eio_mode(self, tmp_path):
-        fault_sweep(sharded_workload, tmp_path, "eio")
+    def test_collections_workload_eio_mode(self, tmp_path):
+        fault_sweep(collections_workload, tmp_path, "eio")
 
-    def test_sharded_workload_enospc_mode(self, tmp_path):
-        fault_sweep(sharded_workload, tmp_path, "enospc")
+    def test_collections_workload_enospc_mode(self, tmp_path):
+        fault_sweep(collections_workload, tmp_path, "enospc")
 
-    def test_sharded_workload_partial_fsync_mode(self, tmp_path):
-        fault_sweep(sharded_workload, tmp_path, "partial_fsync")
+    def test_collections_workload_partial_fsync_mode(self, tmp_path):
+        fault_sweep(collections_workload, tmp_path, "partial_fsync")
 
     def test_docstore_workload_enospc_mode(self, tmp_path):
-        fault_sweep(docstore_workload, tmp_path, "enospc", shards=1)
+        fault_sweep(docstore_workload, tmp_path, "enospc")
 
     def test_docstore_workload_partial_fsync_mode(self, tmp_path):
-        fault_sweep(docstore_workload, tmp_path, "partial_fsync", shards=1)
+        fault_sweep(docstore_workload, tmp_path, "partial_fsync")
 
     def test_slow_mode_changes_nothing(self, tmp_path):
         """Latency alone must never change an outcome."""
-        expected = committed_doc_states(sharded_workload, tmp_path / "ref")[-1]
+        expected = committed_doc_states(collections_workload, tmp_path / "ref")[-1]
         plan = faults.FaultyFileSystem(fail_at=5, mode="slow", delay=0.001)
         with faults.inject(plan):
-            sharded_workload(tmp_path / "slow")
+            collections_workload(tmp_path / "slow")
         assert plan.failed_op is not None  # the delay did fire
-        reopened = DurableDatabase(tmp_path / "slow", shards=3)
+        reopened = DurableDatabase(tmp_path / "slow")
         assert doc_state(reopened) == expected
         assert reopened.last_recovery.clean
         reopened.close(commit=False)
@@ -529,17 +525,11 @@ _OPERATIONS = st.one_of(
 )
 
 
-def apply_operations(collection, operations, shard_key=False):
-    """Apply ``_OPERATIONS`` tuples; inserted documents hold a list.
-
-    ``shard_key=True`` stamps the shard key on every document, so a fault
-    oracle can project committed states onto healthy shards.
-    """
+def apply_operations(collection, operations):
+    """Apply ``_OPERATIONS`` tuples; inserted documents hold a list."""
     for kind, doc_id, value in operations:
         if kind == "insert":
             document = {"_id": doc_id, "value": value, "tags": [value % 5]}
-            if shard_key:
-                document["ncid"] = doc_id
             if collection.count_documents({"_id": doc_id}):
                 collection.replace_one({"_id": doc_id}, document)
             else:
@@ -550,9 +540,11 @@ def apply_operations(collection, operations, shard_key=False):
             collection.update_one({"_id": doc_id}, _update_spec(kind, value))
 
 
-def apply_sharded_operations(collection, operations):
-    """:func:`apply_operations` with the shard key stamped on every doc."""
-    apply_operations(collection, operations, shard_key=True)
+def apply_split_operations(database, operations):
+    """:func:`apply_operations` over two collections, split by ``_id``."""
+    for operation in operations:
+        name = "docs" if operation[1] in ("a", "b", "c") else "more"
+        apply_operations(database[name], [operation])
 
 
 class TestRoundTripProperties:
@@ -612,13 +604,12 @@ class TestRoundTripProperties:
         directory = tmp_path_factory.mktemp("fault")
 
         def workload(target, mark=None):
-            database = DurableDatabase(Path(target), shards=2)
-            docs = database["docs"]
-            apply_sharded_operations(docs, committed)
+            database = DurableDatabase(Path(target))
+            apply_split_operations(database, committed)
             database.commit()
             if mark:
                 mark(database)
-            apply_sharded_operations(docs, staged)
+            apply_split_operations(database, staged)
             database.commit()
             if mark:
                 mark(database)
@@ -632,7 +623,7 @@ class TestRoundTripProperties:
                 workload(target)
             except (faults.CrashError, OSError):
                 pass
-        violation = check_recovered_or_quarantined(target, states, shards=2)
+        violation = check_recovered_or_quarantined(target, states)
         assert violation is None, f"{plan.failed_op}: {violation}"
 
     @given(

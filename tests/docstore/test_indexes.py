@@ -106,17 +106,15 @@ class TestWritePathFlushing:
     def pending(collection):
         return [
             entry
-            for partition in collection._partitions
-            for index in partition.live._indexes.values()
+            for index in collection._indexes.values()
             if isinstance(index, SortedIndex)
             for entry in index._pending
         ]
 
-    @pytest.mark.parametrize("shards", [1, 3])
-    def test_every_write_path_leaves_no_pending_entries(self, shards):
+    def test_every_write_path_leaves_no_pending_entries(self):
         from repro.docstore import Collection
 
-        collection = Collection("c", shards=shards)
+        collection = Collection("c")
         collection.insert_many(
             {"_id": i, "ncid": f"NC{i}", "n": i} for i in range(6)
         )
@@ -134,7 +132,6 @@ class TestWritePathFlushing:
         assert self.pending(collection) == []
         collection.replace_one({"_id": 10}, {"ncid": "NC10", "n": 12})
         assert self.pending(collection) == []
-        # Shard-key migration re-adds on the target partition.
         collection.update_one({"_id": 10}, {"$set": {"ncid": "NC99"}})
         assert self.pending(collection) == []
         collection.delete_many({"n": {"$gte": 23}})

@@ -1,17 +1,15 @@
-"""Scrubber, quarantine/degraded-read and repair tests.
+"""Scrubber, quarantine and repair tests.
 
 The robustness contract on top of crash recovery: corruption in one
-partition's files takes exactly that partition dark (quarantine) instead
-of failing the whole store; reads that only touch healthy shards keep
-working bit-identically; reads that touch the dark shard raise a typed
-error unless the caller opts into degraded results; writes to the dark
-shard are refused; ``repair()`` salvages what the damaged files still
-hold and lifts the quarantine.  ``scrub_database`` finds all of this
-offline without modifying a byte.
+collection's files takes exactly that collection dark (quarantine) instead
+of failing the whole store; the other collections keep serving
+bit-identically; every read of the dark collection raises a typed error
+and every write to it is refused; ``repair()`` salvages what the damaged
+files still hold and lifts the quarantine.  ``scrub_database`` finds all of
+this offline without modifying a byte.
 """
 
 import json
-import warnings
 from pathlib import Path
 
 import pytest
@@ -19,45 +17,48 @@ import pytest
 from repro.docstore import (
     Database,
     DegradedReadError,
-    DegradedReadWarning,
     DegradedWriteError,
     DurableDatabase,
     StorageError,
     scrub_database,
-    shard_key_shard,
 )
 from repro.docstore.errors import DocStoreError
 from repro.docstore.scrub import repair_database
-from repro.docstore.wal import WAL_MAGIC, wal_filename
+from repro.docstore.wal import WAL_MAGIC
 
-#: ncids landing on shards 0, 1 and 2 of a 3-way layout (crc32 placement).
+#: The store's collections; the corruption hits ``DARK``.
+NAMES = ("docs0", "docs1", "docs2")
+DARK = "docs2"
+HEALTHY = ("docs0", "docs1")
+#: One document per collection in the checkpoint snapshots...
 SNAP_IDS = ("AA1", "AA2", "AA7")
+#: ...and one per collection in the WALs after it.
 WAL_IDS = ("AA3", "AA5", "AA9")
-DARK_SHARD = 2  # shard of AA7/AA9
 
 
-def build_sharded_store(directory):
-    """Snapshot holding SNAP_IDS, per-partition WALs holding WAL_IDS."""
-    database = DurableDatabase(Path(directory), shards=3)
-    docs = database["docs"]
-    for ncid in SNAP_IDS:
-        docs.insert_one({"_id": ncid, "ncid": ncid, "stage": "snapshot"})
+def build_store(directory):
+    """Snapshots holding SNAP_IDS, WALs holding WAL_IDS, one per collection."""
+    database = DurableDatabase(Path(directory))
+    for name, ncid in zip(NAMES, SNAP_IDS):
+        database[name].insert_one({"_id": ncid, "ncid": ncid, "stage": "snapshot"})
     database.checkpoint()
-    for ncid in WAL_IDS:
-        docs.insert_one({"_id": ncid, "ncid": ncid, "stage": "wal"})
+    for name, ncid in zip(NAMES, WAL_IDS):
+        database[name].insert_one({"_id": ncid, "ncid": ncid, "stage": "wal"})
     database.commit()
     database.close()
     return Path(directory)
 
 
 def build_checkpointed_store(directory):
-    """Like :func:`build_sharded_store` but ending at the checkpoint, so
-    the manifest checksum is authoritative (no interrupted-checkpoint
-    window for a corrupt snapshot to hide in)."""
-    database = DurableDatabase(Path(directory), shards=3)
-    docs = database["docs"]
-    for ncid in SNAP_IDS + WAL_IDS:
-        docs.insert_one({"_id": ncid, "ncid": ncid, "stage": "snapshot"})
+    """Like :func:`build_store` but ending at the checkpoint, so the
+    manifest checksum is authoritative (no interrupted-checkpoint window
+    for a corrupt snapshot to hide in)."""
+    database = DurableDatabase(Path(directory))
+    for name, ncids in zip(NAMES, zip(SNAP_IDS, WAL_IDS)):
+        for ncid in ncids:
+            database[name].insert_one(
+                {"_id": ncid, "ncid": ncid, "stage": "snapshot"}
+            )
     database.checkpoint()
     database.close(commit=False)
     return Path(directory)
@@ -72,28 +73,27 @@ def corrupt_wal_frame(path):
 
 
 def dark_wal(store):
-    return store / wal_filename("docs", DARK_SHARD, 3)
+    return store / f"{DARK}.wal"
+
+
+def healthy_documents(database):
+    return {name: list(database[name].all()) for name in HEALTHY}
 
 
 @pytest.fixture()
 def degraded_store(tmp_path):
-    """A sharded store reopened after mid-file WAL corruption on one shard."""
-    store = build_sharded_store(tmp_path / "store")
+    """A store whose ``DARK`` collection has mid-file WAL corruption."""
+    store = build_store(tmp_path / "store")
     corrupt_wal_frame(dark_wal(store))
     return store
 
 
-def test_shard_ids_cover_the_layout():
-    assert [shard_key_shard(n, 3) for n in SNAP_IDS] == [0, 1, 2]
-    assert [shard_key_shard(n, 3) for n in WAL_IDS] == [0, 1, 2]
-
-
 class TestScrubFindings:
     def test_clean_store_is_clean(self, tmp_path):
-        store = build_sharded_store(tmp_path / "store")
+        store = build_store(tmp_path / "store")
         report = scrub_database(store)
         assert report.ok and report.clean
-        assert report.files_checked >= 4  # manifest, snapshot, 3 WALs
+        assert report.files_checked == 7  # manifest, 3 snapshots, 3 WALs
         assert report.bytes_checked > 0
         assert "no problems found" in report.render()
 
@@ -107,12 +107,11 @@ class TestScrubFindings:
         kinds = {finding.kind for finding in report.errors}
         assert "wal-corrupt" in kinds
         [finding] = [f for f in report.errors if f.kind == "wal-corrupt"]
-        assert finding.collection == "docs"
-        assert finding.partition == DARK_SHARD
+        assert finding.collection == DARK
 
     def test_corrupt_snapshot_is_an_error(self, tmp_path):
         store = build_checkpointed_store(tmp_path / "store")
-        path = store / "docs.jsonl"
+        path = store / f"{DARK}.jsonl"
         text = path.read_text()
         path.write_text(text.replace('"', "X", 1))
         report = scrub_database(store)
@@ -122,7 +121,7 @@ class TestScrubFindings:
 
     def test_shallow_skips_line_parsing(self, tmp_path):
         store = build_checkpointed_store(tmp_path / "store")
-        path = store / "docs.jsonl"
+        path = store / f"{DARK}.jsonl"
         path.write_text(path.read_text().replace('"', "X", 1))
         report = scrub_database(store, deep=False)
         kinds = {finding.kind for finding in report.errors}
@@ -131,8 +130,8 @@ class TestScrubFindings:
 
     def test_interrupted_checkpoint_checksum_is_a_warning(self, tmp_path):
         """COMMITTED beyond the manifest epoch marks the repairable window."""
-        store = build_sharded_store(tmp_path / "store")  # commit after ckpt
-        path = store / "docs.jsonl"
+        store = build_store(tmp_path / "store")  # commit after ckpt
+        path = store / f"{DARK}.jsonl"
         path.write_text(path.read_text() + "\n")  # size mismatch, still parses
         report = scrub_database(store)
         assert report.ok
@@ -142,16 +141,16 @@ class TestScrubFindings:
         )
 
     def test_orphan_tmp_is_a_warning(self, tmp_path):
-        store = build_sharded_store(tmp_path / "store")
-        (store / "docs.jsonl.tmp").write_bytes(b"half")
+        store = build_store(tmp_path / "store")
+        (store / f"{DARK}.jsonl.tmp").write_bytes(b"half")
         report = scrub_database(store)
         assert report.ok  # warnings do not fail a scrub
         assert {finding.kind for finding in report.warnings} == {"orphan-tmp"}
 
     def test_quarantine_flags_reported(self, degraded_store):
-        DurableDatabase(degraded_store, shards=3).close(commit=False)
+        DurableDatabase(degraded_store).close(commit=False)
         report = scrub_database(degraded_store)
-        assert report.quarantined == {"docs": [DARK_SHARD]}
+        assert report.quarantined == [DARK]
         assert not report.ok
         assert any(f.kind == "quarantine" for f in report.warnings)
 
@@ -164,107 +163,108 @@ class TestScrubFindings:
 
 
 class TestQuarantinedDegradedReads:
-    def test_reopen_quarantines_only_the_corrupt_shard(self, degraded_store):
-        database = DurableDatabase(degraded_store, shards=3)
-        assert database.last_recovery.quarantined == {"docs": [DARK_SHARD]}
-        assert database["docs"].quarantined_shards == [DARK_SHARD]
+    def test_reopen_quarantines_only_the_corrupt_collection(self, degraded_store):
+        database = DurableDatabase(degraded_store)
+        assert database.last_recovery.quarantined == [DARK]
+        assert [name for name in NAMES if database[name].quarantined] == [DARK]
         database.close(commit=False)
 
-    def test_healthy_shard_reads_are_bit_identical(self, tmp_path):
-        pristine = build_sharded_store(tmp_path / "pristine")
-        oracle = DurableDatabase(pristine, shards=3)
-        expected = {
-            ncid: oracle["docs"].find_one({"ncid": ncid})
-            for ncid in ("AA1", "AA2", "AA3", "AA5")
-        }
+    def test_healthy_collection_reads_are_bit_identical(self, tmp_path):
+        pristine = build_store(tmp_path / "pristine")
+        oracle = DurableDatabase(pristine)
+        expected = healthy_documents(oracle)
         oracle.close(commit=False)
 
-        store = build_sharded_store(tmp_path / "store")
+        store = build_store(tmp_path / "store")
         corrupt_wal_frame(dark_wal(store))
-        database = DurableDatabase(store, shards=3)
-        for ncid, doc in expected.items():  # all route to healthy shards
-            assert database["docs"].find_one({"ncid": ncid}) == doc
+        database = DurableDatabase(store)
+        assert healthy_documents(database) == expected
+        view = database.read_view()
+        for name in HEALTHY:
+            assert view[name].find() == expected[name]
         database.close(commit=False)
 
-    def test_dark_shard_point_read_raises(self, degraded_store):
-        database = DurableDatabase(degraded_store, shards=3)
-        with pytest.raises(DegradedReadError) as excinfo:
-            database["docs"].find_one({"ncid": "AA7"})
-        assert excinfo.value.shards == [DARK_SHARD]
+    def test_dark_collection_reads_raise(self, degraded_store):
+        database = DurableDatabase(degraded_store)
+        docs = database[DARK]
+        reads = [
+            lambda: docs.find(),
+            lambda: docs.find_one({"ncid": "AA7"}),
+            lambda: docs.count_documents(),
+            lambda: docs.count_documents({"ncid": "AA7"}),
+            lambda: docs.distinct("ncid"),
+            lambda: docs.aggregate([{"$count": "n"}]),
+            lambda: list(docs.all()),
+        ]
+        for read in reads:
+            with pytest.raises(DegradedReadError) as excinfo:
+                read()
+            assert excinfo.value.collection == DARK
+            assert "checksum mismatch" in excinfo.value.reason
         database.close(commit=False)
 
-    def test_scatter_read_requires_opt_in(self, degraded_store):
-        database = DurableDatabase(degraded_store, shards=3)
-        docs = database["docs"]
+    def test_snapshot_count_of_dark_collection_raises(self, degraded_store):
+        """An unfiltered snapshot count must not report a dark collection
+        as empty: every snapshot read of it raises."""
+        database = DurableDatabase(degraded_store)
+        snapshot = database.read_view()[DARK]
         with pytest.raises(DegradedReadError):
-            docs.find({})
-        with pytest.warns(DegradedReadWarning):
-            partial = docs.find({}, allow_degraded=True)
-        assert {doc["ncid"] for doc in partial} == {"AA1", "AA2", "AA3", "AA5"}
-        database.close(commit=False)
-
-    def test_degraded_aggregate_and_count(self, degraded_store):
-        database = DurableDatabase(degraded_store, shards=3)
-        docs = database["docs"]
+            snapshot.count_documents()
         with pytest.raises(DegradedReadError):
-            docs.count_documents()
-        with pytest.warns(DegradedReadWarning):
-            assert docs.count_documents(allow_degraded=True) == 4
-        with pytest.warns(DegradedReadWarning):
-            rows = docs.aggregate(
-                [{"$group": {"_id": None, "n": {"$sum": 1}}}],
-                allow_degraded=True,
-            )
-        assert rows[0]["n"] == 4
+            snapshot.find({})
+        with pytest.raises(DegradedReadError):
+            list(snapshot.all())
         database.close(commit=False)
 
-    def test_writes_to_dark_shard_refused(self, degraded_store):
-        database = DurableDatabase(degraded_store, shards=3)
-        docs = database["docs"]
-        with pytest.raises(DegradedWriteError):
-            docs.insert_one({"_id": "BA5", "ncid": "BA5"})  # routes to shard 2
-        with pytest.raises(DegradedWriteError):
-            docs.update_one({"ncid": "AA7"}, {"$set": {"x": 1}})
-        with pytest.raises(DegradedWriteError):
-            docs.delete_many({})  # scatter write touches the dark shard
+    def test_writes_to_dark_collection_refused(self, degraded_store):
+        database = DurableDatabase(degraded_store)
+        docs = database[DARK]
+        writes = [
+            lambda: docs.insert_one({"_id": "BA5", "ncid": "BA5"}),
+            lambda: docs.insert_many([{"_id": "BA6", "ncid": "BA6"}]),
+            lambda: docs.update_one({"ncid": "AA7"}, {"$set": {"x": 1}}),
+            lambda: docs.replace_one({"ncid": "AA7"}, {"ncid": "AA7"}),
+            lambda: docs.delete_many({}),
+            lambda: docs.create_index("stage"),
+            lambda: database.drop_collection(DARK),
+        ]
+        for write in writes:
+            with pytest.raises(DegradedWriteError):
+                write()
         database.close(commit=False)
 
-    def test_healthy_shard_writes_still_commit(self, degraded_store):
-        database = DurableDatabase(degraded_store, shards=3)
-        docs = database["docs"]
-        docs.insert_one({"_id": "BA0", "ncid": "BA0", "stage": "post"})
+    def test_healthy_collection_writes_still_commit(self, degraded_store):
+        database = DurableDatabase(degraded_store)
+        database["docs0"].insert_one({"_id": "BA0", "ncid": "BA0", "stage": "post"})
         database.commit()
         database.close(commit=False)
-        reopened = DurableDatabase(degraded_store, shards=3)
-        assert reopened["docs"].find_one({"ncid": "BA0"}) is not None
-        assert reopened["docs"].quarantined_shards == [DARK_SHARD]
+        reopened = DurableDatabase(degraded_store)
+        assert reopened["docs0"].find_one({"ncid": "BA0"}) is not None
+        assert reopened[DARK].quarantined
         reopened.close(commit=False)
 
-    def test_checkpoint_preserves_the_dark_shards_history(self, degraded_store):
-        database = DurableDatabase(degraded_store, shards=3)
-        database.checkpoint()  # must not fold healthy shards over the store
+    def test_checkpoint_preserves_the_dark_collection_history(self, degraded_store):
+        database = DurableDatabase(degraded_store)
+        database.checkpoint()  # must not write the dark collection's snapshot
         database.close(commit=False)
-        assert dark_wal(degraded_store).with_suffix(
-            ".wal.quarantined"
-        ).is_dir() or list(degraded_store.glob("*.quarantined"))
+        assert (degraded_store / f"{DARK}.wal.quarantined").is_dir()
         report = repair_database(degraded_store)
-        salvaged = DurableDatabase(degraded_store, shards=3)
-        # The snapshot rows of the dark shard survived quarantine+repair.
-        assert salvaged["docs"].find_one({"ncid": "AA7"}) is not None
+        salvaged = DurableDatabase(degraded_store)
+        # The dark collection's snapshot row survived quarantine+repair.
+        assert salvaged[DARK].find_one({"ncid": "AA7"}) is not None
         assert report.committed_epoch > 0
         salvaged.close(commit=False)
 
-    def test_stats_surface_quarantine_and_degraded_reads(self, degraded_store):
-        database = DurableDatabase(degraded_store, shards=3)
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore", DegradedReadWarning)
-            list(database["docs"].all(allow_degraded=True))
+    def test_stats_surface_quarantine(self, degraded_store):
+        from repro.report import render_collection_stats
+
+        database = DurableDatabase(degraded_store)
         stats = database.stats()
-        entry = stats["collections"]["docs"]
-        assert entry["quarantined_shards"] == [DARK_SHARD]
-        assert entry["degraded_reads"] == 1
-        assert stats["resilience"]["quarantined_shards"] == 1
-        assert stats["resilience"]["degraded_reads"] == 1
+        assert [
+            name for name in NAMES if stats["collections"][name]["quarantined"]
+        ] == [DARK]
+        assert stats["resilience"]["quarantined_collections"] == 1
+        assert "yes" in render_collection_stats(stats)
         database.close(commit=False)
 
 
@@ -272,49 +272,49 @@ class TestRepair:
     def test_repair_lifts_quarantine_and_keeps_salvageable_data(
         self, degraded_store
     ):
-        database = DurableDatabase(degraded_store, shards=3)
+        database = DurableDatabase(degraded_store)
         report = database.repair()
         assert database.last_repair is report
-        docs = database["docs"]
-        assert docs.quarantined_shards == []
-        # Snapshot rows of the dark shard and every healthy row survive;
+        assert not any(database[name].quarantined for name in NAMES)
+        # The dark collection's snapshot row and every healthy row survive;
         # only the corrupted committed frame (AA9) may be gone.
-        present = {doc["ncid"] for doc in docs.all()}
+        present = {doc["ncid"] for name in NAMES for doc in database[name].all()}
         assert {"AA1", "AA2", "AA3", "AA5", "AA7"} <= present
         assert scrub_database(degraded_store).ok
         database.close()
 
     def test_repaired_store_accepts_all_writes_again(self, degraded_store):
-        database = DurableDatabase(degraded_store, shards=3)
+        database = DurableDatabase(degraded_store)
         database.repair()
-        database["docs"].insert_one({"_id": "BA5", "ncid": "BA5"})  # shard 2
+        database[DARK].insert_one({"_id": "BA5", "ncid": "BA5"})
         database.commit()
         database.close()
-        reopened = DurableDatabase(degraded_store, shards=3)
+        reopened = DurableDatabase(degraded_store)
         assert reopened.last_recovery.clean
-        assert reopened["docs"].find_one({"ncid": "BA5"}) is not None
+        assert reopened[DARK].find_one({"ncid": "BA5"}) is not None
         reopened.close(commit=False)
 
     def test_snapshot_corruption_darkens_whole_collection(self, tmp_path):
-        store = build_sharded_store(tmp_path / "store")
-        path = store / "docs.jsonl"
+        store = build_store(tmp_path / "store")
+        path = store / f"{DARK}.jsonl"
         path.write_text(path.read_text().replace('"', "X", 1))
-        database = DurableDatabase(store, shards=3)
-        docs = database["docs"]
-        assert docs.quarantined_shards == [0, 1, 2]
+        database = DurableDatabase(store)
+        docs = database[DARK]
+        assert docs.quarantined
         with pytest.raises(DegradedReadError):
-            docs.find_one({"ncid": "AA1"})
-        with pytest.warns(DegradedReadWarning):
-            assert list(docs.all(allow_degraded=True)) == []
+            docs.find_one({"ncid": "AA9"})  # a WAL row: replay was skipped
+        with pytest.raises(DegradedReadError):
+            list(docs.all())
+        assert database["docs0"].count_documents() == 2
         database.repair()
         # Salvage drops only the mangled line; the rest returns to service.
-        survivors = {doc["ncid"] for doc in database["docs"].all()}
+        survivors = {doc["ncid"] for name in NAMES for doc in database[name].all()}
         assert len(survivors) >= len(SNAP_IDS) + len(WAL_IDS) - 1
         database.close()
 
     def test_scrub_method_records_last_scrub_in_stats(self, tmp_path):
-        store = build_sharded_store(tmp_path / "store")
-        database = DurableDatabase(store, shards=3)
+        store = build_store(tmp_path / "store")
+        database = DurableDatabase(store)
         report = database.scrub()
         assert report.ok
         storage = database.stats()["storage"]

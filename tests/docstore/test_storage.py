@@ -8,9 +8,11 @@ from repro.docstore import (
     Database,
     DurableDatabase,
     StorageCorruptError,
+    StorageError,
     repair_database,
 )
 from repro.docstore.storage import RecoveryReport, load_database
+from repro.docstore.wal import WalWriter, write_committed_epoch
 
 
 @pytest.fixture
@@ -141,7 +143,7 @@ class TestDurableRecoveryReport:
     def test_unknown_operation_kind_is_never_dropped(self, tmp_path):
         db = DurableDatabase(tmp_path)
         db["c"].insert_one({"_id": 1})
-        db._wals["c"][0].log("frobnicate", {})
+        db._wals["c"].log("frobnicate", {})
         db.commit()
         db.close()
         with pytest.raises(StorageCorruptError) as info:
@@ -177,3 +179,34 @@ class TestDurableRecoveryReport:
         assert [d["_id"] for d in loaded["c"].all()] == [1]
         manifest = json.loads((tmp_path / "manifest.json").read_text())
         assert manifest["epoch"] == 1
+
+
+class TestLegacyHashPartitionedLayout:
+    """Stores of the retired layout fail to open with a clear error."""
+
+    def test_manifest_entry_with_shards_is_refused(self, populated):
+        db, store = populated
+        db.save(store)
+        manifest_path = store / "manifest.json"
+        manifest = json.loads(manifest_path.read_text())
+        manifest["collections"]["clusters"].update(shards=3, shard_key="ncid")
+        manifest_path.write_text(json.dumps(manifest))
+        for open_store in (Database.load, DurableDatabase):
+            with pytest.raises(StorageError) as excinfo:
+                open_store(store)
+            message = str(excinfo.value)
+            assert "'clusters'" in message and "manifest.json" in message
+            assert "hash-partitioned layout" in message
+
+    def test_committed_create_record_with_shards_is_refused(self, tmp_path):
+        writer = WalWriter(tmp_path / "clusters@p0.wal")
+        writer.log("create", {"shards": 3, "shard_key": "ncid", "seq": 1})
+        writer.log("insert", {"doc": {"_id": "AA1", "ncid": "AA1"}, "seq": 2})
+        writer.commit(1)
+        writer.close()
+        write_committed_epoch(tmp_path, 1)
+        with pytest.raises(StorageError) as excinfo:
+            Database.load(tmp_path)
+        message = str(excinfo.value)
+        assert "clusters@p0.wal" in message
+        assert "hash-partitioned layout" in message

@@ -179,8 +179,8 @@ class TestWriteAfterReadStability:
         assert before["tags"] == [1]
         assert collection.find_one({"_id": 1})["a"]["b"] == 2
 
-    def test_update_after_find_leaves_results_stable_sharded(self):
-        collection = Collection("c", shards=3)
+    def test_update_after_find_leaves_results_stable_for_every_match(self):
+        collection = Collection("c")
         collection.insert_many(
             {"_id": i, "ncid": f"NC{i}", "a": {"b": i}} for i in range(6)
         )
@@ -245,7 +245,7 @@ class TestFreezing:
 
 class TestPlanCache:
     def make(self, count=6):
-        collection = Collection("c", shards=3)
+        collection = Collection("c")
         collection.create_index("ncid", "hash")
         collection.insert_many(
             {"_id": i, "ncid": f"NC{i}", "n": i} for i in range(count)
@@ -271,16 +271,6 @@ class TestPlanCache:
         after = collection._plan_cache.stats()
         assert after["invalidated"] == before["invalidated"] + 1
 
-    def test_route_cache_survives_epochs(self):
-        collection = self.make()
-        collection.find({"ncid": "NC1"})
-        routes_before = dict(collection._plan_cache._routes)
-        collection.insert_one({"_id": 98, "ncid": "NC98"})
-        collection.find({"ncid": "NC1"})
-        # The shard layout is immutable, so routes outlive the epoch bump.
-        for key, value in routes_before.items():
-            assert collection._plan_cache._routes[key] == value
-
     def test_maps_are_fifo_bounded(self):
         cache = PlanCache()
         collection = self.make()
@@ -289,7 +279,6 @@ class TestPlanCache:
             collection.find({"ncid": f"NC{i}", "probe": i})
         assert len(cache._plans) <= cache.LIMIT
         assert len(cache._templates) <= cache.LIMIT
-        assert len(cache._routes) <= cache.LIMIT
         assert len(_PREDICATE_CACHE) <= 1024
 
     def test_disabled_cache_stays_cold_and_correct(self):

@@ -503,8 +503,58 @@ class TestScrubCommand:
         assert main(["stats", "--store", str(store), "--layout"]) == 0
         output = capsys.readouterr().out
         assert "resilience:" in output
-        assert "degraded_reads" in output
-        assert "quarantined_shards" in output
+        assert "quarantined_collections" in output
+
+
+class TestQuarantinedStore:
+    """Commands that load a store with a dark collection exit 1 and say so."""
+
+    @staticmethod
+    def quarantine(store, name):
+        """Damage ``name``'s WAL, then reopen: recovery takes it dark."""
+        from repro.docstore import DurableDatabase
+
+        wal = store / f"{name}.wal"
+        data = bytearray(wal.read_bytes())
+        data[0] ^= 0xFF
+        wal.write_bytes(bytes(data))
+        database = DurableDatabase(store)
+        assert database[name].quarantined
+        database.close(commit=False)
+
+    @pytest.fixture()
+    def durable_store(self, workspace, tmp_path):
+        _root, snaps, _store = workspace
+        store = tmp_path / "durable"
+        assert main([
+            "generate", "--snapshots", str(snaps), "--store", str(store),
+            "--durable",
+        ]) == 0
+        return store
+
+    def test_stats_names_a_dark_versions_collection(self, durable_store, capsys):
+        self.quarantine(durable_store, "versions")
+        capsys.readouterr()
+        assert main(["stats", "--store", str(durable_store)]) == 1
+        output = capsys.readouterr().out
+        assert "collection 'versions' is quarantined" in output
+        assert "bad WAL magic" in output
+        assert f"scrub --store {durable_store} --repair" in output
+
+    def test_dark_clusters_collection_fails_stats_and_customize(
+        self, durable_store, tmp_path, capsys
+    ):
+        self.quarantine(durable_store, "clusters")
+        capsys.readouterr()
+        assert main(["stats", "--store", str(durable_store)]) == 1
+        output = capsys.readouterr().out
+        assert "store is empty" not in output
+        assert "collection 'clusters' is quarantined" in output
+        assert main([
+            "customize", "--store", str(durable_store),
+            "--out", str(tmp_path / "out.csv"),
+        ]) == 1
+        assert "collection 'clusters' is quarantined" in capsys.readouterr().out
 
 
 class TestRecoverCommand:

@@ -17,6 +17,7 @@ from repro.core.heterogeneity import HeterogeneityScorer
 from repro.core.parallel import score_clusters_parallel
 from repro.core import RemovalLevel, TestDataGenerator
 from repro.dedup import DetectionPipeline, RecordMatcher, score_candidates_packed
+from repro.docstore import Database
 from repro.docstore.collection import Collection
 from repro.sanitizers import (
     DEFAULT_CONFIGS,
@@ -177,22 +178,25 @@ class TestLazyViewMutationSafety:
     are the caller's to wreck, and the stored state must not notice.
     """
 
-    @given(_view_documents, st.sampled_from((1, 3)), st.data())
+    @given(_view_documents, st.sampled_from(("live", "snapshot")), st.data())
     @settings(max_examples=120, deadline=None)
     def test_mutating_results_never_corrupts_stored_state(
-        self, docs, shards, data
+        self, docs, reader_kind, data
     ):
-        collection = Collection("c", shards=shards)
+        database = Database()
+        collection = database["c"]
         collection.create_index("ncid", "hash")
         for position, doc in enumerate(docs):
             stored = dict(doc)
             stored.setdefault("_id", position)
             collection.insert_one(copy.deepcopy(stored))
+        database.commit()
         baseline = copy.deepcopy(list(collection.all()))
+        reader = collection if reader_kind == "live" else database.read_view()["c"]
 
         probes = [{}, {"ncid": "AA1"}, {"a": {"$exists": True}}]
         for _ in range(data.draw(st.integers(1, 3))):
-            returned = collection.find(data.draw(st.sampled_from(probes)))
+            returned = reader.find(data.draw(st.sampled_from(probes)))
             for document in returned:
                 # Top-level writes, nested writes through chained views,
                 # list mutation, deletion, then total destruction.
@@ -206,10 +210,18 @@ class TestLazyViewMutationSafety:
                     value.append(123)
                 document.pop("a", None)
                 document.clear()
-        single = collection.find_one({"ncid": "AA1"})
+        single = reader.find_one({"ncid": "AA1"})
         if single is not None:
             single["ncid"] = "ZZ9"
+        # Distinct values that are containers: sub-documents and lists.
+        for value in reader.distinct(data.draw(st.sampled_from(["nested", "a"]))):
+            if isinstance(value, dict):
+                value["x"] = 99
+                value.setdefault("lst", []).append(7)
+            elif isinstance(value, list):
+                value.append(123)
         assert copy.deepcopy(list(collection.all())) == baseline
+        assert copy.deepcopy(list(database.read_view()["c"].all())) == baseline
 
     def test_aggregate_results_are_mutation_safe(self, people):
         baseline = copy.deepcopy(list(people.all()))
