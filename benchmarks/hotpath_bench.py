@@ -1,27 +1,23 @@
-"""Hot-path benchmark: plan cache, lazy materialization, batched commits.
+"""Hot-path benchmark: lazy materialization and batched commits.
 
-Measures the three layers of the docstore's hot-path engine (see
-``docs/performance.md``, "Layer 6") against their own escape hatches, so
-every speedup is an apples-to-apples comparison on identical data:
+Measures two layers of the docstore's hot-path engine (see
+``docs/performance.md``, "Layer 6") against their naive baselines, on
+identical data:
 
-* ``plan_cache``      — repeated ``ncid`` point ``find``\\ s with the
-  per-collection plan cache on (warm: bound-plan replay) vs off (cold:
-  compile + price every query).  Gate: warm ≥3x cold.
-* ``materialization`` — a scan-heavy range ``find`` under the default
-  ``copy_mode="lazy"`` (copy-on-read ``DocumentView`` results) vs
-  ``copy_mode="eager"`` (a full deep copy per returned document).
-  Gate: lazy ≥2x eager.
+* ``materialization`` — a scan-heavy range ``find`` (planned through the
+  sorted index, copy-on-read ``DocumentView`` results) vs the
+  ``docstore/_reference.py`` full-scan oracle (every document matched,
+  a full deep copy per returned document).  Gate: lazy ≥2x the oracle.
 * ``batched_commit``  — loading a :class:`repro.docstore.DurableDatabase`
   under ``fsync_batch=1`` (the strictest durability setting) via bulk
   ``insert_many`` (one group-commit WAL append + fsync per batch) vs one
   ``insert_one`` per document (one append + fsync per op).
   Gate: batched ≥5x per-op.
 
-Every read workload is verified bit-identical against the
-``docstore/_reference.py`` full-scan oracles and across its own two
-configurations — the benchmark aborts on any mismatch.  The durable
-stores are re-opened (WAL replay) and compared document-for-document.
-Per-query p50/p95 latencies accompany each timing.
+The read is verified bit-identical against the full-scan oracle — the
+benchmark aborts on any mismatch.  The durable stores are re-opened (WAL
+replay) and compared document-for-document.  Per-query p50/p95 latencies
+accompany each timing.
 
 Usage::
 
@@ -105,81 +101,35 @@ def _latencies(queries: List[Callable[[], object]]) -> List[float]:
     return samples
 
 
-# ------------------------------------------------------------- plan cache
-
-
-def bench_plan_cache(
-    documents: List[dict], hot_keys: int, passes: int, repeats: int
-) -> Dict:
-    """Cold vs warm planning on a repeated hot-key point-read working set."""
-    collection = build_collection(documents)
-    rng = random.Random(97)
-    keys = [f"NC{rng.randrange(len(documents)):07d}" for _ in range(hot_keys)]
-    filters = [{"ncid": key} for key in keys]
-
-    def run() -> List[List[dict]]:
-        return [collection.find(f) for _ in range(passes) for f in filters]
-
-    # Oracle check once per hot key, against the planned read.
-    for filter_doc in filters:
-        if collection.find(filter_doc) != find_full_scan(collection, filter_doc):
-            raise SystemExit(f"FATAL: plan_cache results diverge for {filter_doc}")
-
-    collection.plan_cache_enabled = False
-    cold_result = run()
-    cold_seconds = _timed_best(run, repeats)
-    cold_latency = _latencies([lambda f=f: collection.find(f) for f in filters])
-
-    collection.plan_cache_enabled = True
-    warm_result = run()  # priming pass fills the template/plan memos
-    if warm_result != cold_result:
-        raise SystemExit("FATAL: warm plan-cache results diverge from cold")
-    warm_seconds = _timed_best(run, repeats)
-    warm_latency = _latencies([lambda f=f: collection.find(f) for f in filters])
-
-    stats = collection.explain(filters[0])["plan_cache"]
-    return {
-        "queries_per_run": len(filters) * passes,
-        "cold_seconds": cold_seconds,
-        "warm_seconds": warm_seconds,
-        "speedup": cold_seconds / warm_seconds if warm_seconds else None,
-        "cold_latency": _percentiles(cold_latency),
-        "warm_latency": _percentiles(warm_latency),
-        "plan_cache": stats,
-    }
-
-
 # -------------------------------------------------------- materialization
 
 
 def bench_materialization(documents: List[dict], passes: int, repeats: int) -> Dict:
-    """Eager deep copies vs lazy views on a scan-heavy range read."""
+    """Full-scan deep copies vs planned lazy views on a scan-heavy range read."""
     collection = build_collection(documents)
     filter_doc = {"meta.first_version": {"$lte": 20}}
 
-    def run() -> List[List[dict]]:
-        return [collection.find(filter_doc) for _ in range(passes)]
+    def full_scan() -> List[dict]:
+        return find_full_scan(collection, filter_doc)
 
-    oracle = find_full_scan(collection, filter_doc)
-    collection.copy_mode = "eager"
-    if collection.find(filter_doc) != oracle:
-        raise SystemExit("FATAL: eager materialization diverges from oracle")
-    eager_seconds = _timed_best(run, repeats)
-    eager_latency = _latencies([lambda: collection.find(filter_doc)] * passes)
+    def planned() -> List[dict]:
+        return collection.find(filter_doc)
 
-    collection.copy_mode = "lazy"
-    if collection.find(filter_doc) != oracle:
+    oracle = full_scan()
+    if planned() != oracle:
         raise SystemExit("FATAL: lazy materialization diverges from oracle")
-    lazy_seconds = _timed_best(run, repeats)
-    lazy_latency = _latencies([lambda: collection.find(filter_doc)] * passes)
+    oracle_seconds = _timed_best(lambda: [full_scan() for _ in range(passes)], repeats)
+    oracle_latency = _latencies([full_scan] * passes)
+    lazy_seconds = _timed_best(lambda: [planned() for _ in range(passes)], repeats)
+    lazy_latency = _latencies([planned] * passes)
 
     return {
         "documents_matched": len(oracle),
         "scans_per_run": passes,
-        "eager_seconds": eager_seconds,
+        "oracle_seconds": oracle_seconds,
         "lazy_seconds": lazy_seconds,
-        "speedup": eager_seconds / lazy_seconds if lazy_seconds else None,
-        "eager_latency": _percentiles(eager_latency),
+        "speedup": oracle_seconds / lazy_seconds if lazy_seconds else None,
+        "oracle_latency": _percentiles(oracle_latency),
         "lazy_latency": _percentiles(lazy_latency),
     }
 
@@ -238,15 +188,12 @@ def bench_batched_commit(documents: List[dict], directory: Path) -> Dict:
 # ------------------------------------------------------------------ main
 
 
-def run_benchmark(documents_count: int, passes: int, repeats: int) -> Dict:
+def run_benchmark(documents_count: int, repeats: int) -> Dict:
     documents = make_documents(documents_count)
     directory = Path(tempfile.mkdtemp(prefix="hotpath-bench-"))
     try:
-        plan_cache = bench_plan_cache(
-            documents, hot_keys=50, passes=passes, repeats=repeats
-        )
         materialization = bench_materialization(
-            documents, passes=max(passes // 4, 3), repeats=repeats
+            documents, passes=3, repeats=repeats
         )
         batched = bench_batched_commit(
             documents[: min(len(documents), 2000)], directory
@@ -266,14 +213,13 @@ def run_benchmark(documents_count: int, passes: int, repeats: int) -> Dict:
             "cpu_count": os.cpu_count(),
         },
         "timings": {
-            "plan_cache": plan_cache,
             "materialization": materialization,
             "batched_commit": batched,
         },
     }
 
 
-GATES = {"plan_cache": 3.0, "materialization": 2.0, "batched_commit": 5.0}
+GATES = {"materialization": 2.0, "batched_commit": 5.0}
 
 
 def main(argv=None) -> int:
@@ -287,8 +233,7 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
 
     documents = args.documents or (5000 if args.quick else 20000)
-    passes = 8 if args.quick else 12
-    report = run_benchmark(documents, passes=passes, repeats=args.repeats)
+    report = run_benchmark(documents, repeats=args.repeats)
 
     with open(args.out, "w", encoding="utf-8") as handle:
         json.dump(report, handle, indent=2, sort_keys=True)

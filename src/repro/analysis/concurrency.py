@@ -76,13 +76,6 @@ R_CODES: Dict[str, str] = {
 #: Keyed by the qualified global name; the value documents the invariant
 #: (and is asserted by ``tests/analysis/test_concurrency.py``).
 PROCESS_LOCAL_CACHES: Dict[str, str] = {
-    "repro.docstore.plancache._PREDICATE_CACHE": (
-        "FIFO-bounded memo of compiled filter predicates keyed by the "
-        "frozen filter document; predicates are pure closures over "
-        "immutable frozen operands, so a stale entry can never exist and "
-        "worker processes rebuilding their own copy is merely a warm-up "
-        "cost, never a correctness issue"
-    ),
     "repro.textsim.fast.tokens_of": (
         "functools.lru_cache of a pure function; process-local by "
         "construction"

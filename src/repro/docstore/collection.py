@@ -28,7 +28,6 @@ from repro.docstore.errors import (
 )
 from repro.docstore.indexes import HashIndex, build_index
 from repro.docstore.partition import Partition
-from repro.docstore.plancache import PlanCache
 from repro.docstore.planner import (
     Plan,
     count_matching,
@@ -38,10 +37,6 @@ from repro.docstore.planner import (
     split_pushdown,
 )
 from repro.docstore.views import lazy_document, wrap_value
-
-#: Valid ``Collection(copy_mode=...)`` values: lazy copy-on-read views
-#: (the default) or the historical deep-copy-every-result behaviour.
-_COPY_MODES = ("lazy", "eager")
 
 #: The update operators :func:`_next_version` evaluates.
 _UPDATE_OPERATORS = frozenset(
@@ -55,8 +50,8 @@ class Collection:
     Documents receive an auto-assigned ``_id`` (an integer) unless the caller
     provides one.  ``_id`` values are unique within the collection.  Reads
     return copy-on-read views (:class:`~repro.docstore.views.DocumentView`)
-    so callers can never corrupt the store by mutating a result; pass
-    ``copy_mode="eager"`` to restore full deep copies per result.
+    so callers can never corrupt the store by mutating a result;
+    :func:`repro.docstore.views.thaw` turns one into a plain deep copy.
 
     ``analysis_mode`` selects how queries are vetted before execution:
     ``"lax"`` (the default) executes them as-is, ``"strict"`` runs the
@@ -71,25 +66,11 @@ class Collection:
         name: str,
         analysis_mode: str = "lax",
         schema: Optional[Any] = None,
-        copy_mode: str = "lazy",
     ) -> None:
-        if copy_mode not in _COPY_MODES:
-            raise QueryError(
-                f"copy_mode must be one of {_COPY_MODES}, got {copy_mode!r}"
-            )
         self.name = name
         self.analysis_mode = analysis_mode
         #: Optional ``repro.analysis.SchemaPaths`` for field-path validation.
         self.schema = schema
-        #: ``"lazy"`` = copy-on-read document views, ``"eager"`` = deep copies.
-        self.copy_mode = copy_mode
-        #: Monotonic write counter: every mutation (and index build) bumps
-        #: it, invalidating the plan cache's epoch-scoped entries.
-        self._write_epoch = 0
-        #: Shape/value plan memo (see :mod:`repro.docstore.plancache`).
-        self._plan_cache = PlanCache()
-        #: Escape hatch (and benchmark knob): ``False`` forces cold planning.
-        self.plan_cache_enabled = True
         self._partition = Partition()
         self._next_internal_id = itertools.count(1)
         #: Why recovery took the collection dark (a corrupt WAL or
@@ -127,38 +108,7 @@ class Collection:
     @_indexes.setter
     def _indexes(self, value: Dict[str, Any]) -> None:
         # Test hook (index spies et al.).
-        self._bump_epoch()
         self._partition.writable()._indexes = value
-
-    def _bump_epoch(self) -> None:
-        """Invalidate epoch-scoped plan-cache entries (called before writes)."""
-        self._write_epoch += 1
-
-    @property
-    def _materialize(self) -> Any:
-        """Per-document result materializer for the current copy mode."""
-        return deep_copy if self.copy_mode == "eager" else lazy_document
-
-    @property
-    def _copy_value(self) -> Any:
-        """Extracted-value materializer for the current copy mode."""
-        return deep_copy if self.copy_mode == "eager" else wrap_value
-
-    def _plan(
-        self,
-        filter_doc: Optional[dict],
-        sort: Optional[List[tuple]] = None,
-    ) -> Plan:
-        """Plan a read of the live state.
-
-        Served from the per-collection plan cache when enabled: an exactly
-        repeated query replays its bound plan, a new query of a known shape
-        skips option pricing, and any write since the last lookup
-        invalidates both (epoch check).
-        """
-        if self.plan_cache_enabled:
-            return self._plan_cache.plan(self, filter_doc, sort)
-        return plan_read(self._partition.live, filter_doc, sort)
 
     # ------------------------------------------------------------ quarantine
 
@@ -176,7 +126,6 @@ class Collection:
         the quarantine directory until ``repair()``.
         """
         specs = self.index_specs()
-        self._bump_epoch()
         partition = Partition()
         for spec in specs:
             built = build_index(spec["kind"], spec["path"])
@@ -217,7 +166,6 @@ class Collection:
     def _insert_owned(self, stored: dict) -> Any:
         """Insert ``stored`` itself, uncopied (recovery hands over parsed docs)."""
         self._check_healthy("insert", write=True)
-        self._bump_epoch()
         internal_id = next(self._next_internal_id)
         if "_id" not in stored:
             stored["_id"] = internal_id
@@ -246,7 +194,6 @@ class Collection:
         inserted and journaled, then the error raises.
         """
         self._check_healthy("insert", write=True)
-        self._bump_epoch()
         assigned: List[Any] = []
         staged: List[Tuple[dict, int]] = []  # (stored, internal id)
         stored_ids = self._partition.live._by_user_id
@@ -299,24 +246,21 @@ class Collection:
         limit: Optional[int] = None,
         skip: int = 0,
     ) -> List[dict]:
-        """Return matching documents (deep copies), optionally projected.
+        """Return matching documents as copy-on-read views, optionally projected.
 
         Reads are planned (:mod:`repro.docstore.planner`): equality and
         range conditions resolve through hash/sorted indexes, a
         single-field ``sort`` matching a sorted index streams in index
-        order with no sorting, and only the returned ``skip``/``limit``
-        window is ever deep-copied.
+        order with no sorting, and only the documents in the returned
+        ``skip``/``limit`` window are wrapped
+        (:class:`~repro.docstore.views.DocumentView`).
         """
         self._check_filter(filter_doc)
         self._check_healthy("find")
         state = self._partition.live
         results = list(
             execute_find(
-                state,
-                self._plan(filter_doc, sort),
-                skip=skip,
-                limit=limit,
-                materialize=self._materialize,
+                state, plan_read(state, filter_doc, sort), skip=skip, limit=limit
             )
         )
         if projection:
@@ -340,13 +284,12 @@ class Collection:
                 if all(key is None or isinstance(key, str) for key in keys):
                     seen = {repr(key): key for key in keys if key is not None}
                     return [seen[key] for key in sorted(seen)]
-        return _distinct_values(self._scan(filter_doc, "distinct"), path, self._copy_value)
+        return _distinct_values(self._scan(filter_doc, "distinct"), path)
 
     def find_one(self, filter_doc: Optional[dict] = None) -> Optional[dict]:
         """Return the first matching document or ``None``."""
-        materialize = self._materialize
         for document in self._scan(filter_doc, "find_one"):
-            return materialize(document)
+            return lazy_document(document)
         return None
 
     def count_documents(self, filter_doc: Optional[dict] = None) -> int:
@@ -361,7 +304,8 @@ class Collection:
             return len(self)
         self._check_filter(filter_doc)
         self._check_healthy("count_documents")
-        return count_matching(self._partition.live, self._plan(filter_doc))
+        state = self._partition.live
+        return count_matching(state, plan_read(state, filter_doc))
 
     def _check_update(self, update: dict) -> None:
         if self.analysis_mode == "strict":
@@ -380,7 +324,6 @@ class Collection:
         every operator succeeded on is indexed, installed and journaled.
         """
         self._check_update(update)
-        self._bump_epoch()
         for internal_id in self._matching_ids(filter_doc, "update_one", write=True):
             self._update_document(internal_id, update)
             return 1
@@ -393,7 +336,6 @@ class Collection:
         the documents before it stay updated (and journaled) and it raises.
         """
         self._check_update(update)
-        self._bump_epoch()
         touched = list(self._matching_ids(filter_doc, "update_many", write=True))
         for internal_id in touched:
             self._update_document(internal_id, update)
@@ -406,7 +348,6 @@ class Collection:
 
     def _replay_update(self, doc_id: Any, writes: List[list]) -> None:
         """Apply a journaled ``update`` record; an absent ``_id`` is a no-op."""
-        self._bump_epoch()
         for internal_id in self._matching_ids(
             {"_id": doc_id}, "update_one", write=True
         ):
@@ -433,7 +374,6 @@ class Collection:
 
     def _replace_owned(self, filter_doc: dict, stored: dict) -> int:
         """:meth:`replace_one` with ``stored`` kept as is (uncopied)."""
-        self._bump_epoch()
         for internal_id in self._matching_ids(filter_doc, "replace_one", write=True):
             old = self._partition.live._documents[internal_id]
             stored["_id"] = old["_id"]
@@ -444,7 +384,6 @@ class Collection:
 
     def delete_many(self, filter_doc: dict) -> int:
         """Delete every matching document; returns the delete count."""
-        self._bump_epoch()
         doomed = list(self._matching_ids(filter_doc, "delete_many", write=True))
         for internal_id in doomed:
             state = self._partition.writable()
@@ -507,22 +446,17 @@ class Collection:
         pushdown = split_pushdown(pipeline)
         self._check_healthy("aggregate")
         state = self._partition.live
-        plan = self._plan(pushdown.filter_doc, pushdown.sort_spec)
+        plan = plan_read(state, pushdown.filter_doc, pushdown.sort_spec)
         plan.pushdown = list(pushdown.pushed)
         source: Iterable[dict] = execute_find(
-            state,
-            plan,
-            skip=pushdown.skip,
-            limit=pushdown.limit,
-            materialize=self._materialize,
+            state, plan, skip=pushdown.skip, limit=pushdown.limit
         )
         return list(run_pipeline(source, pushdown.rest))
 
     def all(self) -> Iterator[dict]:
         """Iterate every document (materialized views) in insertion order."""
         self._check_healthy("all")
-        materialize = self._materialize
-        return (materialize(doc) for doc in self._ordered_documents())
+        return (lazy_document(doc) for doc in self._ordered_documents())
 
     # --------------------------------------------------------------- indexes
 
@@ -536,7 +470,6 @@ class Collection:
         if name in self._partition.live._indexes:
             return name
         self._check_healthy("create_index", write=True)
-        self._bump_epoch()
         state = self._partition.writable()
         index = build_index(kind, path)
         for internal_id, document in state._documents.items():
@@ -575,15 +508,13 @@ class Collection:
             remaining = pushdown.rest
         else:
             query_filter, query_sort = filter_doc, sort
-        plan = self._plan(query_filter, query_sort)
+        plan = plan_read(self._partition.live, query_filter, query_sort)
         plan.pushdown = list(pushed)
         description = plan.describe(len(self))
         description["remaining_stages"] = [
             next(iter(stage)) if isinstance(stage, dict) and stage else "?"
             for stage in remaining
         ]
-        description["plan_cache"] = self._plan_cache.stats()
-        description["materialization"] = self.copy_mode
         from repro.analysis import analyze_index_usage
 
         description["hints"] = [
@@ -649,7 +580,7 @@ class Collection:
     def _matching_ids(
         self, filter_doc: Optional[dict], op: str, write: bool = False
     ) -> Iterator[int]:
-        """Internal ids of the matches, ascending (planned cold, uncached)."""
+        """Internal ids of the matches, ascending."""
         self._check_filter(filter_doc)
         self._check_healthy(op, write)
         state = self._partition.live
@@ -674,22 +605,13 @@ class CollectionSnapshot:
 
     def __init__(self, collection: Collection) -> None:
         self.name = collection.name
-        #: Inherited at snapshot time; lazy views over a *published* state
-        #: are stable forever (writers copy-on-write, never mutate it).
-        self.copy_mode = collection.copy_mode
+        #: Lazy views over a *published* state are stable forever (writers
+        #: copy-on-write, never mutate it).
         self._state = collection._partition.published
         #: Quarantine pinned at snapshot time: every read of a dark
         #: collection raises, because a snapshot is exactly the API that
         #: promises a complete, consistent epoch.
         self._quarantine = collection._quarantine
-
-    @property
-    def _materialize(self) -> Any:
-        return deep_copy if self.copy_mode == "eager" else lazy_document
-
-    @property
-    def _copy_value(self) -> Any:
-        return deep_copy if self.copy_mode == "eager" else wrap_value
 
     def _check_healthy(self, op: str) -> None:
         if self._quarantine is not None:
@@ -713,12 +635,7 @@ class CollectionSnapshot:
     ) -> List[dict]:
         """Planned read over the snapshot (same semantics as live ``find``)."""
         plan = self._planned(filter_doc, sort)
-        results = list(
-            execute_find(
-                self._state, plan, skip=skip, limit=limit,
-                materialize=self._materialize,
-            )
-        )
+        results = list(execute_find(self._state, plan, skip=skip, limit=limit))
         if projection:
             results = list(run_pipeline(results, [{"$project": projection}]))
         return results
@@ -726,7 +643,7 @@ class CollectionSnapshot:
     def find_one(self, filter_doc: Optional[dict] = None) -> Optional[dict]:
         plan = self._planned(filter_doc)
         for internal_id in iter_matching_ids(self._state, plan):
-            return self._materialize(self._state._documents[internal_id])
+            return lazy_document(self._state._documents[internal_id])
         return None
 
     def count_documents(self, filter_doc: Optional[dict] = None) -> int:
@@ -742,7 +659,7 @@ class CollectionSnapshot:
             documents[internal_id]
             for internal_id in iter_matching_ids(self._state, plan)
         )
-        return _distinct_values(matches, path, self._copy_value)
+        return _distinct_values(matches, path)
 
     def aggregate(self, pipeline: List[dict]) -> List[dict]:
         """Aggregation over the snapshot, with the same pushdown rules."""
@@ -750,18 +667,16 @@ class CollectionSnapshot:
         plan = self._planned(pushdown.filter_doc, pushdown.sort_spec)
         plan.pushdown = list(pushdown.pushed)
         source: Iterable[dict] = execute_find(
-            self._state, plan, skip=pushdown.skip, limit=pushdown.limit,
-            materialize=self._materialize,
+            self._state, plan, skip=pushdown.skip, limit=pushdown.limit
         )
         return list(run_pipeline(source, pushdown.rest))
 
     def all(self) -> Iterator[dict]:
         """Iterate the epoch's documents (materialized) in insertion order."""
         self._check_healthy("snapshot all")
-        materialize = self._materialize
         documents = self._state._documents
         for internal_id in sorted(documents):
-            yield materialize(documents[internal_id])
+            yield lazy_document(documents[internal_id])
 
     def __len__(self) -> int:
         return len(self._state._documents)
@@ -770,13 +685,11 @@ class CollectionSnapshot:
         return f"CollectionSnapshot(name={self.name!r}, documents={len(self)})"
 
 
-def _distinct_values(
-    documents: Iterable[dict], path: str, copy_value: Any
-) -> List[Any]:
+def _distinct_values(documents: Iterable[dict], path: str) -> List[Any]:
     """Distinct non-null values of ``path``, arrays expanded, sorted by repr.
 
-    Each value goes through ``copy_value``, so a caller that mutates one
-    can never reach the stored container.
+    Container values come back wrapped (:func:`wrap_value`), so a caller
+    that mutates one can never reach the stored container.
     """
     seen: Dict[str, Any] = {}
     for document in documents:
@@ -785,7 +698,7 @@ def _distinct_values(
         for element in values:
             if element is not None:
                 seen.setdefault(repr(element), element)
-    return [copy_value(seen[key]) for key in sorted(seen)]
+    return [wrap_value(seen[key]) for key in sorted(seen)]
 
 
 def _next_version(document: dict, update: dict) -> PathCopy:

@@ -222,6 +222,8 @@ def compile_filter(filter_doc: Dict[str, Any]) -> Predicate:
         elif key == "$nor":
             subs = _compile_logical(key, condition)
             clauses.append(lambda doc, subs=subs: not any(s(doc) for s in subs))
+        elif not isinstance(key, str):
+            raise QueryError(f"filter field names must be strings, got {key!r}")
         elif key.startswith("$"):
             raise QueryError(f"unknown top-level operator {key!r}")
         else:
@@ -239,23 +241,3 @@ def compile_filter(filter_doc: Dict[str, Any]) -> Predicate:
 def matches(document: dict, filter_doc: Dict[str, Any]) -> bool:
     """One-shot convenience wrapper around :func:`compile_filter`."""
     return compile_filter(filter_doc)(document)
-
-
-def equality_conditions(filter_doc: Dict[str, Any]) -> Dict[str, Any]:
-    """Extract ``path -> literal`` equality conditions from a filter.
-
-    Collections use this to route simple queries through hash indexes.  Only
-    top-level literal equalities and explicit ``{"$eq": v}`` conditions are
-    considered; anything behind ``$or`` etc. is ignored (it would not be safe
-    to use an index for those).
-    """
-    conditions: Dict[str, Any] = {}
-    for key, condition in (filter_doc or {}).items():
-        if key.startswith("$"):
-            continue
-        if _is_operator_doc(condition):
-            if set(condition) == {"$eq"}:
-                conditions[key] = condition["$eq"]
-        elif not isinstance(condition, (dict, list)):
-            conditions[key] = condition
-    return conditions

@@ -88,28 +88,6 @@ class _Option:
     estimate: int
     covered: frozenset  # clause positions the candidate set enforces exactly
     fetch: Callable[[], Iterable[int]]
-    #: Constant-free rebuild instructions for the plan cache: how to fetch
-    #: this candidate set against *any* collection state, with the operands
-    #: re-read from the live query's atoms (see ``bind_template``).
-    recipe: Optional[tuple] = None
-
-
-@dataclasses.dataclass(frozen=True)
-class PlanChoice:
-    """The shape-stable part of a planning decision, cacheable per query shape.
-
-    Everything here is derived from the filter's *structure* (operator
-    skeleton plus the operand classifications the planner branches on), so
-    a choice recorded for one query can be re-bound to any collection state
-    and any constants of the same shape: the candidate fetch is re-executed
-    through ``recipe`` and the residual is rebuilt from the live clauses.
-    ``None`` stands for the no-usable-option full-scan decision.
-    """
-
-    access: str
-    index_name: Optional[str]
-    covered: frozenset
-    recipe: tuple
 
 
 @dataclasses.dataclass
@@ -256,12 +234,6 @@ def _range_options(
         include_low = low is None or low.op == "$gte"
         include_high = high is None or high.op == "$lte"
         covered = frozenset(a.clause for a in lows + highs)
-        recipe = (
-            "range",
-            name,
-            tuple(a.clause for a in lows),
-            tuple(a.clause for a in highs),
-        )
         if low is not None and high is not None:
             fetch = lambda i=index, lo=low_value, hi=high_value, il=include_low, ih=include_high: i.range_ids(
                 lo, hi, il, ih
@@ -279,7 +251,6 @@ def _range_options(
                 ),
                 covered=covered,
                 fetch=fetch,
-                recipe=recipe,
             )
         )
     return options
@@ -307,7 +278,6 @@ def _collect_options(collection: Any, atoms: List[_Atom]) -> List[_Option]:
                         fetch=lambda c=collection, k=frozen: (
                             [c._by_user_id[k]] if k in c._by_user_id else []
                         ),
-                        recipe=("id", atom.clause),
                     )
                 )
                 continue
@@ -325,7 +295,6 @@ def _collect_options(collection: Any, atoms: List[_Atom]) -> List[_Option]:
                             else frozenset()
                         ),
                         fetch=lambda i=hash_index, k=frozen: i.lookup(k),
-                        recipe=("hash_eq", f"{atom.path}_hash", atom.clause),
                     )
                 )
             sorted_index = collection._indexes.get(f"{atom.path}_sorted")
@@ -346,7 +315,6 @@ def _collect_options(collection: Any, atoms: List[_Atom]) -> List[_Option]:
                         fetch=lambda i=sorted_index, v=atom.operand: i.range(
                             v, v, True, True
                         ),
-                        recipe=("sorted_point", f"{atom.path}_sorted", atom.clause),
                     )
                 )
             continue
@@ -375,7 +343,6 @@ def _collect_options(collection: Any, atoms: List[_Atom]) -> List[_Option]:
                         )
                         if ks
                         else set(),
-                        recipe=("hash_in", f"{atom.path}_hash", atom.clause),
                     )
                 )
 
@@ -408,32 +375,14 @@ def plan_read(
     Compiles the full filter first so every malformed-filter ``QueryError``
     surfaces exactly as it would on the unplanned path.
     """
-    plan, _choice = plan_read_with_choice(collection, filter_doc, sort)
-    return plan
-
-
-def plan_read_with_choice(
-    collection: Any,
-    filter_doc: Optional[dict] = None,
-    sort: Optional[Sequence[Tuple[str, int]]] = None,
-    predicate_for: Callable[[dict], Predicate] = compile_filter,
-) -> Tuple[Plan, Optional[PlanChoice]]:
-    """:func:`plan_read` that also reports the cacheable :class:`PlanChoice`.
-
-    ``predicate_for`` lets the plan cache substitute its memoized
-    ``compile_filter`` — it must raise exactly like ``compile_filter`` for
-    malformed filters.  The returned choice is ``None`` when no index
-    option was usable (the full-scan decision).
-    """
     filter_doc = filter_doc or {}
-    full_predicate = predicate_for(filter_doc) if filter_doc else None
+    full_predicate = compile_filter(filter_doc) if filter_doc else None
 
     candidate_ids: Optional[List[int]] = None
     index_name: Optional[str] = None
     access = FULL_SCAN
     residual: Optional[dict] = filter_doc if filter_doc else None
     residual_predicate: Optional[Predicate] = full_predicate
-    choice: Optional[PlanChoice] = None
 
     if filter_doc:
         clauses, atoms = _split_conjuncts(filter_doc)
@@ -450,13 +399,6 @@ def plan_read_with_choice(
             candidate_ids = sorted(set(winner.fetch()))
             access = winner.access
             index_name = winner.index_name
-            if winner.recipe is not None:
-                choice = PlanChoice(
-                    access=winner.access,
-                    index_name=winner.index_name,
-                    covered=winner.covered,
-                    recipe=winner.recipe,
-                )
             remaining = [
                 clause
                 for position, clause in enumerate(clauses)
@@ -470,33 +412,8 @@ def plan_read_with_choice(
                 # (clause splitting preserves conjunction semantics).
                 residual_predicate = full_predicate
             else:
-                residual_predicate = predicate_for(residual)
+                residual_predicate = compile_filter(residual)
 
-    order, order_index, reverse, sort_spec = _order_decision(
-        collection, sort, candidate_ids
-    )
-    indexes_used = [name for name in (index_name, order_index) if name]
-    plan = Plan(
-        access=access,
-        candidate_ids=candidate_ids,
-        index_name=index_name,
-        indexes_used=indexes_used,
-        residual=residual,
-        residual_predicate=residual_predicate,
-        order=order,
-        order_index=order_index,
-        reverse=reverse,
-        sort_spec=sort_spec,
-    )
-    return plan, choice
-
-
-def _order_decision(
-    collection: Any,
-    sort: Optional[Sequence[Tuple[str, int]]],
-    candidate_ids: Optional[List[int]],
-) -> Tuple[str, Optional[str], bool, Optional[List[Tuple[str, int]]]]:
-    """The ordering tail of planning, shared by cold plans and re-binds."""
     order = "none"
     order_index: Optional[str] = None
     reverse = False
@@ -510,134 +427,18 @@ def _order_decision(
                 order = "index"
                 order_index = f"{field}_sorted"
                 reverse = direction == -1
-    return order, order_index, reverse, sort_spec  # type: ignore[return-value]
 
-
-def _run_recipe(
-    state: Any, recipe: tuple, atom_by_clause: Dict[int, _Atom]
-) -> Optional[Iterable[int]]:
-    """Re-execute a cached candidate fetch against ``state``.
-
-    Returns ``None`` when the recipe no longer applies (an index missing on
-    this state, an atom shape mismatch) — callers fall back to cold
-    planning, so a stale recipe can cost time but never correctness.
-    """
-    kind = recipe[0]
-    if kind == "id":
-        atom = atom_by_clause.get(recipe[1])
-        if atom is None:
-            return None
-        frozen = _freeze(atom.operand)
-        by_user_id = state._by_user_id
-        return [by_user_id[frozen]] if frozen in by_user_id else []
-    if kind == "hash_eq":
-        index = state._indexes.get(recipe[1])
-        atom = atom_by_clause.get(recipe[2])
-        if not isinstance(index, HashIndex) or atom is None:
-            return None
-        return index.lookup(_freeze(atom.operand))
-    if kind == "hash_in":
-        index = state._indexes.get(recipe[1])
-        atom = atom_by_clause.get(recipe[2])
-        if not isinstance(index, HashIndex) or atom is None:
-            return None
-        if not isinstance(atom.operand, (list, tuple, set)):
-            return None
-        frozen = [_freeze(element) for element in atom.operand]
-        return set().union(*(index.lookup(k) for k in frozen)) if frozen else set()
-    if kind == "sorted_point":
-        index = state._indexes.get(recipe[1])
-        atom = atom_by_clause.get(recipe[2])
-        if not isinstance(index, SortedIndex) or atom is None:
-            return None
-        return index.range(atom.operand, atom.operand, True, True)
-    if kind == "range":
-        index = state._indexes.get(recipe[1])
-        if not isinstance(index, SortedIndex):
-            return None
-        lows = [atom_by_clause[c] for c in recipe[2] if c in atom_by_clause]
-        highs = [atom_by_clause[c] for c in recipe[3] if c in atom_by_clause]
-        if len(lows) != len(recipe[2]) or len(highs) != len(recipe[3]):
-            return None
-        low = max(lows, key=lambda a: _bound_strictness(a.op, a.operand), default=None)
-        high = min(
-            highs,
-            key=lambda a: (a.operand, -1 if a.op == "$lt" else 0),
-            default=None,
-        )
-        low_value = low.operand if low is not None else None
-        high_value = high.operand if high is not None else None
-        include_low = low is None or low.op == "$gte"
-        include_high = high is None or high.op == "$lte"
-        if low is not None and high is not None:
-            return index.range_ids(low_value, high_value, include_low, include_high)
-        return index.range(low_value, high_value, include_low, include_high)
-    return None
-
-
-def bind_template(
-    state: Any,
-    choice: Optional[PlanChoice],
-    filter_doc: Optional[dict],
-    clauses: List[dict],
-    atoms: List[_Atom],
-    sort: Optional[Sequence[Tuple[str, int]]],
-    predicate_for: Callable[[dict], Predicate] = compile_filter,
-) -> Optional[Plan]:
-    """Bind a cached :class:`PlanChoice` to one collection state.
-
-    The value-dependent pieces — candidate fetch, residual filter and its
-    predicate, the ordering decision — are all recomputed from the live
-    query's clauses/atoms, so the bound plan is exactly what
-    :func:`plan_read` would have produced had it picked the same winning
-    option.  Returns ``None`` when the choice cannot be re-bound (caller
-    falls back to cold planning).
-    """
-    filter_doc = filter_doc or {}
-    candidate_ids: Optional[List[int]] = None
-    index_name: Optional[str] = None
-    access = FULL_SCAN
-    residual: Optional[dict] = filter_doc if filter_doc else None
-    residual_predicate: Optional[Predicate] = None
-
-    if choice is not None:
-        atom_by_clause = {atom.clause: atom for atom in atoms}
-        fetched = _run_recipe(state, choice.recipe, atom_by_clause)
-        if fetched is None:
-            return None
-        candidate_ids = sorted(set(fetched))
-        access = choice.access
-        index_name = choice.index_name
-        remaining = [
-            clause
-            for position, clause in enumerate(clauses)
-            if position not in choice.covered
-        ]
-        residual = _rebuild_filter(remaining)
-        if residual is None:
-            residual_predicate = None
-        elif len(remaining) == len(clauses):
-            residual_predicate = predicate_for(filter_doc)
-        else:
-            residual_predicate = predicate_for(residual)
-    elif filter_doc:
-        residual_predicate = predicate_for(filter_doc)
-
-    order, order_index, reverse, sort_spec = _order_decision(
-        state, sort, candidate_ids
-    )
-    indexes_used = [name for name in (index_name, order_index) if name]
     return Plan(
         access=access,
         candidate_ids=candidate_ids,
         index_name=index_name,
-        indexes_used=indexes_used,
+        indexes_used=[name for name in (index_name, order_index) if name],
         residual=residual,
         residual_predicate=residual_predicate,
         order=order,
         order_index=order_index,
         reverse=reverse,
-        sort_spec=sort_spec,
+        sort_spec=sort_spec,  # type: ignore[arg-type]
     )
 
 
@@ -691,16 +492,13 @@ def execute_find(
     plan: Plan,
     skip: int = 0,
     limit: Optional[int] = None,
-    materialize: Callable[[dict], dict] = lazy_document,
 ) -> Iterator[dict]:
-    """Stream materialized documents a planned read returns.
+    """Stream the documents a planned read returns, as lazy views.
 
-    ``materialize`` is applied only to the returned window: by default a
-    copy-on-read :class:`~repro.docstore.views.DocumentView` (zero-copy
-    until the caller mutates), or ``deep_copy`` under
-    ``Collection(copy_mode="eager")``.  Sorted reads order ``(sort key,
-    internal id)`` pairs over the stored documents and materialize after
-    ``skip``/``limit`` are applied.
+    Only the returned window is wrapped, each document in a copy-on-read
+    :class:`~repro.docstore.views.DocumentView` (zero-copy until the
+    caller mutates).  Sorted reads order internal ids over the stored
+    documents and wrap after ``skip``/``limit`` are applied.
     """
     documents = collection._documents
 
@@ -711,7 +509,7 @@ def execute_find(
             None if limit is None else skip + limit,
         )
         for internal_id in window:
-            yield materialize(documents[internal_id])
+            yield lazy_document(documents[internal_id])
         return
 
     if plan.order == "sort" and plan.sort_spec:
@@ -728,7 +526,7 @@ def execute_find(
         if limit is not None:
             matching = matching[:limit]
         for internal_id in matching:
-            yield materialize(documents[internal_id])
+            yield lazy_document(documents[internal_id])
         return
 
     window = itertools.islice(
@@ -737,7 +535,7 @@ def execute_find(
         None if limit is None else skip + limit,
     )
     for internal_id in window:
-        yield materialize(documents[internal_id])
+        yield lazy_document(documents[internal_id])
 
 
 def count_matching(collection: Any, plan: Plan) -> int:

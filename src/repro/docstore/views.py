@@ -1,18 +1,17 @@
-"""Copy-on-read document materialization.
+"""Copy-on-read document materialization: the one way reads return documents.
 
-Reads used to hand every matching document through ``deep_copy`` before
-yielding it, which made result sets safe to mutate but dominated the cost
-of warm point reads and scan-heavy pipelines.  ``DocumentView`` and
-``ListView`` keep the safety contract while deferring the copying: a view
-is a ``dict``/``list`` *subclass* whose own storage is a cheap C-level
-shallow copy of the stored container, so
+Every read (``find``, ``find_one``, ``aggregate``, ``all``, ``distinct``
+values) wraps what it returns instead of deep-copying it.  Results stay
+safe to mutate while the copying is deferred: a view is a ``dict``/``list``
+*subclass* whose own storage is a cheap C-level shallow copy of the stored
+container, so
 
 * top-level mutations land in the view's private table, never in the
   partition state;
 * nested containers are wrapped lazily on first access (and memoized), so
   a mutation at any depth only ever touches view-owned storage;
 * equality, iteration, ``json.dumps`` and pickling all behave exactly like
-  the plain containers the eager path produced (``__reduce__`` rebuilds
+  the plain containers a deep copy produces (``__reduce__`` rebuilds
   plain ``dict``/``list``, so ``copy.deepcopy`` and pickle escape the view
   types entirely);
 * raw-copy APIs — ``dict(view)``, ``{**view}``, ``plain.update(view)``,
@@ -29,9 +28,9 @@ actually touches — untouched subtrees are shared with the stored version.
 That sharing is safe because the store never mutates a stored document:
 an update installs a new version that copies only the paths it writes
 (:class:`~repro.docstore.documents.PathCopy`), so a view keeps showing
-the version it was built over, live or published.  ``thaw`` forces a fully independent plain-dict
-deep copy, and ``Collection(copy_mode="eager")`` restores the historical
-deep-copy-per-document behaviour as an escape hatch.
+the version it was built over, live or published.  ``thaw`` forces a
+fully independent plain-container deep copy; the eager deep-copying reads
+survive only as the full-scan oracle in :mod:`repro.docstore._reference`.
 """
 
 from __future__ import annotations

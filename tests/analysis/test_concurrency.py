@@ -136,16 +136,16 @@ class TestExemptionRegistry:
         report = self.analyze(exemptions={"cachemod.CACHE": "process-local"})
         assert report.all_findings == []
 
-    def test_predicate_cache_needs_its_registry_entry(self):
+    def test_parallel_state_needs_its_registry_entries(self):
         # The registry is load-bearing: without it, the module-level
-        # compiled-predicate cache in repro.docstore.plancache is
-        # (correctly) detected.
-        plancache = Path("src/repro/docstore/plancache.py")
-        assert plancache.is_file()
-        with_registry = analyze_concurrency([plancache])
+        # warn-once set and resilience counters in repro.core.parallel
+        # are (correctly) detected.
+        parallel = Path("src/repro/core/parallel.py")
+        assert parallel.is_file()
+        with_registry = analyze_concurrency([parallel])
         assert with_registry.all_findings == []
-        without = analyze_concurrency([plancache], exemptions={})
-        assert "R106" in without.counts()
+        without = analyze_concurrency([parallel], exemptions={})
+        assert without.counts() == {"R106": 2}
 
     def test_registry_entries_point_at_real_objects(self):
         for qualified, invariant in PROCESS_LOCAL_CACHES.items():

@@ -3,7 +3,7 @@
 import pytest
 
 from repro.docstore.errors import QueryError
-from repro.docstore.matching import compile_filter, equality_conditions, matches
+from repro.docstore.matching import compile_filter, matches
 
 
 class TestEquality:
@@ -138,13 +138,3 @@ class TestLogical:
     def test_filter_must_be_dict(self):
         with pytest.raises(QueryError):
             compile_filter([("a", 1)])
-
-
-class TestEqualityExtraction:
-    def test_extracts_literals_and_eq(self):
-        filter_doc = {"a": 1, "b": {"$eq": "x"}, "c": {"$gt": 2}, "$or": [{"d": 1}]}
-        assert equality_conditions(filter_doc) == {"a": 1, "b": "x"}
-
-    def test_empty(self):
-        assert equality_conditions({}) == {}
-        assert equality_conditions(None) == {}

@@ -23,6 +23,9 @@ class TestCompileTimeErrors:
             {"a": {"$elemMatch": [1]}},
             {"$and": {"a": 1}},
             {"a": {"$unknownOp": 1}},
+            {1: 2},
+            {"$or": [{1: 2}]},
+            {"xs": {"$elemMatch": {2: 3}}},
         ):
             with pytest.raises(QueryError):
                 compile_filter(bad)

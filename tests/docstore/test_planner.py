@@ -402,48 +402,6 @@ def test_explain_reports_pushdown():
     assert explained["remaining_stages"] == ["$group"]
 
 
-def test_explain_reports_plan_cache_counters():
-    collection = make_people()
-    filter_doc = {"city": "ac"}
-
-    explained = collection.explain(filter_doc)
-    stats = explained["plan_cache"]
-    assert set(stats) == {"hits", "misses", "invalidated"}
-    # The very first planning of this query is a miss...
-    assert stats["misses"] >= 1
-    hits_before = stats["hits"]
-
-    collection.find(filter_doc)
-    # ...and an exact repeat replays the bound plan (a hit).
-    assert collection.explain(filter_doc)["plan_cache"]["hits"] > hits_before
-
-    # Any write moves the epoch: the next lookup invalidates and re-misses.
-    before = collection.explain(filter_doc)["plan_cache"]
-    collection.insert_one({"_id": 6, "city": "dc", "age": 61})
-    after = collection.explain(filter_doc)["plan_cache"]
-    assert after["invalidated"] == before["invalidated"] + 1
-    assert after["misses"] == before["misses"] + 1
-
-
-def test_explain_reports_plan_cache_when_disabled():
-    collection = make_people()
-    collection.plan_cache_enabled = False
-    first = collection.explain({"city": "ac"})["plan_cache"]
-    collection.find({"city": "ac"})
-    second = collection.explain({"city": "ac"})["plan_cache"]
-    # Cold planning never touches the memo: the counters stay put.
-    assert first == second
-
-
-def test_explain_reports_materialization_mode():
-    collection = make_people()
-    assert collection.explain({"city": "ac"})["materialization"] == "lazy"
-    collection.copy_mode = "eager"
-    assert collection.explain({"city": "ac"})["materialization"] == "eager"
-    snapshot_mode = Collection("p2", copy_mode="eager")
-    assert snapshot_mode.explain()["materialization"] == "eager"
-
-
 def test_malformed_pipeline_errors_survive_pushdown():
     from repro.docstore.errors import QueryError
 

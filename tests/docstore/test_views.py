@@ -1,10 +1,9 @@
-"""Unit tests for copy-on-read views and the plan cache internals.
+"""Unit tests for copy-on-read views, the only way reads return documents.
 
 ``DocumentView``/``ListView`` must be observably identical to the deep
 copies they replace — equality, iteration, JSON, pickling — while keeping
-caller mutations away from the wrapped storage.  ``PlanCache`` must key
-strictly by value *and type*, bound its maps, and invalidate on epoch
-moves.
+caller mutations away from the wrapped storage, and results held across
+writes must keep showing the version they were read from.
 """
 
 import copy
@@ -12,14 +11,6 @@ import json
 import pickle
 
 from repro.docstore import Collection
-from repro.docstore.plancache import (
-    PlanCache,
-    _PREDICATE_CACHE,
-    cached_predicate,
-    freeze_query,
-    freeze_value,
-    query_shape,
-)
 from repro.docstore.views import DocumentView, ListView, lazy_document, thaw, wrap_value
 
 
@@ -208,86 +199,3 @@ class TestWriteAfterReadStability:
         # Documents materialized after the write see its effect, as eager
         # iteration over live state always did.
         assert [doc["a"]["b"] for doc in held[2:]] == [-1, -1]
-
-
-class TestFreezing:
-    def test_scalars_are_type_tagged(self):
-        # 1, True and 1.0 are equal (and hash-equal) in Python but compile
-        # to different predicates — their cache keys must differ.
-        keys = {freeze_value(1), freeze_value(True), freeze_value(1.0)}
-        assert len(keys) == 3
-
-    def test_structures_freeze_hashable(self):
-        frozen = freeze_value({"a": [1, {"b": (2, 3)}], "c": {"d": None}})
-        assert hash(frozen) is not None
-
-    def test_unfreezable_values_fall_back(self):
-        class Opaque:
-            __hash__ = None
-
-        sentinel = freeze_value({"a": Opaque()})
-        assert freeze_query({"a": Opaque()}, None) is sentinel
-
-    def test_query_shape_ignores_constants_but_not_structure(self):
-        assert query_shape({"a": 1}) == query_shape({"a": 2})
-        assert query_shape({"a": 1}) != query_shape({"b": 1})
-        assert query_shape({"a": 1}) != query_shape({"a": {"$gt": 1}})
-        # None-ness is a planning branch, so it is part of the shape.
-        assert query_shape({"a": None}) != query_shape({"a": 1})
-
-    def test_cached_predicate_is_memoized_per_filter_value(self):
-        _PREDICATE_CACHE.clear()
-        first = cached_predicate({"a": {"$gte": 3}})
-        assert cached_predicate({"a": {"$gte": 3}}) is first
-        assert cached_predicate({"a": {"$gte": 4}}) is not first
-        assert first({"a": 5}) and not first({"a": 1})
-
-
-class TestPlanCache:
-    def make(self, count=6):
-        collection = Collection("c")
-        collection.create_index("ncid", "hash")
-        collection.insert_many(
-            {"_id": i, "ncid": f"NC{i}", "n": i} for i in range(count)
-        )
-        return collection
-
-    def test_repeat_reads_hit_the_bound_plan_memo(self):
-        collection = self.make()
-        collection.find({"ncid": "NC1"})
-        before = collection._plan_cache.stats()
-        collection.find({"ncid": "NC1"})
-        after = collection._plan_cache.stats()
-        assert after["hits"] == before["hits"] + 1
-        assert after["misses"] == before["misses"]
-
-    def test_writes_invalidate_epoch_scoped_entries(self):
-        collection = self.make()
-        collection.find({"ncid": "NC1"})
-        collection.insert_one({"_id": 99, "ncid": "NC99"})
-        before = collection._plan_cache.stats()
-        results = collection.find({"ncid": "NC99"})  # re-plans, sees the doc
-        assert [doc["_id"] for doc in results] == [99]
-        after = collection._plan_cache.stats()
-        assert after["invalidated"] == before["invalidated"] + 1
-
-    def test_maps_are_fifo_bounded(self):
-        cache = PlanCache()
-        collection = self.make()
-        collection._plan_cache = cache
-        for i in range(cache.LIMIT + 40):
-            collection.find({"ncid": f"NC{i}", "probe": i})
-        assert len(cache._plans) <= cache.LIMIT
-        assert len(cache._templates) <= cache.LIMIT
-        assert len(_PREDICATE_CACHE) <= 1024
-
-    def test_disabled_cache_stays_cold_and_correct(self):
-        collection = self.make()
-        collection.plan_cache_enabled = False
-        expected = collection.find({"ncid": "NC2"})
-        assert collection.find({"ncid": "NC2"}) == expected
-        assert collection._plan_cache.stats() == {
-            "hits": 0,
-            "misses": 0,
-            "invalidated": 0,
-        }
