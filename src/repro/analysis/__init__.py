@@ -9,8 +9,8 @@ Two layers:
   :class:`Diagnostic` records — unknown operators with did-you-mean hints,
   operand shape errors, invalid ``$regex`` patterns, vacuous predicates,
   unknown field paths (against a :class:`SchemaPaths`) and stage-order
-  hazards.  :meth:`repro.docstore.Database.set_analysis_mode` and the
-  ``ncvoter-testdata check`` CLI subcommand are the two front doors;
+  hazards.  The ``ncvoter-testdata check`` CLI subcommand is its front
+  door;
 * a **repo-invariant AST linter** (:mod:`repro.analysis.lint`), runnable as
   ``python -m repro.analysis.lint src tests`` and as a pytest-collected
   gate;
@@ -29,7 +29,6 @@ from repro.analysis.analyzer import (
     analyze_filter,
     analyze_pipeline,
     analyze_update,
-    require_clean,
 )
 from repro.analysis.customization import analyze_customization
 from repro.analysis.dedup_usage import analyze_dedup_usage
@@ -82,7 +81,6 @@ __all__ = [
     "analyze_pipeline",
     "analyze_update",
     "analyze_customization",
-    "require_clean",
     "SchemaPaths",
     "cluster_schema",
     "flat_record_schema",

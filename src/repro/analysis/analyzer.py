@@ -27,7 +27,7 @@ from __future__ import annotations
 import re
 from typing import Any, Iterable, List, Optional
 
-from repro.analysis.diagnostics import ERROR, WARNING, Diagnostic, errors_only
+from repro.analysis.diagnostics import ERROR, WARNING, Diagnostic
 from repro.analysis.registry import (
     ACCUMULATORS,
     EXPRESSION_OPERATORS,
@@ -38,7 +38,6 @@ from repro.analysis.registry import (
     did_you_mean,
 )
 from repro.analysis.schemas import SchemaPaths, normalize_path
-from repro.docstore.errors import QueryError
 
 
 def _covers(paths: Iterable[str], norm: str) -> bool:
@@ -697,17 +696,3 @@ def analyze_update(
     analyzer = _Analyzer(schema)
     analyzer.update(update)
     return analyzer.diagnostics
-
-
-def require_clean(
-    diagnostics: List[Diagnostic], what: str = "specification"
-) -> None:
-    """Raise :class:`QueryError` when ``diagnostics`` contains errors."""
-    errors = errors_only(diagnostics)
-    if errors:
-        rendered = "\n".join(f"  {d.render()}" for d in errors)
-        raise QueryError(
-            f"static analysis rejected the {what} "
-            f"({len(errors)} error{'s' if len(errors) != 1 else ''}):\n"
-            f"{rendered}"
-        )

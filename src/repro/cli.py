@@ -727,9 +727,11 @@ def build_parser() -> argparse.ArgumentParser:
 
     simulate = sub.add_parser("simulate", help="write snapshot TSVs")
     simulate.add_argument("--out", required=True, help="output directory")
-    simulate.add_argument("--voters", type=int, default=1000)
-    simulate.add_argument("--years", type=int, default=8)
-    simulate.add_argument("--snapshots-per-year", type=int, default=2)
+    simulate.add_argument("--voters", type=_count_at_least(1), default=1000)
+    simulate.add_argument("--years", type=_count_at_least(1), default=8)
+    simulate.add_argument(
+        "--snapshots-per-year", type=_count_at_least(1), default=2
+    )
     simulate.add_argument("--seed", type=int, default=20210323)
     simulate.set_defaults(func=_cmd_simulate)
 
@@ -760,7 +762,7 @@ def build_parser() -> argparse.ArgumentParser:
         "snapshot; an interrupted run resumes from the last committed one",
     )
     generate.add_argument(
-        "--fsync-batch", type=int, default=0,
+        "--fsync-batch", type=_count_at_least(0), default=0,
         help="with --durable: fsync the log every N staged operations "
         "(0 = only at commits; commits always fsync)",
     )
@@ -780,14 +782,14 @@ def build_parser() -> argparse.ArgumentParser:
     custom.add_argument("--out", required=True, help="output CSV path")
     custom.add_argument("--h-lo", type=float, default=0.0)
     custom.add_argument("--h-hi", type=float, default=1.0)
-    custom.add_argument("--clusters", type=int, default=10_000)
+    custom.add_argument("--clusters", type=_count_at_least(1), default=10_000)
     custom.add_argument("--seed", type=int, default=0)
     custom.set_defaults(func=_cmd_customize)
 
     evaluate = sub.add_parser("evaluate", help="run the three paper measures")
     evaluate.add_argument("--dataset", required=True, help="CSV from customize")
     evaluate.add_argument("--gold", help="gold CSV (default: <dataset>.gold.csv)")
-    evaluate.add_argument("--window", type=int, default=20)
+    evaluate.add_argument("--window", type=_count_at_least(2), default=20)
     evaluate.add_argument(
         "--passes", type=_parse_candidate_passes, default=(("snm",), 5),
         help="an integer (that many SNM passes, the default 5) or candidate "
@@ -807,23 +809,23 @@ def build_parser() -> argparse.ArgumentParser:
     )
     detect.add_argument("--dataset", required=True, help="CSV from customize")
     detect.add_argument("--gold", help="gold CSV (default: <dataset>.gold.csv)")
-    detect.add_argument("--window", type=int, default=20,
+    detect.add_argument("--window", type=_count_at_least(2), default=20,
                         help="Sorted Neighborhood window size")
     detect.add_argument(
         "--passes", type=_parse_candidate_passes, default=(("snm",), 5),
         help="an integer (that many SNM passes, the historical default) or "
         "candidate pass types: 'snm', 'lsh', or 'snm+lsh'",
     )
-    detect.add_argument("--bands", type=int, default=16,
+    detect.add_argument("--bands", type=_count_at_least(1), default=16,
                         help="LSH bands (candidate iff >=1 band collides)")
-    detect.add_argument("--rows", type=int, default=4,
+    detect.add_argument("--rows", type=_count_at_least(1), default=4,
                         help="MinHash rows per band (k = bands*rows)")
-    detect.add_argument("--ngram", type=int, default=3,
+    detect.add_argument("--ngram", type=_count_at_least(1), default=3,
                         help="character n-gram width for LSH shingles")
     detect.add_argument("--lsh-seed", type=int, default=20210323,
                         help="seed for the MinHash permutations")
     detect.add_argument(
-        "--max-bucket", type=int, default=500,
+        "--max-bucket", type=_count_at_least(2), default=500,
         help="skip LSH buckets larger than this (reported, never silent)",
     )
     detect.add_argument(
@@ -853,7 +855,7 @@ def build_parser() -> argparse.ArgumentParser:
     augment.add_argument("--store", required=True)
     augment.add_argument("--share", type=float, default=0.3,
                          help="share of clusters to augment")
-    augment.add_argument("--duplicates", type=int, default=1,
+    augment.add_argument("--duplicates", type=_count_at_least(1), default=1,
                          help="synthetic duplicates per augmented cluster")
     augment.add_argument("--errors", type=float, default=1.5,
                          help="corruptions per synthetic duplicate")

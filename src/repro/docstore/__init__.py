@@ -14,23 +14,17 @@ capabilities the pipeline relies on:
   $sort/$limit/...`` pipelines for filtering, transformation, grouping and
   sorting.
 
-Each collection is one partition: a document map, an ``_id`` map and its
-indexes.  Readers see snapshot-isolated epochs published atomically at
-``commit()``.  See ``docs/data-model.md``.
+Each collection holds one live state: a document map, an ``_id`` map and
+its indexes, which writes change in place.  See ``docs/data-model.md``.
 
 Persistence is line-delimited JSON per collection plus a database manifest,
 so datasets survive process restarts and can be shipped as plain files.
-
-Queries and pipelines can additionally be vetted *before* execution by the
-static analyzer in :mod:`repro.analysis`; see
-:meth:`Database.set_analysis_mode` and :attr:`Collection.analysis_mode`.
 """
 
 from __future__ import annotations
 
-from repro.docstore.collection import Collection, CollectionSnapshot
-from repro.docstore.database import Database, DatabaseReadView, DurableDatabase
-from repro.docstore.partition import Partition
+from repro.docstore.collection import Collection
+from repro.docstore.database import Database, DurableDatabase
 from repro.docstore.documents import get_path, set_path, unset_path
 from repro.docstore.errors import (
     CollectionNotFound,
@@ -55,11 +49,8 @@ from repro.docstore.storage import RecoveryReport
 
 __all__ = [
     "Database",
-    "DatabaseReadView",
     "DurableDatabase",
     "Collection",
-    "CollectionSnapshot",
-    "Partition",
     "DocStoreError",
     "DuplicateKeyError",
     "QueryError",

@@ -1,10 +1,11 @@
 """Collections: CRUD, indexes and aggregation over documents.
 
-A collection stores its documents in one
-:class:`~repro.docstore.partition.Partition`: a document map, an ``_id``
-map and the secondary indexes, with copy-on-write epochs for
-snapshot-isolated readers (:meth:`Collection.snapshot`).  Reads are planned
-by :mod:`repro.docstore.planner`.
+A collection holds one live state: a document map, an ``_id`` map and the
+secondary indexes.  Writes change them in place, and reads are planned over
+the collection itself by :mod:`repro.docstore.planner`.  A stored document
+is never mutated: an update installs a new version
+(:class:`~repro.docstore.documents.PathCopy`), so a view handed out earlier
+keeps showing the version it was built over.
 """
 
 from __future__ import annotations
@@ -27,9 +28,7 @@ from repro.docstore.errors import (
     QueryError,
 )
 from repro.docstore.indexes import HashIndex, build_index
-from repro.docstore.partition import Partition
 from repro.docstore.planner import (
-    Plan,
     count_matching,
     execute_find,
     iter_matching_ids,
@@ -52,26 +51,17 @@ class Collection:
     return copy-on-read views (:class:`~repro.docstore.views.DocumentView`)
     so callers can never corrupt the store by mutating a result;
     :func:`repro.docstore.views.thaw` turns one into a plain deep copy.
-
-    ``analysis_mode`` selects how queries are vetted before execution:
-    ``"lax"`` (the default) executes them as-is, ``"strict"`` runs the
-    static analyzer from :mod:`repro.analysis` first and raises
-    :class:`QueryError` — with did-you-mean hints — before a single document
-    is scanned.  Attach a :class:`repro.analysis.SchemaPaths` via ``schema``
-    to additionally validate dotted field paths in strict mode.
     """
 
-    def __init__(
-        self,
-        name: str,
-        analysis_mode: str = "lax",
-        schema: Optional[Any] = None,
-    ) -> None:
+    def __init__(self, name: str) -> None:
         self.name = name
-        self.analysis_mode = analysis_mode
-        #: Optional ``repro.analysis.SchemaPaths`` for field-path validation.
-        self.schema = schema
-        self._partition = Partition()
+        # The planner reads these three names (plan_read, execute_find, ...).
+        #: Internal id -> stored document, in insertion (= id) order.
+        self._documents: Dict[int, dict] = {}
+        #: Frozen user ``_id`` -> internal id.
+        self._by_user_id: Dict[Any, int] = {}
+        #: Index name (``{path}_{kind}``) -> hash or sorted index.
+        self._indexes: Dict[str, Any] = {}
         self._next_internal_id = itertools.count(1)
         #: Why recovery took the collection dark (a corrupt WAL or
         #: snapshot), or ``None`` while it is healthy.  Reads of a dark
@@ -85,30 +75,10 @@ class Collection:
         #: journal the whole document; an update journals only the
         #: post-states of the paths it wrote (see :class:`PathCopy`).
         self._journal: Optional[Any] = None
-        #: Batched journal hook ``(op, [payload, ...]) -> None`` set
-        #: alongside ``_journal``; one WAL write + one fsync per batch.
-        #: Falls back to per-op ``_journal`` calls when unset.
+        #: Batched journal hook ``(op, [payload, ...]) -> None``; set and
+        #: cleared together with ``_journal``.  One WAL write + one fsync
+        #: per batch.
         self._journal_many: Optional[Any] = None
-
-    # --------------------------------------------------------------- storage
-
-    @property
-    def _documents(self) -> Dict[int, dict]:
-        """The live document map (the planner reads it by this name)."""
-        return self._partition.live._documents
-
-    @property
-    def _by_user_id(self) -> Dict[Any, int]:
-        return self._partition.live._by_user_id
-
-    @property
-    def _indexes(self) -> Dict[str, Any]:
-        return self._partition.live._indexes
-
-    @_indexes.setter
-    def _indexes(self, value: Dict[str, Any]) -> None:
-        # Test hook (index spies et al.).
-        self._partition.writable()._indexes = value
 
     # ------------------------------------------------------------ quarantine
 
@@ -118,20 +88,20 @@ class Collection:
         return self._quarantine is not None
 
     def _take_dark(self, reason: str) -> None:
-        """Quarantine the collection: swap in an empty, freshly indexed partition.
+        """Quarantine the collection: empty its maps, rebuild its indexes empty.
 
-        Called by recovery *after* replay.  The partition is replaced, not
-        merely flagged, so documents a stale snapshot loaded can never be
-        served as live data — the authoritative copy is whatever sits in
-        the quarantine directory until ``repair()``.
+        Called by recovery *after* replay.  The documents are dropped, not
+        merely flagged, so data a stale snapshot loaded can never be served
+        as live data — the authoritative copy is whatever sits in the
+        quarantine directory until ``repair()``.  The indexes stay listed in
+        :meth:`index_specs`.
         """
-        specs = self.index_specs()
-        partition = Partition()
-        for spec in specs:
-            built = build_index(spec["kind"], spec["path"])
-            built.flush()
-            partition.live._indexes[f"{spec['path']}_{spec['kind']}"] = built
-        self._partition = partition
+        self._documents = {}
+        self._by_user_id = {}
+        self._indexes = {
+            name: build_index(index.kind, index.path)
+            for name, index in self._indexes.items()
+        }
         self._quarantine = reason
 
     def _check_healthy(self, op: str, write: bool = False) -> None:
@@ -141,19 +111,6 @@ class Collection:
         if write:
             raise DegradedWriteError(self.name, op, self._quarantine)
         raise DegradedReadError(self.name, op, self._quarantine)
-
-    def snapshot(self) -> "CollectionSnapshot":
-        """A consistent read-only view of the last published epoch.
-
-        The view pins the ``published`` state: a concurrent writer copies
-        before mutating (copy-on-write), so the snapshot's results never
-        change — even while a commit publishes a new epoch.
-        """
-        return CollectionSnapshot(self)
-
-    def _publish(self) -> None:
-        """Publish the live state (commit barrier); see :meth:`Partition.publish`."""
-        self._partition.publish()
 
     # ------------------------------------------------------------------ CRUD
 
@@ -170,14 +127,13 @@ class Collection:
         if "_id" not in stored:
             stored["_id"] = internal_id
         user_id = _freeze_id(stored["_id"])
-        if user_id in self._partition.live._by_user_id:
+        if user_id in self._by_user_id:
             raise DuplicateKeyError(
                 f"duplicate _id {stored['_id']!r} in collection {self.name!r}"
             )
-        state = self._partition.writable()
-        state._documents[internal_id] = stored
-        state._by_user_id[user_id] = internal_id
-        for index in state._indexes.values():
+        self._documents[internal_id] = stored
+        self._by_user_id[user_id] = internal_id
+        for index in self._indexes.values():
             index.add(internal_id, stored)
             index.flush()
         self._log("insert", {"doc": stored})
@@ -187,16 +143,16 @@ class Collection:
         """Insert every document; returns the list of assigned ``_id``s.
 
         Bulk path: documents are validated and id-assigned in order, then
-        applied in one pass (one copy-on-write clone, one index delta per
-        document, one batched journal append instead of one WAL write +
-        fsync per op).  Error semantics match the per-op loop exactly: on
+        applied in one pass (one index delta per document, one sorted-index
+        merge, one batched journal append instead of one WAL write + fsync
+        per op).  Error semantics match the per-op loop exactly: on
         the first invalid document the already-validated prefix is
         inserted and journaled, then the error raises.
         """
         self._check_healthy("insert", write=True)
         assigned: List[Any] = []
         staged: List[Tuple[dict, int]] = []  # (stored, internal id)
-        stored_ids = self._partition.live._by_user_id
+        stored_ids = self._by_user_id
         batch_user_ids: set = set()
         error: Optional[Exception] = None
         for document in documents:
@@ -220,16 +176,15 @@ class Collection:
             assigned.append(stored["_id"])
 
         if staged:
-            state = self._partition.writable()
             for stored, internal_id in staged:
-                state._documents[internal_id] = stored
-                state._by_user_id[_freeze_id(stored["_id"])] = internal_id
-                for index in state._indexes.values():
+                self._documents[internal_id] = stored
+                self._by_user_id[_freeze_id(stored["_id"])] = internal_id
+                for index in self._indexes.values():
                     index.add(internal_id, stored)
             # One sorted-run merge for the whole batch; flushing here (not
-            # on first read) keeps shared-state reads logically read-only,
-            # so concurrent ``find``s never race.
-            for index in state._indexes.values():
+            # on first read) keeps the index read methods free of side
+            # effects.
+            for index in self._indexes.values():
                 index.flush()
             self._log_many("insert", [{"doc": stored} for stored, _ in staged])
         if error is not None:
@@ -255,12 +210,10 @@ class Collection:
         ``skip``/``limit`` window are wrapped
         (:class:`~repro.docstore.views.DocumentView`).
         """
-        self._check_filter(filter_doc)
         self._check_healthy("find")
-        state = self._partition.live
         results = list(
             execute_find(
-                state, plan_read(state, filter_doc, sort), skip=skip, limit=limit
+                self, plan_read(self, filter_doc, sort), skip=skip, limit=limit
             )
         )
         if projection:
@@ -275,10 +228,9 @@ class Collection:
         hash index on ``path`` whose keys are all strings answers straight
         from the index, never touching a document.
         """
-        self._check_filter(filter_doc)
         self._check_healthy("distinct")
         if not filter_doc:
-            index = self._partition.live._indexes.get(f"{path}_hash")
+            index = self._indexes.get(f"{path}_hash")
             if isinstance(index, HashIndex):
                 keys = list(index.keys())
                 if all(key is None or isinstance(key, str) for key in keys):
@@ -302,19 +254,8 @@ class Collection:
         if not filter_doc:
             self._check_healthy("count_documents")
             return len(self)
-        self._check_filter(filter_doc)
         self._check_healthy("count_documents")
-        state = self._partition.live
-        return count_matching(state, plan_read(state, filter_doc))
-
-    def _check_update(self, update: dict) -> None:
-        if self.analysis_mode == "strict":
-            from repro.analysis import analyze_update, require_clean
-
-            require_clean(
-                analyze_update(update, self.schema),
-                f"update for collection {self.name!r}",
-            )
+        return count_matching(self, plan_read(self, filter_doc))
 
     def update_one(self, filter_doc: dict, update: dict) -> int:
         """Apply ``update`` to the first match; returns 0 or 1.
@@ -323,7 +264,6 @@ class Collection:
         version by path copying (:class:`PathCopy`), and only a version
         every operator succeeded on is indexed, installed and journaled.
         """
-        self._check_update(update)
         for internal_id in self._matching_ids(filter_doc, "update_one", write=True):
             self._update_document(internal_id, update)
             return 1
@@ -335,14 +275,13 @@ class Collection:
         Documents are updated one at a time: when the update fails on one,
         the documents before it stay updated (and journaled) and it raises.
         """
-        self._check_update(update)
         touched = list(self._matching_ids(filter_doc, "update_many", write=True))
         for internal_id in touched:
             self._update_document(internal_id, update)
         return len(touched)
 
     def _update_document(self, internal_id: int, update: dict) -> None:
-        old = self._partition.live._documents[internal_id]
+        old = self._documents[internal_id]
         version = _next_version(old, update)
         self._install(internal_id, old, version)
 
@@ -351,7 +290,7 @@ class Collection:
         for internal_id in self._matching_ids(
             {"_id": doc_id}, "update_one", write=True
         ):
-            old = self._partition.live._documents[internal_id]
+            old = self._documents[internal_id]
             version = PathCopy(old)
             version.apply(writes)
             self._install(internal_id, old, version)
@@ -375,7 +314,7 @@ class Collection:
     def _replace_owned(self, filter_doc: dict, stored: dict) -> int:
         """:meth:`replace_one` with ``stored`` kept as is (uncopied)."""
         for internal_id in self._matching_ids(filter_doc, "replace_one", write=True):
-            old = self._partition.live._documents[internal_id]
+            old = self._documents[internal_id]
             stored["_id"] = old["_id"]
             self._place_version(internal_id, old, stored, None)
             self._log("replace", {"id": stored["_id"], "doc": stored})
@@ -386,12 +325,11 @@ class Collection:
         """Delete every matching document; returns the delete count."""
         doomed = list(self._matching_ids(filter_doc, "delete_many", write=True))
         for internal_id in doomed:
-            state = self._partition.writable()
-            document = state._documents[internal_id]
-            for spec_index in state._indexes.values():
+            document = self._documents[internal_id]
+            for spec_index in self._indexes.values():
                 spec_index.remove(internal_id, document)
-            del state._by_user_id[_freeze_id(document["_id"])]
-            del state._documents[internal_id]
+            del self._by_user_id[_freeze_id(document["_id"])]
+            del self._documents[internal_id]
             self._log("delete", {"id": document["_id"]})
         return len(doomed)
 
@@ -407,28 +345,22 @@ class Collection:
         ``written`` lists the dotted paths that changed (``None``: any), so
         only indexes over those paths are maintained.
         """
-        state = self._partition.writable()
         if written is None:
-            affected = list(state._indexes.values())
+            affected = list(self._indexes.values())
         else:
             affected = [
                 spec_index
-                for spec_index in state._indexes.values()
+                for spec_index in self._indexes.values()
                 if any(_paths_overlap(path, spec_index.path) for path in written)
             ]
         for spec_index in affected:
             spec_index.remove(internal_id, old)
             spec_index.add(internal_id, new)
             spec_index.flush()
-        state._documents[internal_id] = new
+        self._documents[internal_id] = new
 
     def aggregate(self, pipeline: List[dict]) -> List[dict]:
         """Run an aggregation ``pipeline`` over the collection.
-
-        In strict analysis mode the pipeline is statically vetted first —
-        unknown stages/operators, malformed specs, unknown field paths and
-        stage-order hazards raise :class:`QueryError` before any document is
-        streamed.
 
         Leading ``$match``/``$sort``/``$skip``/``$limit`` stages are pushed
         down into the query planner: they run through index accesses and
@@ -436,20 +368,12 @@ class Collection:
         already-narrowed stream instead of a deep copy of the whole
         collection.
         """
-        if self.analysis_mode == "strict":
-            from repro.analysis import analyze_pipeline, require_clean
-
-            require_clean(
-                analyze_pipeline(pipeline, self.schema),
-                f"pipeline for collection {self.name!r}",
-            )
         pushdown = split_pushdown(pipeline)
         self._check_healthy("aggregate")
-        state = self._partition.live
-        plan = plan_read(state, pushdown.filter_doc, pushdown.sort_spec)
+        plan = plan_read(self, pushdown.filter_doc, pushdown.sort_spec)
         plan.pushdown = list(pushdown.pushed)
         source: Iterable[dict] = execute_find(
-            state, plan, skip=pushdown.skip, limit=pushdown.limit
+            self, plan, skip=pushdown.skip, limit=pushdown.limit
         )
         return list(run_pipeline(source, pushdown.rest))
 
@@ -467,21 +391,20 @@ class Collection:
         scans.  Returns the index name ``{path}_{kind}``.
         """
         name = f"{path}_{kind}"
-        if name in self._partition.live._indexes:
+        if name in self._indexes:
             return name
         self._check_healthy("create_index", write=True)
-        state = self._partition.writable()
         index = build_index(kind, path)
-        for internal_id, document in state._documents.items():
+        for internal_id, document in self._documents.items():
             index.add(internal_id, document)
         index.flush()
-        state._indexes[name] = index
+        self._indexes[name] = index
         self._log("index", {"path": path, "kind": kind})
         return name
 
     def index_names(self) -> List[str]:
         """Sorted names of the collection's indexes."""
-        return sorted(self._partition.live._indexes)
+        return sorted(self._indexes)
 
     def explain(
         self,
@@ -499,6 +422,7 @@ class Collection:
         and index-usage hints from
         :func:`repro.analysis.analyze_index_usage`.
         """
+        self._check_healthy("explain")
         remaining: List[dict] = []
         pushed: List[str] = []
         if pipeline is not None:
@@ -508,7 +432,7 @@ class Collection:
             remaining = pushdown.rest
         else:
             query_filter, query_sort = filter_doc, sort
-        plan = plan_read(self._partition.live, query_filter, query_sort)
+        plan = plan_read(self, query_filter, query_sort)
         plan.pushdown = list(pushed)
         description = plan.describe(len(self))
         description["remaining_stages"] = [
@@ -532,7 +456,7 @@ class Collection:
         """Serializable descriptions of the collection's indexes."""
         return [
             {"path": index.path, "kind": index.kind}
-            for index in self._partition.live._indexes.values()
+            for index in self._indexes.values()
         ]
 
     # ------------------------------------------------------------- internals
@@ -543,37 +467,22 @@ class Collection:
             journal(op, payload)
 
     def _log_many(self, op: str, payloads: List[dict]) -> None:
-        """Journal a batch of ``op`` records in order.
-
-        Prefers the batched hook (one WAL write + one fsync per batch);
-        falls back to per-op journaling when only the plain hook is
-        attached.
-        """
+        """Journal a batch of ``op`` records in order (one WAL write)."""
         journal_many = self._journal_many
         if journal_many is not None:
             journal_many(op, payloads)
-            return
-        journal = self._journal
-        if journal is not None:
-            for payload in payloads:
-                journal(op, payload)
 
     def _ordered_documents(self) -> Iterator[dict]:
-        documents = self._partition.live._documents
+        # The ids are fixed at the first ``next()``: one deleted since is
+        # skipped, one updated since is yielded in its new version.
+        documents = self._documents
         for internal_id in sorted(documents):
-            yield documents[internal_id]
-
-    def _check_filter(self, filter_doc: Optional[dict]) -> None:
-        if self.analysis_mode == "strict" and filter_doc:
-            from repro.analysis import analyze_filter, require_clean
-
-            require_clean(
-                analyze_filter(filter_doc, self.schema),
-                f"filter for collection {self.name!r}",
-            )
+            document = documents.get(internal_id)
+            if document is not None:
+                yield document
 
     def _scan(self, filter_doc: Optional[dict], op: str) -> Iterator[dict]:
-        documents = self._partition.live._documents
+        documents = self._documents
         for internal_id in self._matching_ids(filter_doc, op):
             yield documents[internal_id]
 
@@ -581,108 +490,14 @@ class Collection:
         self, filter_doc: Optional[dict], op: str, write: bool = False
     ) -> Iterator[int]:
         """Internal ids of the matches, ascending."""
-        self._check_filter(filter_doc)
         self._check_healthy(op, write)
-        state = self._partition.live
-        yield from iter_matching_ids(state, plan_read(state, filter_doc))
+        yield from iter_matching_ids(self, plan_read(self, filter_doc))
 
     def __len__(self) -> int:
-        return len(self._partition.live._documents)
+        return len(self._documents)
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return f"Collection(name={self.name!r}, documents={len(self)})"
-
-
-class CollectionSnapshot:
-    """A consistent, lock-free read view over the last published epoch.
-
-    Pins the collection's ``published`` state at construction time.
-    Writers never mutate a published state (the first write after a commit
-    copies it), so every read through the snapshot sees exactly the epoch
-    that was committed when the snapshot was taken — while the live
-    collection keeps changing underneath.
-    """
-
-    def __init__(self, collection: Collection) -> None:
-        self.name = collection.name
-        #: Lazy views over a *published* state are stable forever (writers
-        #: copy-on-write, never mutate it).
-        self._state = collection._partition.published
-        #: Quarantine pinned at snapshot time: every read of a dark
-        #: collection raises, because a snapshot is exactly the API that
-        #: promises a complete, consistent epoch.
-        self._quarantine = collection._quarantine
-
-    def _check_healthy(self, op: str) -> None:
-        if self._quarantine is not None:
-            raise DegradedReadError(self.name, op, self._quarantine)
-
-    def _planned(
-        self,
-        filter_doc: Optional[dict],
-        sort: Optional[List[tuple]] = None,
-    ) -> Plan:
-        self._check_healthy("snapshot read")
-        return plan_read(self._state, filter_doc, sort)
-
-    def find(
-        self,
-        filter_doc: Optional[dict] = None,
-        projection: Optional[dict] = None,
-        sort: Optional[List[tuple]] = None,
-        limit: Optional[int] = None,
-        skip: int = 0,
-    ) -> List[dict]:
-        """Planned read over the snapshot (same semantics as live ``find``)."""
-        plan = self._planned(filter_doc, sort)
-        results = list(execute_find(self._state, plan, skip=skip, limit=limit))
-        if projection:
-            results = list(run_pipeline(results, [{"$project": projection}]))
-        return results
-
-    def find_one(self, filter_doc: Optional[dict] = None) -> Optional[dict]:
-        plan = self._planned(filter_doc)
-        for internal_id in iter_matching_ids(self._state, plan):
-            return lazy_document(self._state._documents[internal_id])
-        return None
-
-    def count_documents(self, filter_doc: Optional[dict] = None) -> int:
-        if not filter_doc:
-            self._check_healthy("snapshot read")
-            return len(self)
-        return count_matching(self._state, self._planned(filter_doc))
-
-    def distinct(self, path: str, filter_doc: Optional[dict] = None) -> List[Any]:
-        plan = self._planned(filter_doc)
-        documents = self._state._documents
-        matches = (
-            documents[internal_id]
-            for internal_id in iter_matching_ids(self._state, plan)
-        )
-        return _distinct_values(matches, path)
-
-    def aggregate(self, pipeline: List[dict]) -> List[dict]:
-        """Aggregation over the snapshot, with the same pushdown rules."""
-        pushdown = split_pushdown(pipeline)
-        plan = self._planned(pushdown.filter_doc, pushdown.sort_spec)
-        plan.pushdown = list(pushdown.pushed)
-        source: Iterable[dict] = execute_find(
-            self._state, plan, skip=pushdown.skip, limit=pushdown.limit
-        )
-        return list(run_pipeline(source, pushdown.rest))
-
-    def all(self) -> Iterator[dict]:
-        """Iterate the epoch's documents (materialized) in insertion order."""
-        self._check_healthy("snapshot all")
-        documents = self._state._documents
-        for internal_id in sorted(documents):
-            yield lazy_document(documents[internal_id])
-
-    def __len__(self) -> int:
-        return len(self._state._documents)
-
-    def __repr__(self) -> str:  # pragma: no cover - debugging aid
-        return f"CollectionSnapshot(name={self.name!r}, documents={len(self)})"
 
 
 def _distinct_values(documents: Iterable[dict], path: str) -> List[Any]:

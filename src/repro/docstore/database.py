@@ -12,7 +12,7 @@ from pathlib import Path
 from typing import Dict, List, Optional
 
 from repro import faults
-from repro.docstore.collection import Collection, CollectionSnapshot
+from repro.docstore.collection import Collection
 from repro.docstore.errors import (
     CollectionNotFound,
     DegradedWriteError,
@@ -32,38 +32,12 @@ class Database:
     def __init__(self, name: str = "db") -> None:
         self.name = name
         self._collections: Dict[str, Collection] = {}
-        self._analysis_mode = "lax"
-        self._schema = None
-
-    def set_analysis_mode(self, mode: str, schema=None) -> None:
-        """Switch static query analysis for all collections.
-
-        ``mode`` is ``"lax"`` (default: queries run unchecked) or
-        ``"strict"`` (filters, pipelines and updates are validated by
-        :mod:`repro.analysis` before any document is scanned; errors raise
-        :class:`~repro.docstore.errors.QueryError`).  ``schema`` is an
-        optional :class:`~repro.analysis.SchemaPaths` used for field-path
-        checking; without one, strict mode still validates operators, stage
-        order and operand shapes.  Applies to existing and future
-        collections.
-        """
-        if mode not in ("lax", "strict"):
-            raise DocStoreError(
-                f"analysis mode must be 'lax' or 'strict', got {mode!r}"
-            )
-        self._analysis_mode = mode
-        self._schema = schema
-        for collection in self._collections.values():
-            collection.analysis_mode = mode
-            collection.schema = schema
 
     def create_collection(self, name: str) -> Collection:
         """Create collection ``name``; error if it already exists."""
         if name in self._collections:
             raise DocStoreError(f"collection {name!r} already exists")
-        collection = Collection(
-            name, analysis_mode=self._analysis_mode, schema=self._schema
-        )
+        collection = Collection(name)
         self._collections[name] = collection
         return collection
 
@@ -84,32 +58,15 @@ class Database:
         """Sorted names of the existing collections."""
         return sorted(self._collections)
 
-    def _publish_all(self) -> None:
-        for collection in self._collections.values():
-            collection._publish()
-
     def commit(self) -> int:
-        """Durability barrier; publishes a new snapshot epoch.
+        """Durability barrier; a no-op returning 0 for an in-memory database.
 
-        Publishes every collection's live state so subsequent
-        :meth:`read_view` snapshots observe the current data (and earlier
-        snapshots keep their epoch untouched — writers copy before the
-        next mutation).  :class:`DurableDatabase` overrides this to
-        additionally seal the staged WAL operations into a new committed
-        epoch.  Having it on the base class lets write paths
-        (``TestDataGenerator.publish`` et al.) call it unconditionally.
+        :class:`DurableDatabase` overrides this to seal the staged WAL
+        operations into a new committed epoch.  Having it on the base class
+        lets write paths (``TestDataGenerator.publish`` et al.) call it
+        unconditionally.
         """
-        self._publish_all()
         return 0
-
-    def read_view(self) -> "DatabaseReadView":
-        """A consistent snapshot of every collection's last published epoch.
-
-        The view is stable: reads through it keep answering from the epoch
-        published by the last :meth:`commit`, no matter what writers do to
-        the live collections afterwards.
-        """
-        return DatabaseReadView(self)
 
     def stats(self) -> dict:
         """Document counts, indexes and quarantine state per collection."""
@@ -161,42 +118,6 @@ class Database:
         return f"Database(name={self.name!r}, collections={self.collection_names()})"
 
 
-class DatabaseReadView:
-    """Read-only snapshot of a database at one published epoch.
-
-    Collection access returns :class:`CollectionSnapshot`\\ s pinned when
-    the view was created; the set of collections is pinned too.
-    """
-
-    def __init__(self, database: Database) -> None:
-        self.name = database.name
-        self._snapshots: Dict[str, CollectionSnapshot] = {
-            name: collection.snapshot()
-            for name, collection in database._collections.items()
-        }
-
-    def get_collection(self, name: str) -> CollectionSnapshot:
-        snapshot = self._snapshots.get(name)
-        if snapshot is None:
-            raise CollectionNotFound(f"collection {name!r} does not exist")
-        return snapshot
-
-    def collection_names(self) -> List[str]:
-        return sorted(self._snapshots)
-
-    def __getitem__(self, name: str) -> CollectionSnapshot:
-        return self.get_collection(name)
-
-    def __contains__(self, name: str) -> bool:
-        return name in self._snapshots
-
-    def __repr__(self) -> str:  # pragma: no cover - debugging aid
-        return (
-            f"DatabaseReadView(name={self.name!r}, "
-            f"collections={self.collection_names()})"
-        )
-
-
 class DurableDatabase(Database):
     """A database whose on-disk state survives a crash at any point.
 
@@ -222,7 +143,6 @@ class DurableDatabase(Database):
         directory: Path,
         name: str = "db",
         fsync_batch: int = 0,
-        auto_compact: Optional[int] = None,
     ) -> None:
         from repro.docstore.storage import (
             MANIFEST_NAME,
@@ -235,15 +155,9 @@ class DurableDatabase(Database):
         self.directory = Path(directory)
         self.directory.mkdir(parents=True, exist_ok=True)
         self.fsync_batch = fsync_batch
-        if auto_compact is not None and auto_compact < 1:
-            raise DocStoreError(
-                f"auto_compact must be a positive op count or None, got {auto_compact}"
-            )
-        #: Checkpoint automatically once this many operations have been
-        #: committed since the last checkpoint (``None`` disables).
-        self.auto_compact = auto_compact
+        #: Operations committed since the last :meth:`checkpoint` (what a
+        #: reload would replay).
         self._ops_since_checkpoint = 0
-        self._in_checkpoint = False
         #: What recovery did while opening, or ``None`` for a fresh store.
         self.last_recovery: Optional[RecoveryReport] = None
         #: Reports of the most recent :meth:`scrub` / :meth:`repair` runs.
@@ -264,7 +178,6 @@ class DurableDatabase(Database):
         self.committed_epoch = read_committed_epoch(self.directory)
         for collection_name in list(self._collections):
             self._attach(collection_name)
-        self._publish_all()
 
     # ------------------------------------------------------------ journaling
 
@@ -329,12 +242,12 @@ class DurableDatabase(Database):
         A no-op (returning the current epoch) when nothing was staged.
         Markers are appended and fsynced in every log *before* the
         ``COMMITTED`` file is atomically rewritten — a crash anywhere in
-        between leaves the previous epoch as the recovered state.
+        between leaves the previous epoch as the recovered state.  A commit
+        never compacts the logs; :meth:`checkpoint` does.
         """
         writers = self._all_writers()
         staged_ops = sum(writer.staged for writer in writers)
         if not staged_ops:
-            self._publish_all()
             return self.committed_epoch
         from repro.docstore.wal import write_committed_epoch
 
@@ -343,17 +256,7 @@ class DurableDatabase(Database):
             writer.commit(epoch)
         write_committed_epoch(self.directory, epoch)
         self.committed_epoch = epoch
-        # Only a durably committed epoch becomes visible to new snapshots;
-        # a crash before this point leaves readers on the previous epoch,
-        # matching what recovery would reconstruct.
-        self._publish_all()
         self._ops_since_checkpoint += staged_ops
-        if (
-            self.auto_compact is not None
-            and not self._in_checkpoint
-            and self._ops_since_checkpoint >= self.auto_compact
-        ):
-            self.checkpoint()
         return epoch
 
     def checkpoint(self) -> int:
@@ -371,28 +274,24 @@ class DurableDatabase(Database):
         """
         from repro.docstore.storage import save_database
 
-        self._in_checkpoint = True
-        try:
-            epoch = self.commit()
-            quarantined_collections = frozenset(
-                name
-                for name, collection in self._collections.items()
-                if collection.quarantined
-            )
-            save_database(self, self.directory, skip=quarantined_collections)
-            fs = faults.current_fs()
-            for name, writer in sorted(self._dropped_wals.items()):
-                writer.close()
-                fs.remove(writer.path)
-                fs.remove(self.directory / f"{name}.jsonl")
-            self._dropped_wals.clear()
-            for name, writer in self._wals.items():
-                if name not in quarantined_collections:
-                    writer.rotate()
-            self._ops_since_checkpoint = 0
-            return epoch
-        finally:
-            self._in_checkpoint = False
+        epoch = self.commit()
+        quarantined_collections = frozenset(
+            name
+            for name, collection in self._collections.items()
+            if collection.quarantined
+        )
+        save_database(self, self.directory, skip=quarantined_collections)
+        fs = faults.current_fs()
+        for name, writer in sorted(self._dropped_wals.items()):
+            writer.close()
+            fs.remove(writer.path)
+            fs.remove(self.directory / f"{name}.jsonl")
+        self._dropped_wals.clear()
+        for name, writer in self._wals.items():
+            if name not in quarantined_collections:
+                writer.rotate()
+        self._ops_since_checkpoint = 0
+        return epoch
 
     # ---------------------------------------------------------- resilience
 
@@ -430,12 +329,7 @@ class DurableDatabase(Database):
             pass  # poisoned writer: staged tail already lost to the fault
         self.close(commit=False)
         report = repair_database(self.directory, self.name)
-        self.__init__(
-            self.directory,
-            self.name,
-            fsync_batch=self.fsync_batch,
-            auto_compact=self.auto_compact,
-        )
+        self.__init__(self.directory, self.name, fsync_batch=self.fsync_batch)
         self.last_repair = report
         return report
 
@@ -445,7 +339,6 @@ class DurableDatabase(Database):
         stats["storage"] = {
             "committed_epoch": self.committed_epoch,
             "ops_since_checkpoint": self._ops_since_checkpoint,
-            "auto_compact": self.auto_compact,
             "last_scrub": None if scrub is None else {
                 "ok": scrub.ok,
                 "errors": len(scrub.errors),

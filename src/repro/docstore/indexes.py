@@ -37,16 +37,6 @@ class HashIndex:
             if not bucket:
                 del self._buckets[key]
 
-    def clone(self) -> "HashIndex":
-        """Independent copy sharing no mutable structure with the original.
-
-        Used by the copy-on-write partition epochs: the clone can be
-        mutated freely while readers keep iterating the original.
-        """
-        copy = HashIndex(self.path)
-        copy._buckets = {key: set(bucket) for key, bucket in self._buckets.items()}
-        return copy
-
     def flush(self) -> None:
         """No-op: hash buckets are maintained eagerly on every ``add``."""
 
@@ -88,21 +78,20 @@ class SortedIndex:
 
     Additions are buffered: ``add`` appends to a pending list instead of
     paying an O(n) ``insort`` memmove per key, and :meth:`flush` (called by
-    :meth:`remove` / :meth:`clone`, by every collection write path once its
-    batch of ``add`` calls is done, and by ``Partition.publish``) merges all
-    pending keys in one extend-and-Timsort pass per touched type bucket —
-    Timsort sees the sorted prefix, so N buffered inserts cost O(n + N log N)
-    once instead of O(n·N).  The per-document books (``_key_counts``,
-    ``_list_entries``) stay eagerly maintained, so :meth:`indexed_ids` and
-    :attr:`multikey` never force a merge.
+    :meth:`remove` and by every collection write path once its batch of
+    ``add`` calls is done) merges all pending keys in one extend-and-Timsort
+    pass per touched type bucket — Timsort sees the sorted prefix, so N
+    buffered inserts cost O(n + N log N) once instead of O(n·N).  The
+    per-document books (``_key_counts``, ``_list_entries``) stay eagerly
+    maintained, so :meth:`indexed_ids` and :attr:`multikey` never force a
+    merge.
 
     Because writers flush at the end of each mutation (not readers on first
-    use), shared-state reads stay logically read-only: two threads running
-    ``find`` on the same live or published state never race on a deferred
-    merge.  The query methods still call :meth:`flush` defensively — for
-    standalone index use where nothing else flushes — but under collection
-    usage the pending list is always empty by the time a reader arrives, so
-    that call reduces to a pure (mutation-free) emptiness check.
+    use), the query methods are free of side effects under collection
+    usage.  They still call :meth:`flush` defensively — for standalone index
+    use where nothing else flushes — but under collection usage the pending
+    list is always empty by the time a reader arrives, so that call reduces
+    to a pure emptiness check.
     """
 
     kind = "sorted"
@@ -180,19 +169,6 @@ class SortedIndex:
             if key is None:
                 continue
             self._delete(doc_id, key)
-
-    def clone(self) -> "SortedIndex":
-        """Independent copy sharing no mutable structure with the original.
-
-        Used by the copy-on-write partition epochs: the clone can be
-        mutated freely while readers keep iterating the original.
-        """
-        self.flush()
-        copy = SortedIndex(self.path)
-        copy._by_type = {name: list(entries) for name, entries in self._by_type.items()}
-        copy._list_entries = dict(self._list_entries)
-        copy._key_counts = dict(self._key_counts)
-        return copy
 
     def range(
         self,

@@ -7,7 +7,7 @@ safe to mutate while the copying is deferred: a view is a ``dict``/``list``
 container, so
 
 * top-level mutations land in the view's private table, never in the
-  partition state;
+  stored document;
 * nested containers are wrapped lazily on first access (and memoized), so
   a mutation at any depth only ever touches view-owned storage;
 * equality, iteration, ``json.dumps`` and pickling all behave exactly like
@@ -28,7 +28,7 @@ actually touches — untouched subtrees are shared with the stored version.
 That sharing is safe because the store never mutates a stored document:
 an update installs a new version that copies only the paths it writes
 (:class:`~repro.docstore.documents.PathCopy`), so a view keeps showing
-the version it was built over, live or published.  ``thaw`` forces a
+the version it was built over.  ``thaw`` forces a
 fully independent plain-container deep copy; the eager deep-copying reads
 survive only as the full-scan oracle in :mod:`repro.docstore._reference`.
 """

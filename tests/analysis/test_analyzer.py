@@ -10,11 +10,7 @@ from repro.analysis import (
     analyze_update,
     cluster_schema,
     has_errors,
-    require_clean,
 )
-from repro.docstore.errors import QueryError
-
-import pytest
 
 
 def codes(diagnostics):
@@ -152,8 +148,8 @@ class TestQ005Vacuous:
         assert "Q005" in codes(analyze_filter({"$or": []}))
         assert "Q005" in codes(analyze_filter({"a": {"$nin": []}}))
 
-    def test_warnings_do_not_fail_require_clean(self):
-        require_clean(analyze_filter({"a": {"$in": []}}))  # must not raise
+    def test_vacuous_in_is_only_a_warning(self):
+        assert not has_errors(analyze_filter({"a": {"$in": []}}))
 
 
 class TestQ006MixedKeys:
@@ -357,16 +353,3 @@ class TestUpdates:
         )
         assert "Q007" in codes(diagnostics)
 
-
-class TestRequireClean:
-    def test_raises_query_error_listing_all_errors(self):
-        diagnostics = analyze_filter({"a": {"$regx": "x"}, "b": {"$in": 5}})
-        with pytest.raises(QueryError) as excinfo:
-            require_clean(diagnostics, "test filter")
-        message = str(excinfo.value)
-        assert "test filter" in message
-        assert "Q001" in message and "Q003" in message
-
-    def test_clean_is_silent(self):
-        require_clean(analyze_filter({"a": 1}))
-        assert not has_errors(analyze_filter({"a": 1}))

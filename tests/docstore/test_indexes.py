@@ -92,14 +92,12 @@ class TestBuildIndex:
 
 
 class TestWritePathFlushing:
-    """Sorted-run merges happen at write end, never on a shared-state read.
+    """Sorted-run merges happen at write end, never on a read.
 
-    The collection/plan-cache contract allows sharing states across
-    threads for reads; if reads triggered the deferred merge, two
-    concurrent ``find``\\ s after a write could race inside ``flush``.
-    Every collection write path therefore flushes before returning, so
-    read methods only ever see an empty pending buffer (their own
-    defensive ``flush`` reduces to a mutation-free no-op).
+    Every collection write path flushes before returning, so the index
+    read methods stay free of side effects: they only ever see an empty
+    pending buffer, and their own defensive ``flush`` reduces to a
+    mutation-free no-op.
     """
 
     @staticmethod

@@ -1,16 +1,14 @@
-"""Oracle tests: reads, snapshots and recovery against references.
+"""Oracle tests: reads and recovery against references.
 
 Every read — ``find`` / ``count_documents`` / ``distinct`` /
 ``aggregate`` — returns *exactly* what the full-scan oracle in
 ``repro.docstore._reference`` returns: same documents, same order, same
-copies, before and after every write.  Snapshots
-answer from the epoch they pinned across ``commit()``, and crash recovery
-lands on a committed state at every filesystem operation.
+copies, before and after every write.  Crash recovery lands on a committed
+state at every filesystem operation.
 """
 
 import json
 import string
-import threading
 from pathlib import Path
 
 import pytest
@@ -264,97 +262,6 @@ def test_malformed_filter_still_raises():
         collection.aggregate([{"$match": {1: 2}}])
 
 
-# -------------------------------------------------------- snapshot isolation
-
-
-def test_snapshot_pins_state_across_commit():
-    database = Database("db")
-    clusters = database.create_collection("clusters")
-    clusters.insert_many({"_id": i, "ncid": f"AA{i}", "n": i} for i in range(8))
-    database.commit()
-
-    view = database.read_view()
-    snap = view["clusters"]
-    assert snap.count_documents() == 8
-
-    clusters.insert_one({"_id": 99, "ncid": "ZZ9", "n": 99})
-    clusters.update_many({}, {"$inc": {"n": 100}})
-    clusters.delete_many({"_id": 0})
-    # Uncommitted writes are invisible to the pinned snapshot...
-    assert snap.count_documents() == 8
-    assert snap.find({"_id": 99}) == []
-    assert snap.find_one({"_id": 1})["n"] == 1
-    # ...and stay invisible to it even after the writer commits.
-    database.commit()
-    assert snap.count_documents() == 8
-    assert snap.find_one({"_id": 1})["n"] == 1
-    # A fresh view sees the committed state.
-    fresh = database.read_view()["clusters"]
-    assert fresh.count_documents() == 8  # 8 + 1 inserted - 1 deleted
-    assert fresh.find_one({"_id": 1})["n"] == 101
-
-
-def test_snapshot_aggregate_and_distinct_pin_too():
-    database = Database("db")
-    collection = database.create_collection("c")
-    collection.insert_many({"_id": i, "ncid": f"A{i}", "g": i % 2} for i in range(6))
-    database.commit()
-    snap = collection.snapshot()
-    expected = snap.aggregate([{"$group": {"_id": "$g", "n": {"$sum": 1}}}])
-    collection.delete_many({})
-    database.commit()
-    assert snap.aggregate([{"$group": {"_id": "$g", "n": {"$sum": 1}}}]) == expected
-    assert snap.distinct("ncid") == [f"A{i}" for i in range(6)]
-    assert list(collection.snapshot().all()) == []
-
-
-def test_uncommitted_writes_invisible_to_new_snapshots():
-    database = Database("db")
-    collection = database.create_collection("c")
-    collection.insert_one({"_id": 1, "ncid": "AA1"})
-    # No commit yet: a snapshot sees the initial (empty) published epoch.
-    assert list(collection.snapshot().all()) == []
-    database.commit()
-    assert len(list(collection.snapshot().all())) == 1
-
-
-def test_concurrent_readers_see_consistent_epochs():
-    """Readers racing a committing writer never observe a torn epoch:
-    every read returns a multiple of the per-commit batch, with every
-    document carrying the same version stamp."""
-    database = Database("db")
-    collection = database.create_collection("c")
-    batch = 8
-    stop = threading.Event()
-    torn = []
-
-    def reader():
-        while not stop.is_set():
-            snap = collection.snapshot()
-            docs = list(snap.all())
-            versions = {doc["v"] for doc in docs}
-            if len(docs) % batch or len(versions) > (1 if docs else 0):
-                torn.append((len(docs), versions))
-                return
-
-    threads = [threading.Thread(target=reader) for _ in range(4)]
-    for thread in threads:
-        thread.start()
-    try:
-        for version in range(25):
-            for i in range(batch):
-                collection.insert_one(
-                    {"_id": version * batch + i, "ncid": f"A{i}", "v": version}
-                )
-            collection.update_many({}, {"$set": {"v": version}})
-            database.commit()
-    finally:
-        stop.set()
-        for thread in threads:
-            thread.join()
-    assert not torn, f"torn reads observed: {torn[:3]}"
-
-
 # --------------------------------------------------------------- durability
 
 
@@ -475,20 +382,6 @@ def test_torn_write_sweep(tmp_path):
         if reload_state(target) not in states:
             failures.append((n, plan.failed_op))
     assert not failures, f"{len(failures)}/{total} torn points leaked: {failures}"
-
-
-def test_readers_pinned_across_durable_commit(tmp_path):
-    database = DurableDatabase(tmp_path / "store")
-    collection = database.get_collection("c")
-    collection.insert_one({"_id": 1, "ncid": "AA1", "n": 1})
-    database.commit()
-    snap = collection.snapshot()
-    collection.update_one({"_id": 1}, {"$set": {"n": 2}})
-    assert snap.find_one({"_id": 1})["n"] == 1  # staged write invisible
-    database.commit()
-    assert snap.find_one({"_id": 1})["n"] == 1  # pinned epoch survives
-    assert collection.snapshot().find_one({"_id": 1})["n"] == 2
-    database.close(commit=False)
 
 
 # -------------------------------------------------------------------- stats

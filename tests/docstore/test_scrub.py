@@ -15,14 +15,12 @@ from pathlib import Path
 import pytest
 
 from repro.docstore import (
-    Database,
     DegradedReadError,
     DegradedWriteError,
     DurableDatabase,
     StorageError,
     scrub_database,
 )
-from repro.docstore.errors import DocStoreError
 from repro.docstore.scrub import repair_database
 from repro.docstore.wal import WAL_MAGIC
 
@@ -179,9 +177,6 @@ class TestQuarantinedDegradedReads:
         corrupt_wal_frame(dark_wal(store))
         database = DurableDatabase(store)
         assert healthy_documents(database) == expected
-        view = database.read_view()
-        for name in HEALTHY:
-            assert view[name].find() == expected[name]
         database.close(commit=False)
 
     def test_dark_collection_reads_raise(self, degraded_store):
@@ -195,25 +190,13 @@ class TestQuarantinedDegradedReads:
             lambda: docs.distinct("ncid"),
             lambda: docs.aggregate([{"$count": "n"}]),
             lambda: list(docs.all()),
+            lambda: docs.explain({"ncid": "AA7"}),
         ]
         for read in reads:
             with pytest.raises(DegradedReadError) as excinfo:
                 read()
             assert excinfo.value.collection == DARK
             assert "checksum mismatch" in excinfo.value.reason
-        database.close(commit=False)
-
-    def test_snapshot_count_of_dark_collection_raises(self, degraded_store):
-        """An unfiltered snapshot count must not report a dark collection
-        as empty: every snapshot read of it raises."""
-        database = DurableDatabase(degraded_store)
-        snapshot = database.read_view()[DARK]
-        with pytest.raises(DegradedReadError):
-            snapshot.count_documents()
-        with pytest.raises(DegradedReadError):
-            snapshot.find({})
-        with pytest.raises(DegradedReadError):
-            list(snapshot.all())
         database.close(commit=False)
 
     def test_writes_to_dark_collection_refused(self, degraded_store):
@@ -339,36 +322,3 @@ class TestCompaction:
         reopened = DurableDatabase(tmp_path)
         assert reopened["docs"].count_documents() == 20
         reopened.close(commit=False)
-
-    def test_auto_compact_checkpoints_after_threshold(self, tmp_path):
-        database = DurableDatabase(tmp_path, auto_compact=10)
-        docs = database["docs"]
-        docs.insert_one({"_id": "a", "ncid": "a"})
-        database.commit()
-        assert database._ops_since_checkpoint > 0
-        for index in range(12):
-            docs.insert_one({"_id": f"b{index}", "ncid": f"b{index}"})
-        database.commit()  # crosses the threshold: checkpoint fired
-        assert database._ops_since_checkpoint == 0
-        assert (tmp_path / "docs.wal").stat().st_size == len(WAL_MAGIC)
-        database.close()
-
-    def test_auto_compact_equivalent_to_manual(self, tmp_path):
-        def run(directory, auto_compact):
-            database = DurableDatabase(directory, auto_compact=auto_compact)
-            docs = database["docs"]
-            for index in range(15):
-                docs.insert_one({"_id": f"a{index}", "ncid": f"a{index}", "n": index})
-                database.commit()
-            database.close()
-            reopened = Database.load(directory)
-            state = sorted(
-                json.dumps(doc, sort_keys=True) for doc in reopened["docs"].all()
-            )
-            return state
-
-        assert run(tmp_path / "auto", 4) == run(tmp_path / "manual", None)
-
-    def test_auto_compact_validated(self, tmp_path):
-        with pytest.raises(DocStoreError):
-            DurableDatabase(tmp_path, auto_compact=0)

@@ -10,6 +10,8 @@ import copy
 import json
 import pickle
 
+import pytest
+
 from repro.docstore import Collection
 from repro.docstore.views import DocumentView, ListView, lazy_document, thaw, wrap_value
 
@@ -154,10 +156,10 @@ class TestWriteAfterReadStability:
     """Results handed out before a write must never change after it.
 
     Eager mode returned independent deep copies; lazy views must match
-    that, even inside one unpublished epoch.  They do because no write
-    mutates a stored document: an update installs a new version that
-    copies only the paths it writes (``PathCopy``), and the version a
-    view was built over stays as it was.
+    that.  They do because no write mutates a stored document: an update
+    installs a new version that copies only the paths it writes
+    (``PathCopy``), a replace or delete swaps the map entry, and the
+    version a view was built over stays as it was.
     """
 
     def test_update_after_find_one_leaves_result_stable(self):
@@ -170,14 +172,24 @@ class TestWriteAfterReadStability:
         assert before["tags"] == [1]
         assert collection.find_one({"_id": 1})["a"]["b"] == 2
 
-    def test_update_after_find_leaves_results_stable_for_every_match(self):
+    @pytest.mark.parametrize(
+        "write",
+        [
+            lambda c: c.update_many({}, {"$set": {"a.b": -1}}),
+            lambda c: c.replace_one({"_id": 3}, {"ncid": "NEW", "a": {"b": -1}}),
+            lambda c: c.delete_many({}),
+        ],
+        ids=["update_many", "replace_one", "delete_many"],
+    )
+    def test_update_after_find_leaves_results_stable_for_every_match(self, write):
         collection = Collection("c")
         collection.insert_many(
             {"_id": i, "ncid": f"NC{i}", "a": {"b": i}} for i in range(6)
         )
         before = collection.find({}, sort=[("_id", 1)])
-        collection.update_many({}, {"$set": {"a.b": -1}})
+        write(collection)
         assert [doc["a"]["b"] for doc in before] == list(range(6))
+        assert [doc["ncid"] for doc in before] == [f"NC{i}" for i in range(6)]
 
     def test_repeated_update_between_reads_copies_each_time(self):
         collection = Collection("c")
@@ -199,3 +211,12 @@ class TestWriteAfterReadStability:
         # Documents materialized after the write see its effect, as eager
         # iteration over live state always did.
         assert [doc["a"]["b"] for doc in held[2:]] == [-1, -1]
+
+    def test_all_skips_documents_deleted_mid_iteration(self):
+        collection = Collection("c")
+        collection.insert_many({"_id": i} for i in range(4))
+        stream = collection.all()
+        held = [next(stream)]
+        collection.delete_many({"_id": 1})
+        held.extend(stream)
+        assert [doc["_id"] for doc in held] == [0, 2, 3]

@@ -235,26 +235,47 @@ class TestEvaluatePasses:
 
 
 class TestWorkerAndShardFlags:
-    """``--workers``/``--shards`` spread the work; they never change output."""
+    """``--workers``/``--shards`` spread the work; they never change output.
 
-    @pytest.mark.parametrize("command", ["generate", "detect"])
+    They and the other integer flags reject out-of-range values as usage
+    errors naming the flag, before any input is read.
+    """
+
     @pytest.mark.parametrize(
-        "flag, value, message",
+        "flag, value, message, command",
         [
-            ("--workers", "-1", "must be >= 0, got -1"),
-            ("--shards", "0", "must be >= 1, got 0"),
-            ("--shards", "x", "expected an integer, got 'x'"),
+            ("--workers", "-1", "must be >= 0, got -1", "generate"),
+            ("--workers", "-1", "must be >= 0, got -1", "detect"),
+            ("--shards", "0", "must be >= 1, got 0", "generate"),
+            ("--shards", "0", "must be >= 1, got 0", "detect"),
+            ("--shards", "x", "expected an integer, got 'x'", "generate"),
+            ("--shards", "x", "expected an integer, got 'x'", "detect"),
+            ("--voters", "0", "must be >= 1, got 0", "simulate"),
+            ("--years", "0", "must be >= 1, got 0", "simulate"),
+            ("--snapshots-per-year", "0", "must be >= 1, got 0", "simulate"),
+            ("--fsync-batch", "-1", "must be >= 0, got -1", "generate"),
+            ("--clusters", "-3", "must be >= 1, got -3", "customize"),
+            ("--window", "1", "must be >= 2, got 1", "evaluate"),
+            ("--window", "0", "must be >= 2, got 0", "detect"),
+            ("--bands", "0", "must be >= 1, got 0", "detect"),
+            ("--rows", "0", "must be >= 1, got 0", "detect"),
+            ("--ngram", "0", "must be >= 1, got 0", "detect"),
+            ("--max-bucket", "1", "must be >= 2, got 1", "detect"),
+            ("--duplicates", "-1", "must be >= 1, got -1", "augment"),
         ],
     )
     def test_invalid_counts_are_usage_errors(
-        self, tmp_path, capsys, command, flag, value, message
+        self, tmp_path, capsys, flag, value, message, command
     ):
         missing = str(tmp_path / "missing")  # argparse rejects before reading
-        inputs = (
-            ["--snapshots", missing, "--store", missing]
-            if command == "generate"
-            else ["--dataset", missing]
-        )
+        inputs = {
+            "simulate": ["--out", missing],
+            "generate": ["--snapshots", missing, "--store", missing],
+            "customize": ["--store", missing, "--out", missing],
+            "evaluate": ["--dataset", missing],
+            "detect": ["--dataset", missing, "--passes", "lsh"],
+            "augment": ["--store", missing],
+        }[command]
         with pytest.raises(SystemExit) as exit_info:
             main([command, *inputs, flag, value])
         assert exit_info.value.code == 2
