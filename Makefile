@@ -1,4 +1,4 @@
-.PHONY: install test lint lint-concurrency typecheck bench bench-scoring bench-docstore bench-durability bench-dedup bench-lsh bench-hotpath bench-robustness test-faults test-chaos examples clean
+.PHONY: install test lint lint-concurrency typecheck bench perfbench bench-scoring bench-docstore bench-durability bench-dedup bench-lsh bench-hotpath bench-robustness test-faults test-chaos examples clean
 
 # Every target runs against the source tree; no install needed.
 export PYTHONPATH := src$(if $(PYTHONPATH),:$(PYTHONPATH))
@@ -23,6 +23,16 @@ typecheck:
 
 bench:
 	pytest benchmarks/ --benchmark-only
+
+# End-to-end pipeline benchmark (BENCHMARK.json): one untraced 25-second
+# run of each workload at the seed ROADMAP.md quotes, printing each run's
+# result line.  Run it on the parent and on a change to compare them.
+perfbench:
+	@for run in ingest/21 evaluate/311 customize_detect/31; do \
+		out=$$(python3 perfbench/run.py --workload $${run%/*} --seed $${run#*/} \
+			--seconds 25 --trace 0) || { echo "$$out"; exit 1; }; \
+		echo "$$run $$(echo "$$out" | tail -n 1)"; \
+	done
 
 # Quick scoring benchmark: fast kernels + batching vs the naive reference.
 # Writes machine-readable timings/speedups to BENCH_scoring.json and fails

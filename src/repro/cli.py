@@ -208,6 +208,29 @@ def _generator_from_store(store: Path) -> TestDataGenerator:
     return TestDataGenerator.from_database(Database.load(store))
 
 
+def _writable_generator(store: Path) -> TestDataGenerator:
+    """A generator whose ``database.save(store)`` keeps the store whole.
+
+    A store with write-ahead logs (``generate --durable``) opens as a
+    :class:`~repro.docstore.DurableDatabase`: its writes are journaled and
+    saving in place is a checkpoint that rotates the logs.  Rewriting its
+    JSONL through a plain :class:`Database` would leave the logs behind
+    the new committed epoch, which the next load reports as lost records.
+    """
+    if any(store.glob("*.wal")):
+        from repro.docstore import DurableDatabase
+
+        return TestDataGenerator.from_database(DurableDatabase(store))
+    return _generator_from_store(store)
+
+
+def _save_in_place(generator: TestDataGenerator, store: Path) -> None:
+    generator.database.save(store)
+    close = getattr(generator.database, "close", None)
+    if close is not None:
+        close()
+
+
 def _cmd_recover(args: argparse.Namespace) -> int:
     from repro.docstore import StorageCorruptError
     from repro.docstore.storage import RecoveryReport, load_database
@@ -528,7 +551,8 @@ def _cmd_detect(args: argparse.Namespace) -> int:
 def _cmd_augment(args: argparse.Namespace) -> int:
     from repro.core.augment import AugmentationPlan, Augmenter
 
-    generator = _generator_from_store(Path(args.store))
+    store = Path(args.store)
+    generator = _writable_generator(store)
     plan = AugmentationPlan(
         share_of_clusters=args.share,
         duplicates_per_cluster=args.duplicates,
@@ -539,7 +563,7 @@ def _cmd_augment(args: argparse.Namespace) -> int:
     generator.publish(
         note=f"augmented: +{stats.records_added} synthetic records"
     )
-    generator.database.save(Path(args.store))
+    _save_in_place(generator, store)
     print(
         f"added {stats.records_added} synthetic records to "
         f"{stats.clusters_touched} clusters (store now has "
@@ -552,7 +576,11 @@ def _cmd_repair(args: argparse.Namespace) -> int:
     from repro.core.plausibility import cluster_plausibility
     from repro.core.repair import apply_repair, split_cluster
 
-    generator = _generator_from_store(Path(args.store))
+    store = Path(args.store)
+    if args.apply:
+        generator = _writable_generator(store)
+    else:
+        generator = _generator_from_store(store)
     suspicious = []
     for cluster in generator.clusters():
         if len(cluster["records"]) < 2:
@@ -577,7 +605,7 @@ def _cmd_repair(args: argparse.Namespace) -> int:
                 clusters.insert_one(sub)
     if args.apply:
         generator.publish(note=f"repaired {split_count} unsound clusters")
-        generator.database.save(Path(args.store))
+        _save_in_place(generator, store)
         print(f"applied: {split_count} clusters split; store saved")
     return 0
 

@@ -23,9 +23,11 @@ from repro.textsim.levenshtein import damerau_levenshtein_similarity
 from repro.textsim.monge_elkan import symmetric_monge_elkan
 
 
-def entropy(values: Iterable[str]) -> float:
-    """Shannon entropy (bits) of the value distribution."""
-    counts = Counter(values)
+def _counts_entropy(counts: Counter) -> float:
+    """Shannon entropy (bits) of a ``value -> count`` distribution.
+
+    Terms are summed in the counter's insertion order.
+    """
     total = sum(counts.values())
     if total == 0:
         return 0.0
@@ -34,6 +36,58 @@ def entropy(values: Iterable[str]) -> float:
         p = count / total
         result -= p * math.log2(p)
     return result
+
+
+def entropy(values: Iterable[str]) -> float:
+    """Shannon entropy (bits) of the value distribution."""
+    return _counts_entropy(Counter(values))
+
+
+class ValueCounts:
+    """Per-attribute value counts of a growing sequence of flat records.
+
+    :meth:`weights` are the :func:`entropy_weights` of every record added
+    so far, and records may be added in batches.  A counter fed batch by
+    batch in record order has the same insertion order as one fed all
+    records at once, and :func:`entropy` sums its terms in that order, so
+    the weights are bit-identical to counting everything again.  With
+    ``attributes=None`` the attributes are the records' keys in first-seen
+    order; a missing value counts as ``""``.
+    """
+
+    def __init__(self, attributes: Optional[Sequence[str]] = None) -> None:
+        self._discover = attributes is None
+        self._counts: Dict[str, Counter] = {
+            attribute: Counter() for attribute in attributes or ()
+        }
+        self._records = 0
+
+    def add(self, records: Sequence[Dict[str, str]]) -> None:
+        """Count ``records`` after the ones already added."""
+        counts = self._counts
+        if self._discover:
+            for record in records:
+                for attribute in record:
+                    if attribute not in counts:
+                        # Every record counted before lacks it: "" so far.
+                        counts[attribute] = Counter(
+                            {"": self._records} if self._records else ()
+                        )
+        for attribute, counter in counts.items():
+            counter.update((record.get(attribute) or "").strip() for record in records)
+        self._records += len(records)
+
+    def weights(self) -> Dict[str, float]:
+        """Normalised entropy weight per attribute (uniform if all are 0)."""
+        weights = {
+            attribute: _counts_entropy(counter)
+            for attribute, counter in self._counts.items()
+        }
+        total = sum(weights.values())
+        if total == 0:
+            uniform = 1.0 / len(weights) if weights else 0.0
+            return {attribute: uniform for attribute in weights}
+        return {attribute: weight / total for attribute, weight in weights.items()}
 
 
 def entropy_weights(
@@ -46,16 +100,9 @@ def entropy_weights(
     paper, Section 6.3) and *all* records when weighting the detection
     algorithms (Section 6.5, where duplicates are unknown to the user).
     """
-    weights: Dict[str, float] = {}
-    for attribute in attributes:
-        weights[attribute] = entropy(
-            (record.get(attribute) or "").strip() for record in records
-        )
-    total = sum(weights.values())
-    if total == 0:
-        uniform = 1.0 / len(attributes) if attributes else 0.0
-        return {attribute: uniform for attribute in attributes}
-    return {attribute: weight / total for attribute, weight in weights.items()}
+    counts = ValueCounts(attributes)
+    counts.add(records)
+    return counts.weights()
 
 
 def four_way_similarity(left: str, right: str) -> float:
@@ -104,14 +151,14 @@ class HeterogeneityScorer:
         records: Sequence[Dict[str, str]],
         attributes: Optional[Sequence[str]] = None,
     ) -> "HeterogeneityScorer":
-        """Build a scorer with entropy weights learned from ``records``."""
-        if attributes is None:
-            seen = {}
-            for record in records:
-                for attribute in record:
-                    seen[attribute] = True
-            attributes = tuple(seen)
-        return cls(entropy_weights(records, attributes))
+        """Build a scorer with entropy weights learned from ``records``.
+
+        ``attributes=None`` weights every key the records carry, in
+        first-seen order.
+        """
+        counts = ValueCounts(attributes)
+        counts.add(records)
+        return cls(counts.weights())
 
     @classmethod
     def from_clusters(

@@ -398,11 +398,16 @@ def score_clusters_parallel(
 ) -> ScoredMaps:
     """Score ``clusters`` in ncid shards; returns ``{ncid: {kind: maps}}``.
 
-    The entropy-weighted scorers are built by the caller over *all* clusters
-    (weights are global) and only their weight maps are shipped to the
-    workers.  Sharding uses :func:`shard_of`, so the partition — and, since
-    scores are pure functions of each cluster document, the merged result —
-    is identical for every shard count and worker count.  ``max_workers=0``
+    ``clusters`` are the ones to score, which need not be all of them:
+    :meth:`~repro.core.versioning.UpdateProcess.update_statistics` passes
+    only the clusters holding a record new at ``version``, so the shards
+    carry what a version adds.  The entropy-weighted scorers are built by
+    the caller over *all* clusters (weights are global) and only their
+    weight maps are shipped to the workers.
+
+    Sharding uses :func:`shard_of`, so the partition — and, since scores
+    are pure functions of each cluster document, the merged result — is
+    identical for every shard count and worker count.  ``max_workers=0``
     runs the shards sequentially in-process (same results, no process
     overhead); the default runs one process per shard.  Worker crashes
     retry the shard with exponential backoff and finally degrade to

@@ -9,6 +9,11 @@ are required.  It runs in three steps:
    the records' version-similarity maps keyed by the pending version;
 3. assign the new version number, update version metadata and publish.
 
+Step 2 costs what a version adds, not what is stored.  It scores only the
+clusters that gain a map, those in which a record after the first is new
+in the pending version.  Its entropy weights come from value counts that
+each update extends with the clusters added since the last one.
+
 Because the maps are keyed by version and record order never changes, the
 scores of any earlier version can be reconstructed without recomputation
 (Section 5.2).
@@ -23,14 +28,15 @@ measure everywhere) and always computed.
 
 from __future__ import annotations
 
+import operator
 from pathlib import Path
 from typing import Callable, Dict, Iterable, List, Optional, Tuple
 
+from repro.core.clusters import record_view
 from repro.core.generator import TestDataGenerator
-from repro.core.heterogeneity import HeterogeneityScorer
+from repro.core.heterogeneity import HeterogeneityScorer, ValueCounts
 from repro.core.levels import RemovalLevel
-from repro.core.parallel import score_clusters_parallel
-from repro.core.plausibility import score_cluster
+from repro.core.parallel import ScoredMaps, score_clusters_parallel
 from repro.core.profile import NC_VOTER_PROFILE, SchemaProfile
 from repro.votersim.snapshots import Snapshot
 
@@ -42,7 +48,7 @@ class UpdateProcess:
     """Runs import → statistics → publish cycles on a generator.
 
     ``workers``/``shards`` control the scoring stage: ``workers=0`` (the
-    default) scores all clusters in-process through the batched fast paths;
+    default) scores the clusters in-process through the batched fast paths;
     ``workers=N`` shards the clusters by ncid (``shards`` of them, default
     one per worker) and fans the scoring out over a process pool.  Results
     are identical either way — scores are pure functions of the cluster
@@ -51,6 +57,10 @@ class UpdateProcess:
     applied in-process (it may close over arbitrary state); the built-in
     voter scorer ships to the workers.  ``workers < 0`` or ``shards < 1``
     raises :class:`ValueError` before anything runs.
+
+    The process keeps the entropy value counts of both heterogeneity
+    scopes across updates (see :meth:`update_statistics`), so reuse one
+    process for a generator's successive versions.
     """
 
     def __init__(
@@ -68,13 +78,13 @@ class UpdateProcess:
         self._builtin_plausibility = (
             plausibility_fn is None and generator.profile is NC_VOTER_PROFILE
         )
-        if self._builtin_plausibility:
-            plausibility_fn = lambda cluster, version: score_cluster(
-                cluster, version=version
-            )
         self.plausibility_fn = plausibility_fn
         self.workers = workers
         self.shards = shards
+        #: The first records already counted into :attr:`_counts`, in
+        #: cluster order.
+        self._counted: List[dict] = []
+        self._counts = self._new_counts()
 
     @classmethod
     def resume(
@@ -172,69 +182,89 @@ class UpdateProcess:
     def update_statistics(self) -> None:
         """Step 2: extend the version-similarity maps for new records.
 
-        All clusters are scored through the batched fast paths (global pair
-        deduplication); with ``workers > 0`` the batch is sharded by ncid
-        and scored in a process pool — bit-identical results either way.
+        Only the clusters in which a record after the first has the pending
+        ``first_version`` are scored: they are exactly the clusters that
+        receive maps, since a new record is compared with the records
+        before it and a cluster's first record has none.  They go through
+        the batched fast paths (global pair deduplication); with
+        ``workers > 0`` they are sharded by ncid and scored in a process
+        pool — bit-identical results either way.  A custom
+        ``plausibility_fn`` is still applied to every cluster.
+
+        The heterogeneity weights are entropy weights over the first record
+        of every cluster, as :meth:`HeterogeneityScorer.from_clusters`
+        computes them.  This process keeps their value counts and extends
+        them with the clusters added since its last update.  It counts
+        again from the first cluster when the clusters' first records are
+        not the counted ones followed by new ones, as after an
+        :func:`~repro.core.repair.apply_repair` split replaces a cluster.
         """
         generator = self.generator
         profile = generator.profile
         version = generator.pending_version
         clusters = list(generator.clusters())
-        if not clusters:
-            return
-        shards = self.shards if self.shards is not None else max(self.workers, 1)
-        all_groups = profile.group_names
-        primary_groups = (profile.primary_group,)
-        heterogeneity_all = _build_scorer(clusters, all_groups, None)
-        heterogeneity_primary = _build_scorer(
-            clusters,
-            primary_groups,
-            tuple(
-                a for a in profile.primary_attributes() if a != profile.id_attribute
-            ),
-        )
-        scored = score_clusters_parallel(
-            clusters,
-            version,
-            with_plausibility=self._builtin_plausibility,
-            heterogeneity_all=heterogeneity_all,
-            heterogeneity_primary=heterogeneity_primary,
-            all_groups=all_groups,
-            primary_groups=primary_groups,
-            shards=shards,
-            max_workers=self.workers,
-        )
-        for cluster in clusters:
-            maps_by_kind = scored.get(cluster["ncid"], {})
-            if "plausibility" in maps_by_kind:
+        fresh = [
+            cluster
+            for cluster in clusters
+            if any(record["first_version"] == version for record in cluster["records"][1:])
+        ]
+        scored: ScoredMaps = {}
+        if fresh:
+            weights_all, weights_primary = self._weights(clusters)
+            shards = self.shards if self.shards is not None else max(self.workers, 1)
+            scored = score_clusters_parallel(
+                fresh,
+                version,
+                with_plausibility=self._builtin_plausibility,
+                heterogeneity_all=HeterogeneityScorer(weights_all),
+                heterogeneity_primary=HeterogeneityScorer(weights_primary),
+                all_groups=profile.group_names,
+                primary_groups=(profile.primary_group,),
+                shards=shards,
+                max_workers=self.workers,
+            )
+        # A custom scorer may rescore old records, so it sees every cluster,
+        # and may close over arbitrary state, so it runs in-process.
+        custom = self.plausibility_fn
+        for cluster in fresh if custom is None else clusters:
+            if custom is not None:
                 _apply_maps(
-                    generator, cluster, "plausibility",
-                    maps_by_kind["plausibility"], version,
+                    generator, cluster, "plausibility", custom(cluster, version), version
                 )
-            elif self.plausibility_fn is not None:
-                # Custom scorers may close over arbitrary state — in-process.
-                _apply_maps(
-                    generator,
-                    cluster,
-                    "plausibility",
-                    self.plausibility_fn(cluster, version),
-                    version,
-                )
-            for kind in ("heterogeneity", "heterogeneity_person"):
-                if kind in maps_by_kind:
-                    _apply_maps(
-                        generator, cluster, kind, maps_by_kind[kind], version
-                    )
+            for kind, maps in scored.get(cluster["ncid"], {}).items():
+                _apply_maps(generator, cluster, kind, maps, version)
 
+    def _new_counts(self) -> Tuple[ValueCounts, ValueCounts]:
+        """Empty value counts of the all-groups and primary-group scopes."""
+        profile = self.generator.profile
+        return ValueCounts(), ValueCounts(
+            tuple(a for a in profile.primary_attributes() if a != profile.id_attribute)
+        )
 
-def _build_scorer(
-    clusters: List[dict],
-    groups: Tuple[str, ...],
-    attributes: Optional[Tuple[str, ...]],
-) -> Optional[HeterogeneityScorer]:
-    if not clusters:
-        return None
-    return HeterogeneityScorer.from_clusters(clusters, groups, attributes)
+    def _weights(
+        self, clusters: List[dict]
+    ) -> Tuple[Dict[str, float], Dict[str, float]]:
+        """Entropy weights of both scopes over the clusters' first records.
+
+        Records are never removed or reordered, so a cluster's first record
+        stays its first.  When the counted records are, by identity, the
+        first records of the leading clusters, only the rest are counted;
+        otherwise the counts start over.
+        """
+        firsts = [cluster["records"][0] for cluster in clusters if cluster["records"]]
+        counted = self._counted
+        if len(firsts) < len(counted) or not all(map(operator.is_, counted, firsts)):
+            counted.clear()
+            self._counts = self._new_counts()
+        added = firsts[len(counted):]
+        profile = self.generator.profile
+        counts_all, counts_primary = self._counts
+        counts_all.add([record_view(record, profile.group_names) for record in added])
+        counts_primary.add(
+            [record_view(record, (profile.primary_group,)) for record in added]
+        )
+        counted.extend(added)
+        return counts_all.weights(), counts_primary.weights()
 
 
 def _apply_maps(

@@ -4,12 +4,21 @@ import math
 
 import pytest
 
+import repro.core.versioning as versioning
+from repro.core import TestDataGenerator
 from repro.core.heterogeneity import (
     HeterogeneityScorer,
+    ValueCounts,
     entropy,
     entropy_weights,
     four_way_similarity,
 )
+from repro.core.parallel import import_snapshots_parallel
+from repro.core.repair import apply_repair, split_cluster
+from repro.core.versioning import UpdateProcess
+from repro.docstore import DurableDatabase
+from repro.votersim.schema import empty_record
+from repro.votersim.snapshots import Snapshot
 
 
 class TestEntropy:
@@ -151,3 +160,180 @@ class TestHeterogeneityScorer:
         new_only = scorer.score_cluster_document(cluster, ("person",), version=2)
         assert set(new_only) == {2}
         assert set(new_only[2]) == {0, 1}
+
+
+class TestValueCounts:
+    RECORDS = [
+        {"a": "X", "b": "1"},
+        {"a": "Y"},
+        {"a": "X", "c": " Z "},
+        {"b": "2", "c": "Z"},
+        {"a": "W", "c": "Q", "d": "K"},
+    ]
+
+    @pytest.mark.parametrize("attributes", [None, ("c", "a", "missing")])
+    @pytest.mark.parametrize("split", [0, 1, 2, 4, 5])
+    def test_batches_equal_one_pass(self, attributes, split):
+        whole = ValueCounts(attributes)
+        whole.add(self.RECORDS)
+        batched = ValueCounts(attributes)
+        batched.add(self.RECORDS[:split])
+        batched.add(self.RECORDS[split:])
+        assert list(batched.weights().items()) == list(whole.weights().items())
+        assert list(whole.weights().items()) == list(
+            entropy_weights(self.RECORDS, attributes or ("a", "b", "c", "d")).items()
+        )
+
+    def test_attribute_seen_late_counts_earlier_records_as_empty(self):
+        counts = ValueCounts()
+        counts.add([{"a": "X"}, {"a": "Y"}])
+        counts.add([{"a": "X", "late": "V"}])
+        weights = counts.weights()
+        assert list(weights) == ["a", "late"]
+        assert weights["late"] == pytest.approx(
+            entropy(["", "", "V"]) / (entropy(["X", "Y", "X"]) + entropy(["", "", "V"]))
+        )
+
+
+def _primary_attributes(profile):
+    return tuple(a for a in profile.primary_attributes() if a != profile.id_attribute)
+
+
+@pytest.fixture
+def weights_used(monkeypatch):
+    """Per scoring call: the weights an update used and a full rebuild's.
+
+    Wraps the scoring entry point the update process calls, so the rebuild
+    sees exactly the clusters the update saw.  Recording starts once a
+    generator is watched.
+    """
+    calls = []
+    watched = []
+    score = versioning.score_clusters_parallel
+
+    def recording(clusters, version=None, **kwargs):
+        for generator in watched:
+            profile = generator.profile
+            everything = list(generator.clusters())
+            calls.append((
+                kwargs["heterogeneity_all"].weights,
+                kwargs["heterogeneity_primary"].weights,
+                HeterogeneityScorer.from_clusters(
+                    everything, profile.group_names
+                ).weights,
+                HeterogeneityScorer.from_clusters(
+                    everything, (profile.primary_group,), _primary_attributes(profile)
+                ).weights,
+            ))
+        return score(clusters, version, **kwargs)
+
+    monkeypatch.setattr(versioning, "score_clusters_parallel", recording)
+
+    def watch(generator):
+        watched.append(generator)
+        return calls
+
+    return watch
+
+
+def assert_rebuilt(calls, expected_calls):
+    """Same keys in the same order and ``==`` floats, at every update."""
+    assert len(calls) == expected_calls
+    for used_all, used_primary, rebuilt_all, rebuilt_primary in calls:
+        assert list(used_all.items()) == list(rebuilt_all.items())
+        assert list(used_primary.items()) == list(rebuilt_primary.items())
+
+
+def _voter(ncid, snapshot_dt, **values):
+    record = empty_record()
+    record.update(
+        ncid=ncid, last_name="SMITH", first_name="JOHN", age="40",
+        snapshot_dt=snapshot_dt,
+    )
+    record.update(values)
+    return record
+
+
+class TestRunningCountsMatchFullRebuild:
+    def test_every_version_of_an_incremental_run(self, snapshots, weights_used):
+        generator = TestDataGenerator()
+        calls = weights_used(generator)
+        published = UpdateProcess(generator).run_incremental(snapshots)
+        # Every version after the first adds a record to a stored cluster.
+        assert_rebuilt(calls, len(published) - 1)
+
+    def test_all_groups_attribute_first_seen_in_a_later_cluster(self, weights_used):
+        generator = TestDataGenerator()
+        calls = weights_used(generator)
+        UpdateProcess(generator).run_incremental([
+            Snapshot("2012-01-01", [
+                _voter("AA1", "2012-01-01"), _voter("AA2", "2012-01-01", age="50"),
+            ]),
+            Snapshot("2013-01-01", [_voter("AA1", "2013-01-01", last_name="SMYTH")]),
+            Snapshot("2014-01-01", [
+                _voter("AA2", "2014-01-01", last_name="SMYTHE"),
+                _voter("AA3", "2014-01-01", phone_num="5551234"),
+            ]),
+        ])
+        # Version 1 has no record to compare with an earlier one: no scoring.
+        assert_rebuilt(calls, 2)
+        assert "phone_num" not in calls[0][0]
+        # split_record dropped the empty values, so the attribute is only
+        # discovered with AA3 and goes last, with "" counted for AA1, AA2.
+        assert list(calls[1][0])[-1] == "phone_num"
+        assert calls[1][0]["phone_num"] > 0.0
+
+    def test_single_cluster_takes_uniform_fallback(self, weights_used):
+        generator = TestDataGenerator()
+        calls = weights_used(generator)
+        UpdateProcess(generator).run_incremental([
+            Snapshot("2012-01-01", [_voter("AA1", "2012-01-01")]),
+            Snapshot("2013-01-01", [_voter("AA1", "2013-01-01", last_name="SMYTH")]),
+            Snapshot("2014-01-01", [_voter("AA1", "2014-01-01", last_name="SMYTHE")]),
+        ])
+        assert_rebuilt(calls, 2)
+        for used_all, used_primary, _, _ in calls:
+            assert len(set(used_all.values())) == 1
+            assert set(used_primary.values()) == {1.0 / len(used_primary)}
+
+    def test_resumed_generator(self, tmp_path, snapshots, weights_used):
+        generator = TestDataGenerator.from_database(DurableDatabase(tmp_path))
+        UpdateProcess(generator).run_incremental(snapshots[:4])
+        generator.database.close()
+        process = UpdateProcess.resume(tmp_path)
+        calls = weights_used(process.generator)
+        published = process.run_incremental(snapshots)
+        assert_rebuilt(calls, len(published))
+        assert published[0] == 5
+        process.generator.database.close()
+
+    def test_generator_filled_by_parallel_import(self, snapshots, weights_used):
+        generator = TestDataGenerator()
+        process = UpdateProcess(generator)
+        calls = weights_used(generator)
+        import_snapshots_parallel(generator, snapshots[:4], shards=3, max_workers=0)
+        process.update_statistics()
+        generator.publish()
+        published = process.run_incremental(snapshots)
+        assert_rebuilt(calls, 1 + len(published))
+
+    def test_cluster_split_by_apply_repair_between_updates(self, snapshots, weights_used):
+        generator = TestDataGenerator()
+        process = UpdateProcess(generator)
+        calls = weights_used(generator)
+        process.run_incremental(snapshots[:6])
+        split = next(
+            (cluster, result)
+            for cluster in generator.clusters()
+            for result in [split_cluster(cluster, threshold=0.8)]
+            if result.was_split
+        )
+        cluster, result = split
+        stored = generator.database["clusters"]
+        stored.delete_many({"_id": cluster["ncid"]})
+        del generator._clusters[cluster["ncid"]]
+        for sub in apply_repair(cluster, result):
+            generator._clusters[sub["ncid"]] = sub
+            stored.insert_one(sub)
+        published = process.run_incremental(snapshots)
+        assert_rebuilt(calls, 5 + len(published))  # version 1 scores nothing

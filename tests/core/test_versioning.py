@@ -1,9 +1,13 @@
 """Tests for the update process and version-similarity maps (Section 5)."""
 
+import json
+
 import pytest
 
+import repro.core.versioning as versioning
 from repro.core import RemovalLevel, TestDataGenerator
-from repro.core.plausibility import cluster_plausibility
+from repro.core.heterogeneity import HeterogeneityScorer
+from repro.core.plausibility import cluster_plausibility, score_clusters
 from repro.core.versioning import UpdateProcess, similarity_at_version
 from repro.votersim.schema import empty_record
 from repro.votersim.snapshots import Snapshot
@@ -126,3 +130,104 @@ class TestHistoricalReconstruction:
             second["snapshots"][0],
         )
         assert stored == pytest.approx(recomputed, abs=1e-5)
+
+
+def _canonical(clusters):
+    return sorted(json.dumps(cluster, sort_keys=True) for cluster in clusters)
+
+
+def _full_rescan_update(generator):
+    """The reference statistics step: every cluster scored, weights rebuilt."""
+    profile = generator.profile
+    version = generator.pending_version
+    clusters = list(generator.clusters())
+    primary = (profile.primary_group,)
+    primary_attributes = tuple(
+        a for a in profile.primary_attributes() if a != profile.id_attribute
+    )
+    scored = {
+        "plausibility": score_clusters(clusters, version),
+        "heterogeneity": HeterogeneityScorer.from_clusters(
+            clusters, profile.group_names
+        ).score_clusters(clusters, profile.group_names, version=version),
+        "heterogeneity_person": HeterogeneityScorer.from_clusters(
+            clusters, primary, primary_attributes
+        ).score_clusters(clusters, primary, version=version),
+    }
+    for cluster in clusters:
+        for kind, by_ncid in scored.items():
+            for j, row in by_ncid[cluster["ncid"]].items():
+                cluster["records"][j][kind][str(version)] = {
+                    str(i): round(score, 6) for i, score in row.items()
+                }
+
+
+class TestStatisticsScoreOnlyWhatAVersionAdds:
+    def test_only_clusters_that_receive_maps_are_shipped(self, snapshots, monkeypatch):
+        generator = TestDataGenerator()
+        shipped, per_version, stored = [], [], []
+        score, publish = versioning.score_clusters_parallel, generator.publish
+
+        def counting(clusters, version=None, **kwargs):
+            shipped.extend(cluster["ncid"] for cluster in clusters)
+            return score(clusters, version, **kwargs)
+
+        def publishing(**kwargs):
+            # A cluster receives maps when this snapshot inserted a record
+            # that has an earlier record to be compared with.
+            date = generator._imported_snapshots[-1]
+            expected = sorted(
+                cluster["ncid"]
+                for cluster in generator.clusters()
+                if cluster["meta"]["inserts_per_snapshot"].get(date)
+                and len(cluster["records"]) > 1
+            )
+            per_version.append((sorted(shipped), expected))
+            stored.append(generator.cluster_count)
+            shipped.clear()
+            return publish(**kwargs)
+
+        monkeypatch.setattr(versioning, "score_clusters_parallel", counting)
+        monkeypatch.setattr(generator, "publish", publishing)
+        UpdateProcess(generator).run_incremental(snapshots)
+        assert len(per_version) == len(snapshots)
+        for received, expected in per_version:
+            assert received == expected
+        received_total = sum(len(received) for received, _ in per_version)
+        assert 0 < received_total < sum(stored)
+        assert per_version[0][0] == []  # the first version has no earlier record
+
+    @pytest.mark.parametrize("workers, shards", [(0, None), (2, 3)])
+    def test_documents_equal_full_rescan(self, snapshots, workers, shards):
+        reference = TestDataGenerator()
+        for snapshot in snapshots:
+            reference.import_snapshot(snapshot)
+            _full_rescan_update(reference)
+            reference.publish()
+        generator = TestDataGenerator()
+        UpdateProcess(generator, workers=workers, shards=shards).run_incremental(
+            snapshots
+        )
+        expected = _canonical(reference.clusters())
+        assert _canonical(generator.clusters()) == expected
+        assert _canonical(generator.database["clusters"].all()) == expected
+
+    def test_custom_plausibility_sees_every_cluster_each_update(self, snapshots):
+        generator = TestDataGenerator()
+        calls = []
+
+        def custom(cluster, version):
+            calls.append((version, cluster["ncid"]))
+            return {}
+
+        published = UpdateProcess(generator, plausibility_fn=custom).run_incremental(
+            snapshots[:5]
+        )
+        for version in published:
+            seen = [ncid for at, ncid in calls if at == version]
+            at_version = [
+                cluster["ncid"]
+                for cluster in generator.clusters()
+                if cluster["meta"]["first_version"] <= version
+            ]
+            assert sorted(seen) == sorted(at_version)

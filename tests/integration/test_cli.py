@@ -466,6 +466,40 @@ class TestDurableGenerate:
         assert _store_records(durable) == _store_records(plain)
 
 
+class TestWritesOnDurableStore:
+    """``augment`` and ``repair --apply`` keep a durable store's logs whole."""
+
+    @pytest.mark.parametrize("command", [
+        ["augment", "--share", "1.0", "--seed", "5"],
+        ["repair", "--apply", "--threshold", "0.95"],
+    ], ids=["augment", "repair-apply"])
+    def test_store_stays_clean(self, workspace, tmp_path, capsys, command):
+        _root, snaps, _store = workspace
+        store = tmp_path / "durable"
+        assert main([
+            "generate", "--snapshots", str(snaps), "--store", str(store),
+            "--durable", "--stats",
+        ]) == 0
+        before = _store_records(store)
+        capsys.readouterr()
+        assert main([command[0], "--store", str(store), *command[1:]]) == 0
+        output = capsys.readouterr().out
+        assert "store saved" in output or "synthetic records" in output
+        assert main(["stats", "--store", str(store)]) == 0
+        output = capsys.readouterr().out
+        assert "store is damaged" not in output
+        assert "version 1:" in output
+        assert main(["scrub", "--store", str(store)]) == 0
+        assert "no problems found" in capsys.readouterr().out
+        if command[0] == "augment":
+            assert _store_records(store) > before
+        else:
+            from repro.docstore import Database
+
+            ids = [doc["_id"] for doc in Database.load(store)["clusters"].all()]
+            assert any(ncid.endswith("/0") for ncid in ids)
+
+
 class TestScrubCommand:
     @pytest.fixture()
     def durable_store(self, workspace, tmp_path):
