@@ -1,4 +1,4 @@
-.PHONY: install test lint lint-concurrency typecheck bench perfbench bench-scoring bench-docstore bench-durability bench-dedup bench-lsh bench-hotpath bench-robustness test-faults test-chaos examples clean
+.PHONY: install test lint lint-concurrency typecheck bench perfbench perfbench-pairs bench-scoring bench-docstore bench-durability bench-dedup bench-lsh bench-hotpath bench-robustness test-faults test-chaos examples clean
 
 # Every target runs against the source tree; no install needed.
 export PYTHONPATH := src$(if $(PYTHONPATH),:$(PYTHONPATH))
@@ -33,6 +33,20 @@ perfbench:
 			--seconds 25 --trace 0) || { echo "$$out"; exit 1; }; \
 		echo "$$run $$(echo "$$out" | tail -n 1)"; \
 	done
+
+# Claim a gain the way choosing-metrics section 8 asks: PAIRS alternating
+# runs of one workload on PARENT (exported with git archive under
+# .perfbench/) and on the working tree.  Prints every run, each side's
+# quartiles per end-to-end metric, and whether the gain rule holds on
+# METRIC; fails when any run reports correct: false.
+PARENT ?= HEAD
+WORKLOAD ?= ingest
+SEED ?= 21
+PAIRS ?= 10
+METRIC ?= throughput
+perfbench-pairs:
+	python3 benchmarks/perfbench_pairs.py --parent $(PARENT) --workload $(WORKLOAD) \
+		--seed $(SEED) --pairs $(PAIRS) --metric $(METRIC)
 
 # Quick scoring benchmark: fast kernels + batching vs the naive reference.
 # Writes machine-readable timings/speedups to BENCH_scoring.json and fails

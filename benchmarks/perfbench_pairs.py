@@ -1,0 +1,172 @@
+"""Alternating parent/change pairs of the pipeline benchmark.
+
+Run from the root of a checkout::
+
+    python3 benchmarks/perfbench_pairs.py --parent HEAD --workload ingest --seed 21
+
+The parent revision is exported with ``git archive`` below
+``.perfbench/pairs-<commit>/`` (reused when already there).  Each pair runs
+``python3 perfbench/run.py --seconds 25 --trace 0`` once on that export and
+once on the working tree; odd pairs run the parent first, even pairs the
+change, so neither side always meets the warmer machine.  Every run prints
+one line with its end-to-end metrics and output digests.  Then, per
+end-to-end metric of ``BENCHMARK.json``, each side's median and quartiles,
+and for ``--metric`` the pairs the change won (ties count for neither side)
+and whether the gain rule of the choosing-metrics guide (section 8) holds:
+the change wins at least nine tenths of the pairs, and the medians differ,
+in the better direction, by more than the distance between the parent's
+quartiles.
+
+Exits 1 when any run is not ``correct`` or prints no result, else 0.
+"""
+
+from __future__ import annotations
+
+import argparse
+import json
+import math
+import statistics
+import subprocess
+import sys
+from pathlib import Path
+from typing import Dict, List, Optional, Tuple
+
+ROOT = Path(__file__).resolve().parent.parent
+SIDES = ("parent", "change")
+
+
+def export_revision(revision: str) -> Path:
+    """The checkout of ``revision`` below ``.perfbench/``, exported once."""
+    commit = subprocess.run(
+        ["git", "rev-parse", "--verify", f"{revision}^{{commit}}"],
+        cwd=ROOT, capture_output=True, text=True, check=True,
+    ).stdout.strip()
+    target = ROOT / ".perfbench" / f"pairs-{commit[:12]}"
+    if not (target / "perfbench" / "run.py").exists():
+        archive = subprocess.run(
+            ["git", "archive", "--format=tar", commit],
+            cwd=ROOT, capture_output=True, check=True,
+        ).stdout
+        target.mkdir(parents=True, exist_ok=True)
+        subprocess.run(["tar", "-x", "-C", str(target)], input=archive, check=True)
+    return target
+
+
+def run_once(checkout: Path, workload: str, seed: int) -> Tuple[Optional[dict], str]:
+    """One untraced run's result object (``None`` when it printed none)
+    and its output digests line."""
+    process = subprocess.run(
+        [
+            sys.executable, "perfbench/run.py", "--workload", workload,
+            "--seed", str(seed), "--seconds", "25", "--trace", "0",
+        ],
+        cwd=checkout, capture_output=True, text=True,
+    )
+    lines = process.stdout.strip().splitlines()
+    digests = next(
+        (line.split(" ", 2)[2] for line in lines if line.startswith("perfbench digests ")),
+        "",
+    )
+    try:
+        result = json.loads(lines[-1])
+    except (IndexError, json.JSONDecodeError):
+        sys.stderr.write(process.stdout[-2000:] + process.stderr[-2000:])
+        return None, digests
+    return (result if isinstance(result, dict) else None), digests
+
+
+def quartiles(values: List[float]) -> Tuple[float, float, float]:
+    """``(q1, median, q3)``; a single run is its own quartiles."""
+    if len(values) < 2:
+        return values[0], values[0], values[0]
+    q1, median, q3 = statistics.quantiles(values, n=4)
+    return q1, median, q3
+
+
+def gain_holds(
+    parent: List[float], change: List[float], higher_is_better: bool
+) -> Tuple[int, float, float, bool]:
+    """``(wins, median gap, parent quartile spread, rule holds)`` over pairs.
+
+    ``parent[i]`` and ``change[i]`` are pair ``i``.  The gap is signed so
+    that a positive one favours the change.
+    """
+    sign = 1.0 if higher_is_better else -1.0
+    wins = sum(1 for old, new in zip(parent, change) if sign * (new - old) > 0)
+    q1, parent_median, q3 = quartiles(parent)
+    gap = sign * (quartiles(change)[1] - parent_median)
+    needed = math.ceil(0.9 * len(parent))
+    return wins, gap, q3 - q1, wins >= needed and gap > q3 - q1
+
+
+def main(argv: Optional[List[str]] = None) -> int:
+    parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
+    parser.add_argument("--parent", default="HEAD", help="revision to compare against")
+    parser.add_argument("--workload", default="ingest")
+    parser.add_argument("--seed", type=int, default=21)
+    parser.add_argument("--pairs", type=int, default=10)
+    parser.add_argument("--metric", default="throughput", help="metric the gain is claimed on")
+    args = parser.parse_args(argv)
+
+    benchmark = json.loads((ROOT / "BENCHMARK.json").read_text(encoding="utf-8"))
+    better = {entry["name"]: entry["better"] for entry in benchmark["end_to_end"]}
+    if args.metric not in better:
+        parser.error(f"--metric must be one of {sorted(better)}")
+    checkouts = {"parent": export_revision(args.parent), "change": ROOT}
+    #: Per side and metric, one value per pair (``None``: not reported).
+    values: Dict[str, Dict[str, List[Optional[float]]]] = {
+        side: {name: [] for name in better} for side in SIDES
+    }
+    units: Dict[str, str] = {}
+    ok = True
+    for pair in range(1, args.pairs + 1):
+        order = SIDES if pair % 2 else SIDES[::-1]
+        for side in order:
+            result, digests = run_once(checkouts[side], args.workload, args.seed)
+            if result is None or result.get("correct") is not True:
+                ok = False
+            metrics = (result or {}).get("metrics", {})
+            for name in better:
+                values[side][name].append(metrics.get(name, {}).get("value"))
+                if name in metrics:
+                    units[name] = metrics[name]["unit"]
+            shown = " ".join(
+                f"{name}={metrics[name]['value']:.4g}" for name in better if name in metrics
+            )
+            correct = None if result is None else result.get("correct")
+            failed = None if result is None else result.get("failed")
+            print(
+                f"pair {pair:2d} {side:6s} correct={correct} failed={failed} {shown} "
+                f"digests={digests}",
+                flush=True,
+            )
+
+    print(f"\n{args.workload}/{args.seed}, {args.pairs} pairs, parent {args.parent}")
+    print(f"{'metric':24s} {'unit':8s} {'parent q1 / median / q3':>30s} {'change q1 / median / q3':>30s}")
+    for name in better:
+        runs = [[v for v in values[side][name] if v is not None] for side in SIDES]
+        if not all(runs):
+            continue
+        cells = [" / ".join(f"{v:.4g}" for v in quartiles(side_runs)) for side_runs in runs]
+        print(f"{name:24s} {units[name]:8s} {cells[0]:>30s} {cells[1]:>30s}")
+
+    pairs = [
+        (old, new)
+        for old, new in zip(values["parent"][args.metric], values["change"][args.metric])
+        if old is not None and new is not None
+    ]
+    if len(pairs) == args.pairs:
+        parent, change = [old for old, _ in pairs], [new for _, new in pairs]
+        wins, gap, spread, holds = gain_holds(parent, change, better[args.metric] == "higher")
+        print(
+            f"\n{args.metric}: change wins {wins}/{len(pairs)} pairs; median gap "
+            f"{gap:+.4g} (positive favours the change) against parent quartile "
+            f"spread {spread:.4g}: gain rule {'holds' if holds else 'does not hold'}"
+        )
+    else:
+        print(f"\n{args.metric}: not reported by every run; no gain rule applied")
+    return 0 if ok else 1
+
+
+if __name__ == "__main__":
+    sys.exit(main())

@@ -253,10 +253,14 @@ class TestDataGenerator:
         Step 3 of the update process (Figure 2): bump the version number,
         record version metadata, publish.  Returns the new version number.
 
-        Only the changes since the last publish are written.  A cluster new
-        to the store is inserted whole; a stored one gets a single
-        ``update_one`` whose ``$set`` holds the paths written since, in
-        ascending position, which the WAL journals as a delta.
+        Only the changes since the last publish are written, as one batch
+        per kind.  Clusters new to the store are inserted whole with one
+        ``insert_many``, in ncid order.  Each stored cluster sends the
+        post-states of the paths written since, in ascending position,
+        through one :meth:`~repro.docstore.Collection.write_by_id` call for
+        the whole version, which the WAL journals as one append of
+        per-cluster deltas.  Both calls copy what they store, because the
+        generator keeps mutating its clusters.
         """
         self.current_version += 1
         clusters = self.database.get_collection("clusters")
@@ -266,13 +270,13 @@ class TestDataGenerator:
         # plan through a sorted index instead of scanning every cluster.
         if "meta.first_version_sorted" not in clusters.index_names():
             clusters.create_index("meta.first_version", "sorted")
-        for ncid in sorted(self._dirty):
-            cluster = self._clusters[ncid]
-            paths = self._dirty[ncid]
-            if paths is None:
-                clusters.insert_one(cluster)
-            elif paths:
-                clusters.update_one({"_id": ncid}, {"$set": _delta(cluster, paths)})
+        dirty = sorted(self._dirty.items())
+        clusters.insert_many(
+            self._clusters[ncid] for ncid, paths in dirty if paths is None
+        )
+        clusters.write_by_id(
+            [(ncid, _delta(self._clusters[ncid], paths)) for ncid, paths in dirty if paths]
+        )
         self._dirty.clear()
         versions = self.database.get_collection("versions")
         # Version listings sort on "version"; the sorted index lets those
@@ -320,11 +324,11 @@ class TestDataGenerator:
         ]
 
 
-def _delta(cluster: dict, paths: List[Tuple[str, ...]]) -> Dict[str, Any]:
-    """``$set`` fields carrying ``cluster``'s current value at each path.
+def _delta(cluster: dict, paths: List[Tuple[str, ...]]) -> List[List[Any]]:
+    """``[dotted path, value]`` writes of ``cluster``'s value at each path.
 
     A key containing ``.`` cannot be addressed, so it is written through
-    its parent; a path under another written path is dropped.  Fields come
+    its parent; a path under another written path is dropped.  Writes come
     in ascending position (numeric segments compare as numbers).
     """
     written = set()
@@ -334,15 +338,15 @@ def _delta(cluster: dict, paths: List[Tuple[str, ...]]) -> Dict[str, Any]:
                 path = path[:depth]
                 break
         written.add(path)
-    fields: Dict[str, Any] = {}
+    writes: List[List[Any]] = []
     for path in sorted(written, key=_position_key):
         if any(path[:depth] in written for depth in range(1, len(path))):
             continue
         value: Any = cluster
         for segment in path:
             value = value[int(segment)] if isinstance(value, list) else value[segment]
-        fields[".".join(path)] = value
-    return fields
+        writes.append([".".join(path), value])
+    return writes
 
 
 def _position_key(path: Tuple[str, ...]) -> List[Tuple[int, int, str]]:

@@ -70,8 +70,10 @@ class Collection:
         self._quarantine: Optional[str] = None
         #: Write-ahead-log hook ``(op, payload) -> None`` set by
         #: :class:`~repro.docstore.database.DurableDatabase`; ``None`` keeps
-        #: the collection purely in-memory.  Called *after* the in-memory
-        #: write succeeds and serializes immediately.  Inserts and replaces
+        #: the collection purely in-memory.  Called once a write is
+        #: validated and *before* it is installed, and serializes
+        #: immediately, so a write the journal rejects (an unencodable
+        #: value, a failed append) changes nothing.  Inserts and replaces
         #: journal the whole document; an update journals only the
         #: post-states of the paths it wrote (see :class:`PathCopy`).
         self._journal: Optional[Any] = None
@@ -131,23 +133,25 @@ class Collection:
             raise DuplicateKeyError(
                 f"duplicate _id {stored['_id']!r} in collection {self.name!r}"
             )
+        self._log("insert", {"doc": stored})
         self._documents[internal_id] = stored
         self._by_user_id[user_id] = internal_id
         for index in self._indexes.values():
             index.add(internal_id, stored)
             index.flush()
-        self._log("insert", {"doc": stored})
         return stored["_id"]
 
     def insert_many(self, documents: Iterable[dict]) -> List[Any]:
         """Insert every document; returns the list of assigned ``_id``s.
 
-        Bulk path: documents are validated and id-assigned in order, then
-        applied in one pass (one index delta per document, one sorted-index
-        merge, one batched journal append instead of one WAL write + fsync
-        per op).  Error semantics match the per-op loop exactly: on
-        the first invalid document the already-validated prefix is
-        inserted and journaled, then the error raises.
+        Bulk path: documents are validated and id-assigned in order,
+        journaled with one batched append (instead of one WAL write + fsync
+        per op), then applied in one pass (one index delta per document,
+        one sorted-index merge).  Error semantics match the per-op loop
+        exactly: on the first invalid document the already-validated
+        prefix is journaled and inserted, then the error raises.  A prefix
+        the journal rejects (an unencodable value, a failed append) is not
+        inserted at all.
         """
         self._check_healthy("insert", write=True)
         assigned: List[Any] = []
@@ -176,6 +180,7 @@ class Collection:
             assigned.append(stored["_id"])
 
         if staged:
+            self._log_many("insert", [{"doc": stored} for stored, _ in staged])
             for stored, internal_id in staged:
                 self._documents[internal_id] = stored
                 self._by_user_id[_freeze_id(stored["_id"])] = internal_id
@@ -186,7 +191,6 @@ class Collection:
             # effects.
             for index in self._indexes.values():
                 index.flush()
-            self._log_many("insert", [{"doc": stored} for stored, _ in staged])
         if error is not None:
             # Always a QueryError or DuplicateKeyError staged above; raised
             # here so the validated prefix lands first (per-op parity).
@@ -262,7 +266,7 @@ class Collection:
 
         The update applies fully or not at all: operators build the next
         version by path copying (:class:`PathCopy`), and only a version
-        every operator succeeded on is indexed, installed and journaled.
+        every operator succeeded on is journaled, indexed and installed.
         """
         for internal_id in self._matching_ids(filter_doc, "update_one", write=True):
             self._update_document(internal_id, update)
@@ -282,30 +286,75 @@ class Collection:
 
     def _update_document(self, internal_id: int, update: dict) -> None:
         old = self._documents[internal_id]
-        version = _next_version(old, update)
-        self._install(internal_id, old, version)
+        self._install([(internal_id, old, _next_version(old, update))])
+
+    def write_by_id(self, batch: Iterable[Tuple[Any, List[list]]]) -> int:
+        """Apply post-state writes to documents by ``_id``, as one batch.
+
+        ``batch`` pairs an ``_id`` with its writes in order, each
+        ``[path, value]`` (the post-state of a path) or ``[path]`` (a
+        removal): the shape an ``update`` record journals.  Each ``_id`` is
+        looked up directly, with no filter planning; an absent one is
+        skipped.  Every value is copied once.
+
+        All-or-nothing: every document's next version is staged first, so
+        a write to ``_id`` or one addressing a list by a key raises
+        :class:`QueryError` with nothing changed.  The batch's ``update``
+        records are then journaled with one append, one record per
+        document, and only then installed, maintaining just the indexes
+        the writes overlap.  Returns the number of documents changed.
+        """
+        self._check_healthy("write_by_id", write=True)
+        return self._write_by_id(
+            ((doc_id, _owned_writes(writes)) for doc_id, writes in batch), strict=True
+        )
 
     def _replay_update(self, doc_id: Any, writes: List[list]) -> None:
-        """Apply a journaled ``update`` record; an absent ``_id`` is a no-op."""
-        for internal_id in self._matching_ids(
-            {"_id": doc_id}, "update_one", write=True
-        ):
-            old = self._documents[internal_id]
-            version = PathCopy(old)
-            version.apply(writes)
-            self._install(internal_id, old, version)
-            return
+        """Apply a journaled ``update`` record through :meth:`write_by_id`'s path.
 
-    def _install(self, internal_id: int, old: dict, version: PathCopy) -> None:
-        """Index, install and journal a document's next version.
-
-        An update that wrote nothing changes and journals nothing.
+        The parsed writes are installed uncopied.  An absent ``_id`` is a
+        no-op, and a write addressing a list by a key is skipped (see
+        :meth:`PathCopy.apply`).
         """
-        if not version.writes:
-            return
-        written = [write[0] for write in version.writes]
-        self._place_version(internal_id, old, version.document, written)
-        self._log("update", {"id": old["_id"], "writes": version.writes})
+        self._write_by_id([(doc_id, writes)], strict=False)
+
+    def _write_by_id(
+        self, batch: Iterable[Tuple[Any, List[list]]], strict: bool
+    ) -> int:
+        """Stage every listed document's next version, then :meth:`_install`.
+
+        Writes to one ``_id`` listed twice build one version.
+        """
+        by_user_id = self._by_user_id
+        documents = self._documents
+        staged: Dict[int, Tuple[int, dict, PathCopy]] = {}
+        for doc_id, writes in batch:
+            internal_id = by_user_id.get(_freeze_id(doc_id))
+            if internal_id is None:
+                continue
+            entry = staged.get(internal_id)
+            if entry is None:
+                old = documents[internal_id]
+                entry = staged[internal_id] = (internal_id, old, PathCopy(old))
+            entry[2].apply(writes, strict=strict)
+        return self._install(list(staged.values()))
+
+    def _install(self, versions: List[Tuple[int, dict, PathCopy]]) -> int:
+        """Journal (one append), index and install documents' next versions.
+
+        ``versions`` holds ``(internal id, current document, next
+        version)``.  A version that wrote nothing changes and journals
+        nothing.  Returns the number of documents changed.
+        """
+        changed = [entry for entry in versions if entry[2].writes]
+        self._log_many(
+            "update",
+            [{"id": old["_id"], "writes": version.writes} for _, old, version in changed],
+        )
+        for internal_id, old, version in changed:
+            written = [write[0] for write in version.writes]
+            self._place_version(internal_id, old, version.document, written)
+        return len(changed)
 
     def replace_one(self, filter_doc: dict, replacement: dict) -> int:
         """Replace the first matching document wholesale (keeps its ``_id``)."""
@@ -316,8 +365,8 @@ class Collection:
         for internal_id in self._matching_ids(filter_doc, "replace_one", write=True):
             old = self._documents[internal_id]
             stored["_id"] = old["_id"]
-            self._place_version(internal_id, old, stored, None)
             self._log("replace", {"id": stored["_id"], "doc": stored})
+            self._place_version(internal_id, old, stored, None)
             return 1
         return 0
 
@@ -326,11 +375,11 @@ class Collection:
         doomed = list(self._matching_ids(filter_doc, "delete_many", write=True))
         for internal_id in doomed:
             document = self._documents[internal_id]
+            self._log("delete", {"id": document["_id"]})
             for spec_index in self._indexes.values():
                 spec_index.remove(internal_id, document)
             del self._by_user_id[_freeze_id(document["_id"])]
             del self._documents[internal_id]
-            self._log("delete", {"id": document["_id"]})
         return len(doomed)
 
     def _place_version(
@@ -398,8 +447,8 @@ class Collection:
         for internal_id, document in self._documents.items():
             index.add(internal_id, document)
         index.flush()
-        self._indexes[name] = index
         self._log("index", {"path": path, "kind": kind})
+        self._indexes[name] = index
         return name
 
     def index_names(self) -> List[str]:
@@ -577,6 +626,23 @@ def _next_version(document: dict, update: dict) -> PathCopy:
                 version.unset(path)
                 version.set(new_path, value)
     return version
+
+
+def _owned_writes(writes: List[list]) -> List[list]:
+    """Validated copies of live ``[path, value]`` / ``[path]`` writes."""
+    owned: List[list] = []
+    for write in writes:
+        if (
+            not isinstance(write, (list, tuple))
+            or len(write) not in (1, 2)
+            or not isinstance(write[0], str)
+        ):
+            raise QueryError(f"a write is [path, value] or [path], got {write!r}")
+        path = write[0]
+        if path == "_id" or path.startswith("_id."):
+            raise QueryError("_id is immutable")
+        owned.append([path, deep_copy(write[1])] if len(write) == 2 else [path])
+    return owned
 
 
 def _strip_numeric_segments(path: str) -> str:

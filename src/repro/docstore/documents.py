@@ -100,8 +100,28 @@ def unset_path(document: dict, path: str) -> bool:
     return False
 
 
+#: Immutable JSON scalar types :func:`deep_copy` shares instead of copying.
+_SHARED_TYPES = frozenset((str, int, float, bool, type(None)))
+
+
 def deep_copy(document: Any) -> Any:
-    """Deep-copy a document or value (documents are JSON-like, so this is safe)."""
+    """Deep-copy a document or value.
+
+    JSON-shaped values are copied here: plain ``dict`` and ``list`` are
+    rebuilt recursively, and ``str``, ``int``, ``float``, ``bool`` and
+    ``None`` are shared, being immutable.  Every other type (views,
+    tuples, sets, subclasses) goes through :func:`copy.deepcopy`.  The
+    result equals ``copy.deepcopy(document)`` and shares no container
+    with it; unlike ``copy.deepcopy``, a container referenced twice is
+    copied twice, and a cyclic value is not supported (JSON has neither).
+    """
+    kind = document.__class__
+    if kind is dict:
+        return {key: deep_copy(value) for key, value in document.items()}
+    if kind is list:
+        return [deep_copy(value) for value in document]
+    if kind in _SHARED_TYPES:
+        return document
     return copy.deepcopy(document)
 
 
@@ -155,13 +175,14 @@ class PathCopy:
         self.writes.append([path])
         return True
 
-    def apply(self, writes: List[list]) -> None:
-        """Apply journaled :attr:`writes` (the replay of an ``update``).
+    def apply(self, writes: List[list], strict: bool = False) -> None:
+        """Apply :attr:`writes`-shaped post-states in order.
 
-        A write addressing a list by a key is skipped.  Replaying from the
-        state the update saw cannot produce one; a stale log replayed over
-        a newer snapshot can, where the container became a list later,
-        and a later write of the same log then replaces it.
+        A live write (``strict``) that addresses a list by a key raises
+        :class:`QueryError`.  Replay skips such a write instead: replaying
+        from the state the update saw cannot produce one, but a stale log
+        replayed over a newer snapshot can, where the container became a
+        list later, and a later write of the same log then replaces it.
         """
         for write in writes:
             try:
@@ -170,7 +191,8 @@ class PathCopy:
                 else:
                     self.unset(write[0])
             except QueryError:
-                continue
+                if strict:
+                    raise
 
     def _private_child(self, parent: Any, segment: str) -> Any:
         """``parent``'s container at ``segment``, owned by this version.

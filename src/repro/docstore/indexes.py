@@ -63,7 +63,9 @@ class SortedIndex:
     bucketed by type first, so mixed int/str fields do not raise.  Booleans
     live in the ``number`` bucket: Python compares them freely with ints and
     floats, so splitting them out would make range candidate sets miss
-    documents the filter language matches.
+    documents the filter language matches.  Frozen lists and documents
+    share the ``tuple`` bucket in a type-ranked form (:func:`_sortable`),
+    so ``[1]`` and ``["a"]`` sort there without raising either.
 
     Beyond raw ranges the index keeps two per-document books the query
     planner relies on:
@@ -135,8 +137,9 @@ class SortedIndex:
         entries = self._by_type.get(self._type_name(key))
         if not entries:
             return
-        position = bisect.bisect_left(entries, (key, doc_id))
-        if position < len(entries) and entries[position] == (key, doc_id):
+        entry = (_sortable(key), doc_id)
+        position = bisect.bisect_left(entries, entry)
+        if position < len(entries) and entries[position] == entry:
             entries.pop(position)
             count = self._key_counts.get(doc_id, 0) - 1
             if count > 0:
@@ -152,7 +155,7 @@ class SortedIndex:
         for key in iter_index_keys(document, self.path):
             if key is None:
                 continue
-            self._pending.append((self._type_name(key), (key, doc_id)))
+            self._pending.append((self._type_name(key), (_sortable(key), doc_id)))
             self._key_counts[doc_id] = self._key_counts.get(doc_id, 0) + 1
 
     def remove(self, doc_id: int, document: dict) -> None:
@@ -185,6 +188,7 @@ class SortedIndex:
         """
         self.flush()
         hits: Set[int] = set()
+        low, high = _sortable(low), _sortable(high)
         reference = low if low is not None else high
         buckets: Iterator[List[Tuple[Any, int]]]
         if reference is None:
@@ -237,6 +241,7 @@ class SortedIndex:
         """Upper bound on ``len(range_ids(...))`` without building the set."""
         self.flush()
         total = 0
+        low, high = _sortable(low), _sortable(high)
         reference = low if low is not None else high
         if reference is None:
             total = sum(len(entries) for entries in self._by_type.values())
@@ -311,6 +316,29 @@ class SortedIndex:
         return len(self._pending) + sum(
             len(entries) for entries in self._by_type.values()
         )
+
+
+def _sortable(key: Any) -> Any:
+    """``key`` as its type bucket stores it.
+
+    A tuple (a frozen list or document) may hold elements that do not
+    compare, such as ``(1,)`` and ``("a",)``.  Pairing each element with a
+    type rank makes any two JSON-shaped keys comparable, while elements of
+    one type keep their natural order.  Other keys are stored as they are.
+    """
+    if not isinstance(key, tuple):
+        return key
+    return tuple(_ranked(element) for element in key)
+
+
+def _ranked(value: Any) -> Tuple[int, Any]:
+    if value is None:
+        return (0, 0)
+    if isinstance(value, (bool, int, float)):
+        return (1, value)
+    if isinstance(value, str):
+        return (2, value)
+    return (3, _sortable(value))
 
 
 def _bisect_key(entries: List[Tuple[Any, int]], key: Any, left: bool) -> int:

@@ -152,7 +152,9 @@ def save_database(
     CRC32 checksum over the snapshot bytes, and — for durable databases —
     the epoch the snapshot captures.  Each file goes through the
     atomic-write helper; the manifest is written last, after every
-    collection file is durably in place.
+    collection file is durably in place.  The stored documents are
+    serialized as they are, with no read views around them: ``json.dumps``
+    never mutates its input.
 
     ``skip`` names collections whose snapshot must *not* be rewritten
     (quarantined collections at checkpoint time: their manifest entry is
@@ -183,7 +185,7 @@ def save_database(
             raise DegradedWriteError(name, "snapshot", collection._quarantine)
         lines = [
             json.dumps(document, ensure_ascii=False, sort_keys=True)
-            for document in collection.all()
+            for document in collection._ordered_documents()
         ]
         body = "\n".join(lines) + ("\n" if lines else "")
         encoded = body.encode("utf-8")

@@ -19,8 +19,9 @@ An 8-byte magic header (:data:`WAL_MAGIC`) followed by records::
 The payload is UTF-8 JSON, one operation per record — ``insert`` /
 ``replace`` / ``delete`` / ``index`` data operations plus ``commit``
 markers carrying the commit epoch.  The CRC32 covers the payload; each
-record is appended with a single unbuffered ``write`` so a torn write can
-only damage the final record.
+append (one record, or a batch of framed records) is a single unbuffered
+``write``, so a torn write can only damage the final record or a suffix
+of the final batch.
 
 Commit protocol: a data operation is *staged* the moment it is appended;
 it becomes *committed* only once a ``commit`` marker with epoch ``e`` is

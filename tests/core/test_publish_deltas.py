@@ -1,11 +1,13 @@
 """Publish writes per-cluster deltas that replay to the generator's state.
 
 Every in-package writer records the paths it writes, and
-:meth:`TestDataGenerator.publish` sends a stored cluster only those paths
-through ``update_one``.  These tests reopen the store from its
-write-ahead log alone (no checkpoint ever ran) after every publish and
-compare it with the generator's in-memory clusters, so a writer that
-forgets to record a path shows up as a difference.
+:meth:`TestDataGenerator.publish` sends a stored cluster only those paths,
+for the whole version in one ``Collection.write_by_id`` batch.  These
+tests reopen the store from its write-ahead log alone (no checkpoint ever
+ran) after every publish and compare it, and the live collection, with
+the generator's in-memory clusters, so a writer that forgets to record a
+path shows up as a difference.  Indexed reads of both are checked against
+a full scan, so an index the batch path failed to maintain shows up too.
 """
 
 import json
@@ -17,6 +19,7 @@ from repro.core.augment import AugmentationPlan, Augmenter
 from repro.core.parallel import import_snapshots_parallel
 from repro.core.versioning import UpdateProcess
 from repro.docstore import Collection, Database, DurableDatabase
+from repro.docstore._reference import find_full_scan
 from repro.docstore.wal import read_wal
 from repro.votersim.schema import empty_record
 from repro.votersim.snapshots import Snapshot
@@ -26,13 +29,28 @@ def canonical_clusters(clusters):
     return sorted(json.dumps(cluster, sort_keys=True) for cluster in clusters)
 
 
+def index_probes(generator):
+    """``ncid`` lookups (one absent) and ``meta.first_version`` ranges."""
+    ncids = sorted(cluster["ncid"] for cluster in generator.clusters())
+    version = generator.current_version
+    return [{"ncid": ncid} for ncid in ncids[:: max(1, len(ncids) // 4)]] + [
+        {"ncid": "absent"},
+        {"meta.first_version": {"$gte": version}},
+        {"meta.first_version": {"$gt": 1, "$lte": version}},
+    ]
+
+
 def assert_log_matches(directory, generator):
-    """The store reopened from its WAL alone equals ``generator.clusters()``."""
+    """The live store and the store reopened from its WAL alone both equal
+    ``generator.clusters()``, and answer indexed reads like a full scan."""
     assert not list(directory.glob("*.jsonl")), "a checkpoint ran"
-    reopened = Database.load(directory)
-    assert canonical_clusters(reopened["clusters"].all()) == canonical_clusters(
-        generator.clusters()
-    )
+    expected = canonical_clusters(generator.clusters())
+    live = generator.database["clusters"]
+    reopened = Database.load(directory)["clusters"]
+    for collection in (live, reopened):
+        assert canonical_clusters(collection.all()) == expected
+        for probe in index_probes(generator):
+            assert collection.find(probe) == find_full_scan(collection, probe)
 
 
 def cluster_log(directory):
@@ -124,6 +142,20 @@ class TestWalReplaysEveryPublish:
         process.generator.database.close()
 
 
+def spy_on_writes(monkeypatch):
+    """Every ``(_id, writes)`` pair sent through ``Collection.write_by_id``."""
+    sent = []
+    write_by_id = Collection.write_by_id
+
+    def spy(collection, batch):
+        batch = list(batch)
+        sent.extend(batch)
+        return write_by_id(collection, batch)
+
+    monkeypatch.setattr(Collection, "write_by_id", spy)
+    return sent
+
+
 class TestPublishTraffic:
     def test_only_written_paths_are_sent(self, snapshots, monkeypatch):
         generator = TestDataGenerator()
@@ -131,14 +163,7 @@ class TestPublishTraffic:
         generator.import_snapshot(snapshots[0])
         process.update_statistics()
         generator.publish()
-        sent = []
-        update_one = Collection.update_one
-
-        def spy(collection, query, update):
-            sent.append(update)
-            return update_one(collection, query, update)
-
-        monkeypatch.setattr(Collection, "update_one", spy)
+        sent = spy_on_writes(monkeypatch)
         monkeypatch.setattr(
             Collection, "replace_one",
             lambda *args: pytest.fail("publish rewrote a whole cluster"),
@@ -150,8 +175,24 @@ class TestPublishTraffic:
         assert sent == []
         generator.import_snapshot(snapshots[1])
         process.update_statistics()
+        recorded = {
+            ncid: [".".join(path) for path in paths]
+            for ncid, paths in generator._dirty.items()
+            if paths
+        }
         generator.publish()
-        assert sent and all(list(update) == ["$set"] for update in sent)
+        assert sent and {ncid for ncid, _ in sent} == set(recorded)
+        for ncid, writes in sent:
+            # Post-states only, each of a recorded path or of the parent
+            # it is written through.
+            assert writes and all(len(write) == 2 for write in writes)
+            assert all(
+                any(
+                    path == written or written.startswith(path + ".")
+                    for written in recorded[ncid]
+                )
+                for path, _ in writes
+            )
 
     def test_a_key_containing_a_dot_is_written_through_its_parent(
         self, tmp_path, monkeypatch
@@ -160,18 +201,12 @@ class TestPublishTraffic:
         first = make_record("AA1", snapshot_dt="2012.01.01")
         generator.import_snapshot(Snapshot("2012.01.01", [first]))
         generator.publish()
-        sent = []
-        update_one = Collection.update_one
-
-        def spy(collection, query, update):
-            sent.append(update)
-            return update_one(collection, query, update)
-
-        monkeypatch.setattr(Collection, "update_one", spy)
+        sent = spy_on_writes(monkeypatch)
         second = make_record("AA1", last_name="SMYTH", snapshot_dt="2013.01.01")
         generator.import_snapshot(Snapshot("2013.01.01", [second]))
         generator.publish()
-        assert list(sent[0]["$set"]) == [
+        assert [ncid for ncid, _ in sent] == ["AA1"]
+        assert [path for path, _ in sent[0][1]] == [
             "meta.hashes.1", "meta.inserts_per_snapshot", "records.1",
         ]
         assert_log_matches(tmp_path, generator)

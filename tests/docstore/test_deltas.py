@@ -1,7 +1,7 @@
 """Path-copying updates and the delta journal.
 
 An update builds a document's next version by copying only the containers
-on the paths it writes; the version is indexed, installed and journaled
+on the paths it writes; the version is journaled, indexed and installed
 only once every operator succeeded.  The write-ahead log records the
 post-state of each written path (list elements by position), and replay
 sends those writes through the same path-copying routine.
@@ -11,7 +11,14 @@ import json
 
 import pytest
 
-from repro.docstore import Collection, Database, DurableDatabase, QueryError
+from repro import faults
+from repro.docstore import (
+    Collection,
+    Database,
+    DegradedWriteError,
+    DurableDatabase,
+    QueryError,
+)
 from repro.docstore.documents import PathCopy
 from repro.docstore.storage import save_database
 from repro.docstore.wal import read_wal
@@ -251,3 +258,167 @@ class TestDeltaJournal:
         reopened = DurableDatabase(tmp_path)
         assert list(reopened["docs"].all()) == [{"_id": 1, "a": [1]}]
         reopened.close()
+
+
+class TestWriteById:
+    """A batch of post-state writes by ``_id``: staged, journaled, installed."""
+
+    @pytest.fixture
+    def database(self, tmp_path):
+        database = DurableDatabase(tmp_path)
+        docs = database["docs"]
+        docs.create_index("k")
+        docs.insert_many(
+            [
+                {"_id": 1, "k": "a", "tags": ["x"], "xs": [1]},
+                {"_id": 2, "k": "b", "n": 1},
+                {"_id": 3, "k": "c"},
+            ]
+        )
+        database.commit()
+        return database
+
+    def test_batch_is_one_append_of_per_document_records(self, database, tmp_path):
+        docs = database["docs"]
+        batch = [(1, [["tags.1", "y"]]), ("absent", [["n", 9]]), (2, [["k", "z"], ["n"]])]
+        changed = []
+        writes = faults.count_ops(
+            lambda: changed.append(docs.write_by_id(batch)), only=("write",)
+        )
+        assert changed == [2] and writes == 1
+        database.commit()
+        assert logged(tmp_path)[-2:] == [
+            {"op": "update", "id": 1, "writes": [["tags.1", "y"]]},
+            {"op": "update", "id": 2, "writes": [["k", "z"], ["n"]]},
+        ]
+        assert docs.find({"k": "z"}) == [{"_id": 2, "k": "z"}]
+        assert docs.find({"k": "b"}) == []
+        live = list(docs.all())
+        database.close()
+        assert list(Database.load(tmp_path)["docs"].all()) == live
+
+    @pytest.mark.parametrize(
+        "bad",
+        [["_id", 5], ["_id.x", 5], ["xs.v", 1], ["a", 1, 2], "tags", [7, 1]],
+        ids=["id", "id-child", "list-by-key", "three-items", "not-a-list", "non-str-path"],
+    )
+    def test_a_malformed_write_changes_nothing(self, database, tmp_path, bad):
+        docs = database["docs"]
+        before = list(docs.all())
+        log = logged(tmp_path)
+        with pytest.raises(QueryError):
+            docs.write_by_id([(2, [["k", "z"]]), (1, [["tags.1", "y"], bad])])
+        database.commit()
+        assert list(docs.all()) == before
+        assert docs.find({"k": "z"}) == []
+        assert logged(tmp_path) == log
+
+    def test_values_are_copied_once(self, database):
+        value = {"deep": [1]}
+        database["docs"].write_by_id([(3, [["v", value]])])
+        value["deep"].append(2)
+        assert database["docs"].find_one({"_id": 3})["v"] == {"deep": [1]}
+
+    def test_an_id_listed_twice_builds_one_version(self, database, tmp_path):
+        docs = database["docs"]
+        assert docs.write_by_id([(3, [["n", 1]]), (3, [["m", 2]])]) == 1
+        database.commit()
+        assert logged(tmp_path)[-1] == {
+            "op": "update", "id": 3, "writes": [["n", 1], ["m", 2]],
+        }
+        assert docs.find_one({"_id": 3}) == {"_id": 3, "k": "c", "n": 1, "m": 2}
+
+    def test_replay_skips_what_a_live_write_rejects(self, database):
+        docs = database["docs"]
+        with pytest.raises(QueryError):
+            docs.write_by_id([(1, [["xs.v", 1]])])
+        docs._replay_update(1, [["xs.v", 1], ["n", 4]])
+        assert docs.find_one({"_id": 1})["n"] == 4
+
+    def test_a_quarantined_collection_refuses_the_batch(self, database):
+        docs = database["docs"]
+        docs._take_dark("test")
+        with pytest.raises(DegradedWriteError):
+            docs.write_by_id([(1, [["n", 1]])])
+
+
+#: Writes whose WAL record cannot be encoded (a set is not JSON), by name.
+UNENCODABLE_WRITES = {
+    "insert_one": lambda docs: docs.insert_one({"_id": "b", "k": "x", "v": {1, 2}}),
+    "insert_many": lambda docs: docs.insert_many(
+        [{"_id": "b", "k": "x", "n": 2}, {"_id": "c", "k": "x", "v": {1, 2}}]
+    ),
+    "update_one": lambda docs: docs.update_one(
+        {"_id": "a"}, {"$set": {"k": "y", "n": 5, "w": {1, 2}}}
+    ),
+    "update_many": lambda docs: docs.update_many(
+        {"k": "x"}, {"$set": {"k": "y", "n": 5, "w": {1, 2}}}
+    ),
+    "replace_one": lambda docs: docs.replace_one(
+        {"_id": "a"}, {"k": "y", "n": 5, "v": {1, 2}}
+    ),
+    "write_by_id": lambda docs: docs.write_by_id(
+        [("a", [["k", "y"], ["n", 5], ["w", {1, 2}]])]
+    ),
+}
+
+
+@pytest.mark.parametrize("write", sorted(UNENCODABLE_WRITES))
+def test_a_write_the_journal_rejects_changes_nothing(tmp_path, write):
+    """Memory and log never disagree: the write raises, nothing is installed."""
+    database = DurableDatabase(tmp_path)
+    docs = database["docs"]
+    docs.create_index("k")
+    docs.create_index("n", "sorted")
+    docs.insert_one({"_id": "a", "k": "x", "n": 1})
+    database.commit()
+    before = list(docs.all())
+    with pytest.raises(TypeError):
+        UNENCODABLE_WRITES[write](docs)
+    assert list(docs.all()) == before
+    assert docs.find({"k": "x"}) == before
+    assert docs.find({"k": "y"}) == []
+    assert docs.find({"n": {"$gte": 0}}) == before
+    assert docs.count_documents({"n": {"$gt": 1}}) == 0
+    database.commit()
+    database.close()
+    reopened = DurableDatabase(tmp_path)
+    assert list(reopened["docs"].all()) == before
+    reopened.close()
+
+
+#: Writes storing a list whose elements freeze to index keys of mixed
+#: types (``(1,)`` beside ``("a",)``, ``(("x", 1),)`` beside
+#: ``(("x", "a"),)``), by name.
+MIXED_KEY_WRITES = {
+    "insert_one": lambda docs: docs.insert_one({"_id": "b", "v": [[1], ["a"], 3]}),
+    "insert_many": lambda docs: docs.insert_many(
+        [{"_id": "b", "v": [[1], ["a"], 3]}, {"_id": "c", "v": [{"x": 1}, {"x": "a"}]}]
+    ),
+    "update_one": lambda docs: docs.update_one(
+        {"_id": "a"}, {"$set": {"v": [[None], [1], 3]}}
+    ),
+    "replace_one": lambda docs: docs.replace_one(
+        {"_id": "a"}, {"v": [{"x": 1}, {"x": "a"}, 3]}
+    ),
+    "write_by_id": lambda docs: docs.write_by_id([("a", [["v", [[1], ["a"], 3]]])]),
+}
+
+
+@pytest.mark.parametrize("write", sorted(MIXED_KEY_WRITES))
+def test_a_write_of_mixed_index_keys_stays_reopenable(tmp_path, write):
+    """Index maintenance after the journal append cannot raise for JSON values."""
+    database = DurableDatabase(tmp_path)
+    docs = database["docs"]
+    docs.create_index("v", "sorted")
+    docs.insert_one({"_id": "a", "v": [["z"]]})
+    database.commit()
+    MIXED_KEY_WRITES[write](docs)
+    live = list(docs.all())
+    with_three = docs.find({"v": 3})
+    database.commit()
+    database.close()
+    reopened = DurableDatabase(tmp_path)
+    assert list(reopened["docs"].all()) == live
+    assert reopened["docs"].find({"v": 3}) == with_three
+    reopened.close()

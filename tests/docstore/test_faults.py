@@ -123,10 +123,11 @@ def generator_workload(directory, mark=None):
 def generator_delta_workload(directory, mark=None):
     """Three scored versions whose publishes journal per-cluster deltas.
 
-    Version 2 adds a record to a stored cluster; version 3 repeats an
-    existing record, so its publish appends a snapshot date to a stored
-    record.  The checkpoint after version 2 leaves version 3's deltas to
-    replay over the snapshot.
+    Version 2 adds a record to a stored cluster.  Version 3 updates both
+    stored clusters: it adds a record to AA1 and repeats an existing AA2
+    record, which appends a snapshot date to it.  Its update batch is
+    therefore several frames in one write.  The checkpoint after version
+    2 leaves version 3's deltas to replay over the snapshot.
     """
     database = DurableDatabase(Path(directory), "ncvoter")
     generator = TestDataGenerator.from_database(database)
@@ -137,7 +138,13 @@ def generator_delta_workload(directory, mark=None):
             "2013-01-01",
             [make_record("AA1", last_name="SMYTH", snapshot_dt="2013-01-01")],
         ),
-        Snapshot("2014-01-01", [make_record("AA2", snapshot_dt="2014-01-01")]),
+        Snapshot(
+            "2014-01-01",
+            [
+                make_record("AA1", last_name="SMITHE", snapshot_dt="2014-01-01"),
+                make_record("AA2", snapshot_dt="2014-01-01"),
+            ],
+        ),
     ]
     for version, snapshot in enumerate(snapshots, start=1):
         generator.import_snapshot(snapshot)
@@ -364,6 +371,15 @@ class TestFaultModeSweep:
 
     def test_docstore_workload_partial_fsync_mode(self, tmp_path):
         fault_sweep(docstore_workload, tmp_path, "partial_fsync")
+
+    def test_generator_delta_workload_eio_mode(self, tmp_path):
+        fault_sweep(generator_delta_workload, tmp_path, "eio")
+
+    def test_generator_delta_workload_enospc_mode(self, tmp_path):
+        fault_sweep(generator_delta_workload, tmp_path, "enospc")
+
+    def test_generator_delta_workload_partial_fsync_mode(self, tmp_path):
+        fault_sweep(generator_delta_workload, tmp_path, "partial_fsync")
 
     def test_slow_mode_changes_nothing(self, tmp_path):
         """Latency alone must never change an outcome."""

@@ -82,6 +82,19 @@ class TestSortedIndex:
         index = self.make()
         assert index.first_ids(2) == [2, 4]  # values 1 and 3
 
+    def test_lists_and_documents_of_mixed_types_do_not_raise(self):
+        values = [[[1], ["a"]], [{"x": 1}, {"x": "a"}], [[None], [2]], [[1, [2]], [1, 3]]]
+        index = SortedIndex("v")
+        for doc_id, value in enumerate(values):
+            index.add(doc_id, {"v": value})
+        index.add(len(values), {"v": 4})
+        assert index.range() == set(range(len(values) + 1))
+        assert index.range(4, 4) == {len(values)}
+        assert index.first_ids(1) == [len(values)]
+        for doc_id, value in enumerate(values):
+            index.remove(doc_id, {"v": value})
+        assert len(index) == 1
+
 
 class TestBuildIndex:
     def test_factory(self):

@@ -1,12 +1,15 @@
 """Property-based tests of the document store (hypothesis)."""
 
+import copy
 import string
 
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.docstore import Collection
+from repro.docstore.documents import deep_copy
 from repro.docstore.matching import matches
+from repro.docstore.views import DocumentView
 
 field_names = st.sampled_from(["a", "b", "c", "nested.x"])
 scalars = st.one_of(
@@ -116,5 +119,93 @@ def test_sorted_index_remove_inverts_add(values):
         index.add(doc_id, {"n": value})
     for doc_id, value in enumerate(values):
         index.remove(doc_id, {"n": value})
+    assert len(index) == 0
+    assert index.range() == set()
+
+
+json_scalars = st.one_of(
+    st.none(),
+    st.booleans(),
+    st.integers(),
+    st.floats(allow_nan=False),
+    st.text(max_size=4),
+)
+#: Leaves ``deep_copy`` hands to ``copy.deepcopy``: a tuple holding a
+#: list, a frozenset, a read view, and subclasses of the shared types.
+other_leaves = st.one_of(
+    st.tuples(st.integers(), st.lists(st.integers(), max_size=2)),
+    st.frozensets(st.integers(), max_size=3),
+    st.dictionaries(st.text(max_size=2), st.integers(), max_size=2).map(DocumentView),
+    st.text(max_size=3).map(type("Name", (str,), {})),
+)
+json_values = st.recursive(
+    st.one_of(json_scalars, other_leaves),
+    lambda children: st.one_of(
+        st.lists(children, max_size=4),
+        st.dictionaries(st.text(max_size=3), children, max_size=4),
+    ),
+    max_leaves=40,
+)
+
+
+def container_ids(value, found=None):
+    """Ids of every dict, list and tuple reachable from ``value``."""
+    found = set() if found is None else found
+    if isinstance(value, (dict, list, tuple)):
+        found.add(id(value))
+        children = value.values() if isinstance(value, dict) else value
+        for child in children:
+            container_ids(child, found)
+    return found
+
+
+@given(json_values)
+@settings(max_examples=300)
+def test_deep_copy_equals_copy_deepcopy(value):
+    """Same value, same types, and no container shared with the input."""
+    copied = deep_copy(value)
+    expected = copy.deepcopy(value)
+    assert copied == expected
+    assert repr(copied) == repr(expected)
+    mutable = container_ids(copied) - {
+        id(node) for node in _immutable_nodes(value)
+    }
+    assert not mutable & container_ids(value)
+
+
+def _immutable_nodes(value):
+    """Tuples ``copy.deepcopy`` may share: those holding no mutable container."""
+    if isinstance(value, tuple) and not any(
+        isinstance(item, (dict, list)) for item in value
+    ):
+        yield value
+    elif isinstance(value, (dict, list, tuple)):
+        for child in value.values() if isinstance(value, dict) else value:
+            yield from _immutable_nodes(child)
+
+
+json_documents = st.recursive(
+    json_scalars,
+    lambda children: st.one_of(
+        st.lists(children, max_size=3),
+        st.dictionaries(st.sampled_from(["x", "y"]), children, max_size=2),
+    ),
+    max_leaves=12,
+)
+
+
+@given(st.lists(json_documents, min_size=1, max_size=12))
+@settings(max_examples=200)
+def test_sorted_index_takes_any_json_value(values):
+    """Lists and documents of mixed element types index and unindex cleanly."""
+    from repro.docstore.indexes import SortedIndex
+
+    index = SortedIndex("v")
+    for doc_id, value in enumerate(values):
+        index.add(doc_id, {"v": value})
+    index.flush()
+    index.first_ids(len(values))
+    for doc_id, value in enumerate(values):
+        index.remove(doc_id, {"v": value})
     assert len(index) == 0
     assert index.range() == set()
