@@ -10,14 +10,18 @@ The parent revision is exported with ``git archive`` below
 once on the working tree; odd pairs run the parent first, even pairs the
 change, so neither side always meets the warmer machine.  Every run prints
 one line with its end-to-end metrics and output digests.  Then, per
-end-to-end metric of ``BENCHMARK.json``, each side's median and quartiles,
-and for ``--metric`` the pairs the change won (ties count for neither side)
-and whether the gain rule of the choosing-metrics guide (section 8) holds:
+end-to-end metric of ``BENCHMARK.json``, each side's median and quartiles
+and the metric's verdict against its bound (choosing-metrics guide,
+section 6.5; see :func:`verdict`): ``within bound``, ``worse than bound``
+or ``unresolved``.  Then whether every pair's output digests equal the
+parent's, and for ``--metric`` the pairs the change won (ties count for
+neither side) and whether the gain rule of the guide (section 8) holds:
 the change wins at least nine tenths of the pairs, and the medians differ,
 in the better direction, by more than the distance between the parent's
 quartiles.
 
-Exits 1 when any run is not ``correct`` or prints no result, else 0.
+Exits 1 when any run is not ``correct`` or prints no result, or when a
+metric is worse than its bound; else 0.
 """
 
 from __future__ import annotations
@@ -99,6 +103,38 @@ def gain_holds(
     return wins, gap, q3 - q1, wins >= needed and gap > q3 - q1
 
 
+def verdict(
+    parent: List[float], change: List[float], higher_is_better: bool, bound: float
+) -> str:
+    """Whether the change keeps a metric within its bound.
+
+    ``bound`` is the share of the parent's median by which the change's
+    median may be worse.  ``unresolved`` when the parent's quartile spread
+    is wider than the bound (as the same share of its median) and not every
+    change run beats every parent run; else ``worse than bound`` when the
+    change's median is worse than the parent's by more than the bound;
+    else ``within bound``.
+    """
+    sign = 1.0 if higher_is_better else -1.0
+    q1, parent_median, q3 = quartiles(parent)
+    allowed = bound * abs(parent_median)
+    beats_all = all(sign * (new - old) > 0 for new in change for old in parent)
+    if q3 - q1 > allowed and not beats_all:
+        return "unresolved"
+    if sign * (parent_median - quartiles(change)[1]) > allowed:
+        return "worse than bound"
+    return "within bound"
+
+
+def digests_differ(digests: Dict[str, List[str]]) -> List[int]:
+    """The (1-based) pairs whose change digests differ from the parent's."""
+    return [
+        pair
+        for pair, (old, new) in enumerate(zip(digests["parent"], digests["change"]), 1)
+        if old != new
+    ]
+
+
 def main(argv: Optional[List[str]] = None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     parser.add_argument("--parent", default="HEAD", help="revision to compare against")
@@ -110,6 +146,7 @@ def main(argv: Optional[List[str]] = None) -> int:
 
     benchmark = json.loads((ROOT / "BENCHMARK.json").read_text(encoding="utf-8"))
     better = {entry["name"]: entry["better"] for entry in benchmark["end_to_end"]}
+    bounds = {entry["name"]: entry["bound"] for entry in benchmark["end_to_end"]}
     if args.metric not in better:
         parser.error(f"--metric must be one of {sorted(better)}")
     checkouts = {"parent": export_revision(args.parent), "change": ROOT}
@@ -117,12 +154,14 @@ def main(argv: Optional[List[str]] = None) -> int:
     values: Dict[str, Dict[str, List[Optional[float]]]] = {
         side: {name: [] for name in better} for side in SIDES
     }
+    digests: Dict[str, List[str]] = {side: [] for side in SIDES}
     units: Dict[str, str] = {}
     ok = True
     for pair in range(1, args.pairs + 1):
         order = SIDES if pair % 2 else SIDES[::-1]
         for side in order:
-            result, digests = run_once(checkouts[side], args.workload, args.seed)
+            result, digest = run_once(checkouts[side], args.workload, args.seed)
+            digests[side].append(digest)
             if result is None or result.get("correct") is not True:
                 ok = False
             metrics = (result or {}).get("metrics", {})
@@ -137,18 +176,34 @@ def main(argv: Optional[List[str]] = None) -> int:
             failed = None if result is None else result.get("failed")
             print(
                 f"pair {pair:2d} {side:6s} correct={correct} failed={failed} {shown} "
-                f"digests={digests}",
+                f"digests={digest}",
                 flush=True,
             )
 
     print(f"\n{args.workload}/{args.seed}, {args.pairs} pairs, parent {args.parent}")
-    print(f"{'metric':24s} {'unit':8s} {'parent q1 / median / q3':>30s} {'change q1 / median / q3':>30s}")
+    print(
+        f"{'metric':24s} {'unit':8s} {'parent q1 / median / q3':>30s} "
+        f"{'change q1 / median / q3':>30s}  verdict (bound)"
+    )
     for name in better:
         runs = [[v for v in values[side][name] if v is not None] for side in SIDES]
         if not all(runs):
             continue
         cells = [" / ".join(f"{v:.4g}" for v in quartiles(side_runs)) for side_runs in runs]
-        print(f"{name:24s} {units[name]:8s} {cells[0]:>30s} {cells[1]:>30s}")
+        judged = verdict(runs[0], runs[1], better[name] == "higher", bounds[name])
+        if judged == "worse than bound":
+            ok = False
+        print(
+            f"{name:24s} {units[name]:8s} {cells[0]:>30s} {cells[1]:>30s}  "
+            f"{judged} ({bounds[name]:.0%})"
+        )
+    differ = digests_differ(digests)
+    print(
+        "\ndigests: " + (
+            f"differ from the parent's in pairs {', '.join(map(str, differ))}"
+            if differ else "every pair equal to the parent's"
+        )
+    )
 
     pairs = [
         (old, new)

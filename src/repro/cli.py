@@ -38,7 +38,7 @@ import argparse
 import csv
 import sys
 from pathlib import Path
-from typing import Callable, Optional, Sequence, Set, Tuple
+from typing import Callable, List, Optional, Sequence, Set, Tuple
 
 from repro.core import RemovalLevel, TestDataGenerator, customize
 from repro.core.heterogeneity import HeterogeneityScorer
@@ -126,6 +126,8 @@ def _cmd_generate(args: argparse.Namespace) -> int:
     # sort in index order instead of sorting every row on each read.
     if "snapshot_date_sorted" not in collection.index_names():
         collection.create_index("snapshot_date", "sorted")
+    if args.durable:
+        stats_rows = _lost_import_stats(generator, collection, snapshots, stats_rows) + stats_rows
     if stats_rows:
         collection.insert_many(stats_rows)
     generator.database.save(store)
@@ -136,6 +138,45 @@ def _cmd_generate(args: argparse.Namespace) -> int:
         f"{generator.cluster_count} clusters -> {args.store}"
     )
     return 0
+
+
+def _lost_import_stats(generator, collection, snapshots, rows: List[dict]) -> List[dict]:
+    """Table 1 rows of committed snapshots that have none, from the store.
+
+    A durable run inserts its rows after its last publish, so a crash
+    before then loses the rows of every snapshot it committed, and the
+    resumed run imports only the rest.  The committed store still holds
+    each lost row: its new records are the clusters'
+    ``meta.inserts_per_snapshot`` counts, its new clusters are those whose
+    first record first appeared in it, and its skipped rows are the rest
+    of the snapshot file's rows.
+    """
+    present = {doc["snapshot_date"] for doc in collection.find()}
+    present.update(row["snapshot_date"] for row in rows)
+    sizes = {snapshot.date: len(snapshot.records) for snapshot in snapshots}
+    lost = [
+        date for date in generator._imported_snapshots
+        if date not in present and date in sizes
+    ]
+    new_records = dict.fromkeys(lost, 0)
+    new_clusters = dict.fromkeys(lost, 0)
+    for cluster in generator.clusters() if lost else ():
+        for date, count in cluster["meta"]["inserts_per_snapshot"].items():
+            if date in new_records:
+                new_records[date] += count
+        first = (cluster["records"][0].get("snapshots") or [None])[0]
+        if first in new_clusters:
+            new_clusters[first] += 1
+    return [
+        {
+            "snapshot_date": date,
+            "rows": sizes[date],
+            "new_records": new_records[date],
+            "new_clusters": new_clusters[date],
+            "skipped": sizes[date] - new_records[date],
+        }
+        for date in lost
+    ]
 
 
 def _cmd_stats(args: argparse.Namespace) -> int:
@@ -169,11 +210,13 @@ def _cmd_stats(args: argparse.Namespace) -> int:
     print(f"records:      {summary['records']}")
     print(f"avg cluster:  {summary['records'] / summary['clusters']:.2f}")
     print(f"max cluster:  {summary['max_size']}")
-    for version in database["versions"].find(sort=[("version", 1)]):
+    versions = database["versions"].find(sort=[("version", 1)])
+    for version in versions:
         print(
             f"version {version['version']}: {version['records']} records, "
             f"{version['clusters']} clusters ({version['note']})"
         )
+    rows = []
     if "import_stats" in database:
         from repro.core.generator import ImportStats
 
@@ -191,6 +234,18 @@ def _cmd_stats(args: argparse.Namespace) -> int:
         ]
         print()
         print(render_year_stats(snapshot_year_stats(rows)))
+    # Every snapshot of the latest version should have its Table 1 row.
+    listed = {row.snapshot_date for row in rows}
+    missing = [
+        date for date in (versions[-1].get("snapshots", []) if versions else [])
+        if date not in listed
+    ]
+    if missing:
+        print()
+        print(
+            f"Table 1 lacks {len(missing)} committed snapshot(s): {', '.join(missing)} "
+            "(rerun 'generate --durable' on the same snapshots to fill them)"
+        )
     if args.layout:
         from repro.report import render_collection_stats, render_resilience
 
@@ -201,7 +256,7 @@ def _cmd_stats(args: argparse.Namespace) -> int:
         print()
         print("resilience:")
         print(render_resilience(stats))
-    return 0
+    return 1 if missing else 0
 
 
 def _generator_from_store(store: Path) -> TestDataGenerator:

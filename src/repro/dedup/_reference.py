@@ -20,7 +20,9 @@ re-evaluation and no cross-pair caching.
 from __future__ import annotations
 
 import itertools
-from typing import Callable, Dict, Iterable, Sequence, Set, Tuple
+from typing import Callable, Dict, Iterable, List, Sequence, Set, Tuple
+
+from repro.dedup.evaluate import EvaluationPoint
 
 Pair = Tuple[int, int]
 SimilarityFn = Callable[[str, str], float]
@@ -214,3 +216,44 @@ def score_candidates_reference(
         )
         for pair in candidates
     }
+
+
+def evaluate_thresholds_reference(
+    similarities: Dict[Pair, float],
+    gold: Set[Pair],
+    thresholds: Sequence[float],
+) -> List[EvaluationPoint]:
+    """The historical sort-based threshold sweep.
+
+    Sorts every ``(pair, score)`` item by descending score, then sweeps the
+    thresholds in descending order so that each pair is classified exactly
+    once across the whole sweep.  Points come back in ascending threshold
+    order.  The oracle of the counting sweep
+    :func:`repro.dedup.evaluate.evaluate_thresholds` for scores that are
+    not NaN (a NaN stops this sweep where it sorts).
+    """
+    ordered = sorted(similarities.items(), key=lambda item: -item[1])
+    points: List[EvaluationPoint] = []
+    thresholds_desc = sorted(thresholds, reverse=True)
+    index = 0
+    true_positives = 0
+    false_positives = 0
+    gold_total = len(gold)
+    for threshold in thresholds_desc:
+        while index < len(ordered) and ordered[index][1] >= threshold:
+            pair = ordered[index][0]
+            if pair in gold:
+                true_positives += 1
+            else:
+                false_positives += 1
+            index += 1
+        points.append(
+            EvaluationPoint(
+                threshold=threshold,
+                true_positives=true_positives,
+                false_positives=false_positives,
+                false_negatives=gold_total - true_positives,
+            )
+        )
+    points.reverse()  # return in ascending threshold order
+    return points

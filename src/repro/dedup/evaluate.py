@@ -67,39 +67,38 @@ def evaluate_thresholds(
     gold: Set[Pair],
     thresholds: Sequence[float],
 ) -> List[EvaluationPoint]:
-    """One evaluation point per threshold.
+    """One evaluation point per threshold, in ascending threshold order.
 
-    Pairs never scored (not candidates) count as non-duplicates, so recall
-    is measured against the *full* gold standard, exactly as in the paper
-    (blocking happened to lose no true duplicate there; here it would show
-    up as irreducible false negatives).
+    A pair counts as a predicted duplicate at every threshold its score
+    reaches (``score >= threshold``), so a NaN score counts below every
+    threshold.  Pairs never scored (not candidates) count as
+    non-duplicates, so recall is measured against the *full* gold standard,
+    exactly as in the paper (blocking happened to lose no true duplicate
+    there; here it would show up as irreducible false negatives).
+
+    The sweep counts: per threshold, numpy counts the scores at or above it
+    among all pairs and among the scored gold pairs.  Equal to the sort-based
+    :func:`repro.dedup._reference.evaluate_thresholds_reference`.
     """
-    # Sort pairs by similarity descending; sweep thresholds descending so
-    # each pair is classified exactly once across the whole sweep.
-    ordered = sorted(similarities.items(), key=lambda item: -item[1])
-    points: List[EvaluationPoint] = []
-    thresholds_desc = sorted(thresholds, reverse=True)
-    index = 0
-    true_positives = 0
-    false_positives = 0
-    gold_total = len(gold)
-    for threshold in thresholds_desc:
-        while index < len(ordered) and ordered[index][1] >= threshold:
-            pair = ordered[index][0]
-            if pair in gold:
-                true_positives += 1
-            else:
-                false_positives += 1
-            index += 1
+    import numpy as np
+
+    scores = np.fromiter(similarities.values(), dtype=np.float64, count=len(similarities))
+    gold_scores = np.array(
+        [similarities[pair] for pair in gold if pair in similarities], dtype=np.float64
+    )
+    points = []
+    # Not sorted(thresholds): thresholds that compare equal (0.0 and -0.0)
+    # come out in the order the sort-based sweep has always given them.
+    for threshold in sorted(thresholds, reverse=True)[::-1]:
+        true_positives = int(np.count_nonzero(gold_scores >= threshold))
         points.append(
             EvaluationPoint(
                 threshold=threshold,
                 true_positives=true_positives,
-                false_positives=false_positives,
-                false_negatives=gold_total - true_positives,
+                false_positives=int(np.count_nonzero(scores >= threshold)) - true_positives,
+                false_negatives=len(gold) - true_positives,
             )
         )
-    points.reverse()  # return in ascending threshold order
     return points
 
 

@@ -13,9 +13,14 @@ records (in sorted string order) and keeps their value ids, one row per
 attribute;
 :meth:`PreparedRecords.score` gathers the (left, right) value-id columns of
 all candidate keys — every name-by-name cross column plus one column per
-other attribute — sends each distinct unequal value pair to the measure
-exactly once through :meth:`repro.textsim.SimilarityMeasure.similarities`,
-and assembles the record similarities column by column.  Elementwise
+other attribute — and deduplicates their canonical value-pair codes with
+one packed sort each (:func:`repro.textsim.fast.unique_inverse`).  It hands
+the value table and the distinct unequal ``(low id, high id)`` columns to
+the measure in one
+:meth:`repro.textsim.SimilarityMeasure.table_similarities` call, so each
+distinct value pair reaches the measure exactly once, and the kernels of
+the paper's three measures take the ids without building string lists.
+It then assembles the record similarities column by column.  Elementwise
 float64 operations are correctly rounded and never fused, so assembling
 in the per-pair accumulation order gives the same bits as
 :func:`repro.dedup._reference.record_similarity_reference`.  Nothing
@@ -91,7 +96,8 @@ class PreparedRecords:
         Returns ``{(i, j): similarity}`` in sorted key order, every float
         bit-identical to
         :func:`repro.dedup._reference.record_similarity_reference`.  Each
-        distinct unequal value pair reaches the measure once per call;
+        distinct unequal value pair reaches the measure once per call, as
+        ids into ``values``;
         equal values score exactly 1.0 without a measure call.  The
         accumulation follows the per-pair order column by column: each
         name permutation sums ``0.0 + w0*s + w1*s + ...`` in slot order,
@@ -114,13 +120,10 @@ class PreparedRecords:
         )
         lows, highs = np.divmod(codes, len(self.values))
         unequal = np.flatnonzero(lows != highs)
-        values = self.values
-        lefts = [values[k] for k in lows[unequal].tolist()]
-        rights = [values[k] for k in highs[unequal].tolist()]
-        del lows, highs
+        lows, highs = lows[unequal], highs[unequal]
         table = np.ones(len(codes), dtype=np.float64)
-        table[unequal] = matcher._similarities(lefts, rights)
-        del lefts, rights, unequal
+        table[unequal] = matcher._similarities(self.values, lows, highs)
+        del lows, highs, unequal
         name_scores, other_scores = (
             table.take(codes.searchsorted(distinct)).take(rows)
             for distinct, rows in blocks
@@ -204,13 +207,17 @@ class RecordMatcher:
         """Entropy-weight the attributes from the records themselves."""
         return cls(measure, entropy_weights(records, attributes), name_attributes)
 
-    def _similarities(self, lefts: List[str], rights: List[str]) -> List[float]:
-        """The measure over value pairs: its batch method when it is a
-        :class:`~repro.textsim.SimilarityMeasure`, else one call per pair."""
+    def _similarities(self, values: List[str], lows: Any, highs: Any) -> Sequence[float]:
+        """The measure over the value pairs ``(values[lows[k]], values[highs[k]])``:
+        its table entry when it is a :class:`~repro.textsim.SimilarityMeasure`,
+        else one call per pair."""
         measure = self.measure
         if isinstance(measure, SimilarityMeasure):
-            return measure.similarities(lefts, rights)
-        return [measure(left, right) for left, right in zip(lefts, rights)]
+            return measure.table_similarities(values, lows, highs)
+        return [
+            measure(values[low], values[high])
+            for low, high in zip(lows.tolist(), highs.tolist())
+        ]
 
     def prepare(self, records: Sequence[Dict[str, str]]) -> PreparedRecords:
         """Number the records' distinct values for batch scoring.

@@ -26,7 +26,14 @@ Batch entry points for the paper's three evaluation measures sit on top:
 distinct token pair scored once through the OSA lanes, Monge-Elkan
 assembled on token-id matrices), :func:`jaro_winkler_similarities` and
 :func:`jaccard_qgram_similarities` (one gram set per distinct value).
-numpy is imported inside these functions only, so importing
+Each of these entries numbers its values (:func:`_distinct_pairs`) and
+calls one id core: :func:`monge_elkan_table`, :func:`jaro_winkler_table`
+or :func:`jaccard_qgram_table`.  The record matcher, which numbers its
+values already, calls those cores directly through
+:meth:`repro.textsim.SimilarityMeasure.table_similarities`.
+Value-pair and token-pair codes, and character codes, are deduplicated by
+:func:`unique_inverse`: one ``ndarray.sort`` of packed value-and-position
+keys.  numpy is imported inside these functions only, so importing
 :mod:`repro.textsim` never loads it.
 
 The other kernels serve scalar callers (heterogeneity and plausibility
@@ -358,18 +365,45 @@ def sorted_unique(np: Any, values: Any) -> Any:
 
 
 def unique_inverse(np: Any, values: Any) -> Tuple[Any, Any]:
-    """The sorted distinct elements of an array and, per element, the
-    ``int32`` index of its value among them (in the array's shape)."""
+    """The sorted distinct elements of an integer array and, per element,
+    the ``int32`` index of its value among them (in the array's shape).
+
+    Equal to ``np.unique(values, return_inverse=True)``.  One
+    ``ndarray.sort`` of packed ``int64`` keys ``(value - low) << shift |
+    position`` does the work, with ``shift`` the bit length of the last
+    position: sorting the keys orders the values (ties by position), and
+    each sorted key gives back its value and where it came from.  That
+    sort is several times faster than an ``argsort``.  An array whose value
+    range and length do not fit in 63 bits together takes the ``argsort``.
+    """
     flat = values.reshape(-1)
-    order = flat.argsort()
-    ordered = flat.take(order)
-    fresh = np.ones(len(ordered), dtype=bool)
+    count = len(flat)
+    if not count:
+        return flat.copy(), np.zeros(values.shape, dtype=np.int32)
+    low = int(flat.min())
+    shift = (count - 1).bit_length()
+    if (int(flat.max()) - low) >> (63 - shift):
+        order = flat.argsort()
+        ordered = flat.take(order)
+    else:
+        order = flat.astype(np.int64)
+        order -= low
+        order <<= shift
+        # One buffer holds the positions, then the sorted values; the
+        # sorted keys keep only their positions.
+        ordered = np.arange(count, dtype=np.int64)
+        order |= ordered
+        order.sort()
+        np.right_shift(order, shift, out=ordered)
+        ordered += low
+        order &= (1 << shift) - 1
+    fresh = np.ones(count, dtype=bool)
     np.not_equal(ordered[1:], ordered[:-1], out=fresh[1:])
-    distinct = ordered[fresh]
+    distinct = ordered[fresh].astype(flat.dtype, copy=False)
     del ordered
     ranks = fresh.cumsum(dtype=np.int32)
     ranks -= 1
-    inverse = np.empty(len(flat), dtype=np.int32)
+    inverse = np.empty(count, dtype=np.int32)
     inverse[order] = ranks
     return distinct, inverse.reshape(values.shape)
 
@@ -610,6 +644,27 @@ def jaro_winkler_similarities(
     import numpy as np
 
     strings, left_ids, right_ids = _distinct_pairs(np, lefts, rights)
+    return jaro_winkler_table(
+        strings, left_ids, right_ids, prefix_weight, max_prefix
+    ).tolist()
+
+
+def jaro_winkler_table(
+    strings: Sequence[str],
+    left_ids: Any,
+    right_ids: Any,
+    prefix_weight: float = 0.1,
+    max_prefix: int = 4,
+) -> Any:
+    """Jaro-Winkler of every id pair of a table of distinct strings.
+
+    Pair ``k`` is ``(strings[left_ids[k]], strings[right_ids[k]])``; the
+    ids are ``int64`` arrays and the result is a ``float64`` array.  The
+    core of :func:`jaro_winkler_similarities`, which numbers its values
+    first.
+    """
+    import numpy as np
+
     jaro, encoding = _jaro_batch(np, strings, left_ids, right_ids)
     # len(s[:max_prefix]) for every string, then the common prefix inside it.
     lengths = encoding.lengths
@@ -630,7 +685,7 @@ def jaro_winkler_similarities(
         prefix[k] = common_prefix_length(
             strings[left_ids[k]], strings[right_ids[k]], max_prefix
         )
-    return (jaro + prefix * prefix_weight * (1.0 - jaro)).tolist()
+    return jaro + prefix * prefix_weight * (1.0 - jaro)
 
 
 # --------------------------------------------------------------- Monge-Elkan
@@ -727,7 +782,19 @@ def monge_elkan_similarities(
     """Symmetrised Monge-Elkan (DL internal measure) of every pair.
 
     Equal to ``[symmetric_monge_elkan_cached(l, r) for l, r in zip(...)]``.
-    Each distinct value is tokenised once and each distinct unequal token
+    """
+    import numpy as np
+
+    return monge_elkan_table(*_distinct_pairs(np, lefts, rights)).tolist()
+
+
+def monge_elkan_table(strings: Sequence[str], left_ids: Any, right_ids: Any) -> Any:
+    """Symmetrised Monge-Elkan of every id pair of a table of distinct strings.
+
+    Pair ``k`` is ``(strings[left_ids[k]], strings[right_ids[k]])``; the
+    ids are ``int64`` arrays and the result is a ``float64`` array.  The
+    core of :func:`monge_elkan_similarities`, which numbers its values
+    first.  Each string is tokenised once and each distinct unequal token
     pair is scored once through the OSA lanes.  Pairs are grouped by their
     token counts ``(a, b)``; within a group the token similarities form an
     ``(n, a, b)`` matrix whose row and column maxima are summed in token
@@ -735,7 +802,6 @@ def monge_elkan_similarities(
     """
     import numpy as np
 
-    strings, left_ids, right_ids = _distinct_pairs(np, lefts, rights)
     token_index: Dict[str, int] = {}
     token_rows = [
         [token_index.setdefault(token, len(token_index)) for token in tokenize(s)]
@@ -785,7 +851,7 @@ def monge_elkan_similarities(
         forward = scores.max(axis=2).cumsum(axis=1)[:, -1]
         backward = scores.max(axis=1).cumsum(axis=1)[:, -1]
         result[members] = (forward / a + backward / b) / 2.0
-    return result.tolist()
+    return result
 
 
 # ------------------------------------------------------------------- Jaccard
@@ -822,26 +888,41 @@ def jaccard_qgram_similarities(
     Equal to ``[jaccard_qgrams(l, r, q, pad) for l, r in zip(...)]``; the
     gram sets live for this call only and never touch :func:`qgram_set`.
     """
-    grams: Dict[object, Tuple[str, frozenset]] = {}
-    for value in dict.fromkeys(itertools.chain(lefts, rights)):
-        text = normalize_for_comparison(value)
-        grams[value] = (text, frozenset(qgrams(text, q, pad)))
-    result = []
-    for left, right in zip(lefts, rights):
-        text_left, grams_left = grams[left]
-        text_right, grams_right = grams[right]
-        if text_left == text_right:
-            result.append(1.0)
-        elif not grams_left and not grams_right:
-            result.append(1.0)
-        elif not grams_left or not grams_right:
-            result.append(0.0)
-        else:
-            intersection = len(grams_left & grams_right)
-            result.append(
-                intersection / (len(grams_left) + len(grams_right) - intersection)
-            )
-    return result
+    import numpy as np
+
+    strings, left_ids, right_ids = _distinct_pairs(np, lefts, rights)
+    return jaccard_qgram_table(strings, left_ids, right_ids, q, pad).tolist()
+
+
+def jaccard_qgram_table(
+    strings: Sequence[str], left_ids: Any, right_ids: Any, q: int = 3, pad: bool = True
+) -> Any:
+    """q-gram Jaccard of every id pair of a table of distinct strings.
+
+    Pair ``k`` is ``(strings[left_ids[k]], strings[right_ids[k]])``; the
+    ids are ``int64`` arrays and the result is a ``float64`` array.  The
+    core of :func:`jaccard_qgram_similarities`.  One gram set per string;
+    the pairs loop in Python over the gram sets the ids pick.  Equal ids
+    give ``|L| / (2|L| - |L|) == 1.0``, or 1.0 for two empty sets, as
+    equal strings do.
+    """
+    import numpy as np
+
+    grams = np.empty(len(strings), dtype=object)
+    grams[:] = [frozenset(qgrams(text, q, pad)) for text in strings]
+    lefts = grams.take(left_ids).tolist()
+    rights = grams.take(right_ids).tolist()
+    del grams
+    return np.fromiter(
+        (
+            (shared := len(left & right)) / (len(left) + len(right) - shared)
+            if left and right
+            else (0.0 if left or right else 1.0)
+            for left, right in zip(lefts, rights)
+        ),
+        dtype=np.float64,
+        count=len(lefts),
+    )
 
 
 def jaccard_qgrams_at_least(

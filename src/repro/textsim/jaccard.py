@@ -2,7 +2,7 @@
 
 from __future__ import annotations
 
-from typing import List, Optional, Sequence
+from typing import Any, List, Optional, Sequence
 
 from repro.textsim import fast
 from repro.textsim.base import SimilarityMeasure, normalize_for_comparison
@@ -80,3 +80,10 @@ class QgramJaccard(SimilarityMeasure):
     def similarities(self, lefts: Sequence[str], rights: Sequence[str]) -> List[float]:
         """q-gram Jaccard of every pair, one gram set per distinct value."""
         return fast.jaccard_qgram_similarities(lefts, rights, self.q, self.pad)
+
+    def table_similarities(
+        self, values: Sequence[str], lows: Any, highs: Any
+    ) -> Sequence[float]:
+        """q-gram Jaccard of every id pair of a value table, the ids handed
+        straight to :func:`repro.textsim.fast.jaccard_qgram_table`."""
+        return fast.jaccard_qgram_table(values, lows, highs, self.q, self.pad)

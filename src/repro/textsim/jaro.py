@@ -2,7 +2,7 @@
 
 from __future__ import annotations
 
-from typing import List, Sequence
+from typing import Any, List, Sequence
 
 from repro.textsim import fast
 from repro.textsim.base import SimilarityMeasure, normalize_for_comparison
@@ -60,4 +60,13 @@ class JaroWinkler(SimilarityMeasure):
         """Jaro-Winkler of every pair through the ``uint64`` lane kernel."""
         return fast.jaro_winkler_similarities(
             lefts, rights, self.prefix_weight, self.max_prefix
+        )
+
+    def table_similarities(
+        self, values: Sequence[str], lows: Any, highs: Any
+    ) -> Sequence[float]:
+        """Jaro-Winkler of every id pair of a value table, the ids handed
+        straight to the lane kernel :func:`repro.textsim.fast.jaro_winkler_table`."""
+        return fast.jaro_winkler_table(
+            values, lows, highs, self.prefix_weight, self.max_prefix
         )

@@ -13,7 +13,7 @@ attributes (Section 6.3).
 
 from __future__ import annotations
 
-from typing import Callable, List, Optional, Sequence
+from typing import Any, Callable, List, Optional, Sequence
 
 from repro.textsim import fast
 from repro.textsim.base import SimilarityMeasure, normalize_for_comparison
@@ -107,6 +107,24 @@ class MongeElkan(SimilarityMeasure):
         :func:`repro.textsim.fast.monge_elkan_similarities`; any other
         configuration loops over :meth:`similarity`.
         """
-        if self.symmetric and self.token_similarity is damerau_levenshtein_similarity:
+        if self._lanes:
             return fast.monge_elkan_similarities(lefts, rights)
         return super().similarities(lefts, rights)
+
+    def table_similarities(
+        self, values: Sequence[str], lows: Any, highs: Any
+    ) -> Sequence[float]:
+        """Monge-Elkan of every id pair of a value table.
+
+        The paper's symmetric ME/Lev hands the ids straight to
+        :func:`repro.textsim.fast.monge_elkan_table`, the core of
+        :meth:`similarities`; any other configuration builds the strings.
+        """
+        if self._lanes:
+            return fast.monge_elkan_table(values, lows, highs)
+        return super().table_similarities(values, lows, highs)
+
+    @property
+    def _lanes(self) -> bool:
+        """Whether the batch kernels apply: symmetric ME with DL tokens."""
+        return self.symmetric and self.token_similarity is damerau_levenshtein_similarity

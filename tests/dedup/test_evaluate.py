@@ -1,6 +1,10 @@
 """Tests for threshold sweeps and P/R/F1."""
 
+import math
+
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.dedup import (
     EvaluationPoint,
@@ -13,6 +17,7 @@ from repro.dedup import (
     precision_recall_f1,
     score_candidates_packed,
 )
+from repro.dedup._reference import evaluate_thresholds_reference
 
 
 class TestBasicMetrics:
@@ -107,6 +112,57 @@ class TestEvaluateThresholds:
     def test_pair_on_threshold_boundary_included(self):
         points = evaluate_thresholds({(0, 1): 0.5}, {(0, 1)}, [0.5])
         assert points[0].true_positives == 1
+
+
+pairs = st.tuples(st.integers(min_value=0, max_value=5), st.integers(min_value=0, max_value=5))
+# Thresholds repeat and come unsorted; scores often sit exactly on one.
+threshold_lists = st.lists(
+    st.one_of(st.sampled_from([0.0, 0.2, 0.25, 0.5, 0.95, 1.0]), st.floats(0.0, 1.0)),
+    max_size=12,
+)
+
+
+class TestCountingSweepMatchesSortOracle:
+    @given(st.data(), threshold_lists, st.sets(pairs, max_size=12))
+    @settings(max_examples=300, deadline=None)
+    def test_equal_to_the_sort_based_sweep(self, data, thresholds, gold):
+        scores = st.one_of(
+            st.floats(-1.0, 2.0), st.sampled_from(thresholds or [0.5]), st.just(-0.0)
+        )
+        similarities = data.draw(st.dictionaries(pairs, scores, max_size=30))
+        assert evaluate_thresholds(similarities, gold, thresholds) == (
+            evaluate_thresholds_reference(similarities, gold, thresholds)
+        )
+
+    def test_scores_on_duplicate_unsorted_thresholds(self):
+        similarities = {(0, 1): 0.5, (0, 2): 0.25, (1, 2): 0.5, (2, 3): 0.95}
+        gold = {(0, 1), (2, 3), (4, 5)}
+        thresholds = [0.5, 0.25, 0.95, 0.5, 0.0]
+        points = evaluate_thresholds(similarities, gold, thresholds)
+        assert points == evaluate_thresholds_reference(similarities, gold, thresholds)
+        assert [(p.threshold, p.true_positives, p.false_positives) for p in points] == [
+            (0.0, 2, 2), (0.25, 2, 2), (0.5, 2, 1), (0.5, 2, 1), (0.95, 1, 0),
+        ]
+        assert all(p.false_negatives == 3 - p.true_positives for p in points)
+
+    def test_equal_thresholds_keep_the_sort_based_order(self):
+        thresholds = [0.0, -0.0]
+        points = evaluate_thresholds({(0, 1): 0.0}, set(), thresholds)
+        assert [str(p.threshold) for p in points] == ["-0.0", "0.0"]
+        assert points == evaluate_thresholds_reference({(0, 1): 0.0}, set(), thresholds)
+
+    def test_empty_similarities(self):
+        for gold in (set(), {(0, 1)}):
+            assert evaluate_thresholds({}, gold, [0.5, 0.1]) == (
+                evaluate_thresholds_reference({}, gold, [0.5, 0.1])
+            )
+
+    def test_nan_score_counts_below_every_threshold(self):
+        similarities = {(0, 1): math.nan, (0, 2): 0.5, (1, 2): math.nan}
+        points = evaluate_thresholds(similarities, {(0, 1), (0, 2)}, [-1.0, 0.0, 0.5])
+        assert [(p.true_positives, p.false_positives, p.false_negatives) for p in points] == [
+            (1, 0, 1), (1, 0, 1), (1, 0, 1),
+        ]
 
 
 class TestBestF1:

@@ -452,6 +452,54 @@ class TestDurableGenerate:
         output = capsys.readouterr().out
         assert "already committed" in output
 
+    def test_crash_and_resume_keep_every_table1_row(
+        self, workspace, tmp_path, capsys, monkeypatch
+    ):
+        """A crash after four of six snapshots loses no ``import_stats`` row."""
+        from repro.core.generator import TestDataGenerator
+        from repro.docstore import Database
+        from repro.faults import CrashError
+
+        _root, snaps, _store = workspace
+        whole, resumed = tmp_path / "whole", tmp_path / "resumed"
+        assert main([
+            "generate", "--snapshots", str(snaps), "--store", str(whole), "--durable",
+        ]) == 0
+        imported = []
+        original = TestDataGenerator.import_snapshot
+
+        def crash_on_fifth(generator, snapshot):
+            imported.append(snapshot.date)
+            if len(imported) == 5:
+                raise CrashError("process died while importing the fifth snapshot")
+            return original(generator, snapshot)
+
+        with monkeypatch.context() as patch:
+            patch.setattr(TestDataGenerator, "import_snapshot", crash_on_fifth)
+            with pytest.raises(CrashError):
+                main([
+                    "generate", "--snapshots", str(snaps), "--store", str(resumed),
+                    "--durable",
+                ])
+        capsys.readouterr()
+        assert main(["stats", "--store", str(resumed)]) == 1
+        assert f"Table 1 lacks 4 committed snapshot(s): {', '.join(imported[:4])}" in (
+            capsys.readouterr().out
+        )
+        assert main([
+            "generate", "--snapshots", str(snaps), "--store", str(resumed), "--durable",
+        ]) == 0
+        assert "resuming: 4 snapshot(s) already committed" in capsys.readouterr().out
+
+        def table1(store):
+            rows = Database.load(store)["import_stats"].find(sort=[("snapshot_date", 1)])
+            return [{key: row[key] for key in row if key != "_id"} for row in rows]
+
+        assert len(table1(whole)) == 6
+        assert table1(resumed) == table1(whole)
+        assert main(["stats", "--store", str(resumed)]) == 0
+        assert "Table 1 lacks" not in capsys.readouterr().out
+
     def test_durable_matches_plain_generate(self, workspace, tmp_path):
         _root, snaps, _store = workspace
         durable = tmp_path / "durable"

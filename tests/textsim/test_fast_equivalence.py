@@ -247,6 +247,118 @@ def test_measure_batches_equal_per_pair_calls(measure):
     ]
 
 
+# ------------------------------------------- table entries and unique_inverse
+
+# Values the record matcher's table holds: short names, values past the
+# lane width, empty and whitespace-only values, and non-ASCII text.
+table_value = st.one_of(
+    any_text,
+    st.text(alphabet="AB C", min_size=fast.LANE_WIDTH - 2, max_size=fast.LANE_WIDTH + 6),
+    st.text(alphabet=" \t", max_size=4),
+    st.text(alphabet="AÉß中😀 ", max_size=8),
+)
+
+TABLE_MEASURES = [
+    (MongeElkan(), ref.symmetric_monge_elkan),
+    (JaroWinkler(), ref.jaro_winkler),
+    (JaroWinkler(0.2, 3), lambda left, right: ref.jaro_winkler(left, right, 0.2, 3)),
+    (JaroWinkler(0.05, 8), lambda left, right: ref.jaro_winkler(left, right, 0.05, 8)),
+    (QgramJaccard(2, pad=False), lambda left, right: ref.jaccard_qgrams(left, right, 2, False)),
+    (QgramJaccard(4), lambda left, right: ref.jaccard_qgrams(left, right, 4)),
+]
+
+
+@given(st.lists(table_value, min_size=1, max_size=24, unique=True), st.data())
+@settings(max_examples=120, deadline=None)
+def test_table_entries_match_string_entries_and_reference(values, data):
+    """``table_similarities`` over a sorted table of distinct values equals
+    ``similarities`` over the strings and the naive oracle, bit for bit."""
+    import numpy as np
+
+    values = sorted(values)
+    ids = st.integers(min_value=0, max_value=len(values) - 1)
+    pairs = data.draw(st.lists(st.tuples(ids, ids), max_size=40))
+    lows = np.array([low for low, _ in pairs], dtype=np.int64)
+    highs = np.array([high for _, high in pairs], dtype=np.int64)
+    lefts = [values[low] for low, _ in pairs]
+    rights = [values[high] for _, high in pairs]
+    for measure, oracle in TABLE_MEASURES:
+        expected = [oracle(left, right) for left, right in zip(lefts, rights)]
+        table = measure.table_similarities(values, lows, highs)
+        assert np.asarray(table, dtype=np.float64).tolist() == expected, measure
+        assert measure.similarities(lefts, rights) == expected, measure
+
+
+def test_table_entries_on_a_lane_width_table():
+    """Every pair of a table mixing values around the lane width with
+    empty, blank and non-ASCII values."""
+    import numpy as np
+
+    rng = random.Random(64)
+    base = "".join(rng.choice("ABC ") for _ in range(fast.LANE_WIDTH + 3))
+    values = sorted({
+        base, base[:63], base[:64], base[:65], base[1:], base.replace("A", "B"),
+        "", " ", "  ", "É", "ÉLODIE", "ELODIE", "中文", "😀A", "A B", "B A",
+    })
+    pairs = [(low, high) for low in range(len(values)) for high in range(len(values))]
+    lows = np.array([low for low, _ in pairs], dtype=np.int64)
+    highs = np.array([high for _, high in pairs], dtype=np.int64)
+    for measure, oracle in TABLE_MEASURES:
+        expected = [oracle(values[low], values[high]) for low, high in pairs]
+        table = measure.table_similarities(values, lows, highs)
+        assert np.asarray(table, dtype=np.float64).tolist() == expected, measure
+
+
+def _assert_unique_inverse(values):
+    import numpy as np
+
+    distinct, inverse = fast.unique_inverse(np, values)
+    expected, expected_inverse = np.unique(values, return_inverse=True)
+    assert distinct.dtype == values.dtype
+    assert distinct.tolist() == expected.tolist()
+    assert inverse.shape == values.shape
+    assert inverse.reshape(-1).tolist() == expected_inverse.reshape(-1).tolist()
+
+
+@given(st.lists(st.integers(min_value=-(2**40), max_value=2**40), max_size=60))
+@settings(max_examples=200, deadline=None)
+def test_unique_inverse_matches_numpy(values):
+    import numpy as np
+
+    _assert_unique_inverse(np.array(values, dtype=np.int64))
+
+
+@pytest.mark.parametrize("count", [0, 1, 2, 5, 1000])
+def test_unique_inverse_at_the_packed_key_bit_budget(count):
+    """The packed sort key holds ``(value - low) << shift | position`` with
+    ``shift`` the bit length of the last position: a value range of
+    ``2**(63 - shift) - 1`` still fits in 63 bits, one more does not and
+    takes the argsort.  Both must give numpy's answer."""
+    import numpy as np
+
+    rng = np.random.default_rng(count)
+    shift = max(count - 1, 0).bit_length()
+    for low in (-(2**62), -5, 0, 7):
+        for span in (2 ** (63 - shift) - 1, 2 ** (63 - shift)):
+            high = low + span
+            if high >= 2**63:
+                continue
+            values = rng.integers(low, high, size=count, endpoint=True, dtype=np.int64)
+            if count >= 2:
+                values[0], values[-1] = low, high
+            _assert_unique_inverse(values)
+    extremes = np.array([2**63 - 1, -(2**63), 0, -1, 2**63 - 1], dtype=np.int64)
+    _assert_unique_inverse(extremes[:count])
+
+
+def test_unique_inverse_keeps_shape_and_dtype():
+    import numpy as np
+
+    _assert_unique_inverse(np.array([[3, -1, 3], [7, -1, 0]], dtype=np.int64))
+    _assert_unique_inverse(np.array([66, 65, 20013, 66, 128512], dtype=np.uint32))
+    _assert_unique_inverse(np.zeros((0, 3), dtype=np.int64))
+
+
 def test_entry_modules_import_without_numpy():
     """numpy loads only when a batch is scored, never at import time."""
     code = (
