@@ -122,6 +122,10 @@ def _growth_exponent(sizes: List[Dict], field: str) -> Optional[float]:
 
 
 def run_benchmark(initial_sizes: Sequence[int], repeats: int) -> Dict:
+    # The LSH pass imports numpy on first use; import it before any timing
+    # so the smallest size does not carry that one-off cost.
+    import numpy  # noqa: F401
+
     attributes = [a for a in PERSON_ATTRIBUTES if a != "ncid"]
     sizes: List[Dict] = []
     for initial_voters in initial_sizes:

@@ -36,6 +36,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import math
 import sys
 from pathlib import Path
 from typing import Callable, List, Optional, Sequence, Set, Tuple
@@ -536,6 +537,34 @@ def _count_at_least(minimum: int) -> Callable[[str], int]:
     return parse
 
 
+def _number_in(minimum: float, maximum: float = math.inf) -> Callable[[str], float]:
+    """An argparse ``type``: a finite float in ``[minimum, maximum]``.
+
+    Rejecting ``--share 1.5``, ``--errors -3`` or ``--threshold nan`` here
+    makes it a usage error naming the flag, raised before any input is
+    read.
+    """
+    bounds = f"in [{minimum:g}, {maximum:g}]" if maximum < math.inf else f">= {minimum:g}"
+
+    def parse(value: str) -> float:
+        try:
+            number = float(value)
+        except ValueError:
+            raise argparse.ArgumentTypeError(
+                f"expected a number, got {value!r}"
+            ) from None
+        if not (math.isfinite(number) and minimum <= number <= maximum):
+            raise argparse.ArgumentTypeError(
+                f"must be a finite number {bounds}, got {value}"
+            )
+        return number
+
+    return parse
+
+
+_fraction = _number_in(0.0, 1.0)
+
+
 def _cmd_detect(args: argparse.Namespace) -> int:
     from repro.dedup import DetectionPipeline, RecordMatcher
     from repro.dedup.pipeline import DEFAULT_THRESHOLDS
@@ -863,8 +892,8 @@ def build_parser() -> argparse.ArgumentParser:
     custom = sub.add_parser("customize", help="store -> CSV test dataset")
     custom.add_argument("--store", required=True)
     custom.add_argument("--out", required=True, help="output CSV path")
-    custom.add_argument("--h-lo", type=float, default=0.0)
-    custom.add_argument("--h-hi", type=float, default=1.0)
+    custom.add_argument("--h-lo", type=_fraction, default=0.0)
+    custom.add_argument("--h-hi", type=_fraction, default=1.0)
     custom.add_argument("--clusters", type=_count_at_least(1), default=10_000)
     custom.add_argument("--seed", type=int, default=0)
     custom.set_defaults(func=_cmd_customize)
@@ -912,10 +941,10 @@ def build_parser() -> argparse.ArgumentParser:
         help="skip LSH buckets larger than this (reported, never silent)",
     )
     detect.add_argument(
-        "--cosine-floor", type=float, default=0.0,
+        "--cosine-floor", type=_fraction, default=0.0,
         help="drop LSH candidates below this TF-IDF cosine (0 disables)",
     )
-    detect.add_argument("--threshold", type=float, default=None,
+    detect.add_argument("--threshold", type=_fraction, default=None,
                         help="also report P/R/F1 at this exact threshold")
     detect.add_argument(
         "--workers", type=_count_at_least(0), default=0,
@@ -936,11 +965,11 @@ def build_parser() -> argparse.ArgumentParser:
         "augment", help="inject synthetic duplicates (pollution combination)"
     )
     augment.add_argument("--store", required=True)
-    augment.add_argument("--share", type=float, default=0.3,
+    augment.add_argument("--share", type=_fraction, default=0.3,
                          help="share of clusters to augment")
     augment.add_argument("--duplicates", type=_count_at_least(1), default=1,
                          help="synthetic duplicates per augmented cluster")
-    augment.add_argument("--errors", type=float, default=1.5,
+    augment.add_argument("--errors", type=_number_in(0.0), default=1.5,
                          help="corruptions per synthetic duplicate")
     augment.add_argument("--seed", type=int, default=0)
     augment.set_defaults(func=_cmd_augment)
@@ -949,7 +978,7 @@ def build_parser() -> argparse.ArgumentParser:
         "repair", help="report (and optionally split) unsound clusters"
     )
     repair.add_argument("--store", required=True)
-    repair.add_argument("--threshold", type=float, default=0.8,
+    repair.add_argument("--threshold", type=_fraction, default=0.8,
                         help="plausibility threshold for soundness")
     repair.add_argument("--apply", action="store_true",
                         help="persist the splits back into the store")
@@ -1046,6 +1075,11 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     """CLI entry point; returns the process exit code."""
     parser = build_parser()
     args = parser.parse_args(argv)
+    # customize's range spans two flags, so no per-flag type can check it.
+    if getattr(args, "h_lo", 0.0) > getattr(args, "h_hi", 1.0):
+        parser.error(
+            f"argument --h-lo: must be <= --h-hi ({args.h_hi}), got {args.h_lo}"
+        )
     try:
         return args.func(args)
     except QuarantineError as exc:

@@ -4,9 +4,11 @@ The straightforward tuple-set / per-pair implementations that
 :mod:`repro.dedup.pipeline` replaces on the hot path, kept in-tree for the
 same two reasons as :mod:`repro.textsim._reference`:
 
-* the equivalence suite (``tests/dedup/test_pipeline_equivalence.py``)
-  asserts that packed-key candidate generation and prepared/batched/
-  parallel pair scoring are **bit-identical** to these oracles;
+* the equivalence suites (``tests/dedup/test_pipeline_equivalence.py``,
+  ``tests/dedup/test_lsh_equivalence.py``) assert that packed-key
+  candidate generation, MinHash–LSH signatures and buckets, and
+  prepared/batched/parallel pair scoring are **bit-identical** to these
+  oracles;
 * the detection benchmark (``benchmarks/dedup_bench.py``) measures the
   streaming pipeline's speedup against them.
 
@@ -19,10 +21,15 @@ re-evaluation and no cross-pair caching.
 
 from __future__ import annotations
 
+import hashlib
 import itertools
-from typing import Callable, Dict, Iterable, List, Sequence, Set, Tuple
+import random
+from typing import Callable, Dict, Iterable, Iterator, List, Optional, Sequence, Set, Tuple
 
+from repro.dedup.embeddings import shingle_record
 from repro.dedup.evaluate import EvaluationPoint
+from repro.dedup.lsh import BucketStats, LshPassStats
+from repro.dedup.pipeline import CandidateStats, _check_packable, collect_candidates
 
 Pair = Tuple[int, int]
 SimilarityFn = Callable[[str, str], float]
@@ -138,6 +145,137 @@ def allpairs_shingle_jaccard_reference(
             if similarity >= threshold:
                 pairs.add((left_id, right_id))
     return pairs
+
+
+def minhash_signatures_reference(
+    records: Sequence[Dict[str, str]],
+    attributes: Sequence[str],
+    *,
+    bands: int = 16,
+    rows: int = 4,
+    ngram: int = 3,
+    seed: int = 20210323,
+) -> List[Optional[Tuple[int, ...]]]:
+    """Per-record MinHash over a per-shingle tuple cache (the historical
+    implementation of :func:`repro.dedup.lsh.minhash_signatures`).
+
+    The ``(a, b)`` permutation parameters are drawn from
+    ``random.Random(seed)``: every ``a`` in ``[1, p - 1]``, then every
+    ``b`` in ``[0, p - 1]``, over ``p = 2**61 - 1``.  Each distinct
+    shingle gets one blake2b hash ``x`` and one tuple of
+    ``(a * x + b) % p`` in Python ints; a record's signature is the
+    elementwise ``min`` over its shingles' tuples, or ``None`` when it
+    has no shingle.
+    """
+    if bands < 1 or rows < 1:
+        raise ValueError(f"bands and rows must be >= 1, got {bands}x{rows}")
+    prime = (1 << 61) - 1
+    rng = random.Random(seed)
+    a_params = [rng.randrange(1, prime) for _ in range(bands * rows)]
+    b_params = [rng.randrange(0, prime) for _ in range(bands * rows)]
+    params = tuple(zip(a_params, b_params))
+    vector_cache: Dict[str, Tuple[int, ...]] = {}
+    signatures: List[Optional[Tuple[int, ...]]] = []
+    for record in records:
+        shingles = shingle_record(record, attributes, ngram)
+        if not shingles:
+            signatures.append(None)
+            continue
+        vectors = []
+        for shingle in shingles:
+            vector = vector_cache.get(shingle)
+            if vector is None:
+                base = int.from_bytes(
+                    hashlib.blake2b(shingle.encode("utf-8"), digest_size=8).digest(),
+                    "big",
+                )
+                vector = tuple((a * base + b) % prime for a, b in params)
+                vector_cache[shingle] = vector
+            vectors.append(vector)
+        signatures.append(tuple(map(min, *vectors)) if len(vectors) > 1 else vectors[0])
+    return signatures
+
+
+def lsh_keys_reference(
+    signatures: Sequence[Optional[Tuple[int, ...]]],
+    record_count: int,
+    *,
+    bands: int,
+    rows: int,
+    max_bucket_size: int,
+    stats: BucketStats,
+) -> Iterator[int]:
+    """One banded-LSH pass over dict buckets (the historical
+    :func:`repro.dedup.lsh.iter_lsh_keys`).
+
+    One ``(band, minima)`` dict key per signed record and band; member
+    lists grow in record-id order, so each bucket's nested pairs are
+    canonical ``i < j`` packed keys.  ``stats`` is filled bucket by
+    bucket.
+    """
+    if max_bucket_size < 2:
+        raise ValueError(f"max_bucket_size must be >= 2, got {max_bucket_size}")
+    _check_packable(record_count)
+    buckets: Dict[Tuple[int, Tuple[int, ...]], List[int]] = {}
+    for record_id, signature in enumerate(signatures):
+        if signature is None:
+            continue
+        for band in range(bands):
+            band_key = (band, signature[band * rows : (band + 1) * rows])
+            buckets.setdefault(band_key, []).append(record_id)
+    for members in buckets.values():
+        size = len(members)
+        stats.buckets_total += 1
+        stats.records_bucketed += size
+        stats.bucket_sizes[size] = stats.bucket_sizes.get(size, 0) + 1
+        if size < 2:
+            continue
+        if size > max_bucket_size:
+            stats.buckets_skipped += 1
+            stats.pairs_dropped += size * (size - 1) // 2
+            continue
+        stats.pairs_emitted += size * (size - 1) // 2
+        for position, left in enumerate(members):
+            base = left * record_count
+            for other_position in range(position + 1, size):
+                yield base + members[other_position]
+
+
+def lsh_candidates_reference(
+    records: Sequence[Dict[str, str]],
+    attributes: Sequence[str],
+    *,
+    bands: int = 16,
+    rows: int = 4,
+    ngram: int = 3,
+    seed: int = 20210323,
+    max_bucket_size: int = 500,
+) -> Tuple[Set[int], CandidateStats]:
+    """One LSH pass without cosine prefilter, streamed through
+    :func:`~repro.dedup.pipeline.collect_candidates` (the historical
+    :func:`repro.dedup.lsh.lsh_candidates`)."""
+    signatures = minhash_signatures_reference(
+        records, attributes, bands=bands, rows=rows, ngram=ngram, seed=seed
+    )
+    bucket_stats = BucketStats()
+    stream = lsh_keys_reference(
+        signatures,
+        len(records),
+        bands=bands,
+        rows=rows,
+        max_bucket_size=max_bucket_size,
+        stats=bucket_stats,
+    )
+    keys, stats = collect_candidates((("lsh", stream),), len(records))
+    stats.passes[0] = LshPassStats(
+        label="lsh",
+        pairs_emitted=stats.passes[0].pairs_emitted,
+        pairs_new=len(keys),
+        blocks_skipped=bucket_stats.buckets_skipped,
+        pairs_dropped=bucket_stats.pairs_dropped,
+        buckets=bucket_stats,
+    )
+    return keys, stats
 
 
 def _value_similarity_reference(measure: SimilarityFn, left: str, right: str) -> float:

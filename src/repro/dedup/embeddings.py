@@ -7,8 +7,9 @@ but they still *share most of their character n-grams*.  This module
 turns each record into a sparse TF-IDF vector over its char-n-gram
 shingles so that
 
-* :mod:`repro.dedup.lsh` can MinHash the shingle sets into sub-quadratic
-  candidate buckets, and
+* :mod:`repro.dedup.lsh` can MinHash the same shingle sets (built there
+  from each distinct value's grams) into sub-quadratic candidate
+  buckets, and
 * :func:`cosine_prefilter` can cheaply re-rank / thin those buckets with
   an exact sparse cosine before the expensive record matcher runs.
 
@@ -153,8 +154,7 @@ def tfidf_vectors(
     occurs in a value or does not — :func:`shingle_record` returns sets),
     so tf is 1 and each row is just the idf vector of its shingles,
     normalised.  Pass precomputed ``shingles`` (from
-    :func:`record_shingles`) to avoid re-shingling when the MinHash pass
-    already did.
+    :func:`record_shingles`) to avoid re-shingling.
     """
     if shingles is None:
         shingles = record_shingles(records, attributes, ngram)

@@ -1,34 +1,54 @@
-"""MinHash–LSH candidate generation: sub-quadratic, typo-robust blocking.
+"""MinHash–LSH candidate generation: one signature matrix, one sort per band.
 
 Sorted Neighborhood and key blocking — the candidate generators the
 paper's Section 6.5 evaluation uses — are effectively quadratic in dense
 registers (every window/block pair is emitted) and blind to typo-heavy
 near-duplicates whose corrupted sort keys land them far apart.  This
-module adds the vector path from ROADMAP item 3: records are shingled
-into char-n-gram sets (:mod:`repro.dedup.embeddings`), MinHashed with
-``bands * rows`` seeded universal-hash permutations, and bucketed by
-band — two records become a candidate pair iff at least one band of
-their signatures collides, which happens with probability
-``1 - (1 - j**rows)**bands`` for shingle-Jaccard ``j`` (the classic
-S-curve).  Candidate volume scales with the number of *colliding*
-records, not with ``n**2``.
+module is the similarity-driven alternative: records are shingled into
+char-n-gram sets (grams never span attribute boundaries, as in
+:mod:`repro.dedup.embeddings`), MinHashed with ``bands * rows`` seeded
+universal-hash permutations, and bucketed by band — two records become a
+candidate pair iff at least one band of their signatures collides, which
+happens with probability ``1 - (1 - j**rows)**bands`` for
+shingle-Jaccard ``j`` (the classic S-curve).  Candidate volume scales
+with the number of *colliding* records, not with ``n**2``.
 
-The module speaks the packed-pair dialect of :mod:`repro.dedup.pipeline`
-end to end:
+The work scales with distinct values, not with record × shingle
+occurrences.  A record's shingle set is the union of its values' gram
+sets, and the minimum over a union is the minimum of the minima, so its
+MinHash is the elementwise minimum of its values' MinHashes:
 
-* :func:`iter_lsh_keys` streams canonical ``i < j`` packed 64-bit pair
-  keys out of the band buckets, for :func:`~repro.dedup.pipeline.collect_candidates`
-  to union and de-duplicate exactly like an SNM or blocking pass;
+1. the distinct stripped values of the shingled attributes are numbered
+   (a value shared by two attributes, or by many records, is one row);
+2. each distinct gram is hashed once (blake2b) and permuted by every
+   ``(a * h + b) mod (2**61 - 1)`` at once, exactly, in ``uint64``;
+3. each value's row is the minimum of its grams' rows, and
+4. each record's row the minimum of its values' rows.
+
+The result is one ``uint64`` signature matrix of shape
+``n × bands·rows`` — 8 bytes per minimum — whose rows are bit-identical
+to per-record MinHash over the shingle set.  A value shorter than
+``ngram`` is one gram; a record with no non-empty value has no signature
+(:data:`Signature` ``None``): its row holds a sentinel above every real
+minimum and it lands in no bucket.
+
+Bucketing sorts each band once.  A stable ``lexsort`` of the band's
+``rows`` columns puts equal band keys next to each other in record-id
+order, so every run of equal keys is one bucket and its nested pairs are
+canonical ``i < j`` packed keys (:mod:`repro.dedup.pipeline`) directly.
+Pair emission, the cross-band union and every :class:`BucketStats`
+counter come from the run lengths:
+
 * oversized buckets (frequent-value pile-ups: empty names, common
   cities) are skipped with **explicit accounting** — bucket counts, a
   bucket-size distribution and the dropped pair count land in
   :class:`BucketStats`, mirroring the no-silent-caps contract of the
   blocking passes' :class:`~repro.dedup.pipeline.PassStats`;
-* signature computation is sharded over
-  :func:`repro.core.parallel.run_shards` (contiguous record slices, the
-  merge is by position) — a pure per-record function, so any
-  ``(workers, shards)`` configuration is bit-identical and
-  ``repro.sanitizers.determinism_check`` passes at (1,1)/(2,4)/(4,8);
+* the signature matrix is optionally sharded over
+  :func:`repro.core.parallel.run_shards` (contiguous record slices, each
+  shard returns its slice of the matrix, merged by position) — rows are
+  a pure per-record function, so any ``(workers, shards)`` configuration
+  is bit-identical;
 * an optional exact TF-IDF cosine prefilter
   (:func:`repro.dedup.embeddings.cosine_prefilter`) thins the bucket
   pairs before the record matcher, with the filtered count reported —
@@ -38,28 +58,24 @@ Every hash is seeded and explicit (blake2b for the 64-bit shingle hash,
 ``(a * x + b) mod p`` universal hashing over the Mersenne prime
 ``2**61 - 1`` for the permutations); nothing depends on
 ``PYTHONHASHSEED``, process identity or iteration order of a set.
+numpy is imported inside the functions that use it, so importing this
+module never loads it.  The per-shingle tuple and dict-bucket algorithm
+this replaces is the oracle in :mod:`repro.dedup._reference`.
 """
 
 from __future__ import annotations
 
 import dataclasses
 import hashlib
+import itertools
 import random
-from typing import Dict, Iterator, List, Optional, Sequence, Set, Tuple
+from typing import Any, Dict, Iterator, List, Optional, Sequence, Set, Tuple
 
 from repro.core.parallel import effective_worker_count, run_shards
-from repro.dedup.embeddings import (
-    DEFAULT_NGRAM,
-    cosine_prefilter,
-    shingle_record,
-    tfidf_vectors,
-)
-from repro.dedup.pipeline import (
-    CandidateStats,
-    PassStats,
-    _check_packable,
-    collect_candidates,
-)
+from repro.dedup.embeddings import DEFAULT_NGRAM, cosine_prefilter, tfidf_vectors
+from repro.dedup.pipeline import CandidateStats, PassStats, _check_packable
+from repro.textsim.fast import sorted_unique
+from repro.textsim.tokens import qgrams
 
 #: One record's MinHash signature (``bands * rows`` minima), or ``None``
 #: for a record with no shingles (nothing to hash — it lands in no
@@ -68,6 +84,14 @@ Signature = Optional[Tuple[int, ...]]
 
 #: Mersenne prime for the universal hash family ``(a * x + b) mod p``.
 _PRIME = (1 << 61) - 1
+
+#: The signature-matrix row of a record with no shingles: above every
+#: real minimum (all are below :data:`_PRIME`).
+_UNSIGNED = (1 << 64) - 1
+
+#: Rows per step of the permutation and minimum passes, bounding each
+#: transient array to ``_GATHER_ROWS * bands * rows * 8`` bytes.
+_GATHER_ROWS = 2048
 
 #: Default LSH geometry: 16 bands of 4 rows ≈ a 0.5 shingle-Jaccard
 #: knee — pairs at j = 0.6 collide with p ≈ 0.90, pairs at j = 0.2 with
@@ -108,12 +132,6 @@ class BucketStats:
     pairs_dropped: int = 0
     pairs_filtered: int = 0
     bucket_sizes: Dict[int, int] = dataclasses.field(default_factory=dict)
-
-    def observe(self, size: int) -> None:
-        """Record one bucket of ``size`` members in the distribution."""
-        self.buckets_total += 1
-        self.records_bucketed += size
-        self.bucket_sizes[size] = self.bucket_sizes.get(size, 0) + 1
 
     @property
     def max_bucket(self) -> int:
@@ -174,11 +192,63 @@ def permutation_params(count: int, seed: int) -> Tuple[Tuple[int, ...], Tuple[in
     return a_params, b_params
 
 
-def _shingle_hash(shingle: str) -> int:
-    """A stable 64-bit hash of one shingle (blake2b, process-independent)."""
-    return int.from_bytes(
-        hashlib.blake2b(shingle.encode("utf-8"), digest_size=8).digest(), "big"
+def _permuted_hashes(
+    np: Any, grams: Sequence[str], a_params: Tuple[int, ...], b_params: Tuple[int, ...]
+) -> Any:
+    """``(a * h + b) mod p`` for each gram's blake2b hash ``h`` (one row
+    per gram) under each permutation (one column per ``(a, b)``).
+
+    Exact in ``uint64``: ``h`` is folded below ``p`` first (``a * h`` and
+    ``a * (h mod p)`` agree mod ``p``), the 122-bit product is split into
+    32-bit halves, and each partial product is folded with
+    ``2**61 ≡ 1 (mod p)``, so ``2**64 ≡ 8``.
+    """
+    u = np.uint64
+    prime = u(_PRIME)
+    digests = b"".join(
+        hashlib.blake2b(gram.encode("utf-8"), digest_size=8).digest() for gram in grams
     )
+    hashes = np.frombuffer(digests, dtype=">u8").astype(np.uint64)
+    folded = (hashes & prime) + (hashes >> u(61))
+    folded = np.where(folded >= prime, folded - prime, folded)
+    a = np.array(a_params, dtype=np.uint64)
+    b = np.array(b_params, dtype=np.uint64)
+    table = np.empty((len(hashes), len(a)), dtype=np.uint64)
+    low_half = u(0xFFFFFFFF)
+    a_high, a_low = a >> u(32), a & low_half
+    for start in range(0, len(hashes), _GATHER_ROWS):
+        x = folded[start : start + _GATHER_ROWS, None]
+        x_high, x_low = x >> u(32), x & low_half
+        middle = a_high * x_low + a_low * x_high  # < 2**62
+        low = a_low * x_low  # < 2**64
+        total = (a_high * x_high) << u(3)  # the 2**64 term, < 2**61
+        total += (middle >> u(29)) + ((middle & u((1 << 29) - 1)) << u(32))
+        total += (low & prime) + (low >> u(61))
+        total += b  # < 2**63 + 2**34 in all
+        total = (total & prime) + (total >> u(61))
+        table[start : start + _GATHER_ROWS] = np.where(total >= prime, total - prime, total)
+    return table
+
+
+def _segment_minima(np: Any, table: Any, members: Any, counts: Any) -> Any:
+    """Row ``s`` is the elementwise minimum of ``table[members[...]]`` over
+    the ``s``-th run of ``counts[s]`` consecutive members (every count is
+    at least 1)."""
+    out = np.empty((len(counts), table.shape[1]), dtype=np.uint64)
+    ends = np.cumsum(counts)
+    starts = ends - counts
+    lo = 0
+    while lo < len(counts):
+        first = int(starts[lo])
+        hi = max(lo + 1, int(np.searchsorted(ends, first + _GATHER_ROWS, side="right")))
+        np.minimum.reduceat(
+            table[members[first : int(ends[hi - 1])]],
+            starts[lo:hi] - first,
+            axis=0,
+            out=out[lo:hi],
+        )
+        lo = hi
+    return out
 
 
 def _signature_shard(
@@ -187,37 +257,99 @@ def _signature_shard(
     ngram: int,
     a_params: Tuple[int, ...],
     b_params: Tuple[int, ...],
-) -> List[Signature]:
-    """Worker: MinHash signatures of one contiguous record slice.
+) -> Any:
+    """Worker: the signature-matrix rows of one contiguous record slice.
 
-    Pure — signatures depend only on the slice's records and the hash
+    Pure — rows depend only on the slice's records and the hash
     parameters, so :func:`repro.core.parallel.run_shards` may retry or
     degrade this worker freely and every ``(workers, shards)`` merge is
-    bit-identical.  Per-shingle hash vectors are memoised in a local
-    dict (voter values repeat heavily within a slice); the per-record
-    signature is the elementwise minimum over its shingles' vectors.
+    bit-identical.  Values and grams are numbered per slice; each
+    distinct gram is hashed once, each distinct value's row is the
+    minimum over its grams and each record's row the minimum over its
+    attributes' values.  The blank value has no gram: its row stays at
+    the sentinel, which every minimum passes over.
     """
-    vector_cache: Dict[str, Tuple[int, ...]] = {}
-    signatures: List[Signature] = []
-    params = tuple(zip(a_params, b_params))
-    for record in records:
-        shingles = shingle_record(record, attributes, ngram)
-        if not shingles:
-            signatures.append(None)
-            continue
-        vectors = []
-        for shingle in shingles:
-            vector = vector_cache.get(shingle)
-            if vector is None:
-                base = _shingle_hash(shingle)
-                vector = tuple((a * base + b) % _PRIME for a, b in params)
-                vector_cache[shingle] = vector
-            vectors.append(vector)
-        if len(vectors) == 1:
-            signatures.append(vectors[0])
-        else:
-            signatures.append(tuple(map(min, *vectors)))
-    return signatures
+    import numpy as np
+
+    columns = [
+        [(record.get(attribute) or "").strip() for record in records]
+        for attribute in attributes
+    ]
+    values = list(dict.fromkeys(itertools.chain.from_iterable(columns)))
+    value_index = {value: position for position, value in enumerate(values)}
+    value_grams = [qgrams(value, ngram, pad=False) for value in values]
+    gram_counts = np.fromiter(map(len, value_grams), dtype=np.intp, count=len(values))
+    flat_grams = list(itertools.chain.from_iterable(value_grams))
+    grams = list(dict.fromkeys(flat_grams))
+    gram_index = {gram: position for position, gram in enumerate(grams)}
+    table = _permuted_hashes(np, grams, a_params, b_params)
+    value_rows = np.full((len(values), len(a_params)), _UNSIGNED, dtype=np.uint64)
+    gram_members = np.fromiter(
+        map(gram_index.__getitem__, flat_grams), dtype=np.intp, count=len(flat_grams)
+    )
+    shingled = gram_counts > 0
+    value_rows[shingled] = _segment_minima(np, table, gram_members, gram_counts[shingled])
+    del table
+    matrix = np.full((len(records), len(a_params)), _UNSIGNED, dtype=np.uint64)
+    for column in columns:
+        ids = np.fromiter(map(value_index.__getitem__, column), dtype=np.intp, count=len(column))
+        np.minimum(matrix, value_rows[ids], out=matrix)
+    return matrix
+
+
+def signature_matrix(
+    records: Sequence[Dict[str, str]],
+    attributes: Sequence[str],
+    *,
+    bands: int = DEFAULT_BANDS,
+    rows: int = DEFAULT_ROWS,
+    ngram: int = DEFAULT_NGRAM,
+    seed: int = DEFAULT_SEED,
+    shards: int = 1,
+    max_workers: Optional[int] = None,
+) -> Any:
+    """The ``len(records) × bands·rows`` ``uint64`` MinHash matrix.
+
+    Row ``i`` is record ``i``'s signature, or all ``2**64 - 1`` for a
+    record with no shingles.  ``max_workers=0``/``None`` computes
+    in-process.  With workers, the records split into ``shards``
+    contiguous slices that fan out over
+    :func:`repro.core.parallel.run_shards` (same crash-retry and
+    degradation policy as pair scoring) and their matrix slices stack
+    back by position — the slice boundaries depend only on
+    ``len(records)`` and ``shards``, and each row only on its record, so
+    every configuration returns the identical matrix.
+    """
+    if bands < 1 or rows < 1:
+        raise ValueError(f"bands and rows must be >= 1, got {bands}x{rows}")
+    if shards < 1:
+        raise ValueError(f"shards must be >= 1, got {shards}")
+    if ngram < 1:
+        raise ValueError(f"ngram must be >= 1, got {ngram}")
+    a_params, b_params = permutation_params(bands * rows, seed)
+    attribute_tuple = tuple(attributes)
+    max_workers = effective_worker_count(max_workers, label="minhash signatures")
+    record_count = len(records)
+    if not max_workers or shards == 1 or record_count < 2:
+        return _signature_shard(records, attribute_tuple, ngram, a_params, b_params)
+    import numpy as np
+
+    records_list = list(records)
+    bounds = [
+        (shard * record_count // shards, (shard + 1) * record_count // shards)
+        for shard in range(shards)
+    ]
+    return np.concatenate(
+        run_shards(
+            _signature_shard,
+            [
+                (records_list[lo:hi], attribute_tuple, ngram, a_params, b_params)
+                for lo, hi in bounds
+            ],
+            max_workers,
+            label="minhash signatures",
+        )
+    )
 
 
 def minhash_signatures(
@@ -233,42 +365,85 @@ def minhash_signatures(
 ) -> List[Signature]:
     """One ``bands * rows`` MinHash signature per record, optionally sharded.
 
-    ``max_workers=0``/``None`` computes in-process.  With workers, the
-    records split into ``shards`` contiguous slices that fan out over
-    :func:`repro.core.parallel.run_shards` (same crash-retry and
-    degradation policy as pair scoring) and merge back by position —
-    the slice boundaries depend only on ``len(records)`` and ``shards``,
-    and each signature only on its record, so every configuration
-    returns the identical list.
+    The rows of :func:`signature_matrix` as tuples of ints, ``None`` for
+    a record with no shingles; every ``(max_workers, shards)``
+    configuration returns the identical list.
     """
-    if bands < 1 or rows < 1:
-        raise ValueError(f"bands and rows must be >= 1, got {bands}x{rows}")
-    if shards < 1:
-        raise ValueError(f"shards must be >= 1, got {shards}")
-    a_params, b_params = permutation_params(bands * rows, seed)
-    attribute_tuple = tuple(attributes)
-    max_workers = effective_worker_count(max_workers, label="minhash signatures")
-    record_count = len(records)
-    if not max_workers or shards == 1 or record_count < 2:
-        return _signature_shard(records, attribute_tuple, ngram, a_params, b_params)
-    records_list = list(records)
-    bounds = [
-        (shard * record_count // shards, (shard + 1) * record_count // shards)
-        for shard in range(shards)
-    ]
-    shard_results = run_shards(
-        _signature_shard,
-        [
-            (records_list[lo:hi], attribute_tuple, ngram, a_params, b_params)
-            for lo, hi in bounds
-        ],
-        max_workers,
-        label="minhash signatures",
+    matrix = signature_matrix(
+        records,
+        attributes,
+        bands=bands,
+        rows=rows,
+        ngram=ngram,
+        seed=seed,
+        shards=shards,
+        max_workers=max_workers,
     )
-    signatures: List[Signature] = []
-    for result in shard_results:
-        signatures.extend(result)
-    return signatures
+    return [tuple(row) if row[0] != _UNSIGNED else None for row in matrix.tolist()]
+
+
+def _band_keys(
+    np: Any,
+    matrix: Any,
+    record_count: int,
+    bands: int,
+    rows: int,
+    max_bucket_size: int,
+    stats: BucketStats,
+) -> List[Any]:
+    """Per band, the ``int64`` packed keys of its buckets' pairs.
+
+    One stable ``lexsort`` of the band's columns over the signed rows (in
+    record-id order) makes each run of equal keys a bucket whose members
+    ascend, so a member's pairs with the members after it are canonical
+    ``i < j`` keys.  Runs of 2 to ``max_bucket_size`` members emit their
+    pairs; longer runs are counted in ``stats`` as skipped and dropped.
+    """
+    if max_bucket_size < 2:
+        raise ValueError(f"max_bucket_size must be >= 2, got {max_bucket_size}")
+    _check_packable(record_count)
+    ids = np.flatnonzero(matrix[:, 0] != np.uint64(_UNSIGNED))
+    count = len(ids)
+    if not count:
+        return []
+    signed = matrix[ids]
+    keys: List[Any] = []
+    for band in range(bands):
+        columns = signed[:, band * rows : (band + 1) * rows]
+        order = np.lexsort(columns.T)
+        ordered = columns[order]
+        fresh = np.ones(count, dtype=bool)
+        np.any(ordered[1:] != ordered[:-1], axis=1, out=fresh[1:])
+        starts = np.flatnonzero(fresh)
+        sizes = np.diff(starts, append=count)
+        pairs = sizes * (sizes - 1) // 2
+        kept = (sizes >= 2) & (sizes <= max_bucket_size)
+        skipped = sizes > max_bucket_size
+        stats.buckets_total += len(sizes)
+        stats.records_bucketed += count
+        stats.buckets_skipped += int(skipped.sum())
+        stats.pairs_dropped += int(pairs[skipped].sum())
+        stats.pairs_emitted += int(pairs[kept].sum())
+        distinct, repeats = np.unique(sizes, return_counts=True)
+        for size, buckets in zip(distinct.tolist(), repeats.tolist()):
+            stats.bucket_sizes[size] = stats.bucket_sizes.get(size, 0) + buckets
+        keys.append(_run_pairs(np, ids[order], starts[kept], sizes[kept], record_count))
+    return keys
+
+
+def _run_pairs(np: Any, members: Any, starts: Any, sizes: Any, record_count: int) -> Any:
+    """The packed keys of every pair inside each run ``members[start :
+    start + size]``, run by run, each member with every later one."""
+    # The member at offset ``o`` of a run pairs with the ``size - 1 - o``
+    # members after it.
+    offsets = np.arange(int(sizes.sum())) - np.repeat(np.cumsum(sizes) - sizes, sizes)
+    positions = np.repeat(starts, sizes) + offsets
+    partners = np.repeat(sizes, sizes) - 1 - offsets
+    left = np.repeat(positions, partners)
+    right = left + 1 + (
+        np.arange(int(partners.sum())) - np.repeat(np.cumsum(partners) - partners, partners)
+    )
+    return members[left] * record_count + members[right]
 
 
 def iter_lsh_keys(
@@ -282,9 +457,7 @@ def iter_lsh_keys(
 ) -> Iterator[int]:
     """One banded-LSH pass as a stream of packed pair keys.
 
-    Bucket membership lists are built in record-id order (band by band,
-    records in input order), so the nested emission yields canonical
-    ``i < j`` keys directly — the same invariant as
+    Canonical ``i < j`` keys, band by band — the same invariant as
     :func:`~repro.dedup.pipeline.iter_blocking_keys`.  A pair colliding
     in several bands is emitted once per band; the consuming
     ``collect_candidates`` set collapses the duplicates (and counts them
@@ -292,33 +465,23 @@ def iter_lsh_keys(
     in-place, including the bucket-size distribution and the oversized
     skips — dropped pairs are never silent.
     """
-    if max_bucket_size < 2:
-        raise ValueError(f"max_bucket_size must be >= 2, got {max_bucket_size}")
-    _check_packable(record_count)
-    buckets: Dict[Tuple[int, Tuple[int, ...]], List[int]] = {}
+    import numpy as np
+
+    width = bands * rows
+    matrix = np.full((len(signatures), width), _UNSIGNED, dtype=np.uint64)
     for record_id, signature in enumerate(signatures):
-        if signature is None:
-            continue
-        for band in range(bands):
-            band_key = (band, signature[band * rows : (band + 1) * rows])
-            buckets.setdefault(band_key, []).append(record_id)
-    for members in buckets.values():
-        size = len(members)
-        if stats is not None:
-            stats.observe(size)
-        if size < 2:
-            continue
-        if size > max_bucket_size:
-            if stats is not None:
-                stats.buckets_skipped += 1
-                stats.pairs_dropped += size * (size - 1) // 2
-            continue
-        if stats is not None:
-            stats.pairs_emitted += size * (size - 1) // 2
-        for position, left in enumerate(members):
-            base = left * record_count
-            for other_position in range(position + 1, size):
-                yield base + members[other_position]
+        if signature is not None:
+            matrix[record_id] = signature[:width]
+    for keys in _band_keys(
+        np,
+        matrix,
+        record_count,
+        bands,
+        rows,
+        max_bucket_size,
+        stats if stats is not None else BucketStats(),
+    ):
+        yield from keys.tolist()
 
 
 def lsh_candidates(
@@ -337,18 +500,18 @@ def lsh_candidates(
     """One MinHash–LSH candidate pass as packed keys with full accounting.
 
     The LSH counterpart of
-    :func:`~repro.dedup.pipeline.sorted_neighborhood_candidates`:
-    signatures (optionally sharded over worker processes), band buckets
-    streamed through :func:`~repro.dedup.pipeline.collect_candidates`,
-    and — when ``cosine_floor > 0`` — an exact TF-IDF cosine prefilter
-    over the deduplicated pair set.  The returned
-    :class:`~repro.dedup.pipeline.CandidateStats` carries a single
-    :class:`LshPassStats` pass whose :class:`BucketStats` exposes the
+    :func:`~repro.dedup.pipeline.sorted_neighborhood_candidates`: the
+    signature matrix (optionally sharded over worker processes), one sort
+    per band, the union of the bands' pairs and — when
+    ``cosine_floor > 0`` — an exact TF-IDF cosine prefilter over it.  The
+    returned :class:`~repro.dedup.pipeline.CandidateStats` carries a
+    single :class:`LshPassStats` pass whose ``pairs_emitted`` counts
+    every band's pairs and whose :class:`BucketStats` exposes the
     bucket-size distribution, oversized skips and filtered pair count.
     Deterministic for every ``(workers, shards)`` configuration.
     """
     record_count = len(records)
-    signatures = minhash_signatures(
+    matrix = signature_matrix(
         records,
         attributes,
         bands=bands,
@@ -358,29 +521,28 @@ def lsh_candidates(
         shards=shards,
         max_workers=max_workers,
     )
+    import numpy as np
+
     bucket_stats = BucketStats()
-    stream = iter_lsh_keys(
-        signatures,
-        record_count,
-        bands=bands,
-        rows=rows,
-        max_bucket_size=max_bucket_size,
-        stats=bucket_stats,
+    band_keys = _band_keys(
+        np, matrix, record_count, bands, rows, max_bucket_size, bucket_stats
     )
-    keys, stats = collect_candidates((("lsh", stream),), record_count)
+    keys = set(sorted_unique(np, np.concatenate(band_keys)).tolist()) if band_keys else set()
     if cosine_floor > 0.0 and keys:
         vectors = tfidf_vectors(records, attributes, ngram)
         kept = set(cosine_prefilter(vectors, keys, record_count, cosine_floor))
         bucket_stats.pairs_filtered = len(keys) - len(kept)
         keys = kept
-    emitted = stats.passes[0]
-    stats.passes[0] = LshPassStats(
-        label="lsh",
-        pairs_emitted=emitted.pairs_emitted,
-        pairs_new=len(keys),
-        blocks_skipped=bucket_stats.buckets_skipped,
-        pairs_dropped=bucket_stats.pairs_dropped,
-        buckets=bucket_stats,
+    stats = CandidateStats(record_count=record_count)
+    stats.passes.append(
+        LshPassStats(
+            label="lsh",
+            pairs_emitted=bucket_stats.pairs_emitted,
+            pairs_new=len(keys),
+            blocks_skipped=bucket_stats.buckets_skipped,
+            pairs_dropped=bucket_stats.pairs_dropped,
+            buckets=bucket_stats,
+        )
     )
     return keys, stats
 

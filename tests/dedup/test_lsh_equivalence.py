@@ -1,13 +1,19 @@
-"""MinHash–LSH candidate generation against the exact shingle oracle.
+"""MinHash–LSH candidate generation against its oracles.
 
 :mod:`repro.dedup.lsh` is *approximate* by design — a pair is a candidate
-iff at least one band of MinHash rows collides — so unlike the SNM suite
-this one cannot assert set equality with a naive implementation.  What it
-pins down instead:
+iff at least one band of MinHash rows collides — so its recall is held
+against the exact shingle-Jaccard oracle, and its implementation is held
+bit-identical to the historical per-shingle tuple and dict-bucket
+algorithm in :mod:`repro.dedup._reference`:
 
+* signatures, candidate keys, :class:`~repro.dedup.lsh.BucketStats` and
+  :class:`~repro.dedup.pipeline.CandidateStats` equal the oracle's
+  exactly, on registers with blank values, values shorter than the
+  n-gram, grams shared across attributes, non-ASCII text, all-empty and
+  duplicated records, ``rows=1``, ``bands=1``, bucket caps that force
+  skips and a ``(2, 3)`` worker/shard fan-out;
 * shingling is bit-identical to the naive oracle
-  (:func:`repro.dedup._reference.shingle_set_reference`), so the
-  probabilistic machinery sits on an exactly-reproducible base;
+  (:func:`repro.dedup._reference.shingle_set_reference`);
 * every emitted candidate is *justified*: canonical ``i < j`` packed
   keys whose signatures really collide on a band
   (:func:`repro.dedup.lsh.lsh_band_collisions`) — candidates are never
@@ -23,9 +29,12 @@ pins down instead:
   (on real data) different permutations.
 """
 
+import re
 import string
+from collections import Counter
 
-from hypothesis import given, settings
+import pytest
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from repro.dedup import _reference as ref
@@ -49,6 +58,135 @@ value = st.text(alphabet=string.ascii_uppercase[:4] + " ", max_size=6)
 record = st.fixed_dictionaries({attribute: value for attribute in ATTRIBUTES})
 records_strategy = st.lists(record, min_size=1, max_size=16)
 geometry = st.tuples(st.integers(1, 6), st.integers(1, 3))  # (bands, rows)
+
+
+# Blank, whitespace-only and missing values; values shorter than the
+# n-gram; one small alphabet for every attribute, so grams recur across
+# attributes; non-ASCII letters and a CJK character.
+oracle_value = st.one_of(st.none(), st.text(alphabet="AB É北\t", max_size=7))
+oracle_record = st.fixed_dictionaries(
+    {attribute: oracle_value for attribute in ATTRIBUTES}
+)
+BLANK_RECORD = {attribute: " " for attribute in ATTRIBUTES}
+
+
+@st.composite
+def oracle_registers(draw):
+    records = draw(
+        st.lists(
+            st.one_of(oracle_record, st.just(BLANK_RECORD), st.just({})),
+            max_size=14,
+        )
+    )
+    if records:
+        copies = draw(st.lists(st.integers(0, len(records) - 1), max_size=4))
+        records = records + [dict(records[index]) for index in copies]
+    return records
+
+
+#: One register with every case at once, pinned as an explicit example.
+PINNED_REGISTER = [
+    {"first_name": "AB", "midl_name": "É", "last_name": "BAB", "city": "北AB", "zip": " "},
+    BLANK_RECORD,
+    {},
+    {"first_name": "BAB", "midl_name": None, "last_name": "AB", "city": "", "zip": "É"},
+    {"first_name": "AB", "midl_name": "É", "last_name": "BAB", "city": "北AB", "zip": " "},
+    dict(BLANK_RECORD),
+    {"first_name": "A", "midl_name": "A", "last_name": "A", "city": "A", "zip": "A"},
+    {"first_name": "A", "midl_name": "", "last_name": "", "city": "", "zip": ""},
+]
+
+oracle_geometry = st.tuples(
+    st.integers(1, 4),  # bands
+    st.integers(1, 3),  # rows
+    st.integers(1, 4),  # ngram
+    st.sampled_from([2, 3, 1000]),  # max_bucket_size: 2 and 3 force skips
+)
+
+
+class TestMatchesHistoricalOracle:
+    """Signatures, keys and every counter equal the per-shingle tuple /
+    dict-bucket oracle exactly — the proof of bit-identity."""
+
+    @staticmethod
+    def _check(records, geometry, **fanout):
+        bands, rows, ngram, max_bucket_size = geometry
+        shape = {"bands": bands, "rows": rows, "ngram": ngram}
+        signatures = minhash_signatures(records, ATTRIBUTES, **shape, **fanout)
+        oracle = ref.minhash_signatures_reference(records, ATTRIBUTES, **shape)
+        assert signatures == oracle
+        keys, stats = lsh_candidates(
+            records, ATTRIBUTES, max_bucket_size=max_bucket_size, **shape, **fanout
+        )
+        oracle_keys, oracle_stats = ref.lsh_candidates_reference(
+            records, ATTRIBUTES, max_bucket_size=max_bucket_size, **shape
+        )
+        assert keys == oracle_keys
+        assert stats == oracle_stats  # bucket_sizes compares as a mapping
+        return signatures, oracle
+
+    @given(oracle_registers(), oracle_geometry)
+    @example(PINNED_REGISTER, (1, 1, 3, 2))
+    @example(PINNED_REGISTER, (3, 2, 2, 1000))
+    @settings(max_examples=200, deadline=None)
+    def test_in_process(self, records, geometry):
+        signatures, oracle = self._check(records, geometry)
+        bands, rows, _ngram, max_bucket_size = geometry
+        stats, oracle_stats = BucketStats(), BucketStats()
+        emitted = Counter(
+            iter_lsh_keys(
+                signatures,
+                len(records),
+                bands=bands,
+                rows=rows,
+                max_bucket_size=max_bucket_size,
+                stats=stats,
+            )
+        )
+        oracle_emitted = Counter(
+            ref.lsh_keys_reference(
+                oracle,
+                len(records),
+                bands=bands,
+                rows=rows,
+                max_bucket_size=max_bucket_size,
+                stats=oracle_stats,
+            )
+        )
+        assert emitted == oracle_emitted
+        assert stats == oracle_stats
+
+    @given(oracle_registers(), oracle_geometry)
+    @example(PINNED_REGISTER, (2, 1, 3, 2))
+    @settings(max_examples=12, deadline=None)
+    def test_two_workers_three_shards(self, records, geometry):
+        self._check(records, geometry, max_workers=2, shards=3)
+
+    @pytest.mark.parametrize(
+        "options, message",
+        [
+            ({"ngram": 0}, "ngram must be >= 1, got 0"),
+            ({"bands": 0}, "bands and rows must be >= 1, got 0x4"),
+            ({"rows": 0}, "bands and rows must be >= 1, got 16x0"),
+            ({"max_bucket_size": 1}, "max_bucket_size must be >= 2, got 1"),
+        ],
+    )
+    def test_invalid_geometry_keeps_its_message(self, options, message):
+        for candidates in (lsh_candidates, ref.lsh_candidates_reference):
+            with pytest.raises(ValueError, match=re.escape(message)):
+                candidates(PINNED_REGISTER, ATTRIBUTES, **options)
+
+    def test_invalid_bucket_cap_keeps_its_message_in_the_stream(self):
+        signatures = minhash_signatures(PINNED_REGISTER, ATTRIBUTES)
+        for stream in (
+            iter_lsh_keys(signatures, len(signatures), max_bucket_size=1),
+            ref.lsh_keys_reference(
+                signatures, len(signatures), bands=16, rows=4,
+                max_bucket_size=1, stats=BucketStats(),
+            ),
+        ):
+            with pytest.raises(ValueError, match="max_bucket_size must be >= 2, got 1"):
+                next(stream)
 
 
 class TestShingleOracle:

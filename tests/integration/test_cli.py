@@ -92,13 +92,15 @@ class TestCustomizeAndEvaluate:
         assert "best F1" in output
         assert "ME/Lev" in output
 
-    def test_invalid_range_rejected(self, workspace):
+    def test_invalid_range_rejected(self, workspace, capsys):
         root, _snaps, store = workspace
-        with pytest.raises(ValueError):
+        with pytest.raises(SystemExit) as exit_info:
             main([
                 "customize", "--store", str(store),
                 "--out", str(root / "x.csv"), "--h-lo", "0.9", "--h-hi", "0.1",
             ])
+        assert exit_info.value.code == 2
+        assert "argument --h-lo: must be <= --h-hi (0.1), got 0.9" in capsys.readouterr().err
 
 
 class TestGoldFileValidation:
@@ -280,6 +282,51 @@ class TestWorkerAndShardFlags:
             main([command, *inputs, flag, value])
         assert exit_info.value.code == 2
         assert f"argument {flag}: {message}" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "command, options, message",
+        [
+            ("customize", ("--h-lo", "0.5", "--h-hi", "0.2"),
+             "argument --h-lo: must be <= --h-hi (0.2), got 0.5"),
+            ("customize", ("--h-hi", "1.5"),
+             "argument --h-hi: must be a finite number in [0, 1], got 1.5"),
+            ("customize", ("--h-lo", "nan"),
+             "argument --h-lo: must be a finite number in [0, 1], got nan"),
+            ("customize", ("--h-lo", "x"), "argument --h-lo: expected a number, got 'x'"),
+            ("detect", ("--threshold", "nan"),
+             "argument --threshold: must be a finite number in [0, 1], got nan"),
+            ("detect", ("--cosine-floor", "2"),
+             "argument --cosine-floor: must be a finite number in [0, 1], got 2"),
+            ("detect", ("--cosine-floor", "-1"),
+             "argument --cosine-floor: must be a finite number in [0, 1], got -1"),
+            ("detect", ("--cosine-floor", "nan"),
+             "argument --cosine-floor: must be a finite number in [0, 1], got nan"),
+            ("augment", ("--share", "1.5"),
+             "argument --share: must be a finite number in [0, 1], got 1.5"),
+            ("augment", ("--errors", "-3"),
+             "argument --errors: must be a finite number >= 0, got -3"),
+            ("augment", ("--errors", "inf"),
+             "argument --errors: must be a finite number >= 0, got inf"),
+            ("repair", ("--threshold", "7"),
+             "argument --threshold: must be a finite number in [0, 1], got 7"),
+            ("repair", ("--threshold", "nan"),
+             "argument --threshold: must be a finite number in [0, 1], got nan"),
+        ],
+    )
+    def test_invalid_numbers_are_usage_errors(
+        self, tmp_path, capsys, command, options, message
+    ):
+        missing = str(tmp_path / "missing")  # argparse rejects before reading
+        inputs = {
+            "customize": ["--store", missing, "--out", missing],
+            "detect": ["--dataset", missing, "--passes", "lsh"],
+            "augment": ["--store", missing],
+            "repair": ["--store", missing],
+        }[command]
+        with pytest.raises(SystemExit) as exit_info:
+            main([command, *inputs, *options])
+        assert exit_info.value.code == 2
+        assert message in capsys.readouterr().err
 
     def test_generate_stats_same_clusters_for_any_workers(self, workspace, tmp_path):
         from repro.docstore import Database
