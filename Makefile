@@ -10,11 +10,12 @@ test:
 	pytest tests/
 
 lint:
-	python -m repro.analysis.lint src tests
+	python -m repro.analysis.lint src tests benchmarks examples
 
-# Concurrency & determinism analyzer (R100-R106): effect inference over
-# the call graph of src/, race/nondeterminism diagnostics on the parallel
-# and durable paths.  Writes the machine-readable report to RCODES.json.
+# Concurrency & determinism analyzer (R100-R103, R105, R106): effect
+# inference over the call graph of src/, race/nondeterminism diagnostics on
+# the parallel and durable paths.  Writes the machine-readable report to
+# RCODES.json.
 lint-concurrency:
 	python -m repro.cli check --concurrency src --json RCODES.json
 
@@ -80,9 +81,8 @@ bench-dedup:
 # multi-pass Sorted Neighborhood on a typo-heavy labeled workload at three
 # register sizes.  Writes candidate counts, recall, wall times and log-log
 # growth exponents to BENCH_lsh.json; fails if LSH candidates grow
-# quadratically (exponent >= 2), recall drops below 0.90x SNM at the
-# largest size, the pair budget exceeds 0.5x SNM, or any
-# (workers, shards) configuration is not bit-identical.
+# quadratically (exponent >= 2), or recall drops below 0.90x SNM at the
+# largest size or the pair budget exceeds 0.5x SNM.
 bench-lsh:
 	python benchmarks/lsh_bench.py --quick --out BENCH_lsh.json
 

@@ -13,15 +13,13 @@ pollution Augmenter — and runs candidate generation both ways:
 
 For every size the report records candidate-pair counts, gold-pair
 recall and wall-clock; across sizes it fits log–log growth exponents.
-Three gates (exit code 1 when any fails):
+Two gates (exit code 1 when either fails):
 
 * **sub-quadratic**: the LSH candidate-pair exponent between the
   smallest and largest register stays below 2.0 (SNM's window union is
   ~linear but recall-blind; naive all-pairs is the quadratic ceiling);
 * **recall at budget**: at the largest size LSH reaches at least 0.90 of
-  SNM's gold-pair recall while emitting at most 0.5x SNM's candidates;
-* **determinism**: ``repro.sanitizers.determinism_check`` passes for the
-  full LSH pass at (workers, shards) = (1,1)/(2,4)/(4,8).
+  SNM's gold-pair recall while emitting at most 0.5x SNM's candidates.
 
 Usage::
 
@@ -44,7 +42,6 @@ from repro.dedup import (
     pick_blocking_keys,
     sorted_neighborhood_candidates,
 )
-from repro.sanitizers import determinism_check
 from repro.votersim import SimulationConfig, VoterRegisterSimulator
 from repro.votersim.schema import PERSON_ATTRIBUTES
 
@@ -195,25 +192,6 @@ def run_benchmark(initial_sizes: Sequence[int], repeats: int) -> Dict:
         "lsh_seconds": _growth_exponent(flat, "lsh_seconds"),
     }
 
-    # determinism gate on the smallest register (cheapest full check)
-    check_dataset = _build_dataset(initial_sizes[0])
-    report = determinism_check(
-        lambda workers, shards: sorted(
-            lsh_candidates(
-                check_dataset.records,
-                attributes,
-                bands=LSH_BANDS,
-                rows=LSH_ROWS,
-                ngram=LSH_NGRAM,
-                cosine_floor=COSINE_FLOOR,
-                shards=shards,
-                max_workers=workers,
-            )[0]
-        ),
-        label="lsh candidates",
-        raise_on_divergence=False,
-    )
-
     largest = sizes[-1]
     gates = {
         "subquadratic_candidates": {
@@ -240,11 +218,6 @@ def run_benchmark(initial_sizes: Sequence[int], repeats: int) -> Dict:
                 and largest["pair_budget_ratio"] is not None
                 and largest["pair_budget_ratio"] <= MAX_PAIR_BUDGET
             ),
-        },
-        "determinism": {
-            "configs": [list(pair) for pair in report.configs],
-            "divergences": list(report.divergences),
-            "passed": report.consistent,
         },
     }
 

@@ -1,12 +1,12 @@
 """Static analysis for docstore queries, pipelines and repo invariants.
 
-Two layers:
+Three layers:
 
 * a **query/pipeline analyzer** (:func:`analyze_filter`,
-  :func:`analyze_pipeline`, :func:`analyze_update`,
-  :func:`analyze_customization`) that walks filter documents, aggregation
-  pipelines and customisation specs *without executing them* and reports
-  :class:`Diagnostic` records — unknown operators with did-you-mean hints,
+  :func:`analyze_pipeline`, :func:`analyze_customization`) that walks filter
+  documents, aggregation pipelines and customisation specs *without
+  executing them* and reports :class:`Diagnostic` records — unknown
+  operators with did-you-mean hints,
   operand shape errors, invalid ``$regex`` patterns, vacuous predicates,
   unknown field paths (against a :class:`SchemaPaths`) and stage-order
   hazards.  The ``ncvoter-testdata check`` CLI subcommand is its front
@@ -16,22 +16,17 @@ Two layers:
   gate;
 * a **concurrency & determinism analyzer** (:mod:`repro.analysis.effects`
   + :mod:`repro.analysis.concurrency`): per-function effect summaries
-  (global/closure/parameter mutation, RNG/time/env/I-O, set iteration)
-  over a call graph, and the R-code diagnostics built on them (R100–R106)
-  guarding the parallel and durable paths.  Front doors:
+  (global/closure/parameter mutation, RNG/time/env, set iteration)
+  over a call graph, and the R-code diagnostics built on them (R100–R103,
+  R105, R106) guarding the parallel and durable paths.  Front doors:
   ``python -m repro.analysis.lint --concurrency`` and
   ``ncvoter-testdata check --concurrency``.
 """
 
 from __future__ import annotations
 
-from repro.analysis.analyzer import (
-    analyze_filter,
-    analyze_pipeline,
-    analyze_update,
-)
+from repro.analysis.analyzer import analyze_filter, analyze_pipeline
 from repro.analysis.customization import analyze_customization
-from repro.analysis.dedup_usage import analyze_dedup_usage
 from repro.analysis.index_usage import analyze_index_usage
 from repro.analysis.diagnostics import (
     ERROR,
@@ -48,7 +43,6 @@ from repro.analysis.registry import (
     PIPELINE_STAGES,
     PUSHDOWN_STAGES,
     TOP_LEVEL_OPERATORS,
-    UPDATE_OPERATORS,
     did_you_mean,
     suggest,
 )
@@ -76,10 +70,8 @@ __all__ = [
     "errors_only",
     "render_report",
     "analyze_filter",
-    "analyze_dedup_usage",
     "analyze_index_usage",
     "analyze_pipeline",
-    "analyze_update",
     "analyze_customization",
     "SchemaPaths",
     "cluster_schema",
@@ -90,7 +82,6 @@ __all__ = [
     "PUSHDOWN_STAGES",
     "EXPRESSION_OPERATORS",
     "ACCUMULATORS",
-    "UPDATE_OPERATORS",
     "suggest",
     "did_you_mean",
     "R_CODES",

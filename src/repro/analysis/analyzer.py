@@ -1,4 +1,4 @@
-"""Static analysis of filters, aggregation pipelines and update documents.
+"""Static analysis of filters and aggregation pipelines.
 
 The analyzer walks a query specification *without executing it* and returns
 :class:`~repro.analysis.diagnostics.Diagnostic` records for everything that
@@ -16,10 +16,9 @@ would fail — or silently misbehave — at evaluation time:
 * stage-order hazards: a ``$match``/``$sort`` touching a field an earlier
   ``$project``/``$group`` dropped, or a ``$sort`` after ``$limit``.
 
-Diagnostic codes: ``Q0xx`` for filter problems, ``P1xx`` for pipeline
-problems, ``U3xx`` for update documents.  ``error`` severity means the spec
-would raise or silently match nothing it should match; ``warning`` flags
-legal-but-suspicious constructs.
+Diagnostic codes: ``Q0xx`` for filter problems and ``P1xx`` for pipeline
+problems.  ``error`` severity means the spec would raise or silently match
+nothing it should match; ``warning`` flags legal-but-suspicious constructs.
 """
 
 from __future__ import annotations
@@ -34,7 +33,6 @@ from repro.analysis.registry import (
     FILTER_OPERATORS,
     PIPELINE_STAGES,
     TOP_LEVEL_OPERATORS,
-    UPDATE_OPERATORS,
     did_you_mean,
 )
 from repro.analysis.schemas import SchemaPaths, normalize_path
@@ -637,39 +635,6 @@ class _Analyzer:
         # $size takes a single expression operand.
         self.expression(operand, location)
 
-    # --------------------------------------------------------------- updates
-
-    def update(self, update: Any, location: str = "update") -> None:
-        if not isinstance(update, dict) or not update:
-            self.report(
-                "U302",
-                ERROR,
-                location,
-                "updates must be a non-empty dict of $-operators",
-            )
-            return
-        for op, spec in update.items():
-            op_location = f"{location}.{op}"
-            if op not in UPDATE_OPERATORS:
-                self.report(
-                    "U301",
-                    ERROR,
-                    op_location,
-                    f"unknown update operator {op!r}",
-                    hint=did_you_mean(op, UPDATE_OPERATORS),
-                )
-                continue
-            if not isinstance(spec, dict) or not spec:
-                self.report(
-                    "U302",
-                    ERROR,
-                    op_location,
-                    f"{op} requires a non-empty dict of path: value",
-                )
-                continue
-            for path in spec:
-                self.check_field(str(path), f"{op_location}.{path}")
-
 
 def analyze_filter(
     filter_doc: Any, schema: Optional[SchemaPaths] = None
@@ -686,13 +651,4 @@ def analyze_pipeline(
     """Statically analyze an aggregation pipeline; returns diagnostics."""
     analyzer = _Analyzer(schema)
     analyzer.pipeline(pipeline)
-    return analyzer.diagnostics
-
-
-def analyze_update(
-    update: Any, schema: Optional[SchemaPaths] = None
-) -> List[Diagnostic]:
-    """Statically analyze an update document; returns diagnostics."""
-    analyzer = _Analyzer(schema)
-    analyzer.update(update)
     return analyzer.diagnostics

@@ -22,16 +22,12 @@ claims silently break:
 * **R103** — iteration over a ``set``/``frozenset`` feeding an
   order-sensitive sink (list append, yield, file/journal write):
   set order varies with PYTHONHASHSEED, so the sink's order does too;
-* **R104** — in-place mutation of a document obtained from
-  ``Collection.find`` / ``find_one`` / ``aggregate`` / ``all`` —
-  results are borrowed now that deep copies are elided on hot paths
-  (the ``freeze_documents`` sanitizer enforces this at runtime);
 * **R105** — mutation of docstore-private state (``_documents``,
   ``_by_user_id``, ``_indexes``, …) from outside :mod:`repro.docstore`:
   such writes bypass the WAL journal, so a crash forgets them;
-* **R106** — a mutable default argument, or a module-level mutable
-  container that run-time code mutates or aliases without an entry in
-  the :data:`PROCESS_LOCAL_CACHES` exemption registry.
+* **R106** — a module-level mutable container that run-time code mutates
+  or aliases without an entry in the :data:`PROCESS_LOCAL_CACHES`
+  exemption registry (mutable default arguments are the linter's L001).
 
 Findings on a line ending in ``# repro: ignore[R101]`` (codes
 comma-separated) are suppressed; suppressions that never fire are
@@ -43,14 +39,16 @@ themselves reported as R100 so the tree stays honest.  The pytest gate
 from __future__ import annotations
 
 import dataclasses
-import io
 import json
-import re
-import tokenize
 from pathlib import Path
-from typing import Dict, Iterable, List, Optional, Sequence, Set, Tuple
+from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
-from repro.analysis.diagnostics import ERROR, WARNING, Diagnostic
+from repro.analysis.diagnostics import (
+    ERROR,
+    WARNING,
+    Diagnostic,
+    collect_suppressions,
+)
 from repro.analysis.effects import (
     EffectReport,
     EffectSummary,
@@ -64,9 +62,8 @@ R_CODES: Dict[str, str] = {
     "R101": "shard/worker function touches shared mutable state",
     "R102": "nondeterminism source reachable from parallel code",
     "R103": "unordered set iteration feeds an order-sensitive sink",
-    "R104": "mutation of a borrowed document from a docstore read",
     "R105": "docstore-private state mutated outside the WAL journal",
-    "R106": "mutable default argument or unregistered module-level cache",
+    "R106": "unregistered module-level mutable cache",
 }
 
 #: Module-level mutable caches that are *process-local by design*: every
@@ -102,15 +99,11 @@ PROCESS_LOCAL_CACHES: Dict[str, str] = {
     ),
 }
 
-#: Inline suppression comments: a hash, then ``repro: ignore[...]`` with
-#: one or more comma-separated R-codes inside the brackets.
-_SUPPRESSION = re.compile(r"#\s*repro:\s*ignore\[([A-Z0-9,\s]+)\]")
-
 #: Call targets that start a parallel region: the first positional
 #: argument of ``run_shards`` is executed in worker processes.
 _PARALLEL_DISPATCH = "repro.core.parallel.run_shards"
 
-#: Modules that own the docstore's private state (R104/R105 exempt): the
+#: Modules that own the docstore's private state (R105 exempt): the
 #: collection/update machinery mutates stored documents through the
 #: journal on purpose.
 _DOCSTORE_PREFIX = "repro.docstore."
@@ -161,33 +154,15 @@ class ConcurrencyReport:
 def _collect_suppressions(
     sources: Sequence[Tuple[str, Path, Optional[str]]],
 ) -> Dict[str, Dict[int, Suppression]]:
-    """Suppressions from real ``#`` comment tokens only.
-
-    Tokenizing (rather than scanning raw lines) keeps the analyzer from
-    treating ``# repro: ignore[...]`` *examples inside docstrings* — like
-    the ones in this module — as live suppressions.
-    """
+    """Every file's suppressions, keyed by path and line."""
     by_file: Dict[str, Dict[int, Suppression]] = {}
     for source, path, _module in sources:
-        lines: Dict[int, Suppression] = {}
-        try:
-            tokens = tokenize.generate_tokens(io.StringIO(source).readline)
-            for token in tokens:
-                if token.type != tokenize.COMMENT:
-                    continue
-                match = _SUPPRESSION.search(token.string)
-                if match:
-                    codes = tuple(
-                        code.strip()
-                        for code in match.group(1).split(",")
-                        if code.strip()
-                    )
-                    number = token.start[0]
-                    lines[number] = Suppression(str(path), number, codes)
-        except (tokenize.TokenizeError, SyntaxError, IndentationError):
-            pass  # the plain linter reports syntax errors (L000)
+        lines = collect_suppressions(source)
         if lines:
-            by_file[str(path)] = lines
+            by_file[str(path)] = {
+                number: Suppression(str(path), number, codes)
+                for number, codes in lines.items()
+            }
     return by_file
 
 
@@ -412,26 +387,6 @@ class _Analyzer:
                     "list/dict (insertion-ordered)",
                 )
 
-    # ----------------------------------------------------------------- R104
-
-    def check_query_result_mutations(self) -> None:
-        for qualname, summary in sorted(self.report.functions.items()):
-            if summary.module.startswith(_DOCSTORE_PREFIX):
-                continue  # the store owns its documents
-            for effect in summary.query_result_mutations:
-                detail = f".{effect.detail}()" if effect.detail else "in place"
-                self._emit(
-                    "R104",
-                    ERROR,
-                    _location(summary, effect.line),
-                    f"{summary.name!r} mutates {effect.target!r} "
-                    f"({detail}), a document obtained from a docstore "
-                    "read; results are borrowed now that hot paths elide "
-                    "deep copies",
-                    hint="deep_copy() the document before mutating "
-                    "(freeze_documents catches this at runtime in tests)",
-                )
-
     # ----------------------------------------------------------------- R105
 
     def check_docstore_private_writes(self) -> None:
@@ -453,18 +408,6 @@ class _Analyzer:
     # ----------------------------------------------------------------- R106
 
     def check_module_caches(self) -> None:
-        for qualname, summary in sorted(self.report.functions.items()):
-            for effect in summary.mutable_defaults:
-                self._emit(
-                    "R106",
-                    ERROR,
-                    f"{summary.path}:{effect.line}:{effect.col}",
-                    f"{summary.name!r} has a mutable default argument "
-                    f"({effect.target}); the single default instance is "
-                    "shared by every call in the process",
-                    hint="default to None and create the value inside "
-                    "the function",
-                )
         for module_name, module_effects in sorted(
             self.report.modules.items()
         ):
@@ -576,7 +519,6 @@ def analyze_concurrency_sources(
     analyzer = _Analyzer(effects, exemptions)
     analyzer.check_workers()
     analyzer.check_set_iterations()
-    analyzer.check_query_result_mutations()
     analyzer.check_docstore_private_writes()
     analyzer.check_module_caches()
     findings = sorted(analyzer.findings, key=_sort_key)

@@ -14,14 +14,12 @@ modules, an :class:`EffectSummary` recording
 * **parameter and closure mutation** — in-place mutation of the function's
   own parameters or of an enclosing function's locals;
 * **nondeterminism sources** — calls into the global :mod:`random` /
-  :mod:`secrets` / :mod:`uuid` RNGs, value-producing :mod:`time` calls,
-  ``os.urandom``, ``os.environ`` reads;
+  :mod:`secrets` / :mod:`uuid` / ``numpy.random`` RNGs, value-producing
+  :mod:`time` calls, ``os.urandom``, ``os.environ`` reads, whether the
+  module is imported at module level or inside the function;
 * **unordered iteration** — ``for`` loops over ``set`` / ``frozenset``
   values whose bodies feed an order-sensitive sink (list append, yield,
   file/journal write);
-* **I/O** — direct ``open`` calls;
-* **borrowed-document mutation** — in-place mutation of documents obtained
-  from ``Collection.find`` / ``find_one`` / ``aggregate`` / ``all``;
 * **docstore-private mutation** — writes to another object's
   ``_documents`` / ``_by_user_id`` / ``_indexes`` / ``_journal`` state;
 * the **calls** the function makes, resolved across the analyzed modules.
@@ -43,7 +41,7 @@ import ast
 import builtins
 import dataclasses
 from pathlib import Path
-from typing import Dict, Iterable, List, Optional, Sequence, Set, Tuple
+from typing import Dict, Iterable, List, Optional, Sequence, Set, Tuple, Union
 
 #: Names of every Python builtin — references to these are never globals.
 _BUILTIN_NAMES = frozenset(dir(builtins))
@@ -78,7 +76,8 @@ _ORDER_INSENSITIVE_METHODS = frozenset(
 )
 
 #: Constructor calls whose result is a mutable container (for global-state
-#: and default-argument classification).
+#: classification here and L001's default-argument check in
+#: :mod:`repro.analysis.lint`).
 MUTABLE_CONSTRUCTORS = frozenset(
     {
         "list",
@@ -110,10 +109,10 @@ _TIME_SOURCES = frozenset(
     }
 )
 
-#: Collection read methods whose results are *borrowed*: callers must not
-#: mutate them in place (deep copies are elided on hot paths, and the
-#: ``freeze_documents`` sanitizer poisons them in dev mode).
-QUERY_RESULT_METHODS = frozenset({"find", "find_one", "aggregate", "all"})
+#: RNG constructors that are deterministic when given a seed argument.
+_SEEDED_RNGS = frozenset(
+    {"random.Random", "numpy.random.default_rng", "numpy.random.RandomState"}
+)
 
 #: Private docstore state that only :mod:`repro.docstore` itself — through
 #: the WAL journal — may touch.
@@ -163,10 +162,7 @@ class EffectSummary:
     rng: List[Effect] = dataclasses.field(default_factory=list)
     time: List[Effect] = dataclasses.field(default_factory=list)
     env: List[Effect] = dataclasses.field(default_factory=list)
-    io: List[Effect] = dataclasses.field(default_factory=list)
     set_iterations: List[Effect] = dataclasses.field(default_factory=list)
-    mutable_defaults: List[Effect] = dataclasses.field(default_factory=list)
-    query_result_mutations: List[Effect] = dataclasses.field(default_factory=list)
     docstore_private_writes: List[Effect] = dataclasses.field(default_factory=list)
     #: Resolved callee qualname -> (line, positional arg names, keyword map).
     calls: List["CallSite"] = dataclasses.field(default_factory=list)
@@ -174,20 +170,6 @@ class EffectSummary:
     transitive_param_mutations: Dict[str, int] = dataclasses.field(
         default_factory=dict
     )
-
-    @property
-    def is_impure(self) -> bool:
-        """Whether the function has any direct effect beyond its locals."""
-        return bool(
-            self.writes_globals
-            or self.mutates_globals
-            or self.mutates_params
-            or self.mutates_closure
-            or self.rng
-            or self.time
-            or self.env
-            or self.io
-        )
 
     def to_dict(self) -> dict:
         """JSON-serializable form with deterministic ordering."""
@@ -208,12 +190,7 @@ class EffectSummary:
             "rng": [e.to_dict() for e in self.rng],
             "time": [e.to_dict() for e in self.time],
             "env": [e.to_dict() for e in self.env],
-            "io": [e.to_dict() for e in self.io],
             "set_iterations": [e.to_dict() for e in self.set_iterations],
-            "mutable_defaults": [e.to_dict() for e in self.mutable_defaults],
-            "query_result_mutations": [
-                e.to_dict() for e in self.query_result_mutations
-            ],
             "docstore_private_writes": [
                 e.to_dict() for e in self.docstore_private_writes
             ],
@@ -407,6 +384,28 @@ def _root_name(node: ast.AST) -> Optional[str]:
     return None
 
 
+def _import_bindings(
+    node: Union[ast.Import, ast.ImportFrom],
+) -> List[Tuple[str, str]]:
+    """``(bound name, qualified target)`` for every name an import binds.
+
+    ``import a.b`` binds ``a``; ``import a.b as c`` binds ``c`` to ``a.b``;
+    ``from a import b`` binds ``b`` to ``a.b``.
+    """
+    if isinstance(node, ast.Import):
+        return [
+            (alias.asname, alias.name)
+            if alias.asname
+            else (alias.name.split(".")[0], alias.name.split(".")[0])
+            for alias in node.names
+        ]
+    base = node.module or ""
+    return [
+        (alias.asname or alias.name, f"{base}.{alias.name}" if base else alias.name)
+        for alias in node.names
+    ]
+
+
 def _is_set_expression(node: ast.AST, set_locals: Set[str]) -> Optional[str]:
     """A label when ``node`` provably evaluates to a set, else ``None``."""
     if isinstance(node, ast.Set):
@@ -459,9 +458,9 @@ class _FunctionVisitor(ast.NodeVisitor):
         self.set_locals: Set[str] = set()
         #: Locals known to hold a list value (order-sensitive sink targets).
         self.list_locals: Set[str] = set()
-        #: Locals bound from Collection read results (borrowed lists/docs).
-        self.result_lists: Set[str] = set()
-        self.result_docs: Set[str] = set()
+        #: Import bindings in scope: the module's, plus the function's own
+        #: ``import`` statements once the visitor has passed them.
+        self.imports: Dict[str, str] = dict(module_info.imports)
 
     # ----------------------------------------------------- name classification
 
@@ -505,6 +504,12 @@ class _FunctionVisitor(ast.NodeVisitor):
     def visit_Lambda(self, node: ast.Lambda) -> None:
         pass  # too small to carry effects worth tracking
 
+    def visit_Import(self, node: ast.Import) -> None:
+        self.imports.update(_import_bindings(node))
+
+    def visit_ImportFrom(self, node: ast.ImportFrom) -> None:
+        self.imports.update(_import_bindings(node))
+
     def visit_Global(self, node: ast.Global) -> None:
         for name in node.names:
             self.summary.writes_globals.setdefault(
@@ -546,10 +551,6 @@ class _FunctionVisitor(ast.NodeVisitor):
             )
         elif kind == "closure":
             self.summary.mutates_closure.setdefault(base, line)
-        if base in self.result_docs or base in self.result_lists:
-            self.summary.query_result_mutations.append(
-                Effect("query-result-mutation", base, line)
-            )
 
     def visit_Assign(self, node: ast.Assign) -> None:
         for target in node.targets:
@@ -614,7 +615,7 @@ class _FunctionVisitor(ast.NodeVisitor):
     def _track_local_binding(
         self, name: str, value: ast.AST, line: int
     ) -> None:
-        """Type-shape bookkeeping for locals (sets, lists, query results)."""
+        """Type-shape bookkeeping for locals (sets and lists)."""
         if self._classify(name) != "local":
             return
         if _is_set_expression(value, self.set_locals):
@@ -625,16 +626,6 @@ class _FunctionVisitor(ast.NodeVisitor):
             and value.func.id == "list"
         ):
             self.list_locals.add(name)
-        if isinstance(value, ast.Call) and isinstance(value.func, ast.Attribute):
-            if value.func.attr in QUERY_RESULT_METHODS:
-                if value.func.attr == "find_one":
-                    self.result_docs.add(name)
-                else:
-                    self.result_lists.add(name)
-        elif isinstance(value, ast.Subscript):
-            base = _root_name(value)
-            if base in self.result_lists:
-                self.result_docs.add(name)
 
     # ------------------------------------------------------------------ loops
 
@@ -652,15 +643,6 @@ class _FunctionVisitor(ast.NodeVisitor):
                         detail=sink,
                     )
                 )
-        # Loop targets bound from query-result lists are borrowed documents.
-        if isinstance(node.target, ast.Name):
-            base = _root_name(node.iter)
-            if base in self.result_lists or (
-                isinstance(node.iter, ast.Call)
-                and isinstance(node.iter.func, ast.Attribute)
-                and node.iter.func.attr in QUERY_RESULT_METHODS
-            ):
-                self.result_docs.add(node.target.id)
         self.generic_visit(node)
 
     def _find_order_sensitive_sink(
@@ -743,57 +725,12 @@ class _FunctionVisitor(ast.NodeVisitor):
             )
         elif kind == "closure":
             self.summary.mutates_closure.setdefault(base, line)
-        if base in self.result_docs or base in self.result_lists:
-            if attr not in {"get", "keys", "values", "items", "count", "index"}:
-                self.summary.query_result_mutations.append(
-                    Effect("query-result-mutation", base, line, detail=attr)
-                )
 
     def _classify_call(self, dotted: str, node: ast.Call, line: int) -> None:
         head, _, tail = dotted.partition(".")
-        resolved_head = self.ctx.imports.get(head)
-        # -- nondeterminism sources -----------------------------------------
-        if resolved_head == "random" and tail:
-            if tail == "Random" and node.args:
-                pass  # seeded private RNG: deterministic by construction
-            elif tail.startswith("Random."):
-                pass  # method on an explicit (seeded) instance expression
-            else:
-                self.summary.rng.append(Effect("rng", f"random.{tail}", line))
-        elif resolved_head in {"secrets", "uuid"} and tail:
-            self.summary.rng.append(
-                Effect("rng", f"{resolved_head}.{tail}", line)
-            )
-        elif resolved_head == "numpy.random" and tail:
-            self.summary.rng.append(Effect("rng", dotted, line))
-        elif resolved_head == "os" and tail == "urandom":
-            self.summary.rng.append(Effect("rng", "os.urandom", line))
-        elif resolved_head == "time" and tail in _TIME_SOURCES:
-            self.summary.time.append(Effect("time", f"time.{tail}", line))
-        elif self.ctx.imports.get(dotted) in {
-            "random.random",
-            "random.randint",
-            "random.choice",
-            "random.shuffle",
-            "random.sample",
-            "random.seed",
-            "random.randrange",
-            "random.uniform",
-            "random.getrandbits",
-        }:
-            self.summary.rng.append(
-                Effect("rng", self.ctx.imports[dotted], line)
-            )
-        elif self.ctx.imports.get(dotted, "").startswith("time.") and (
-            self.ctx.imports.get(dotted, "").split(".", 1)[1] in _TIME_SOURCES
-        ):
-            self.summary.time.append(
-                Effect("time", self.ctx.imports[dotted], line)
-            )
-        elif self.ctx.imports.get(dotted) == "os.urandom":
-            self.summary.rng.append(Effect("rng", "os.urandom", line))
-        elif dotted == "open":
-            self.summary.io.append(Effect("io", "open", line))
+        bound = self.imports.get(head)
+        if bound is not None:
+            self._note_source(f"{bound}.{tail}" if tail else bound, node, line)
         # -- call-graph edge ------------------------------------------------
         callee = self._resolve_callee(dotted)
         positional = tuple(
@@ -815,6 +752,23 @@ class _FunctionVisitor(ast.NodeVisitor):
                 global_args=self._qualify_call_globals(positional, keywords),
             )
         )
+
+    def _note_source(self, target: str, node: ast.Call, line: int) -> None:
+        """Record a call to the fully qualified ``target`` if it is a
+        nondeterminism source."""
+        module, _, name = target.rpartition(".")
+        if target in _SEEDED_RNGS and (node.args or node.keywords):
+            return  # seeded private RNG: deterministic by construction
+        if target.startswith("random.Random."):
+            return  # method on an explicit (seeded) instance expression
+        if (
+            module in {"random", "secrets", "uuid"}
+            or target.startswith("numpy.random.")
+            or target == "os.urandom"
+        ):
+            self.summary.rng.append(Effect("rng", target, line))
+        elif module == "time" and name in _TIME_SOURCES:
+            self.summary.time.append(Effect("time", target, line))
 
     def _qualify_call_globals(
         self,
@@ -859,7 +813,7 @@ class _FunctionVisitor(ast.NodeVisitor):
             dotted = _dotted_name(node)
             if dotted is not None:
                 head = dotted.split(".", 1)[0]
-                if self.ctx.imports.get(head) == "os":
+                if self.imports.get(head) == "os":
                     self.summary.env.append(
                         Effect("env", "os.environ", node.lineno)
                     )
@@ -901,23 +855,12 @@ class _ModuleContext:
 
     def _collect_module_scope(self, tree: ast.Module) -> None:
         for node in tree.body:
-            if isinstance(node, ast.Import):
-                for alias in node.names:
-                    bound = alias.asname or alias.name.split(".")[0]
-                    target = alias.name if alias.asname else alias.name.split(".")[0]
+            if isinstance(node, (ast.Import, ast.ImportFrom)):
+                # ``from repro.textsim import fast`` binds a module too.
+                for bound, target in _import_bindings(node):
                     self.imports[bound] = target
                     self.module_aliases.add(bound)
                     self.global_names.add(bound)
-            elif isinstance(node, ast.ImportFrom):
-                base = node.module or ""
-                for alias in node.names:
-                    bound = alias.asname or alias.name
-                    self.imports[bound] = (
-                        f"{base}.{alias.name}" if base else alias.name
-                    )
-                    self.global_names.add(bound)
-                    # ``from repro.textsim import fast`` binds a module.
-                    self.module_aliases.add(bound)
             elif isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
                 self.global_names.add(node.name)
             elif isinstance(node, ast.ClassDef):
@@ -1033,27 +976,6 @@ def _param_names(args: ast.arguments) -> Tuple[str, ...]:
     if args.kwarg:
         names.append(args.kwarg.arg)
     return tuple(names)
-
-
-def _check_mutable_defaults(
-    node: ast.AST, summary: EffectSummary
-) -> None:
-    args = node.args  # type: ignore[attr-defined]
-    defaults = list(args.defaults) + [
-        d for d in args.kw_defaults if d is not None
-    ]
-    for default in defaults:
-        label: Optional[str] = None
-        if isinstance(default, (ast.List, ast.Dict, ast.Set)):
-            label = type(default).__name__.lower()
-        elif isinstance(default, ast.Call):
-            callee = _dotted_name(default.func)
-            if callee is not None and callee.split(".")[-1] in MUTABLE_CONSTRUCTORS:
-                label = callee
-        if label is not None:
-            summary.mutable_defaults.append(
-                Effect("mutable-default", label, default.lineno, default.col_offset)
-            )
 
 
 # ----------------------------------------------------------------- fixpoint
@@ -1204,7 +1126,6 @@ def analyze_effects_sources(
             nonlocal_declared=_collect_declared(node, ast.Nonlocal),
             enclosing_locals=enclosing,
         )
-        _check_mutable_defaults(node, summary)
         visitor = _FunctionVisitor(summary, scope, context)
         for statement in node.body:  # type: ignore[attr-defined]
             visitor.visit(statement)

@@ -1,8 +1,12 @@
-"""Repo-invariant AST linter (``python -m repro.analysis.lint src tests``).
+"""Repo-invariant AST linter (``python -m repro.analysis.lint src tests``,
+also run over ``benchmarks`` and ``examples``).
 
 Custom :mod:`ast`-based checks that hold this codebase's invariants:
 
-* **L001** — mutable default argument (``def f(x=[])``, ``x={}``, ``x=set()``);
+* **L001** — mutable default argument: a list, dict or set literal, or a
+  call of ``list``, ``dict``, ``set``, ``bytearray``, ``OrderedDict``,
+  ``defaultdict``, ``Counter`` or ``deque``, bare or dotted
+  (``collections.defaultdict(list)``), with or without arguments;
 * **L002** — bare ``except:`` (swallows ``KeyboardInterrupt``/``SystemExit``);
 * **L003** — ``print()`` in library code (everything under ``src/repro``
   except the CLI / report / ``__main__`` modules, which exist to print);
@@ -31,36 +35,35 @@ Custom :mod:`ast`-based checks that hold this codebase's invariants:
   ``documents.py``, ``views.py`` and the deliberately-eager
   ``_reference.py`` oracle — are exempt, and genuine mutating clones
   are suppressed inline (see below);
-* **L009** — a ``# repro: ignore[L00x]`` suppression comment that
-  matches no finding on its line (kept symmetric with the concurrency
-  analyzer's R100 so the tree stays honest).
+* **L009** — a ``# repro: ignore[...]`` suppression comment that names a
+  code neither this linter nor the concurrency analyzer knows, or names
+  L-codes and matches no finding on its line (kept symmetric with the
+  concurrency analyzer's R100 so the tree stays honest).
 
 Findings on a line ending in ``# repro: ignore[L008]`` (codes
-comma-separated) are suppressed.  Suppressions naming only codes from
-other tools' families (e.g. the concurrency analyzer's R-codes) are left
-for those tools to police.
+comma-separated) are suppressed.  Suppressions naming only R-codes are
+left for the concurrency analyzer to police.
 
 With ``--concurrency`` the run additionally includes the R-code family
 from :mod:`repro.analysis.concurrency` (effect-inference-based race and
-nondeterminism diagnostics, R100–R106).
+nondeterminism diagnostics, R100–R103, R105 and R106).
 
 Findings are reported as :class:`~repro.analysis.diagnostics.Diagnostic`
 records with ``file:line:col`` locations.  The module doubles as a pytest
-gate (see ``tests/analysis/test_lint_repo.py``) and a CI step.
+gate (``tests/analysis/test_lint.py::TestRepoGate``) and a CI step.
 """
 
 from __future__ import annotations
 
 import argparse
 import ast
-import io
-import re
 import sys
-import tokenize
 from pathlib import Path
-from typing import Dict, Iterable, List, Optional, Sequence, Tuple
+from typing import Dict, Iterable, List, Optional, Sequence
 
-from repro.analysis.diagnostics import ERROR, Diagnostic
+from repro.analysis.concurrency import R_CODES, analyze_concurrency
+from repro.analysis.diagnostics import ERROR, Diagnostic, collect_suppressions
+from repro.analysis.effects import MUTABLE_CONSTRUCTORS
 
 #: Every code this linter can emit (the L-code family's jurisdiction).
 L_CODES: Dict[str, str] = {
@@ -108,10 +111,6 @@ _READ_SURFACE_NAMES = frozenset({"find", "find_one", "all", "aggregate", "distin
 #: Name prefixes of read-path executors and helpers.
 _READ_SURFACE_PREFIXES = ("execute_", "iter_", "_stage_", "_scan")
 
-#: Inline suppression comments: a hash, then ``repro: ignore`` with the
-#: suppressed codes comma-separated in square brackets.
-_SUPPRESSION = re.compile(r"#\s*repro:\s*ignore\[([A-Z0-9,\s]+)\]")
-
 
 def _is_read_surface(name: str) -> bool:
     return name in _READ_SURFACE_NAMES or name.startswith(_READ_SURFACE_PREFIXES)
@@ -119,15 +118,19 @@ def _is_read_surface(name: str) -> bool:
 #: String literals that make an ``open``-style mode argument a write mode.
 _WRITE_MODE_CHARS = frozenset("wax+")
 
-_MUTABLE_CALLS = frozenset({"list", "dict", "set"})
+
+def _called_name(call: ast.Call) -> str:
+    """The last name of a call target (``f`` in ``f()`` and ``a.b.f()``)."""
+    func = call.func
+    if isinstance(func, ast.Name):
+        return func.id
+    return func.attr if isinstance(func, ast.Attribute) else ""
 
 
 def _is_mutable_default(node: ast.AST) -> bool:
     if isinstance(node, (ast.List, ast.Dict, ast.Set)):
         return True
-    if isinstance(node, ast.Call) and isinstance(node.func, ast.Name):
-        return node.func.id in _MUTABLE_CALLS and not node.args and not node.keywords
-    return False
+    return isinstance(node, ast.Call) and _called_name(node) in MUTABLE_CONSTRUCTORS
 
 
 def _annotation_allows_none(annotation: Optional[ast.AST]) -> bool:
@@ -310,11 +313,7 @@ class _FileLinter(ast.NodeVisitor):
             and self._read_surface
             and self.path.name not in MATERIALIZATION_HOME
         ):
-            func = node.func
-            called = func.id if isinstance(func, ast.Name) else (
-                func.attr if isinstance(func, ast.Attribute) else ""
-            )
-            if called == "deep_copy":
+            if _called_name(node) == "deep_copy":
                 self._report(
                     node,
                     "L008",
@@ -373,31 +372,6 @@ class _FileLinter(ast.NodeVisitor):
         self.generic_visit(node)
 
 
-def _collect_suppressions(source: str) -> Dict[int, Tuple[str, ...]]:
-    """``{line: codes}`` from real ``#`` comment tokens only.
-
-    Tokenizing (rather than scanning raw lines) keeps the linter from
-    treating ``# repro: ignore[...]`` examples inside docstrings — like
-    the ones in this module — as live suppressions.
-    """
-    lines: Dict[int, Tuple[str, ...]] = {}
-    try:
-        for token in tokenize.generate_tokens(io.StringIO(source).readline):
-            if token.type != tokenize.COMMENT:
-                continue
-            match = _SUPPRESSION.search(token.string)
-            if match:
-                codes = tuple(
-                    code.strip()
-                    for code in match.group(1).split(",")
-                    if code.strip()
-                )
-                lines[token.start[0]] = codes
-    except (tokenize.TokenizeError, SyntaxError, IndentationError):
-        pass  # unparsable source is reported as L000
-    return lines
-
-
 def _finding_line(location: str) -> int:
     parts = location.rsplit(":", 2)
     return int(parts[1]) if len(parts) == 3 and parts[1].isdigit() else 0
@@ -406,7 +380,7 @@ def _finding_line(location: str) -> int:
 def _apply_suppressions(
     findings: List[Diagnostic], source: str, path: Path
 ) -> List[Diagnostic]:
-    suppressions = _collect_suppressions(source)
+    suppressions = collect_suppressions(source)
     if not suppressions:
         return findings
     used: set = set()
@@ -419,22 +393,31 @@ def _apply_suppressions(
         else:
             kept.append(finding)
     for line in sorted(suppressions):
-        if line in used:
-            continue
         codes = suppressions[line]
-        if not any(code in L_CODES for code in codes):
-            continue  # another tool's jurisdiction (e.g. R-codes)
-        kept.append(
-            Diagnostic(
-                "L009",
-                ERROR,
-                f"{path}:{line}:0",
-                f"suppression `# repro: ignore[{','.join(codes)}]` matches "
-                "no lint finding",
-                hint="delete the stale comment (the linter no longer flags "
-                "this line)",
+        comment = f"`# repro: ignore[{','.join(codes)}]`"
+        unknown = [c for c in codes if c not in L_CODES and c not in R_CODES]
+        if unknown:
+            kept.append(
+                Diagnostic(
+                    "L009",
+                    ERROR,
+                    f"{path}:{line}:0",
+                    f"suppression {comment} names unknown code(s) "
+                    f"{', '.join(unknown)}",
+                    hint="name a current L- or R-code, or delete the comment",
+                )
             )
-        )
+        elif line not in used and any(code in L_CODES for code in codes):
+            kept.append(
+                Diagnostic(
+                    "L009",
+                    ERROR,
+                    f"{path}:{line}:0",
+                    f"suppression {comment} matches no lint finding",
+                    hint="delete the stale comment (the linter no longer "
+                    "flags this line)",
+                )
+            )
     return kept
 
 
@@ -504,13 +487,11 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     parser.add_argument(
         "--concurrency",
         action="store_true",
-        help="also run the concurrency/determinism analyzer (R100-R106)",
+        help="also run the concurrency/determinism analyzer (R-codes)",
     )
     args = parser.parse_args(argv)
     findings = lint_paths(args.paths)
     if args.concurrency:
-        from repro.analysis.concurrency import analyze_concurrency
-
         findings.extend(analyze_concurrency(args.paths).all_findings)
     for finding in findings:
         sys.stderr.write(finding.render() + "\n")

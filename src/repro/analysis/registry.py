@@ -69,11 +69,6 @@ ACCUMULATORS = frozenset(
     {"$sum", "$avg", "$min", "$max", "$push", "$addToSet", "$first", "$last"}
 )
 
-#: Update operators accepted by ``Collection.update_one`` / ``update_many``.
-UPDATE_OPERATORS = frozenset(
-    {"$set", "$unset", "$inc", "$push", "$addToSet", "$pull", "$rename"}
-)
-
 #: Pipeline stages the query planner can push down into an indexed read
 #: (mirrors ``repro.docstore.planner.split_pushdown``; pinned by tests).
 PUSHDOWN_STAGES = frozenset({"$match", "$sort", "$skip", "$limit"})

@@ -1016,7 +1016,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     check.add_argument(
         "--concurrency", nargs="+", metavar="PATH",
-        help="run the concurrency/determinism analyzer (R100-R106) over "
+        help="run the concurrency/determinism analyzer (R-codes) over "
         "these source files or directories instead of a query spec",
     )
     check.add_argument(

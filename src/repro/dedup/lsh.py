@@ -44,11 +44,6 @@ counter come from the run lengths:
   bucket-size distribution and the dropped pair count land in
   :class:`BucketStats`, mirroring the no-silent-caps contract of the
   blocking passes' :class:`~repro.dedup.pipeline.PassStats`;
-* the signature matrix is optionally sharded over
-  :func:`repro.core.parallel.run_shards` (contiguous record slices, each
-  shard returns its slice of the matrix, merged by position) — rows are
-  a pure per-record function, so any ``(workers, shards)`` configuration
-  is bit-identical;
 * an optional exact TF-IDF cosine prefilter
   (:func:`repro.dedup.embeddings.cosine_prefilter`) thins the bucket
   pairs before the record matcher, with the filtered count reported —
@@ -71,7 +66,6 @@ import itertools
 import random
 from typing import Any, Dict, Iterator, List, Optional, Sequence, Set, Tuple
 
-from repro.core.parallel import effective_worker_count, run_shards
 from repro.dedup.embeddings import DEFAULT_NGRAM, cosine_prefilter, tfidf_vectors
 from repro.dedup.pipeline import CandidateStats, PassStats, _check_packable
 from repro.textsim.fast import sorted_unique
@@ -251,26 +245,31 @@ def _segment_minima(np: Any, table: Any, members: Any, counts: Any) -> Any:
     return out
 
 
-def _signature_shard(
+def signature_matrix(
     records: Sequence[Dict[str, str]],
-    attributes: Tuple[str, ...],
-    ngram: int,
-    a_params: Tuple[int, ...],
-    b_params: Tuple[int, ...],
+    attributes: Sequence[str],
+    *,
+    bands: int = DEFAULT_BANDS,
+    rows: int = DEFAULT_ROWS,
+    ngram: int = DEFAULT_NGRAM,
+    seed: int = DEFAULT_SEED,
 ) -> Any:
-    """Worker: the signature-matrix rows of one contiguous record slice.
+    """The ``len(records) × bands·rows`` ``uint64`` MinHash matrix.
 
-    Pure — rows depend only on the slice's records and the hash
-    parameters, so :func:`repro.core.parallel.run_shards` may retry or
-    degrade this worker freely and every ``(workers, shards)`` merge is
-    bit-identical.  Values and grams are numbered per slice; each
+    Row ``i`` is record ``i``'s signature, or all ``2**64 - 1`` for a
+    record with no shingles.  Values and grams are numbered once; each
     distinct gram is hashed once, each distinct value's row is the
     minimum over its grams and each record's row the minimum over its
     attributes' values.  The blank value has no gram: its row stays at
     the sentinel, which every minimum passes over.
     """
+    if bands < 1 or rows < 1:
+        raise ValueError(f"bands and rows must be >= 1, got {bands}x{rows}")
+    if ngram < 1:
+        raise ValueError(f"ngram must be >= 1, got {ngram}")
     import numpy as np
 
+    a_params, b_params = permutation_params(bands * rows, seed)
     columns = [
         [(record.get(attribute) or "").strip() for record in records]
         for attribute in attributes
@@ -297,61 +296,6 @@ def _signature_shard(
     return matrix
 
 
-def signature_matrix(
-    records: Sequence[Dict[str, str]],
-    attributes: Sequence[str],
-    *,
-    bands: int = DEFAULT_BANDS,
-    rows: int = DEFAULT_ROWS,
-    ngram: int = DEFAULT_NGRAM,
-    seed: int = DEFAULT_SEED,
-    shards: int = 1,
-    max_workers: Optional[int] = None,
-) -> Any:
-    """The ``len(records) × bands·rows`` ``uint64`` MinHash matrix.
-
-    Row ``i`` is record ``i``'s signature, or all ``2**64 - 1`` for a
-    record with no shingles.  ``max_workers=0``/``None`` computes
-    in-process.  With workers, the records split into ``shards``
-    contiguous slices that fan out over
-    :func:`repro.core.parallel.run_shards` (same crash-retry and
-    degradation policy as pair scoring) and their matrix slices stack
-    back by position — the slice boundaries depend only on
-    ``len(records)`` and ``shards``, and each row only on its record, so
-    every configuration returns the identical matrix.
-    """
-    if bands < 1 or rows < 1:
-        raise ValueError(f"bands and rows must be >= 1, got {bands}x{rows}")
-    if shards < 1:
-        raise ValueError(f"shards must be >= 1, got {shards}")
-    if ngram < 1:
-        raise ValueError(f"ngram must be >= 1, got {ngram}")
-    a_params, b_params = permutation_params(bands * rows, seed)
-    attribute_tuple = tuple(attributes)
-    max_workers = effective_worker_count(max_workers, label="minhash signatures")
-    record_count = len(records)
-    if not max_workers or shards == 1 or record_count < 2:
-        return _signature_shard(records, attribute_tuple, ngram, a_params, b_params)
-    import numpy as np
-
-    records_list = list(records)
-    bounds = [
-        (shard * record_count // shards, (shard + 1) * record_count // shards)
-        for shard in range(shards)
-    ]
-    return np.concatenate(
-        run_shards(
-            _signature_shard,
-            [
-                (records_list[lo:hi], attribute_tuple, ngram, a_params, b_params)
-                for lo, hi in bounds
-            ],
-            max_workers,
-            label="minhash signatures",
-        )
-    )
-
-
 def minhash_signatures(
     records: Sequence[Dict[str, str]],
     attributes: Sequence[str],
@@ -360,24 +304,14 @@ def minhash_signatures(
     rows: int = DEFAULT_ROWS,
     ngram: int = DEFAULT_NGRAM,
     seed: int = DEFAULT_SEED,
-    shards: int = 1,
-    max_workers: Optional[int] = None,
 ) -> List[Signature]:
-    """One ``bands * rows`` MinHash signature per record, optionally sharded.
+    """One ``bands * rows`` MinHash signature per record.
 
     The rows of :func:`signature_matrix` as tuples of ints, ``None`` for
-    a record with no shingles; every ``(max_workers, shards)``
-    configuration returns the identical list.
+    a record with no shingles.
     """
     matrix = signature_matrix(
-        records,
-        attributes,
-        bands=bands,
-        rows=rows,
-        ngram=ngram,
-        seed=seed,
-        shards=shards,
-        max_workers=max_workers,
+        records, attributes, bands=bands, rows=rows, ngram=ngram, seed=seed
     )
     return [tuple(row) if row[0] != _UNSIGNED else None for row in matrix.tolist()]
 
@@ -494,34 +428,25 @@ def lsh_candidates(
     seed: int = DEFAULT_SEED,
     max_bucket_size: int = DEFAULT_MAX_BUCKET_SIZE,
     cosine_floor: float = 0.0,
-    shards: int = 1,
-    max_workers: Optional[int] = None,
 ) -> Tuple[Set[int], CandidateStats]:
     """One MinHash–LSH candidate pass as packed keys with full accounting.
 
     The LSH counterpart of
     :func:`~repro.dedup.pipeline.sorted_neighborhood_candidates`: the
-    signature matrix (optionally sharded over worker processes), one sort
-    per band, the union of the bands' pairs and — when
+    signature matrix, one sort per band, the union of the bands' pairs
+    and — when
     ``cosine_floor > 0`` — an exact TF-IDF cosine prefilter over it.  The
     returned :class:`~repro.dedup.pipeline.CandidateStats` carries a
     single :class:`LshPassStats` pass whose ``pairs_emitted`` counts
     every band's pairs and whose :class:`BucketStats` exposes the
     bucket-size distribution, oversized skips and filtered pair count.
-    Deterministic for every ``(workers, shards)`` configuration.
     """
+    import numpy as np
+
     record_count = len(records)
     matrix = signature_matrix(
-        records,
-        attributes,
-        bands=bands,
-        rows=rows,
-        ngram=ngram,
-        seed=seed,
-        shards=shards,
-        max_workers=max_workers,
+        records, attributes, bands=bands, rows=rows, ngram=ngram, seed=seed
     )
-    import numpy as np
 
     bucket_stats = BucketStats()
     band_keys = _band_keys(

@@ -483,9 +483,9 @@ class DetectionPipeline:
     same entropy-picked attributes, and ``("snm", "lsh")`` unions both
     through one deduplicating packed-key set.  The LSH geometry is tuned
     with ``bands`` / ``rows`` / ``ngram`` / ``max_bucket_size`` /
-    ``cosine_floor`` (see ``docs/performance.md``, Layer 7); its
-    signature computation shares the pipeline's ``workers`` / ``shards``
-    settings and stays bit-identical for every configuration.
+    ``cosine_floor`` (see ``docs/performance.md``, Layer 7).  ``workers``
+    and ``shards`` apply to pair scoring; candidate generation runs
+    in-process.
     """
 
     def __init__(
@@ -545,10 +545,10 @@ class DetectionPipeline:
         """Streamed candidates as packed keys, one pass set per type.
 
         SNM passes stream lazily; an LSH pass is generated through
-        :func:`repro.dedup.lsh.lsh_candidates` (sharded signatures, bucket
-        accounting, optional cosine prefilter) and its deduplicated keys
-        join the same union, so cross-family overlaps are counted like
-        cross-pass overlaps always were.
+        :func:`repro.dedup.lsh.lsh_candidates` (bucket accounting, optional
+        cosine prefilter) and its deduplicated keys join the same union,
+        so cross-family overlaps are counted like cross-pass overlaps
+        always were.
         """
         keys = self.key_attributes or pick_blocking_keys(
             records, attributes, self.passes
@@ -583,26 +583,21 @@ class DetectionPipeline:
                     seed=self.lsh_seed,
                     max_bucket_size=self.max_bucket_size,
                     cosine_floor=self.cosine_floor,
-                    shards=self.shards,
-                    max_workers=self.workers,
                 )
                 streams.append(("lsh", iter(sorted(lsh_keys))))
         candidate_keys, stats = collect_candidates(streams, len(records))
         if lsh_stats is not None:
-            # Graft the LSH pass's bucket accounting onto the union's
-            # per-pass stats: pairs_new stays what collect_candidates
-            # measured against the cross-family union, everything else
-            # (bucket histogram, skips, filtered pairs) comes from the
-            # pass itself.
-            detailed = lsh_stats.passes[0]
+            # Graft the LSH pass's own accounting onto the union's
+            # per-pass stats: pairs_new is what collect_candidates
+            # measured against the cross-family union; everything else
+            # (every band's emitted pairs, bucket histogram, skips,
+            # filtered pairs) comes from the pass itself, since the
+            # stream above carries only its deduplicated keys.
             for position, pass_stats in enumerate(stats.passes):
                 if pass_stats.label == "lsh":
-                    detailed = dataclasses.replace(
-                        detailed,
-                        pairs_emitted=pass_stats.pairs_emitted,
-                        pairs_new=pass_stats.pairs_new,
+                    stats.passes[position] = dataclasses.replace(
+                        lsh_stats.passes[0], pairs_new=pass_stats.pairs_new
                     )
-                    stats.passes[position] = detailed
         return candidate_keys, stats
 
     def score(

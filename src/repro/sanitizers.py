@@ -1,34 +1,17 @@
-"""Runtime sanitizers for concurrency and determinism hazards.
+"""Runtime sanitizer for determinism hazards.
 
 The static side of this story lives in :mod:`repro.analysis.concurrency`
 (the R-code diagnostics).  This module provides the matching *dynamic*
-checks, in the style of :mod:`repro.faults`: process-wide, swappable shims
-a test installs for the duration of a ``with`` block.
-
-Two sanitizers are provided:
-
-* :func:`freeze_documents` — patches the read surface of
-  :class:`repro.docstore.collection.Collection` (``find`` / ``find_one`` /
-  ``aggregate`` / ``all``) so every returned document is recursively
-  wrapped in :class:`FrozenDocument` / :class:`FrozenList`.  Any caller
-  that mutates a query result — the aliasing hazard R104 looks for
-  statically — raises :class:`FrozenDocumentError` at the exact mutation
-  site instead of silently corrupting shared state.
-
-* :func:`determinism_check` — runs one sharded computation under several
-  ``(max_workers, shards)`` configurations and diffs the results.  The
-  pipeline's correctness story is "bit-identical to the naive oracle at
-  any parallelism"; this harness turns that claim into an executable
-  assertion and reports the first divergence when it fails
-  (:class:`NondeterminismError`).
+check: :func:`determinism_check` runs one sharded computation under
+several ``(max_workers, shards)`` configurations and diffs the results.
+The pipeline's correctness story is "bit-identical to the naive oracle at
+any parallelism"; this harness turns that claim into an executable
+assertion and reports the first divergence when it fails
+(:class:`NondeterminismError`).
 
 Usage::
 
     from repro import sanitizers
-
-    with sanitizers.freeze_documents():
-        rows = collection.find({"kind": "person"})
-        rows[0]["name"] = "x"      # raises FrozenDocumentError
 
     report = sanitizers.determinism_check(
         lambda workers, shards: score_candidates_packed(
@@ -40,192 +23,15 @@ Usage::
 
 from __future__ import annotations
 
-import contextlib
 import dataclasses
-from typing import Any, Callable, Iterator, List, NoReturn, Sequence, Tuple
-
-from repro.docstore.collection import Collection
+from typing import Any, Callable, List, Sequence, Tuple
 
 __all__ = [
-    "FrozenDocumentError",
-    "FrozenDocument",
-    "FrozenList",
-    "freeze",
-    "thaw",
-    "freeze_documents",
     "DeterminismReport",
     "NondeterminismError",
     "determinism_check",
     "DEFAULT_CONFIGS",
 ]
-
-
-class FrozenDocumentError(TypeError):
-    """Mutation of a document returned by the docstore under freezing.
-
-    Raised by :class:`FrozenDocument` / :class:`FrozenList` inside a
-    :func:`freeze_documents` block.  The message names the attempted
-    operation so the stack trace pinpoints the offending caller — the
-    runtime analogue of a static R104 finding.
-    """
-
-
-def _refuse(kind: str, op: str) -> NoReturn:
-    raise FrozenDocumentError(
-        f"cannot call {kind}.{op}() on a document returned by the docstore "
-        f"while freeze_documents() is active; copy it first "
-        f"(repro.docstore.documents.deep_copy or sanitizers.thaw)"
-    )
-
-
-class FrozenDocument(dict):
-    """A dict whose mutators raise :class:`FrozenDocumentError`.
-
-    Reads behave exactly like a plain dict, so frozen results pass through
-    scoring and aggregation code unchanged; only mutation is poisoned.
-    """
-
-    __slots__ = ()
-
-    def __setitem__(self, key: Any, value: Any) -> None:
-        _refuse("FrozenDocument", "__setitem__")
-
-    def __delitem__(self, key: Any) -> None:
-        _refuse("FrozenDocument", "__delitem__")
-
-    def __ior__(self, other: Any) -> "FrozenDocument":
-        _refuse("FrozenDocument", "__ior__")
-
-    def clear(self) -> None:
-        _refuse("FrozenDocument", "clear")
-
-    def pop(self, *args: Any) -> Any:
-        _refuse("FrozenDocument", "pop")
-
-    def popitem(self) -> Tuple[Any, Any]:
-        _refuse("FrozenDocument", "popitem")
-
-    def setdefault(self, key: Any, default: Any = None) -> Any:
-        _refuse("FrozenDocument", "setdefault")
-
-    def update(self, *args: Any, **kwargs: Any) -> None:
-        _refuse("FrozenDocument", "update")
-
-    def __reduce__(self) -> Tuple[Any, ...]:
-        # copy.deepcopy / pickle rebuild a *plain* dict: a copy is exactly
-        # the sanctioned way to get a mutable version of a frozen result.
-        return (dict, (), None, None, iter(self.items()))
-
-
-class FrozenList(list):
-    """A list whose mutators raise :class:`FrozenDocumentError`."""
-
-    __slots__ = ()
-
-    def __setitem__(self, index: Any, value: Any) -> None:
-        _refuse("FrozenList", "__setitem__")
-
-    def __delitem__(self, index: Any) -> None:
-        _refuse("FrozenList", "__delitem__")
-
-    def __iadd__(self, other: Any) -> "FrozenList":
-        _refuse("FrozenList", "__iadd__")
-
-    def __imul__(self, factor: Any) -> "FrozenList":
-        _refuse("FrozenList", "__imul__")
-
-    def append(self, value: Any) -> None:
-        _refuse("FrozenList", "append")
-
-    def extend(self, values: Any) -> None:
-        _refuse("FrozenList", "extend")
-
-    def insert(self, index: int, value: Any) -> None:
-        _refuse("FrozenList", "insert")
-
-    def remove(self, value: Any) -> None:
-        _refuse("FrozenList", "remove")
-
-    def pop(self, index: int = -1) -> Any:
-        _refuse("FrozenList", "pop")
-
-    def clear(self) -> None:
-        _refuse("FrozenList", "clear")
-
-    def sort(self, *args: Any, **kwargs: Any) -> None:
-        _refuse("FrozenList", "sort")
-
-    def reverse(self) -> None:
-        _refuse("FrozenList", "reverse")
-
-    def __reduce__(self) -> Tuple[Any, ...]:
-        return (list, (), None, iter(self), None)
-
-
-def freeze(value: Any) -> Any:
-    """Recursively wrap dicts/lists in their frozen counterparts.
-
-    Scalars (and anything that is not a dict or list) pass through
-    unchanged; documents are JSON-like, so this covers every container the
-    docstore can return.
-    """
-    if isinstance(value, dict):
-        return FrozenDocument((key, freeze(item)) for key, item in value.items())
-    if isinstance(value, list):
-        return FrozenList(freeze(item) for item in value)
-    return value
-
-
-def thaw(value: Any) -> Any:
-    """Recursively convert frozen containers back into plain dicts/lists."""
-    if isinstance(value, dict):
-        return {key: thaw(item) for key, item in value.items()}
-    if isinstance(value, list):
-        return [thaw(item) for item in value]
-    return value
-
-
-#: The Collection read methods the sanitizer wraps.  Each returns documents
-#: (or containers of documents) that callers must treat as immutable.
-_READ_METHODS = ("find", "find_one", "aggregate", "all")
-
-
-def _freezing(method: Callable[..., Any]) -> Callable[..., Any]:
-    def wrapper(self: Collection, *args: Any, **kwargs: Any) -> Any:
-        result = method(self, *args, **kwargs)
-        if isinstance(result, Iterator) or (
-            hasattr(result, "__next__") and not isinstance(result, (list, dict))
-        ):
-            return (freeze(item) for item in result)
-        return freeze(result)
-
-    wrapper.__name__ = method.__name__
-    wrapper.__doc__ = method.__doc__
-    return wrapper
-
-
-@contextlib.contextmanager
-def freeze_documents() -> Iterator[None]:
-    """Poison docstore read results against caller mutation.
-
-    For the duration of the ``with`` block, every document returned by
-    ``Collection.find`` / ``find_one`` / ``aggregate`` / ``all`` (on *any*
-    collection in the process) is frozen: mutating it raises
-    :class:`FrozenDocumentError` at the mutation site.  Reads, projection,
-    equality and iteration are unaffected.  Nested blocks are safe; the
-    original methods are always restored on exit.
-    """
-    originals = {name: getattr(Collection, name) for name in _READ_METHODS}
-    for name, method in originals.items():
-        setattr(Collection, name, _freezing(method))
-    try:
-        yield
-    finally:
-        for name, method in originals.items():
-            setattr(Collection, name, method)
-
-
-# --------------------------------------------------------------- determinism
 
 
 #: Default ``(max_workers, shards)`` configurations exercised by

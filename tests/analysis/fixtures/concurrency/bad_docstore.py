@@ -1,16 +1,10 @@
-"""Known-bad: borrowed-document mutation and journal-bypassing writes.
+"""Known-bad: journal-bypassing writes.
 
-Expected findings: R104 (mutating a document obtained from a docstore
-read) and R105 (writing docstore-private state from outside the store).
+Expected finding: R105 (writing docstore-private state from outside the
+store).
 """
 
 from __future__ import annotations
-
-
-def relabel(collection):
-    for doc in collection.find({"kind": "person"}):
-        doc["kind"] = "voter"
-    return collection
 
 
 def poke(collection, doc):

@@ -1,4 +1,4 @@
-"""Unit tests for the query/pipeline/update static analyzer.
+"""Unit tests for the query/pipeline static analyzer.
 
 One test class per diagnostic code family, so every code documented in
 ``docs/static-analysis.md`` is pinned by at least one test.
@@ -7,7 +7,6 @@ One test class per diagnostic code family, so every code documented in
 from repro.analysis import (
     analyze_filter,
     analyze_pipeline,
-    analyze_update,
     cluster_schema,
     has_errors,
 )
@@ -62,9 +61,6 @@ class TestCleanSpecs:
             )
             == []
         )
-
-    def test_clean_update(self):
-        assert analyze_update({"$set": {"a": 1}, "$inc": {"b": 2}}) == []
 
 
 class TestQ001UnknownOperator:
@@ -335,21 +331,3 @@ class TestP106SortAfterLimit:
 
     def test_sort_before_limit_is_clean(self):
         assert analyze_pipeline([{"$sort": {"a": 1}}, {"$limit": 5}]) == []
-
-
-class TestUpdates:
-    def test_u301_unknown_operator(self):
-        diagnostic = only(analyze_update({"$sett": {"a": 1}}), "U301")
-        assert "did you mean '$set'?" in diagnostic.hint
-
-    def test_u302_malformed(self):
-        assert "U302" in codes(analyze_update([]))
-        assert "U302" in codes(analyze_update({}))
-        assert "U302" in codes(analyze_update({"$set": []}))
-
-    def test_update_paths_checked_against_schema(self):
-        diagnostics = analyze_update(
-            {"$set": {"records.persn.age": "9"}}, cluster_schema()
-        )
-        assert "Q007" in codes(diagnostics)
-

@@ -72,11 +72,9 @@ class TestFixtureCorpus:
 
     def test_bad_docstore(self):
         report = analyze_fixture("bad_docstore")
-        assert report.counts() == {"R104": 1, "R105": 1}
-        r104, r105 = report.findings
-        assert r104.path.endswith("bad_docstore.py:12:0")
-        assert "'relabel' mutates 'doc'" in r104.message
-        assert r105.path.endswith("bad_docstore.py:17:0")
+        assert report.counts() == {"R105": 1}
+        (r105,) = report.findings
+        assert r105.path.endswith("bad_docstore.py:11:0")
         assert "'_documents'" in r105.message
         assert "bypasses the WAL journal" in r105.message
 
@@ -101,7 +99,6 @@ class TestFixtureCorpus:
             "R101": 2,
             "R102": 2,
             "R103": 1,
-            "R104": 1,
             "R105": 1,
             "R106": 1,
         }

@@ -32,8 +32,23 @@ class TestLintRules:
         assert codes(lint("def broken(:\n")) == ["L000"]
 
     def test_l001_mutable_defaults(self):
-        source = CLEAN + "def g(a=[], b={}, c=set(), *, d=list()):\n    pass\n"
-        assert codes(lint(source)).count("L001") == 4
+        # The collections constructors count too, bare or dotted, and a
+        # constructor call with arguments is still a fresh mutable object.
+        defaults = [
+            "[]",
+            "{}",
+            "set()",
+            "list()",
+            "collections.defaultdict(list)",
+            "Counter()",
+            "deque()",
+            "list(range(3))",
+            "bytearray(4)",
+            "OrderedDict()",
+        ]
+        for default in defaults:
+            source = CLEAN + f"def g(a, *, b={default}):\n    pass\n"
+            assert codes(lint(source)) == ["L001"], default
 
     def test_l001_lambda_default(self):
         source = CLEAN + "g = lambda xs=[]: xs\n"
@@ -214,10 +229,30 @@ class TestLintRules:
         assert codes(lint(source, path=path, is_docstore=True)) == ["L009"]
 
     def test_l009_skips_other_tools_codes(self):
-        source = CLEAN + "X = 1  # repro: ignore[R104]\n"
+        source = CLEAN + "X = 1  # repro: ignore[R103]\n"
         path = "src/repro/docstore/collection2.py"
         # R-codes belong to the concurrency analyzer; not our staleness call.
         assert lint(source, path=path, is_docstore=True) == []
+
+    def test_l009_flags_unknown_codes(self):
+        # A typo, another family's retired code, or a retired R-code: no
+        # tool owns it, so nothing else would ever report it.
+        for code in ("L0008", "I408", "R104", "R103,X999"):
+            source = CLEAN + f"X = 1  # repro: ignore[{code}]\n"
+            (finding,) = lint(source)
+            assert finding.code == "L009", code
+            assert finding.path.endswith(":10:0")
+            assert "unknown code" in finding.message
+
+    def test_l009_unknown_code_beside_a_used_one(self):
+        source = CLEAN + (
+            "def find(state):\n"
+            "    return deep_copy(state)  # repro: ignore[L008,L0008]\n"
+        )
+        path = "src/repro/docstore/collection2.py"
+        (finding,) = lint(source, path=path, is_docstore=True)
+        assert finding.code == "L009"
+        assert finding.message.endswith("names unknown code(s) L0008")
 
 
 class TestLintPaths:
@@ -247,7 +282,10 @@ class TestLintPaths:
 
 class TestRepoGate:
     def test_repo_is_lint_clean(self):
-        """The enforced invariant: src and tests carry no lint findings."""
+        """The enforced invariant: src, tests, benchmarks and examples
+        carry no lint findings."""
         root = Path(__file__).resolve().parents[2]
-        findings = lint_paths([root / "src", root / "tests"])
+        findings = lint_paths(
+            [root / "src", root / "tests", root / "benchmarks", root / "examples"]
+        )
         assert findings == [], "\n".join(f.render() for f in findings)

@@ -6,7 +6,6 @@ from repro.analysis import (
     FILTER_OPERATORS,
     PIPELINE_STAGES,
     SchemaPaths,
-    UPDATE_OPERATORS,
     cluster_schema,
     flat_record_schema,
     suggest,
@@ -174,9 +173,8 @@ class TestRegistries:
         for op, operand in operands.items():
             evaluate({op: operand}, {"xs": [1, 2]})
 
-    def test_accumulators_and_update_operators_accepted(self):
+    def test_accumulators_accepted(self):
         from repro.docstore.aggregation import run_pipeline
-        from repro.docstore.collection import Collection
 
         for op in ACCUMULATORS:
             list(
@@ -184,18 +182,6 @@ class TestRegistries:
                     [{"v": 1}], [{"$group": {"_id": None, "out": {op: "$v"}}}]
                 )
             )
-        for op in UPDATE_OPERATORS:
-            collection = Collection("probe")
-            collection.insert_one({"_id": 1, "a": 1, "xs": [1]})
-            spec = {
-                "$unset": {"a": ""},
-                "$rename": {"a": "b"},
-                "$push": {"xs": 2},
-                "$addToSet": {"xs": 2},
-                "$pull": {"xs": 1},
-                "$inc": {"a": 1},
-            }.get(op, {"a": 5})
-            collection.update_one({"_id": 1}, {op: spec})
 
 
 class TestSuggest:

@@ -10,8 +10,11 @@ algorithm in :mod:`repro.dedup._reference`:
   :class:`~repro.dedup.pipeline.CandidateStats` equal the oracle's
   exactly, on registers with blank values, values shorter than the
   n-gram, grams shared across attributes, non-ASCII text, all-empty and
-  duplicated records, ``rows=1``, ``bands=1``, bucket caps that force
-  skips and a ``(2, 3)`` worker/shard fan-out;
+  duplicated records, ``rows=1``, ``bands=1`` and bucket caps that force
+  skips;
+* with a cosine floor, the candidate keys are the oracle's keys thinned
+  by :func:`repro.dedup.embeddings.cosine_prefilter`, and
+  ``pairs_filtered`` counts exactly the pairs it removed;
 * shingling is bit-identical to the naive oracle
   (:func:`repro.dedup._reference.shingle_set_reference`);
 * every emitted candidate is *justified*: canonical ``i < j`` packed
@@ -22,11 +25,8 @@ algorithm in :mod:`repro.dedup._reference`:
   the S-curve guarantee;
 * recall against the exact shingle-Jaccard oracle clears a configured
   floor on a fixed typo'd register (deterministic, seeded);
-* signatures and candidate sets are bit-identical across every
-  ``(workers, shards)`` configuration
-  (:func:`repro.sanitizers.determinism_check` at (1,1)/(2,4)/(4,8)) and
-  stable under the seed: same seed → same signatures, different seed →
-  (on real data) different permutations.
+* signatures are stable under the seed: same seed → same signatures,
+  different seed → (on real data) different permutations.
 """
 
 import re
@@ -39,16 +39,18 @@ from hypothesis import strategies as st
 
 from repro.dedup import _reference as ref
 from repro.dedup import (
+    DetectionPipeline,
+    cosine_prefilter,
     estimate_jaccard,
     iter_lsh_keys,
     lsh_band_collisions,
     lsh_candidates,
     minhash_signatures,
     shingle_record,
+    tfidf_vectors,
     unpack_pair,
 )
 from repro.dedup.lsh import BucketStats
-from repro.sanitizers import determinism_check
 
 ATTRIBUTES = ("first_name", "midl_name", "last_name", "city", "zip")
 
@@ -109,14 +111,14 @@ class TestMatchesHistoricalOracle:
     dict-bucket oracle exactly — the proof of bit-identity."""
 
     @staticmethod
-    def _check(records, geometry, **fanout):
+    def _check(records, geometry):
         bands, rows, ngram, max_bucket_size = geometry
         shape = {"bands": bands, "rows": rows, "ngram": ngram}
-        signatures = minhash_signatures(records, ATTRIBUTES, **shape, **fanout)
+        signatures = minhash_signatures(records, ATTRIBUTES, **shape)
         oracle = ref.minhash_signatures_reference(records, ATTRIBUTES, **shape)
         assert signatures == oracle
         keys, stats = lsh_candidates(
-            records, ATTRIBUTES, max_bucket_size=max_bucket_size, **shape, **fanout
+            records, ATTRIBUTES, max_bucket_size=max_bucket_size, **shape
         )
         oracle_keys, oracle_stats = ref.lsh_candidates_reference(
             records, ATTRIBUTES, max_bucket_size=max_bucket_size, **shape
@@ -155,12 +157,6 @@ class TestMatchesHistoricalOracle:
         )
         assert emitted == oracle_emitted
         assert stats == oracle_stats
-
-    @given(oracle_registers(), oracle_geometry)
-    @example(PINNED_REGISTER, (2, 1, 3, 2))
-    @settings(max_examples=12, deadline=None)
-    def test_two_workers_three_shards(self, records, geometry):
-        self._check(records, geometry, max_workers=2, shards=3)
 
     @pytest.mark.parametrize(
         "options, message",
@@ -306,52 +302,75 @@ class TestCandidatesJustified:
         )
 
 
+def _family_register():
+    """A fixed register with repeated families and small typos — enough
+    shared shingles to make buckets non-trivial."""
+    base = [
+        ("JOHN", "Q", "SMITH", "DURHAM", "27701"),
+        ("JON", "Q", "SMITH", "DURHAM", "27701"),
+        ("MARY", "LOU", "JONES", "RALEIGH", "27601"),
+        ("MARY", "LOU", "JNOES", "RALEIGH", "27601"),
+        ("ALAN", "", "BECK", "CARY", "27511"),
+        ("ALLAN", "", "BECK", "CARY", "27511"),
+        ("RUTH", "ANN", "MOORE", "APEX", "27502"),
+        ("RUTH", "AN", "MORE", "APEX", "27502"),
+    ]
+    return [dict(zip(ATTRIBUTES, values)) for values in base * 4]
+
+
+class TestCosinePrefilter:
+    #: One row per band: single-minimum collisions are common even
+    #: between different families, so the prefilter has low-cosine pairs
+    #: to remove at every floor below.
+    SHAPE = {"bands": 16, "rows": 1}
+
+    @pytest.mark.parametrize("floor", [0.2, 0.35, 1.0])
+    def test_keys_are_the_oracle_thinned_by_cosine(self, floor):
+        records = _family_register()
+        keys, stats = lsh_candidates(
+            records, ATTRIBUTES, cosine_floor=floor, **self.SHAPE
+        )
+        oracle_keys, oracle_stats = ref.lsh_candidates_reference(
+            records, ATTRIBUTES, **self.SHAPE
+        )
+        expected = set(
+            cosine_prefilter(
+                tfidf_vectors(records, ATTRIBUTES), oracle_keys, len(records), floor
+            )
+        )
+        assert keys == expected
+        (lsh_pass,) = stats.passes
+        (oracle_pass,) = oracle_stats.passes
+        assert lsh_pass.buckets.pairs_filtered == len(oracle_keys) - len(expected) > 0
+        assert lsh_pass.pairs_emitted == oracle_pass.pairs_emitted
+        assert lsh_pass.pairs_new == len(expected)
+
+
+class TestPipelineAccounting:
+    @pytest.mark.parametrize("families", [("lsh",), ("snm", "lsh")])
+    def test_lsh_pass_keeps_its_band_emissions(self, families):
+        # Every family is repeated four times, so its pairs collide in
+        # all 16 bands: band emissions far exceed the unique pairs.
+        records = _family_register()
+        lsh_keys, lsh_stats = lsh_candidates(records, ATTRIBUTES)
+        (alone,) = lsh_stats.passes
+        assert alone.pairs_emitted > len(lsh_keys)
+        pipeline = DetectionPipeline(
+            key_attributes=ATTRIBUTES, candidate_passes=families
+        )
+        keys, stats = pipeline.candidates(records, ATTRIBUTES)
+        (lsh_pass,) = [p for p in stats.passes if p.label == "lsh"]
+        assert lsh_pass.pairs_emitted == alone.pairs_emitted
+        assert lsh_pass.buckets == alone.buckets
+        assert lsh_keys <= keys
+        assert stats.unique_pairs == len(keys)
+        if families == ("lsh",):
+            assert lsh_pass.pairs_new == len(lsh_keys)
+
+
 class TestDeterminism:
-    def _register(self):
-        # A fixed register with repeated families and small typos —
-        # enough shared shingles to make buckets non-trivial.
-        base = [
-            ("JOHN", "Q", "SMITH", "DURHAM", "27701"),
-            ("JON", "Q", "SMITH", "DURHAM", "27701"),
-            ("MARY", "LOU", "JONES", "RALEIGH", "27601"),
-            ("MARY", "LOU", "JNOES", "RALEIGH", "27601"),
-            ("ALAN", "", "BECK", "CARY", "27511"),
-            ("ALLAN", "", "BECK", "CARY", "27511"),
-            ("RUTH", "ANN", "MOORE", "APEX", "27502"),
-            ("RUTH", "AN", "MORE", "APEX", "27502"),
-        ]
-        return [
-            dict(zip(ATTRIBUTES, values)) for values in base * 4
-        ]
-
-    def test_signatures_identical_across_worker_configs(self):
-        records = self._register()
-        report = determinism_check(
-            lambda workers, shards: minhash_signatures(
-                records, ATTRIBUTES, shards=shards, max_workers=workers
-            ),
-            label="minhash signatures",
-        )
-        assert report.consistent
-
-    def test_candidates_identical_across_worker_configs(self):
-        records = self._register()
-        report = determinism_check(
-            lambda workers, shards: (
-                lsh_candidates(
-                    records,
-                    ATTRIBUTES,
-                    cosine_floor=0.2,
-                    shards=shards,
-                    max_workers=workers,
-                )[0]
-            ),
-            label="lsh candidates",
-        )
-        assert report.consistent
-
     def test_seed_stability(self):
-        records = self._register()
+        records = _family_register()
         first = minhash_signatures(records, ATTRIBUTES, seed=7)
         again = minhash_signatures(records, ATTRIBUTES, seed=7)
         other = minhash_signatures(records, ATTRIBUTES, seed=8)

@@ -1,4 +1,5 @@
-"""Runtime sanitizer tests: frozen documents and the determinism harness.
+"""Runtime sanitizer tests: read-result mutation safety and the determinism
+harness.
 
 The last class is the acceptance gate for the parallel entry points:
 ``score_candidates_packed`` and ``score_clusters_parallel`` must produce
@@ -12,7 +13,6 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro import sanitizers
 from repro.core.heterogeneity import HeterogeneityScorer
 from repro.core.parallel import score_clusters_parallel
 from repro.core import RemovalLevel, TestDataGenerator
@@ -21,12 +21,8 @@ from repro.docstore import Database
 from repro.docstore.collection import Collection
 from repro.sanitizers import (
     DEFAULT_CONFIGS,
-    FrozenDocumentError,
     NondeterminismError,
     determinism_check,
-    freeze,
-    freeze_documents,
-    thaw,
 )
 
 
@@ -40,109 +36,6 @@ def people():
         ]
     )
     return collection
-
-
-class TestFrozenContainers:
-    def test_reads_behave_like_plain_containers(self):
-        frozen = freeze({"a": [1, {"b": 2}], "c": "text"})
-        assert frozen["a"][1]["b"] == 2
-        assert list(frozen) == ["a", "c"]
-        assert len(frozen["a"]) == 2
-        assert frozen == {"a": [1, {"b": 2}], "c": "text"}
-
-    @pytest.mark.parametrize(
-        "mutate",
-        [
-            lambda d: d.__setitem__("k", 1),
-            lambda d: d.__delitem__("a"),
-            lambda d: d.pop("a"),
-            lambda d: d.popitem(),
-            lambda d: d.clear(),
-            lambda d: d.update(k=1),
-            lambda d: d.setdefault("k", 1),
-        ],
-    )
-    def test_dict_mutators_raise(self, mutate):
-        frozen = freeze({"a": 1})
-        with pytest.raises(FrozenDocumentError):
-            mutate(frozen)
-
-    @pytest.mark.parametrize(
-        "mutate",
-        [
-            lambda l: l.append(1),
-            lambda l: l.extend([1]),
-            lambda l: l.insert(0, 1),
-            lambda l: l.remove(1),
-            lambda l: l.pop(),
-            lambda l: l.clear(),
-            lambda l: l.sort(),
-            lambda l: l.reverse(),
-            lambda l: l.__setitem__(0, 9),
-            lambda l: l.__delitem__(0),
-        ],
-    )
-    def test_list_mutators_raise(self, mutate):
-        frozen = freeze({"a": [1, 2]})["a"]
-        with pytest.raises(FrozenDocumentError):
-            mutate(frozen)
-
-    def test_thaw_returns_plain_mutable_containers(self):
-        thawed = thaw(freeze({"a": [1, {"b": 2}]}))
-        assert type(thawed) is dict
-        assert type(thawed["a"]) is list
-        thawed["a"].append(3)
-        assert thawed["a"][-1] == 3
-
-    def test_deepcopy_escapes_the_freeze(self):
-        duplicate = copy.deepcopy(freeze({"a": [1]}))
-        assert type(duplicate) is dict and type(duplicate["a"]) is list
-        duplicate["a"].append(2)
-        assert duplicate == {"a": [1, 2]}
-
-
-class TestFreezeDocuments:
-    def test_find_results_are_poisoned(self, people):
-        with freeze_documents():
-            rows = people.find({"name": "ada"})
-            assert rows[0]["meta"]["age"] == 36
-            with pytest.raises(FrozenDocumentError):
-                rows[0]["name"] = "eve"
-            with pytest.raises(FrozenDocumentError):
-                rows[0]["tags"].append("z")
-
-    def test_find_one_aggregate_and_all_are_covered(self, people):
-        with freeze_documents():
-            one = people.find_one({"name": "ben"})
-            with pytest.raises(FrozenDocumentError):
-                one["meta"].update(age=42)
-            (row,) = people.aggregate([{"$match": {"name": "ada"}}])
-            with pytest.raises(FrozenDocumentError):
-                row.pop("name")
-            for document in people.all():
-                with pytest.raises(FrozenDocumentError):
-                    document["seen"] = True
-
-    def test_methods_are_restored_on_exit(self, people):
-        with freeze_documents():
-            pass
-        row = people.find({"name": "ada"})[0]
-        row["name"] = "mutable-again"  # plain dict once the block ends
-        assert people.find({"name": "ada"})[0]["name"] == "ada"
-
-    def test_nested_blocks_restore_cleanly(self, people):
-        with freeze_documents():
-            with freeze_documents():
-                with pytest.raises(FrozenDocumentError):
-                    people.find_one({"name": "ada"})["x"] = 1
-            with pytest.raises(FrozenDocumentError):
-                people.find_one({"name": "ada"})["x"] = 1
-        people.find_one({"name": "ada"})["x"] = 1  # unfrozen again
-
-    def test_writes_still_work_under_freezing(self, people):
-        with freeze_documents():
-            people.insert_one({"name": "cleo"})
-            assert people.find_one({"name": "cleo"})["name"] == "cleo"
 
 
 # Random documents with nested dicts and lists — the shapes a lazy
@@ -173,9 +66,8 @@ _view_documents = st.lists(
 class TestLazyViewMutationSafety:
     """Copy-on-read views: caller mutations must never reach the store.
 
-    The hypothesis property is the runtime counterpart of what
-    ``freeze_documents`` polices statically: documents returned by reads
-    are the caller's to wreck, and the stored state must not notice.
+    Documents returned by reads are the caller's to wreck, and the stored
+    state must not notice.
     """
 
     @given(_view_documents, st.data())
