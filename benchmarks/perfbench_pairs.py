@@ -14,7 +14,8 @@ end-to-end metric of ``BENCHMARK.json``, each side's median and quartiles
 and the metric's verdict against its bound (choosing-metrics guide,
 section 6.5; see :func:`verdict`): ``within bound``, ``worse than bound``
 or ``unresolved``.  Then whether every pair's output digests equal the
-parent's, and for ``--metric`` the pairs the change won (ties count for
+parent's, whether both sides of every pair ran on the same inputs (the
+input digests each run's ``perfbench env`` line prints), and for ``--metric`` the pairs the change won (ties count for
 neither side) and whether the gain rule of the guide (section 8) holds:
 the change wins at least nine tenths of the pairs, and the medians differ,
 in the better direction, by more than the distance between the parent's
@@ -56,9 +57,12 @@ def export_revision(revision: str) -> Path:
     return target
 
 
-def run_once(checkout: Path, workload: str, seed: int) -> Tuple[Optional[dict], str]:
-    """One untraced run's result object (``None`` when it printed none)
-    and its output digests line."""
+def run_once(
+    checkout: Path, workload: str, seed: int
+) -> Tuple[Optional[dict], str, Dict[str, str]]:
+    """One untraced run's result object (``None`` when it printed none),
+    its output digests line and its input digests (``{}`` when it printed
+    no ``perfbench env`` line)."""
     process = subprocess.run(
         [
             sys.executable, "perfbench/run.py", "--workload", workload,
@@ -71,12 +75,19 @@ def run_once(checkout: Path, workload: str, seed: int) -> Tuple[Optional[dict], 
         (line.split(" ", 2)[2] for line in lines if line.startswith("perfbench digests ")),
         "",
     )
+    inputs = next(
+        (
+            json.loads(line.split(" ", 2)[2]).get("inputs", {})
+            for line in lines if line.startswith("perfbench env ")
+        ),
+        {},
+    )
     try:
         result = json.loads(lines[-1])
     except (IndexError, json.JSONDecodeError):
         sys.stderr.write(process.stdout[-2000:] + process.stderr[-2000:])
-        return None, digests
-    return (result if isinstance(result, dict) else None), digests
+        return None, digests, inputs
+    return (result if isinstance(result, dict) else None), digests, inputs
 
 
 def quartiles(values: List[float]) -> Tuple[float, float, float]:
@@ -135,6 +146,17 @@ def digests_differ(digests: Dict[str, List[str]]) -> List[int]:
     ]
 
 
+def inputs_differ(inputs: Dict[str, List[Dict[str, str]]]) -> List[Tuple[int, List[str]]]:
+    """The (1-based) pairs whose change ran on other inputs than the
+    parent, each with the names of the inputs whose digests differ."""
+    differ = []
+    for pair, (old, new) in enumerate(zip(inputs["parent"], inputs["change"]), 1):
+        names = sorted(name for name in set(old) | set(new) if old.get(name) != new.get(name))
+        if names:
+            differ.append((pair, names))
+    return differ
+
+
 def main(argv: Optional[List[str]] = None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     parser.add_argument("--parent", default="HEAD", help="revision to compare against")
@@ -155,13 +177,15 @@ def main(argv: Optional[List[str]] = None) -> int:
         side: {name: [] for name in better} for side in SIDES
     }
     digests: Dict[str, List[str]] = {side: [] for side in SIDES}
+    inputs: Dict[str, List[Dict[str, str]]] = {side: [] for side in SIDES}
     units: Dict[str, str] = {}
     ok = True
     for pair in range(1, args.pairs + 1):
         order = SIDES if pair % 2 else SIDES[::-1]
         for side in order:
-            result, digest = run_once(checkouts[side], args.workload, args.seed)
+            result, digest, used = run_once(checkouts[side], args.workload, args.seed)
             digests[side].append(digest)
+            inputs[side].append(used)
             if result is None or result.get("correct") is not True:
                 ok = False
             metrics = (result or {}).get("metrics", {})
@@ -202,6 +226,15 @@ def main(argv: Optional[List[str]] = None) -> int:
         "\ndigests: " + (
             f"differ from the parent's in pairs {', '.join(map(str, differ))}"
             if differ else "every pair equal to the parent's"
+        )
+    )
+    other_inputs = inputs_differ(inputs)
+    print(
+        "inputs: " + (
+            "differ from the parent's in " + ", ".join(
+                f"pair {pair} ({', '.join(names)})" for pair, names in other_inputs
+            )
+            if other_inputs else "every pair ran on the parent's inputs"
         )
     )
 

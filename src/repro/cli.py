@@ -42,7 +42,6 @@ from pathlib import Path
 from typing import Callable, List, Optional, Sequence, Set, Tuple
 
 from repro.core import RemovalLevel, TestDataGenerator, customize
-from repro.core.heterogeneity import HeterogeneityScorer
 from repro.core.statistics import snapshot_year_stats
 from repro.core.versioning import UpdateProcess
 from repro.docstore import Database, QuarantineError
@@ -358,15 +357,11 @@ def _cmd_scrub(args: argparse.Namespace) -> int:
 def _cmd_customize(args: argparse.Namespace) -> int:
     generator = _generator_from_store(Path(args.store))
     attributes = tuple(a for a in PERSON_ATTRIBUTES if a != "ncid")
-    scorer = HeterogeneityScorer.from_clusters(
-        generator.clusters(), ("person",), attributes
-    )
     result = customize(
         generator,
         args.h_lo,
         args.h_hi,
         target_clusters=args.clusters,
-        scorer=scorer,
         name=Path(args.out).stem,
         seed=args.seed,
     )

@@ -1,17 +1,20 @@
 """Naive reference cluster scoring (the oracle for the batched fast paths).
 
-Mirrors :func:`repro.core.plausibility.score_cluster` and
+Mirrors :func:`repro.core.plausibility.score_cluster`,
 :meth:`repro.core.heterogeneity.HeterogeneityScorer.score_cluster_document`
-but computes every record pair from scratch through the naive string kernels
-in :mod:`repro.textsim._reference` — no caching, no pair deduplication, no
-prefix stripping.  Tests assert the production paths are bit-identical to
-this module; the scoring benchmark measures their speedup against it.
+and the customisation scan of :func:`repro.core.customize.customize`, but
+computes every record pair from scratch through the naive string kernels
+in :mod:`repro.textsim._reference` — no value rows, no caching, no pair
+deduplication, no prefix stripping.  Tests assert the production paths are
+bit-identical to this module; the scoring benchmark measures their speedup
+against it.
 """
 
 from __future__ import annotations
 
 import itertools
-from typing import Dict, Iterable, Optional, Tuple
+import random
+from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
 from repro.core.clusters import record_view
 from repro.core.plausibility import (
@@ -135,3 +138,60 @@ def score_heterogeneity_reference(
             maps[j] = row
         results[cluster["ncid"]] = maps
     return results
+
+
+def reduce_cluster_reference(
+    weights: Dict[str, float],
+    flats: Sequence[Dict[str, str]],
+    h_lo: float,
+    h_hi: float,
+) -> List[int]:
+    """The customisation scan, scoring each pair of flat records afresh."""
+    kept: List[int] = []
+    for index, flat in enumerate(flats):
+        if not kept:
+            kept.append(index)
+            continue
+        in_range = True
+        for kept_index in kept:
+            score = pair_heterogeneity_reference(weights, flats[kept_index], flat)
+            if not h_lo <= score <= h_hi:
+                in_range = False
+                break
+        if in_range:
+            kept.append(index)
+    return kept
+
+
+def customize_reference(
+    clusters: Sequence[dict],
+    weights: Dict[str, float],
+    h_lo: float,
+    h_hi: float,
+    target_clusters: int = 10_000,
+    sample_clusters: Optional[int] = None,
+    groups: Tuple[str, ...] = ("person",),
+    seed: int = 0,
+    min_cluster_size: int = 2,
+) -> Tuple[List[Dict[str, str]], List[str]]:
+    """``(records, cluster_of)`` of a customised dataset, naively.
+
+    ``clusters`` are the store's cluster documents in store order; the
+    sample is drawn from them with the same ``random.Random(seed)`` draw.
+    """
+    clusters = list(clusters)
+    if sample_clusters is not None and sample_clusters < len(clusters):
+        clusters = random.Random(seed).sample(clusters, sample_clusters)
+    reduced = []
+    for cluster in clusters:
+        flats = [record_view(record, groups) for record in cluster["records"]]
+        kept = reduce_cluster_reference(weights, flats, h_lo, h_hi)
+        if len(kept) >= min_cluster_size:
+            reduced.append((cluster["ncid"], [flats[i] for i in kept]))
+    reduced.sort(key=lambda item: (-len(item[1]), item[0]))
+    records: List[Dict[str, str]] = []
+    cluster_of: List[str] = []
+    for ncid, flats in reduced[:target_clusters]:
+        records.extend(flats)
+        cluster_of.extend([ncid] * len(flats))
+    return records, cluster_of

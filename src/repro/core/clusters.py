@@ -79,10 +79,19 @@ def split_record(
 
 
 def record_view(record_doc: Dict[str, Dict[str, str]], groups: Tuple[str, ...] = ("person",)) -> Dict[str, str]:
-    """Flatten the chosen sub-documents of a stored record back into one dict."""
+    """Flatten the chosen sub-documents of a stored record into a new dict.
+
+    Each group is one C-level copy.  A plain ``dict`` merges directly; any
+    other mapping, such as a store read view
+    (:class:`~repro.docstore.views.DocumentView`), is copied from its
+    ``items()``, which wrap nested containers first.  So the flat never
+    holds a raw stored container, and mutating it never reaches the store.
+    """
     flat: Dict[str, str] = {}
     for group in groups:
-        flat.update(record_doc.get(group, {}))
+        sub = record_doc.get(group)
+        if sub:
+            flat.update(sub if sub.__class__ is dict else sub.items())
     return flat
 
 

@@ -120,12 +120,31 @@ def four_way_similarity(left: str, right: str) -> float:
 
 @lru_cache(maxsize=262144)
 def _four_way_cached(left: str, right: str) -> float:
-    scores = (
-        damerau_levenshtein_similarity(left, right),
-        damerau_levenshtein_similarity(left.lower(), right.lower()),
-        symmetric_monge_elkan(left, right),
-        symmetric_monge_elkan(left.lower(), right.lower()),
-    )
+    dl = damerau_levenshtein_similarity(left, right)
+    me = symmetric_monge_elkan(left, right)
+    lower_left = left.lower()
+    lower_right = right.lower()
+    if (lower_left == left and lower_right == right) or (
+        left.isascii()
+        and right.isascii()
+        and left.upper() == left
+        and right.upper() == right
+    ):
+        # Lowercasing keeps which characters of the pair are equal: both
+        # values are lowercase already, or both are ASCII with no
+        # lowercase letter, so it maps their characters one to one.  DL
+        # and Monge-Elkan (whitespace tokens, DL inside) depend on nothing
+        # else, so the lowercased kernels would return these floats.
+        # Outside ASCII, lowercasing may merge characters (the Kelvin sign
+        # becomes "k") or change lengths ("İ" becomes two code points).
+        scores = (dl, dl, me, me)
+    else:
+        scores = (
+            dl,
+            damerau_levenshtein_similarity(lower_left, lower_right),
+            me,
+            symmetric_monge_elkan(lower_left, lower_right),
+        )
     return sum(scores) / 4.0
 
 
@@ -143,7 +162,11 @@ class HeterogeneityScorer:
         if not weights:
             raise ValueError("weights must not be empty")
         self.weights = dict(weights)
-        self._attributes = tuple(self.weights)
+        weighted = [(a, w) for a, w in self.weights.items() if w != 0.0]
+        #: The columns of a value row and their weights: the non-zero-weight
+        #: attributes in weight-map order.
+        self._attributes = tuple(attribute for attribute, _w in weighted)
+        self._row_weights = tuple(weight for _a, weight in weighted)
 
     @classmethod
     def from_records(
@@ -175,17 +198,51 @@ class HeterogeneityScorer:
                 representatives.append(record_view(records[0], groups))
         return cls.from_records(representatives, attributes)
 
-    def pair_heterogeneity(self, left: Dict[str, str], right: Dict[str, str]) -> float:
-        """Weighted average inverse value similarity of two flat records."""
+    def value_row(self, flat: Dict[str, str]) -> Tuple[str, ...]:
+        """The stripped values of a flat record, one per value-row column."""
+        return tuple([(flat.get(a) or "").strip() for a in self._attributes])
+
+    def row_heterogeneity(
+        self,
+        left: Tuple[str, ...],
+        right: Tuple[str, ...],
+        cache: Dict[Tuple[str, str], float],
+    ) -> float:
+        """Weighted average inverse value similarity of two value rows.
+
+        ``cache`` memoises the four-way similarity of each unequal value
+        pair under its canonical ``(low, high)`` key (the measure is exactly
+        symmetric).  An equal pair is skipped: it would add ``weight * 0.0``,
+        which changes no bit of the running sum.  The result is therefore
+        bit-identical to summing every attribute in weight-map order.
+        """
         total = 0.0
-        for attribute, weight in self.weights.items():
-            if weight == 0.0:
+        for weight, value_left, value_right in zip(self._row_weights, left, right):
+            if value_left == value_right:
                 continue
-            value_left = (left.get(attribute) or "").strip()
-            value_right = (right.get(attribute) or "").strip()
-            similarity = four_way_similarity(value_left, value_right)
+            if value_left < value_right:
+                key = (value_left, value_right)
+            else:
+                key = (value_right, value_left)
+            similarity = cache.get(key)
+            if similarity is None:
+                similarity = cache[key] = _four_way_cached(key[0], key[1])
             total += weight * (1.0 - similarity)
         return total
+
+    def pair_heterogeneity(self, left: Dict[str, str], right: Dict[str, str]) -> float:
+        """Weighted average inverse value similarity of two flat records."""
+        return self.row_heterogeneity(self.value_row(left), self.value_row(right), {})
+
+    def pair_heterogeneities(self, records: Sequence[Dict[str, str]]) -> List[float]:
+        """All pairwise heterogeneity scores ``(0, 1), (0, 2), (1, 2), ...``."""
+        rows = [self.value_row(record) for record in records]
+        cache: Dict[Tuple[str, str], float] = {}
+        return [
+            self.row_heterogeneity(rows[i], rows[j], cache)
+            for j in range(1, len(rows))
+            for i in range(j)
+        ]
 
     def record_heterogeneities(self, records: Sequence[Dict[str, str]]) -> List[float]:
         """Per-record heterogeneity: average distance to the other records."""
@@ -193,10 +250,10 @@ class HeterogeneityScorer:
         if count < 2:
             return [0.0] * count
         matrix = [[0.0] * count for _ in range(count)]
+        scores = iter(self.pair_heterogeneities(records))
         for j in range(1, count):
             for i in range(j):
-                score = self.pair_heterogeneity(records[i], records[j])
-                matrix[i][j] = matrix[j][i] = score
+                matrix[i][j] = matrix[j][i] = next(scores)
         return [sum(row) / (count - 1) for row in matrix]
 
     def cluster_heterogeneity(self, records: Sequence[Dict[str, str]]) -> float:
@@ -206,14 +263,6 @@ class HeterogeneityScorer:
             return 0.0
         return sum(per_record) / len(per_record)
 
-    def pair_heterogeneities(self, records: Sequence[Dict[str, str]]) -> List[float]:
-        """All pairwise heterogeneity scores (for distributions)."""
-        scores = []
-        for j in range(1, len(records)):
-            for i in range(j):
-                scores.append(self.pair_heterogeneity(records[i], records[j]))
-        return scores
-
     def score_cluster_document(
         self,
         cluster: dict,
@@ -221,58 +270,24 @@ class HeterogeneityScorer:
         version: Optional[int] = None,
     ) -> Dict[int, Dict[int, float]]:
         """Version-similarity maps ``{j: {i: score}}`` for a cluster document."""
-        records = cluster["records"]
-        flats = [record_view(record, groups) for record in records]
+        return self._cluster_maps(cluster["records"], groups, version, {})
+
+    def _cluster_maps(
+        self,
+        records: Sequence[dict],
+        groups: Tuple[str, ...],
+        version: Optional[int],
+        cache: Dict[Tuple[str, str], float],
+    ) -> Dict[int, Dict[int, float]]:
+        rows = [self.value_row(record_view(record, groups)) for record in records]
         maps: Dict[int, Dict[int, float]] = {}
         for j in range(1, len(records)):
             if version is not None and records[j]["first_version"] != version:
                 continue
-            row: Dict[int, float] = {}
-            for i in range(j):
-                row[i] = self.pair_heterogeneity(flats[i], flats[j])
-            maps[j] = row
+            maps[j] = {
+                i: self.row_heterogeneity(rows[i], rows[j], cache) for i in range(j)
+            }
         return maps
-
-    # ------------------------------------------------------------- batch path
-
-    def _weighted_attributes(self) -> Tuple[Tuple[str, float], ...]:
-        """The non-zero-weight attributes in weight-map order."""
-        return tuple(
-            (attribute, weight)
-            for attribute, weight in self.weights.items()
-            if weight != 0.0
-        )
-
-    def _pair_from_values(
-        self,
-        values_left: Tuple[str, ...],
-        values_right: Tuple[str, ...],
-        weighted: Tuple[Tuple[str, float], ...],
-        cache: Dict[Tuple[str, str], float],
-    ) -> float:
-        """Pair heterogeneity over pre-stripped values with pair-dedup cache.
-
-        Accumulates in the same attribute order as
-        :meth:`pair_heterogeneity`, so the result is bit-identical; the
-        cache key is canonicalised because the four-way similarity is
-        exactly symmetric (it canonicalises internally itself).
-        """
-        total = 0.0
-        for index, (_attribute, weight) in enumerate(weighted):
-            value_left = values_left[index]
-            value_right = values_right[index]
-            if value_left == value_right:
-                continue  # four_way_similarity is 1.0, contributing nothing
-            if value_left < value_right:
-                key = (value_left, value_right)
-            else:
-                key = (value_right, value_left)
-            similarity = cache.get(key)
-            if similarity is None:
-                similarity = _four_way_cached(key[0], key[1])
-                cache[key] = similarity
-            total += weight * (1.0 - similarity)
-        return total
 
     def score_clusters(
         self,
@@ -283,34 +298,16 @@ class HeterogeneityScorer:
     ) -> Dict[str, Dict[int, Dict[int, float]]]:
         """Batched version-similarity maps for many clusters, by ``ncid``.
 
-        Record values are flattened and stripped once per record (instead of
-        once per pair), and each *distinct* value pair across all requested
-        clusters is scored exactly once through a shared cache.  Scores are
-        bit-identical to :meth:`score_cluster_document` per cluster.  Pass
-        an explicit ``cache`` dict to share pair-deduplication across
-        multiple calls (e.g. per-shard workers scoring several batches).
+        Each record becomes one value row, and each *distinct* value pair
+        across all requested clusters is scored exactly once through a
+        shared cache.  Scores are bit-identical to
+        :meth:`score_cluster_document` per cluster.  Pass an explicit
+        ``cache`` dict to share pair-deduplication across multiple calls
+        (e.g. per-shard workers scoring several batches).
         """
-        weighted = self._weighted_attributes()
         if cache is None:
             cache = {}
-        results: Dict[str, Dict[int, Dict[int, float]]] = {}
-        for cluster in clusters:
-            records = cluster["records"]
-            values = []
-            for record in records:
-                flat = record_view(record, groups)
-                values.append(
-                    tuple((flat.get(a) or "").strip() for a, _w in weighted)
-                )
-            maps: Dict[int, Dict[int, float]] = {}
-            for j in range(1, len(records)):
-                if version is not None and records[j]["first_version"] != version:
-                    continue
-                row: Dict[int, float] = {}
-                for i in range(j):
-                    row[i] = self._pair_from_values(
-                        values[i], values[j], weighted, cache
-                    )
-                maps[j] = row
-            results[cluster["ncid"]] = maps
-        return results
+        return {
+            cluster["ncid"]: self._cluster_maps(cluster["records"], groups, version, cache)
+            for cluster in clusters
+        }

@@ -113,7 +113,9 @@ class TfidfVectors:
         """Exact cosine similarity of two rows (a sorted merge-join).
 
         Rows are L2-normalised, so the dot product *is* the cosine.  An
-        empty row has no direction: its cosine with anything is 0.0.
+        empty row has no direction: its cosine with anything is 0.0.  Two
+        equal non-empty rows have cosine exactly 1.0, which their rounded
+        dot product can miss by an ulp or two.
         """
         left_index = self.indices[left_id]
         right_index = self.indices[right_id]
@@ -121,6 +123,8 @@ class TfidfVectors:
             return 0.0
         left_weight = self.weights[left_id]
         right_weight = self.weights[right_id]
+        if left_index == right_index and left_weight == right_weight:
+            return 1.0
         total = 0.0
         i = j = 0
         left_len, right_len = len(left_index), len(right_index)

@@ -37,6 +37,7 @@ from repro.docstore.storage import (
     load_database,
     quarantine_dirs,
     save_database,
+    snapshot_lines,
 )
 from repro.docstore.wal import COMMIT_FILE, read_committed_epoch, read_wal
 
@@ -308,26 +309,16 @@ def scrub_database(directory: Path, name: str = "db", deep: bool = True) -> Scru
 def _scrub_jsonl_lines(
     report: ScrubReport, path: Path, data: bytes, collection_name: str
 ) -> None:
-    """Deep pass: every snapshot line must decode and parse as JSON."""
-    try:
-        text = data.decode("utf-8")
-    except UnicodeDecodeError as exc:
-        report.error(
-            path, "snapshot-parse", f"undecodable snapshot: {exc}",
-            collection=collection_name,
-        )
-        return
-    for line_number, line in enumerate(text.splitlines(), start=1):
-        line = line.strip()
-        if not line:
-            continue
-        try:
-            json.loads(line)
-        except json.JSONDecodeError as exc:
+    """Deep pass: every snapshot line must decode and parse as JSON.
+
+    The lines are the ones a load reads (:func:`snapshot_lines`).
+    """
+    for line_number, _document, problem in snapshot_lines(data):
+        if problem:
             report.error(
                 path,
                 "snapshot-parse",
-                f"unparseable JSONL line {line_number}: {exc.msg}",
+                f"line {line_number}: {problem}",
                 collection=collection_name,
             )
 

@@ -40,11 +40,12 @@ committed ``create`` record with ``shards`` > 1) are refused with a
 
 from __future__ import annotations
 
+import io
 import json
 import zlib
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import TYPE_CHECKING, Dict, List, Optional
+from typing import TYPE_CHECKING, Any, Dict, Iterator, List, Optional, Tuple
 
 from repro import faults
 from repro.docstore.errors import (
@@ -217,6 +218,36 @@ def _read_manifest_entries(manifest_path: Path) -> Dict[str, dict]:
 # -------------------------------------------------------------------- load
 
 
+def snapshot_lines(
+    data: bytes, errors: str = "strict"
+) -> Iterator[Tuple[int, Any, str]]:
+    """``(line number, document, problem)`` of each non-blank snapshot line.
+
+    Lines end at ``"\\n"`` only, the separator :func:`save_database`
+    writes: its ``ensure_ascii=False`` JSON leaves U+0085, U+2028 and
+    U+2029 raw inside string values, where ``str.splitlines`` would split.
+    Each line is decoded on its own as UTF-8 (``errors`` as for
+    :meth:`bytes.decode`; never left to ``json.loads``, which would guess
+    UTF-16 or UTF-32 from bytes), so no whole-file text is held.  A line
+    that does not decode or parse has ``document`` ``None`` and a
+    ``problem``; ``problem`` is ``""`` otherwise.
+    """
+    for line_number, raw in enumerate(io.BytesIO(data), start=1):
+        try:
+            line = raw.decode("utf-8", errors).strip()
+        except UnicodeDecodeError as exc:
+            yield line_number, None, f"undecodable JSONL line: {exc.reason}"
+            continue
+        if not line:
+            continue
+        try:
+            document = json.loads(line)
+        except json.JSONDecodeError as exc:
+            yield line_number, None, f"unparseable JSONL line: {exc.msg}"
+            continue
+        yield line_number, document, ""
+
+
 def _load_jsonl(
     collection: "Collection",
     path: Path,
@@ -237,10 +268,11 @@ def _load_jsonl(
     beside the stale checksum (provable because the ``COMMITTED`` epoch
     then exceeds the manifest epoch); the mismatch downgrades to a note,
     and the strict line-by-line parse below still vouches for the file.
-    A line that does not parse raises :class:`StorageCorruptError` with
-    the file and 1-based line number — unless ``repair`` is set, in which
-    case the complete (parseable) lines are kept and the damage is
-    reported.
+    The lines come from :func:`snapshot_lines`.  A line that does not
+    decode or parse raises :class:`StorageCorruptError` with the file and
+    1-based line number — unless ``repair`` is set, in which case bad
+    bytes decode to U+FFFD, the complete (parseable) lines are kept and
+    the damage is reported.
     """
     data = faults.current_fs().read_bytes(path)
     #: Deferred checksum failure: the line parse below runs first so the
@@ -265,26 +297,12 @@ def _load_jsonl(
                     f"snapshot checksum mismatch: crc32 {zlib.crc32(data)} != "
                     f"manifest {int(expected)}",
                 )
-    try:
-        text = data.decode("utf-8")
-    except UnicodeDecodeError as exc:
-        if not repair:
-            raise StorageCorruptError(path, f"undecodable snapshot: {exc}")
-        text = data.decode("utf-8", errors="replace")
     dropped = 0
-    for line_number, line in enumerate(text.splitlines(), start=1):
-        line = line.strip()
-        if not line:
-            continue
-        try:
-            document = json.loads(line)
-        except json.JSONDecodeError as exc:
+    errors = "replace" if repair else "strict"
+    for line_number, document, problem in snapshot_lines(data, errors):
+        if problem:
             if not repair:
-                raise StorageCorruptError(
-                    path,
-                    f"unparseable JSONL line: {exc.msg}",
-                    line=line_number,
-                )
+                raise StorageCorruptError(path, problem, line=line_number)
             dropped += 1
             report.notes.append(
                 f"{path}: dropped unparseable line {line_number}"

@@ -7,6 +7,7 @@ from repro.core.clusters import (
     record_view,
     split_record,
 )
+from repro.docstore import Database
 from repro.votersim.schema import ALL_ATTRIBUTES
 
 
@@ -62,6 +63,29 @@ class TestRecordView:
 
     def test_missing_groups_tolerated(self):
         assert record_view({}, ("person",)) == {}
+
+    def test_flat_of_a_store_view_is_independent_of_the_store(self):
+        stored = {
+            "_id": "AA1",
+            "records": [
+                {
+                    "person": {"last_name": "SMITH", "tags": ["x"], "alias": {"v": "S"}},
+                    "district": {"county_desc": "WAKE"},
+                }
+            ],
+        }
+        database = Database("views")
+        database["clusters"].insert_one(stored)
+        (view,) = database["clusters"].all()
+        flat = record_view(view["records"][0], ("person", "district"))
+        assert flat == {
+            "last_name": "SMITH", "tags": ["x"], "alias": {"v": "S"}, "county_desc": "WAKE",
+        }
+        flat["last_name"] = "JONES"
+        flat["tags"].append("y")
+        flat["alias"]["v"] = "J"
+        flat["county_desc"] = "DURHAM"
+        assert database["clusters"].find_one({"_id": "AA1"}) == stored
 
 
 class TestPairs:

@@ -1,10 +1,17 @@
 """Tests for the NC1/NC2/NC3 customisation procedure (Section 6.5)."""
 
-import pytest
+import itertools
 
-from repro.core import customize
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from repro.core import TestDataGenerator, customize
+from repro.core._reference import customize_reference, pair_heterogeneity_reference
+from repro.core.clusters import record_view
 from repro.core.customize import reduce_cluster
 from repro.core.heterogeneity import HeterogeneityScorer
+from repro.docstore import Database
 from repro.votersim.schema import PERSON_ATTRIBUTES
 
 
@@ -107,3 +114,96 @@ class TestCustomize:
         person_set = set(PERSON_ATTRIBUTES)
         for record in result.records[:20]:
             assert set(record) <= person_set
+
+
+class TestDefaultScorer:
+    """``scorer=None`` weights what the stored person scores weight: the
+    first record of every cluster, without the id attribute."""
+
+    @pytest.mark.parametrize("h_lo, h_hi", [(0.0, 0.2), (0.2, 0.4), (0.4, 1.0)])
+    @pytest.mark.parametrize("sample", [None, 40])
+    def test_default_cut_equals_explicit_scorer_cut(
+        self, generator, scorer, h_lo, h_hi, sample
+    ):
+        options = dict(target_clusters=1000, sample_clusters=sample, seed=3)
+        default = customize(generator, h_lo, h_hi, **options)
+        explicit = customize(generator, h_lo, h_hi, scorer=scorer, **options)
+        assert default.records == explicit.records
+        assert default.cluster_of == explicit.cluster_of
+
+
+PERSON = ("last_name", "first_name", "res_city_desc")
+DISTRICT = ("county_desc", "precinct_desc")
+store_values = st.sampled_from(
+    ["SMITH", "SMYTH", "Smith", "smith", "JONES", "JO NES", " SMITH ", "", "A"]
+)
+store_records = st.fixed_dictionaries(
+    {
+        "person": st.dictionaries(st.sampled_from(PERSON), store_values),
+        "district": st.dictionaries(st.sampled_from(DISTRICT), store_values),
+    }
+)
+store_clusters = st.lists(
+    st.lists(store_records, min_size=1, max_size=5), min_size=1, max_size=8
+)
+
+
+def _store_generator(clusters):
+    """A generator over a store holding ``clusters``; reads are views."""
+    database = Database("customize-oracle")
+    database["clusters"].insert_many(
+        [
+            {"_id": f"N{index:03d}", "ncid": f"N{index:03d}", "records": records}
+            for index, records in enumerate(clusters)
+        ]
+    )
+    return TestDataGenerator.from_database(database)
+
+
+class TestReferenceScan:
+    """``customize`` equals the naive scan of ``core/_reference.py``."""
+
+    @given(store_clusters, st.data())
+    @settings(max_examples=60, deadline=None)
+    def test_customize_equals_reference(self, clusters, data):
+        generator = _store_generator(clusters)
+        groups = data.draw(st.sampled_from([("person",), ("person", "district")]))
+        attributes = PERSON + (DISTRICT if len(groups) == 2 else ())
+        raw = data.draw(
+            st.lists(st.sampled_from([0.0, 0.5, 1.0, 2.0, 3.0]),
+                     min_size=len(attributes), max_size=len(attributes))
+        )
+        if not sum(raw):
+            raw[0] = 1.0
+        weights = {a: w / sum(raw) for a, w in zip(attributes, raw)}
+        # Bounds may sit exactly on a pair score: the range is inclusive.
+        scores = [
+            pair_heterogeneity_reference(weights, *pair)
+            for cluster in generator.clusters()
+            for pair in itertools.combinations(
+                [record_view(record, groups) for record in cluster["records"]], 2
+            )
+        ]
+        bound = st.sampled_from([0.0, 1.0] + [x for x in scores if x <= 1.0])
+        h_lo, h_hi = sorted([data.draw(bound), data.draw(bound)])
+        options = dict(
+            target_clusters=data.draw(st.integers(1, 10)),
+            sample_clusters=data.draw(st.one_of(st.none(), st.integers(1, 8))),
+            groups=groups,
+            seed=data.draw(st.integers(0, 3)),
+            min_cluster_size=data.draw(st.integers(1, 3)),
+        )
+        result = customize(
+            generator, h_lo, h_hi, scorer=HeterogeneityScorer(weights), **options
+        )
+        records, cluster_of = customize_reference(
+            list(generator.clusters()), weights, h_lo, h_hi, **options
+        )
+        assert result.records == records
+        assert result.cluster_of == cluster_of
+        assert result.gold_pairs == {
+            (i, j)
+            for j in range(len(cluster_of))
+            for i in range(j)
+            if cluster_of[i] == cluster_of[j]
+        }

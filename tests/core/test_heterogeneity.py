@@ -3,12 +3,16 @@
 import math
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 import repro.core.versioning as versioning
 from repro.core import TestDataGenerator
+from repro.core._reference import pair_heterogeneity_reference
 from repro.core.heterogeneity import (
     HeterogeneityScorer,
     ValueCounts,
+    _four_way_cached,
     entropy,
     entropy_weights,
     four_way_similarity,
@@ -17,6 +21,7 @@ from repro.core.parallel import import_snapshots_parallel
 from repro.core.repair import apply_repair, split_cluster
 from repro.core.versioning import UpdateProcess
 from repro.docstore import DurableDatabase
+from repro.textsim import _reference as textref
 from repro.votersim.schema import empty_record
 from repro.votersim.snapshots import Snapshot
 
@@ -77,6 +82,62 @@ class TestFourWaySimilarity:
 
     def test_symmetric(self):
         assert four_way_similarity("ABC", "ABD") == four_way_similarity("ABD", "ABC")
+
+
+#: Cased and uncased letters, digits, punctuation and whitespace, plus
+#: characters whose lowercase merges with another character ("K", the
+#: Kelvin sign, lowercases to "k"), changes length ("İ") or depends on
+#: context ("Σ" becomes "ς" at the end of a word).
+CASE_ALPHABET = "AaBbKkIiSs09 -.'\t" + "İıßẞ\u212aΣσςﬁé"
+case_values = st.text(alphabet=CASE_ALPHABET, max_size=8)
+
+
+class TestFourWayOracle:
+    """The four-way kernel equals the naive reference on any two values.
+
+    Calls the kernel under its LRU, so no earlier test's cached score can
+    stand in for a computation.
+    """
+
+    @given(case_values, case_values)
+    @settings(max_examples=400, deadline=None)
+    @example("\u212a", "K")
+    @example("İ", "I")
+    @example("İ", "i")
+    @example("ẞ", "ß")
+    @example("ΑΣ", "ας")
+    @example("ﬁ", "FI")
+    @example("SMITH", "smith")
+    @example("JOSE JUAN", "JUAN JOSE")
+    @example("Age 41 to 65", "41 - 65")
+    def test_equals_reference(self, left, right):
+        expected = textref.four_way_similarity(left, right)
+        assert four_way_similarity(left, right) == expected
+        if left != right:
+            low, high = sorted((left, right))
+            assert _four_way_cached.__wrapped__(low, high) == expected
+
+
+flat_values = st.one_of(st.none(), st.text(alphabet="ABab -", max_size=5))
+flat_records = st.dictionaries(st.sampled_from("wxyz"), flat_values, max_size=4)
+weight_maps = st.dictionaries(
+    st.sampled_from("vwxyz"),
+    st.one_of(st.just(0.0), st.floats(0.0, 1.0, allow_nan=False)),
+    min_size=1,
+    max_size=5,
+)
+
+
+class TestPairOracle:
+    @given(weight_maps, flat_records, flat_records)
+    @settings(max_examples=300, deadline=None)
+    def test_pair_heterogeneity_equals_reference(self, weights, left, right):
+        scorer = HeterogeneityScorer(weights)
+        expected = pair_heterogeneity_reference(weights, left, right)
+        assert scorer.pair_heterogeneity(left, right) == expected
+        assert scorer.row_heterogeneity(
+            scorer.value_row(left), scorer.value_row(right), {}
+        ) == expected
 
 
 class TestHeterogeneityScorer:

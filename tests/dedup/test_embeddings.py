@@ -68,3 +68,28 @@ def test_positive_floor_keeps_exactly_the_keys_reaching_it(floor):
     assert 0 < len(expected) < len(KEYS)
     vectors = tfidf_vectors(RECORDS, ATTRIBUTES)
     assert list(cosine_prefilter(vectors, KEYS, len(RECORDS), floor)) == expected
+
+
+def test_identical_records_survive_floor_one():
+    # Eight records, each four times: the rounded dot product of two equal
+    # rows may miss 1.0 by an ulp, which a floor of 1.0 must not punish.
+    base = [
+        ("JOHN", "SMITH", "DURHAM"),
+        ("JON", "SMITH", "DURHAM"),
+        ("MARY LOU", "JONES", "RALEIGH"),
+        ("MARY LOU", "JNOES", "RALEIGH"),
+        ("ALAN", "BECK", "CARY"),
+        ("ALLAN", "BECK", "CARY"),
+        ("RUTH ANN", "MOORE", "APEX"),
+        ("RUTH AN", "MORE", "APEX"),
+    ]
+    records = [dict(zip(ATTRIBUTES, values)) for values in base * 4]
+    count = len(records)
+    keys = [
+        pack_pair(left, right, count)
+        for left, right in itertools.combinations(range(count), 2)
+    ]
+    identical = {key for key in keys if records[key // count] == records[key % count]}
+    assert len(identical) == 48
+    vectors = tfidf_vectors(records, ATTRIBUTES)
+    assert set(cosine_prefilter(vectors, keys, count, 1.0)) == identical

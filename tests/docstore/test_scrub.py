@@ -117,6 +117,25 @@ class TestScrubFindings:
         assert "snapshot-checksum" in kinds
         assert "snapshot-parse" in kinds  # deep pass parses every line
 
+    def test_line_separators_inside_values_are_clean(self, tmp_path):
+        database = DurableDatabase(tmp_path / "store")
+        for index, value in enumerate(["a\u2028b", "a\u2029b", "a\x85b"]):
+            database["docs0"].insert_one({"_id": index, "v": value})
+        database.checkpoint()
+        database.close()
+        report = scrub_database(tmp_path / "store", deep=True)
+        assert report.ok and report.clean, report.render()
+
+    def test_undecodable_line_is_named(self, tmp_path):
+        store = build_checkpointed_store(tmp_path / "store")
+        path = store / f"{DARK}.jsonl"
+        lines = path.read_bytes().split(b"\n")
+        lines[1] = lines[1].replace(b'"snapshot"', b'"snap\xffshot"')
+        path.write_bytes(b"\n".join(lines))
+        report = scrub_database(store)
+        [finding] = [f for f in report.errors if f.kind == "snapshot-parse"]
+        assert "line 2" in finding.detail and "undecodable" in finding.detail
+
     def test_shallow_skips_line_parsing(self, tmp_path):
         store = build_checkpointed_store(tmp_path / "store")
         path = store / f"{DARK}.jsonl"

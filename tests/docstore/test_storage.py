@@ -127,6 +127,62 @@ class TestCorruptSnapshots:
         assert report.clean
 
 
+#: Raw inside ``ensure_ascii=False`` JSON strings, and line boundaries to
+#: ``str.splitlines``: a load must split snapshot lines on "\n" only.
+SEPARATOR_VALUES = ["a\u2028b", "a\u2029b", "a\x85b", "\u2028", "tail\u2029", "x\ry"]
+
+
+class TestLineSeparatorsInValues:
+    def _documents(self):
+        return [{"_id": i, "v": value} for i, value in enumerate(SEPARATOR_VALUES)]
+
+    def test_save_load_round_trip(self, tmp_path):
+        db = Database("db")
+        db["c"].insert_many(self._documents())
+        db.save(tmp_path)
+        assert list(Database.load(tmp_path)["c"].all()) == self._documents()
+
+    def test_durable_checkpoint_reopens_healthy(self, tmp_path):
+        db = DurableDatabase(tmp_path)
+        db["c"].insert_many(self._documents())
+        db.checkpoint()
+        db.close()
+        reopened = DurableDatabase(tmp_path)
+        assert reopened.last_recovery.clean
+        assert not reopened["c"].quarantined
+        assert reopened["c"].find_one({"_id": 0}) == self._documents()[0]
+        assert list(reopened["c"].all()) == self._documents()
+        reopened.close()
+
+
+class TestUndecodableSnapshotLines:
+    def _store(self, tmp_path):
+        db = Database("db")
+        db["c"].insert_many(
+            [{"_id": 1, "v": "one"}, {"_id": 2, "v": "two"}, {"_id": 3, "v": "three"}]
+        )
+        db.save(tmp_path)
+        path = tmp_path / "c.jsonl"
+        path.write_bytes(path.read_bytes().replace(b'"two"', b'"t\xffo"'))
+        return path
+
+    def test_strict_load_names_the_line(self, tmp_path):
+        path = self._store(tmp_path)
+        with pytest.raises(StorageCorruptError) as info:
+            Database.load(tmp_path)
+        assert info.value.line == 2
+        assert info.value.path == str(path)
+        assert "undecodable" in info.value.reason
+
+    def test_repair_keeps_the_line_with_a_replacement_character(self, tmp_path):
+        self._store(tmp_path)
+        report = RecoveryReport()
+        db = load_database(tmp_path, repair=True, report=report)
+        assert [d["v"] for d in db["c"].all()] == ["one", "t\ufffdo", "three"]
+        assert report.salvaged == {}
+        assert "checksum mismatch" in report.render()
+
+
 class TestDurableRecoveryReport:
     def test_replayed_operations_reported(self, tmp_path):
         db = DurableDatabase(tmp_path)

@@ -66,6 +66,29 @@ class TestDigestsDiffer:
         assert pairs.digests_differ(digests) == [2, 3]
 
 
+class TestInputsDiffer:
+    def test_same_inputs(self, pairs):
+        used = {"snapshots": "a1", "store": "b2"}
+        inputs = {"parent": [used, dict(used)], "change": [dict(used), dict(used)]}
+        assert pairs.inputs_differ(inputs) == []
+
+    def test_names_the_pairs_and_inputs_that_differ(self, pairs):
+        parent = {"snapshots": "a1", "store": "b2", "cuts": "c3"}
+        inputs = {
+            "parent": [parent, parent, parent, {}],
+            "change": [
+                dict(parent),
+                dict(parent, store="xx"),
+                {"snapshots": "zz", "store": "yy"},
+                {},
+            ],
+        }
+        assert pairs.inputs_differ(inputs) == [
+            (2, ["store"]),
+            (3, ["cuts", "snapshots", "store"]),
+        ]
+
+
 def test_gain_rule(pairs):
     parent = [100.0, 101.0, 99.0, 100.0, 100.0, 102.0, 98.0, 100.0, 101.0, 99.0]
     change = [value + 20.0 for value in parent]
