@@ -21,7 +21,7 @@ to prove the generalisation end to end.
 from __future__ import annotations
 
 import dataclasses
-from typing import Dict, Mapping, Tuple
+from typing import Dict, Mapping, Sequence, Tuple
 
 from repro.votersim import schema as voter_schema
 
@@ -103,6 +103,20 @@ class SchemaProfile:
     def primary_attributes(self) -> Tuple[str, ...]:
         """The primary group's attributes (including the id attribute)."""
         return self.groups[self.primary_group]
+
+    def scored_attributes(self, groups: Sequence[str]) -> Tuple[str, ...]:
+        """The attributes heterogeneity weights and scores over ``groups``.
+
+        The named groups' attributes in profile order, without the id
+        attribute, which never differs inside a cluster.
+        """
+        return tuple(
+            attribute
+            for group, attributes in self.groups.items()
+            if group in groups
+            for attribute in attributes
+            if attribute != self.id_attribute
+        )
 
 
 #: The paper's domain: the North Carolina voter register.

@@ -235,10 +235,15 @@ class UpdateProcess:
                 _apply_maps(generator, cluster, kind, maps, version)
 
     def _new_counts(self) -> Tuple[ValueCounts, ValueCounts]:
-        """Empty value counts of the all-groups and primary-group scopes."""
+        """Empty value counts of the all-groups and primary-group scopes.
+
+        The all-groups scope still discovers its attributes, the id
+        attribute included; the stored ``heterogeneity`` maps were
+        weighted that way.
+        """
         profile = self.generator.profile
         return ValueCounts(), ValueCounts(
-            tuple(a for a in profile.primary_attributes() if a != profile.id_attribute)
+            profile.scored_attributes((profile.primary_group,))
         )
 
     def _weights(

@@ -68,6 +68,13 @@ class TestAccessors:
     def test_primary_attributes(self, tiny_profile):
         assert tiny_profile.primary_attributes() == ("id", "name", "year")
 
+    def test_scored_attributes(self, tiny_profile):
+        assert tiny_profile.scored_attributes(("main",)) == ("name", "year")
+        # Profile order, whatever the order of the named groups.
+        assert tiny_profile.scored_attributes(("extra", "main")) == (
+            "name", "year", "note", "updated_at",
+        )
+
 
 class TestNcVoterProfile:
     def test_matches_voter_schema(self):
