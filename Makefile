@@ -77,12 +77,12 @@ bench-durability:
 bench-dedup:
 	python benchmarks/dedup_bench.py --quick --out BENCH_dedup.json
 
-# Quick LSH blocking benchmark: MinHash-LSH + TF-IDF cosine prefilter vs
-# multi-pass Sorted Neighborhood on a typo-heavy labeled workload at three
-# register sizes.  Writes candidate counts, recall, wall times and log-log
-# growth exponents to BENCH_lsh.json; fails if LSH candidates grow
-# quadratically (exponent >= 2), or recall drops below 0.90x SNM at the
-# largest size or the pair budget exceeds 0.5x SNM.
+# Quick LSH blocking benchmark: MinHash-LSH vs multi-pass Sorted
+# Neighborhood on a typo-heavy labeled workload at three register sizes.
+# Writes candidate counts, recall, wall times and log-log growth
+# exponents to BENCH_lsh.json; fails if LSH candidates grow quadratically
+# (exponent >= 2), or recall drops below 0.90x SNM at the largest size or
+# the pair budget exceeds 0.5x SNM.
 bench-lsh:
 	python benchmarks/lsh_bench.py --quick --out BENCH_lsh.json
 

@@ -7,9 +7,8 @@ pollution Augmenter — and runs candidate generation both ways:
 
 * ``snm`` — the paper's multi-pass Sorted Neighborhood (5 entropy-ranked
   keys, window 20), the Section 6.5 baseline;
-* ``lsh`` — the MinHash–LSH pass (:mod:`repro.dedup.lsh`) with the
-  TF-IDF cosine prefilter (:mod:`repro.dedup.embeddings`) thinning
-  background band collisions.
+* ``lsh`` — the MinHash–LSH pass (:mod:`repro.dedup.lsh`) at the
+  library's default geometry.
 
 For every size the report records candidate-pair counts, gold-pair
 recall and wall-clock; across sizes it fits log–log growth exponents.
@@ -58,12 +57,11 @@ FULL_SIZES = (600, 1200, 2400)
 SNM_PASSES = 5
 SNM_WINDOW = 20
 
-#: LSH configuration under test (the library defaults plus the cosine
-#: prefilter; see docs/performance.md Layer 7 for the tuning table).
+#: LSH configuration under test (the library defaults; see
+#: docs/performance.md Layer 7 for the tuning table).
 LSH_BANDS = 16
 LSH_ROWS = 4
 LSH_NGRAM = 3
-COSINE_FLOOR = 0.35
 
 #: Gates.
 MAX_GROWTH_EXPONENT = 2.0
@@ -144,7 +142,6 @@ def run_benchmark(initial_sizes: Sequence[int], repeats: int) -> Dict:
                 bands=LSH_BANDS,
                 rows=LSH_ROWS,
                 ngram=LSH_NGRAM,
-                cosine_floor=COSINE_FLOOR,
             ),
             repeats,
         )
@@ -164,7 +161,6 @@ def run_benchmark(initial_sizes: Sequence[int], repeats: int) -> Dict:
                     "recall": _recall(lsh_pairs, gold, record_count),
                     "seconds": lsh_seconds,
                     "pairs_emitted": lsh_stats.passes[0].pairs_emitted,
-                    "pairs_filtered": buckets.pairs_filtered,
                     "buckets_total": buckets.buckets_total,
                     "buckets_skipped": buckets.buckets_skipped,
                     "pairs_dropped": buckets.pairs_dropped,
@@ -238,7 +234,6 @@ def run_benchmark(initial_sizes: Sequence[int], repeats: int) -> Dict:
                 "bands": LSH_BANDS,
                 "rows": LSH_ROWS,
                 "ngram": LSH_NGRAM,
-                "cosine_floor": COSINE_FLOOR,
             },
         },
         "sizes": sizes,

@@ -489,9 +489,10 @@ def _parse_candidate_passes(value: str) -> tuple:
     historical meaning — that many entropy-ranked SNM passes.  Pass
     names select generator families instead: ``lsh``, ``snm``, or a
     ``+``/``,``-separated union like ``snm+lsh`` (SNM keeps its default
-    five sort keys; combine with ``--window`` and the ``--bands`` /
-    ``--rows`` / ``--ngram`` knobs).  Returns
-    ``(candidate_passes, snm_pass_count)``.
+    five sort keys and ``--window``).  Only ``detect`` tunes the LSH pass
+    (``--bands``, ``--rows``, ``--ngram``, ``--lsh-seed``,
+    ``--max-bucket``); ``evaluate`` runs it with the library defaults.
+    Returns ``(candidate_passes, snm_pass_count)``.
     """
     text = value.strip().lower()
     if text.isdigit():
@@ -591,7 +592,6 @@ def _cmd_detect(args: argparse.Namespace) -> int:
         ngram=args.ngram,
         lsh_seed=args.lsh_seed,
         max_bucket_size=args.max_bucket,
-        cosine_floor=args.cosine_floor,
     )
     name_attributes = tuple(
         a for a in ("first_name", "midl_name", "last_name") if a in attributes
@@ -604,7 +604,7 @@ def _cmd_detect(args: argparse.Namespace) -> int:
     if result.candidate_stats.pairs_dropped:
         print(
             f"WARNING: {result.candidate_stats.pairs_dropped} candidate "
-            "pair(s) dropped by oversized-block caps"
+            f"pair(s) dropped in LSH buckets over --max-bucket {args.max_bucket}"
         )
     print(
         f"{len(records)} records, {result.gold_size} gold pairs, "
@@ -934,10 +934,6 @@ def build_parser() -> argparse.ArgumentParser:
     detect.add_argument(
         "--max-bucket", type=_count_at_least(2), default=500,
         help="skip LSH buckets larger than this (reported, never silent)",
-    )
-    detect.add_argument(
-        "--cosine-floor", type=_fraction, default=0.0,
-        help="drop LSH candidates below this TF-IDF cosine (0 disables)",
     )
     detect.add_argument("--threshold", type=_fraction, default=None,
                         help="also report P/R/F1 at this exact threshold")

@@ -237,13 +237,14 @@ class UpdateProcess:
     def _new_counts(self) -> Tuple[ValueCounts, ValueCounts]:
         """Empty value counts of the all-groups and primary-group scopes.
 
-        The all-groups scope still discovers its attributes, the id
-        attribute included; the stored ``heterogeneity`` maps were
-        weighted that way.
+        Both count the profile's ``scored_attributes`` of their groups, so
+        neither weights the id attribute, which never differs inside a
+        cluster.
         """
         profile = self.generator.profile
-        return ValueCounts(), ValueCounts(
-            profile.scored_attributes((profile.primary_group,))
+        return (
+            ValueCounts(profile.scored_attributes(profile.group_names)),
+            ValueCounts(profile.scored_attributes((profile.primary_group,))),
         )
 
     def _weights(

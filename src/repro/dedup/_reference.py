@@ -26,7 +26,6 @@ import itertools
 import random
 from typing import Callable, Dict, Iterable, Iterator, List, Optional, Sequence, Set, Tuple
 
-from repro.dedup.embeddings import shingle_record
 from repro.dedup.evaluate import EvaluationPoint
 from repro.dedup.lsh import BucketStats, LshPassStats
 from repro.dedup.pipeline import CandidateStats, _check_packable, collect_candidates
@@ -65,36 +64,16 @@ def multipass_pairs_reference(
     return pairs
 
 
-def blocking_pairs_reference(
-    records: Sequence[Dict[str, str]], key_function, max_block_size: int
-) -> Set[Pair]:
-    """One standard-blocking pass with the historical O(k²) inner loop."""
-    blocks: Dict[str, list] = {}
-    for record_id, record in enumerate(records):
-        key = key_function(record)
-        if key in (None, ""):
-            continue
-        blocks.setdefault(key, []).append(record_id)
-    pairs: Set[Pair] = set()
-    for members in blocks.values():
-        if len(members) > max_block_size:
-            continue
-        for j in range(1, len(members)):
-            for i in range(j):
-                pairs.add((members[i], members[j]))
-    return pairs
-
-
 def shingle_set_reference(
     record: Dict[str, str], attributes: Sequence[str], ngram: int = 3
 ) -> Set[str]:
-    """Naive char-n-gram shingle set of one record (no interning, no sort).
+    """Naive char-n-gram shingle set of one record.
 
     Character n-grams of each stripped attribute value, unioned; values
     shorter than ``ngram`` contribute themselves (so short zips and
     initials still participate) and grams never span attribute
-    boundaries — the exact contract
-    :func:`repro.dedup.embeddings.shingle_record` optimises.
+    boundaries — the shingles :func:`repro.dedup.lsh.signature_matrix`
+    MinHashes value by value.
     """
     grams: Set[str] = set()
     for attribute in attributes:
@@ -164,11 +143,14 @@ def minhash_signatures_reference(
     ``b`` in ``[0, p - 1]``, over ``p = 2**61 - 1``.  Each distinct
     shingle gets one blake2b hash ``x`` and one tuple of
     ``(a * x + b) % p`` in Python ints; a record's signature is the
-    elementwise ``min`` over its shingles' tuples, or ``None`` when it
-    has no shingle.
+    elementwise ``min`` over the tuples of its
+    :func:`shingle_set_reference` shingles, or ``None`` when it has no
+    shingle.
     """
     if bands < 1 or rows < 1:
         raise ValueError(f"bands and rows must be >= 1, got {bands}x{rows}")
+    if ngram < 1:
+        raise ValueError(f"ngram must be >= 1, got {ngram}")
     prime = (1 << 61) - 1
     rng = random.Random(seed)
     a_params = [rng.randrange(1, prime) for _ in range(bands * rows)]
@@ -177,7 +159,7 @@ def minhash_signatures_reference(
     vector_cache: Dict[str, Tuple[int, ...]] = {}
     signatures: List[Optional[Tuple[int, ...]]] = []
     for record in records:
-        shingles = shingle_record(record, attributes, ngram)
+        shingles = shingle_set_reference(record, attributes, ngram)
         if not shingles:
             signatures.append(None)
             continue
@@ -205,8 +187,8 @@ def lsh_keys_reference(
     max_bucket_size: int,
     stats: BucketStats,
 ) -> Iterator[int]:
-    """One banded-LSH pass over dict buckets (the historical
-    :func:`repro.dedup.lsh.iter_lsh_keys`).
+    """One banded-LSH pass over dict buckets (the historical band
+    bucketing of :func:`repro.dedup.lsh.lsh_candidates`).
 
     One ``(band, minima)`` dict key per signed record and band; member
     lists grow in record-id order, so each bucket's nested pairs are
@@ -251,7 +233,7 @@ def lsh_candidates_reference(
     seed: int = 20210323,
     max_bucket_size: int = 500,
 ) -> Tuple[Set[int], CandidateStats]:
-    """One LSH pass without cosine prefilter, streamed through
+    """One LSH pass streamed through
     :func:`~repro.dedup.pipeline.collect_candidates` (the historical
     :func:`repro.dedup.lsh.lsh_candidates`)."""
     signatures = minhash_signatures_reference(
@@ -271,7 +253,6 @@ def lsh_candidates_reference(
         label="lsh",
         pairs_emitted=stats.passes[0].pairs_emitted,
         pairs_new=len(keys),
-        blocks_skipped=bucket_stats.buckets_skipped,
         pairs_dropped=bucket_stats.pairs_dropped,
         buckets=bucket_stats,
     )

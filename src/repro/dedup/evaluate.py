@@ -36,32 +36,6 @@ class EvaluationPoint:
         return 2 * p * r / (p + r) if p + r else 0.0
 
 
-def f1_score(precision: float, recall: float) -> float:
-    """Harmonic mean of precision and recall."""
-    if precision + recall == 0:
-        return 0.0
-    return 2 * precision * recall / (precision + recall)
-
-
-def confusion_counts(
-    predicted: Set[Pair], gold: Set[Pair]
-) -> Tuple[int, int, int]:
-    """(TP, FP, FN) of a predicted duplicate pair set against the gold."""
-    true_positives = len(predicted & gold)
-    return (
-        true_positives,
-        len(predicted) - true_positives,
-        len(gold) - true_positives,
-    )
-
-
-def precision_recall_f1(predicted: Set[Pair], gold: Set[Pair]) -> Tuple[float, float, float]:
-    """(precision, recall, F1) of a predicted pair set."""
-    tp, fp, fn = confusion_counts(predicted, gold)
-    point = EvaluationPoint(0.0, tp, fp, fn)
-    return point.precision, point.recall, point.f1
-
-
 def evaluate_thresholds(
     similarities: Dict[Pair, float],
     gold: Set[Pair],

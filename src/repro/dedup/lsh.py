@@ -1,17 +1,16 @@
 """MinHash–LSH candidate generation: one signature matrix, one sort per band.
 
-Sorted Neighborhood and key blocking — the candidate generators the
-paper's Section 6.5 evaluation uses — are effectively quadratic in dense
-registers (every window/block pair is emitted) and blind to typo-heavy
-near-duplicates whose corrupted sort keys land them far apart.  This
-module is the similarity-driven alternative: records are shingled into
-char-n-gram sets (grams never span attribute boundaries, as in
-:mod:`repro.dedup.embeddings`), MinHashed with ``bands * rows`` seeded
-universal-hash permutations, and bucketed by band — two records become a
-candidate pair iff at least one band of their signatures collides, which
-happens with probability ``1 - (1 - j**rows)**bands`` for
-shingle-Jaccard ``j`` (the classic S-curve).  Candidate volume scales
-with the number of *colliding* records, not with ``n**2``.
+Sorted Neighborhood — the candidate generator the paper's Section 6.5
+evaluation uses — emits every window pair of every pass and is blind to
+typo-heavy near-duplicates whose corrupted sort keys land them far
+apart.  This module is the similarity-driven alternative: records are
+shingled into char-n-gram sets (grams never span attribute boundaries),
+MinHashed with ``bands * rows`` seeded universal-hash permutations, and
+bucketed by band — two records become a candidate pair iff at least one
+band of their signatures collides, which happens with probability
+``1 - (1 - j**rows)**bands`` for shingle-Jaccard ``j`` (the classic
+S-curve).  Candidate volume scales with the number of *colliding*
+records, not with ``n**2``.
 
 The work scales with distinct values, not with record × shingle
 occurrences.  A record's shingle set is the union of its values' gram
@@ -37,17 +36,11 @@ Bucketing sorts each band once.  A stable ``lexsort`` of the band's
 order, so every run of equal keys is one bucket and its nested pairs are
 canonical ``i < j`` packed keys (:mod:`repro.dedup.pipeline`) directly.
 Pair emission, the cross-band union and every :class:`BucketStats`
-counter come from the run lengths:
-
-* oversized buckets (frequent-value pile-ups: empty names, common
-  cities) are skipped with **explicit accounting** — bucket counts, a
-  bucket-size distribution and the dropped pair count land in
-  :class:`BucketStats`, mirroring the no-silent-caps contract of the
-  blocking passes' :class:`~repro.dedup.pipeline.PassStats`;
-* an optional exact TF-IDF cosine prefilter
-  (:func:`repro.dedup.embeddings.cosine_prefilter`) thins the bucket
-  pairs before the record matcher, with the filtered count reported —
-  never silently.
+counter come from the run lengths.  Oversized buckets (frequent-value
+pile-ups: empty names, common cities) are skipped with **explicit
+accounting** — bucket counts, a bucket-size distribution and the dropped
+pair count land in :class:`BucketStats`, and the CLI prints them, so no
+cap is silent.
 
 Every hash is seeded and explicit (blake2b for the 64-bit shingle hash,
 ``(a * x + b) mod p`` universal hashing over the Mersenne prime
@@ -64,16 +57,15 @@ import dataclasses
 import hashlib
 import itertools
 import random
-from typing import Any, Dict, Iterator, List, Optional, Sequence, Set, Tuple
+from typing import Any, Dict, List, Optional, Sequence, Set, Tuple
 
-from repro.dedup.embeddings import DEFAULT_NGRAM, cosine_prefilter, tfidf_vectors
 from repro.dedup.pipeline import CandidateStats, PassStats, _check_packable
 from repro.textsim.fast import sorted_unique
 from repro.textsim.tokens import qgrams
 
 #: One record's MinHash signature (``bands * rows`` minima), or ``None``
 #: for a record with no shingles (nothing to hash — it lands in no
-#: bucket, exactly like an empty blocking key blocks with nobody).
+#: bucket).
 Signature = Optional[Tuple[int, ...]]
 
 #: Mersenne prime for the universal hash family ``(a * x + b) mod p``.
@@ -86,6 +78,11 @@ _UNSIGNED = (1 << 64) - 1
 #: Rows per step of the permutation and minimum passes, bounding each
 #: transient array to ``_GATHER_ROWS * bands * rows * 8`` bytes.
 _GATHER_ROWS = 2048
+
+#: Default shingle width; 3-grams survive single-character typos while
+#: still discriminating between unrelated values (van Gennip et al. use
+#: character n-grams for exactly this noisy/incomplete-field regime).
+DEFAULT_NGRAM = 3
 
 #: Default LSH geometry: 16 bands of 4 rows ≈ a 0.5 shingle-Jaccard
 #: knee — pairs at j = 0.6 collide with p ≈ 0.90, pairs at j = 0.2 with
@@ -108,15 +105,12 @@ DEFAULT_MAX_BUCKET_SIZE = 500
 class BucketStats:
     """What one LSH pass's band buckets did — including what they dropped.
 
-    The LSH sibling of a blocking pass's skipped-block and dropped-pair
-    counters in :class:`~repro.dedup.pipeline.PassStats`, with the same
-    no-silent-caps contract: ``buckets_skipped`` counts the
-    buckets over ``max_bucket_size``, ``pairs_dropped`` the candidate
-    pairs those buckets would have emitted, and ``pairs_filtered`` the
-    pairs the optional cosine prefilter refused to forward.  The size
-    distribution (``bucket_sizes``: size → bucket count, across all
-    bands) makes skew observable so callers can re-tune ``bands`` /
-    ``rows`` / ``max_bucket_size`` instead of guessing.
+    No cap is silent: ``buckets_skipped`` counts the buckets over
+    ``max_bucket_size`` and ``pairs_dropped`` the candidate pairs those
+    buckets would have emitted.  The size distribution (``bucket_sizes``:
+    size → bucket count, across all bands) makes skew observable so
+    callers can re-tune ``bands`` / ``rows`` / ``max_bucket_size``
+    instead of guessing.
     """
 
     buckets_total: int = 0
@@ -124,24 +118,12 @@ class BucketStats:
     records_bucketed: int = 0
     pairs_emitted: int = 0
     pairs_dropped: int = 0
-    pairs_filtered: int = 0
     bucket_sizes: Dict[int, int] = dataclasses.field(default_factory=dict)
 
     @property
     def max_bucket(self) -> int:
         """The largest bucket seen (0 when no records bucketed)."""
         return max(self.bucket_sizes) if self.bucket_sizes else 0
-
-    def merge(self, other: "BucketStats") -> None:
-        """Accumulate another pass's counters into this one."""
-        self.buckets_total += other.buckets_total
-        self.buckets_skipped += other.buckets_skipped
-        self.records_bucketed += other.records_bucketed
-        self.pairs_emitted += other.pairs_emitted
-        self.pairs_dropped += other.pairs_dropped
-        self.pairs_filtered += other.pairs_filtered
-        for size, count in other.bucket_sizes.items():
-            self.bucket_sizes[size] = self.bucket_sizes.get(size, 0) + count
 
     def histogram(self) -> List[Tuple[int, int]]:
         """The bucket-size distribution as sorted ``(size, count)`` rows."""
@@ -158,8 +140,6 @@ class BucketStats:
                 f" [SKIPPED {self.buckets_skipped} oversized bucket(s), "
                 f"{self.pairs_dropped} pairs dropped]"
             )
-        if self.pairs_filtered:
-            line += f" [{self.pairs_filtered} pairs below cosine floor]"
         return line
 
 
@@ -380,44 +360,6 @@ def _run_pairs(np: Any, members: Any, starts: Any, sizes: Any, record_count: int
     return members[left] * record_count + members[right]
 
 
-def iter_lsh_keys(
-    signatures: Sequence[Signature],
-    record_count: int,
-    *,
-    bands: int = DEFAULT_BANDS,
-    rows: int = DEFAULT_ROWS,
-    max_bucket_size: int = DEFAULT_MAX_BUCKET_SIZE,
-    stats: Optional[BucketStats] = None,
-) -> Iterator[int]:
-    """One banded-LSH pass as a stream of packed pair keys.
-
-    Canonical ``i < j`` keys, band by band — the same invariant as
-    :func:`~repro.dedup.pipeline.iter_blocking_keys`.  A pair colliding
-    in several bands is emitted once per band; the consuming
-    ``collect_candidates`` set collapses the duplicates (and counts them
-    as emitted-but-not-new).  When ``stats`` is given it is filled
-    in-place, including the bucket-size distribution and the oversized
-    skips — dropped pairs are never silent.
-    """
-    import numpy as np
-
-    width = bands * rows
-    matrix = np.full((len(signatures), width), _UNSIGNED, dtype=np.uint64)
-    for record_id, signature in enumerate(signatures):
-        if signature is not None:
-            matrix[record_id] = signature[:width]
-    for keys in _band_keys(
-        np,
-        matrix,
-        record_count,
-        bands,
-        rows,
-        max_bucket_size,
-        stats if stats is not None else BucketStats(),
-    ):
-        yield from keys.tolist()
-
-
 def lsh_candidates(
     records: Sequence[Dict[str, str]],
     attributes: Sequence[str],
@@ -427,19 +369,16 @@ def lsh_candidates(
     ngram: int = DEFAULT_NGRAM,
     seed: int = DEFAULT_SEED,
     max_bucket_size: int = DEFAULT_MAX_BUCKET_SIZE,
-    cosine_floor: float = 0.0,
 ) -> Tuple[Set[int], CandidateStats]:
     """One MinHash–LSH candidate pass as packed keys with full accounting.
 
     The LSH counterpart of
     :func:`~repro.dedup.pipeline.sorted_neighborhood_candidates`: the
-    signature matrix, one sort per band, the union of the bands' pairs
-    and — when
-    ``cosine_floor > 0`` — an exact TF-IDF cosine prefilter over it.  The
-    returned :class:`~repro.dedup.pipeline.CandidateStats` carries a
-    single :class:`LshPassStats` pass whose ``pairs_emitted`` counts
-    every band's pairs and whose :class:`BucketStats` exposes the
-    bucket-size distribution, oversized skips and filtered pair count.
+    signature matrix, one sort per band and the union of the bands'
+    pairs.  The returned :class:`~repro.dedup.pipeline.CandidateStats`
+    carries a single :class:`LshPassStats` pass whose ``pairs_emitted``
+    counts every band's pairs and whose :class:`BucketStats` exposes the
+    bucket-size distribution and the oversized skips.
     """
     import numpy as np
 
@@ -453,18 +392,12 @@ def lsh_candidates(
         np, matrix, record_count, bands, rows, max_bucket_size, bucket_stats
     )
     keys = set(sorted_unique(np, np.concatenate(band_keys)).tolist()) if band_keys else set()
-    if cosine_floor > 0.0 and keys:
-        vectors = tfidf_vectors(records, attributes, ngram)
-        kept = set(cosine_prefilter(vectors, keys, record_count, cosine_floor))
-        bucket_stats.pairs_filtered = len(keys) - len(kept)
-        keys = kept
     stats = CandidateStats(record_count=record_count)
     stats.passes.append(
         LshPassStats(
             label="lsh",
             pairs_emitted=bucket_stats.pairs_emitted,
             pairs_new=len(keys),
-            blocks_skipped=bucket_stats.buckets_skipped,
             pairs_dropped=bucket_stats.pairs_dropped,
             buckets=bucket_stats,
         )

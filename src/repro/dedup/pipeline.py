@@ -21,14 +21,14 @@ that oracle (enforced by ``tests/dedup/test_pipeline_equivalence.py``):
   handling and weight normalisation happen once per record, and every
   distinct value gets an id in sorted string order, so each record is one
   row of value ids.
-* **Batched scoring** (:func:`score_pairs_batch`) scores all packed keys
-  of one :func:`score_candidates_packed` call (or one worker shard) as
-  one batch: it gathers the value-id columns of the keys, sends each
-  distinct unequal value pair to the measure once through its
-  ``similarities`` batch method — the bit-parallel ``uint64`` lane kernels
-  of :mod:`repro.textsim.fast` for the paper's three measures — and
-  assembles the record similarities column by column in the oracle's
-  float order.
+* **Batched scoring** (:meth:`~repro.dedup.matching.PreparedRecords.score`)
+  scores all packed keys of one :func:`score_candidates_packed` call (or
+  one worker shard) as one batch: it gathers the value-id columns of the
+  keys, sends each distinct unequal value pair to the measure once
+  through its ``similarities`` batch method — the bit-parallel
+  ``uint64`` lane kernels of :mod:`repro.textsim.fast` for the paper's
+  three measures — and assembles the record similarities column by
+  column in the oracle's float order.
 * **Sharded parallel scoring** (:func:`score_candidates_packed` with
   ``max_workers > 0``) fans the packed keys over worker processes through
   :func:`repro.core.parallel.run_shards` — deterministic shard-by-pair-key
@@ -48,13 +48,13 @@ import dataclasses
 from typing import Dict, Iterable, Iterator, List, Optional, Sequence, Set, Tuple
 
 from repro.core.parallel import effective_worker_count, run_shards, shard_of_int
-from repro.dedup.blocking import StandardBlocking, pick_blocking_keys
+from repro.dedup.blocking import pick_blocking_keys
 from repro.dedup.evaluate import (
     EvaluationPoint,
     best_f1,
     evaluate_thresholds,
 )
-from repro.dedup.matching import PreparedRecords, RecordMatcher
+from repro.dedup.matching import RecordMatcher
 
 Pair = Tuple[int, int]
 
@@ -183,36 +183,6 @@ def iter_sorted_neighborhood_keys(
                 yield other_id * record_count + record_id
 
 
-def iter_blocking_keys(
-    records: Sequence[Dict[str, str]],
-    blocker: StandardBlocking,
-    stats: Optional[PassStats] = None,
-) -> Iterator[int]:
-    """One standard-blocking pass as a stream of packed pair keys.
-
-    Block membership lists are in record-id order, so the nested loop
-    yields canonical ``i < j`` keys directly.  When ``stats`` is given,
-    the pass's emitted, skipped-block and dropped-pair counters are filled
-    in place, because a generator cannot also return a value to its
-    consumer.
-    """
-    record_count = len(records)
-    _check_packable(record_count)
-    for members in blocker.blocks(records).values():
-        size = len(members)
-        if size > blocker.max_block_size:
-            if stats is not None:
-                stats.blocks_skipped += 1
-                stats.pairs_dropped += size * (size - 1) // 2
-            continue
-        if stats is not None:
-            stats.pairs_emitted += size * (size - 1) // 2
-        for position, left in enumerate(members):
-            base = left * record_count
-            for other_position in range(position + 1, size):
-                yield base + members[other_position]
-
-
 @dataclasses.dataclass
 class PassStats:
     """One candidate pass: what it emitted and what was new."""
@@ -220,7 +190,6 @@ class PassStats:
     label: str
     pairs_emitted: int = 0
     pairs_new: int = 0
-    blocks_skipped: int = 0
     pairs_dropped: int = 0
 
 
@@ -228,9 +197,9 @@ class PassStats:
 class CandidateStats:
     """Streaming candidate generation, pass by pass.
 
-    ``pairs_dropped`` > 0 means a blocking pass hit its ``max_block_size``
-    cap — candidates that were *not* generated.  Surfaced (never silent)
-    by the CLI and the benchmark.
+    ``pairs_dropped`` > 0 means an LSH pass skipped buckets over its
+    ``max_bucket_size`` — candidates that were *not* generated.  Surfaced
+    (never silent) by the CLI and the benchmark.
     """
 
     record_count: int
@@ -252,19 +221,13 @@ class CandidateStats:
         """Human-readable per-pass summary (CLI surfacing)."""
         lines = []
         for stats in self.passes:
-            line = (
+            lines.append(
                 f"pass {stats.label}: {stats.pairs_emitted} pairs, "
                 f"{stats.pairs_new} new"
             )
-            if stats.pairs_dropped:
-                line += (
-                    f" [DROPPED {stats.pairs_dropped} pairs in "
-                    f"{stats.blocks_skipped} oversized block(s)]"
-                )
-            lines.append(line)
             # LSH passes carry bucket-level accounting (size distribution,
-            # oversized skips, cosine-filtered pairs) — surface it here so
-            # no cap or filter is ever silent on the CLI.
+            # oversized skips) — surface it here so no cap is ever silent
+            # on the CLI.
             buckets = getattr(stats, "buckets", None)
             if buckets is not None:
                 lines.append(f"  {buckets.render()}")
@@ -319,46 +282,7 @@ def sorted_neighborhood_candidates(
     )
 
 
-def blocking_candidates(
-    records: Sequence[Dict[str, str]],
-    blockers: Sequence[StandardBlocking],
-) -> Tuple[Set[int], CandidateStats]:
-    """Multi-pass standard blocking as packed keys with drop accounting."""
-    keys: Set[int] = set()
-    stats = CandidateStats(record_count=len(records))
-    for position, blocker in enumerate(blockers):
-        pass_stats = PassStats(label=f"block[{position}]")
-        before = len(keys)
-        keys.update(iter_blocking_keys(records, blocker, pass_stats))
-        pass_stats.pairs_new = len(keys) - before
-        stats.passes.append(pass_stats)
-    return keys, stats
-
-
 # ------------------------------------------------------------ pair scoring
-
-
-def score_pairs_batch(
-    prepared: PreparedRecords,
-    keys: Iterable[int],
-    record_count: int,
-) -> Dict[Pair, float]:
-    """Score a batch of packed candidate keys through a prepared table.
-
-    Returns ``{(i, j): similarity}`` with every float bit-identical to
-    :func:`repro.dedup._reference.record_similarity_reference`: one
-    :meth:`~repro.dedup.matching.PreparedRecords.score` call, which sends
-    each distinct value pair to the measure once and assembles the record
-    similarities column by column in the oracle's accumulation order.
-    ``record_count`` must be the size of the prepared table the keys were
-    packed for.
-    """
-    if record_count != len(prepared):
-        raise ValueError(
-            f"keys packed for {record_count} records cannot index a prepared "
-            f"table of {len(prepared)} records"
-        )
-    return prepared.score(keys)
 
 
 def _score_pairs_shard(
@@ -367,7 +291,6 @@ def _score_pairs_shard(
     weights: Dict[str, float],
     name_attributes: Tuple[str, ...],
     keys: Sequence[int],
-    record_count: int,
 ) -> Dict[Pair, float]:
     """Worker: rebuild the matcher, prepare once, score this shard's keys.
 
@@ -377,7 +300,7 @@ def _score_pairs_shard(
     (see :func:`repro.core.parallel.run_shards`).
     """
     matcher = RecordMatcher(measure, weights, name_attributes)  # type: ignore[arg-type]
-    return score_pairs_batch(matcher.prepare(records), keys, record_count)
+    return matcher.prepare(records).score(keys)
 
 
 def score_candidates_packed(
@@ -409,11 +332,10 @@ def score_candidates_packed(
     if shards < 1:
         raise ValueError(f"shards must be >= 1, got {shards}")
     max_workers = effective_worker_count(max_workers, label="parallel pair scoring")
-    record_count = len(records)
     ordered = sorted(keys)
     if not max_workers or shards == 1:
         # A single shard gains nothing from a process round-trip.
-        return score_pairs_batch(matcher.prepare(records), ordered, record_count)
+        return matcher.prepare(records).score(ordered)
     buckets: List[List[int]] = [[] for _ in range(shards)]
     for key in ordered:
         buckets[shard_of_int(key, shards)].append(key)
@@ -427,7 +349,6 @@ def score_candidates_packed(
                 matcher.weights,
                 matcher.name_attributes,
                 bucket,
-                record_count,
             )
             for bucket in buckets
         ],
@@ -482,8 +403,8 @@ class DetectionPipeline:
     the sub-quadratic MinHash–LSH pass of :mod:`repro.dedup.lsh` over the
     same entropy-picked attributes, and ``("snm", "lsh")`` unions both
     through one deduplicating packed-key set.  The LSH geometry is tuned
-    with ``bands`` / ``rows`` / ``ngram`` / ``max_bucket_size`` /
-    ``cosine_floor`` (see ``docs/performance.md``, Layer 7).  ``workers``
+    with ``bands`` / ``rows`` / ``ngram`` / ``max_bucket_size`` (see
+    ``docs/performance.md``, Layer 7).  ``workers``
     and ``shards`` apply to pair scoring; candidate generation runs
     in-process.
     """
@@ -503,7 +424,6 @@ class DetectionPipeline:
         ngram: int = 3,
         lsh_seed: int = 20210323,
         max_bucket_size: int = 500,
-        cosine_floor: float = 0.0,
     ) -> None:
         if window < 2:
             raise ValueError(f"window must be >= 2, got {window}")
@@ -535,7 +455,6 @@ class DetectionPipeline:
         self.ngram = ngram
         self.lsh_seed = lsh_seed
         self.max_bucket_size = max_bucket_size
-        self.cosine_floor = cosine_floor
 
     def candidates(
         self,
@@ -545,21 +464,13 @@ class DetectionPipeline:
         """Streamed candidates as packed keys, one pass set per type.
 
         SNM passes stream lazily; an LSH pass is generated through
-        :func:`repro.dedup.lsh.lsh_candidates` (bucket accounting, optional
-        cosine prefilter) and its deduplicated keys join the same union,
-        so cross-family overlaps are counted like cross-pass overlaps
-        always were.
+        :func:`repro.dedup.lsh.lsh_candidates` (with its bucket accounting)
+        and its deduplicated keys join the same union, so cross-family
+        overlaps are counted like cross-pass overlaps.
         """
         keys = self.key_attributes or pick_blocking_keys(
             records, attributes, self.passes
         )
-        if self.candidate_passes == ("snm",):
-            return sorted_neighborhood_candidates(records, keys, self.window)
-        # Imported here: repro.dedup.lsh imports this module's streaming
-        # primitives, so the dependency must stay one-directional at
-        # import time.
-        from repro.dedup.lsh import lsh_candidates
-
         streams: List[Tuple[str, Iterator[int]]] = []
         lsh_stats: Optional[CandidateStats] = None
         for pass_type in self.candidate_passes:
@@ -574,6 +485,11 @@ class DetectionPipeline:
                     for attribute in keys
                 )
             else:
+                # Imported here: repro.dedup.lsh imports this module's
+                # streaming primitives, so the dependency must stay
+                # one-directional at import time.
+                from repro.dedup.lsh import lsh_candidates
+
                 lsh_keys, lsh_stats = lsh_candidates(
                     records,
                     keys,
@@ -582,7 +498,6 @@ class DetectionPipeline:
                     ngram=self.ngram,
                     seed=self.lsh_seed,
                     max_bucket_size=self.max_bucket_size,
-                    cosine_floor=self.cosine_floor,
                 )
                 streams.append(("lsh", iter(sorted(lsh_keys))))
         candidate_keys, stats = collect_candidates(streams, len(records))
@@ -590,9 +505,9 @@ class DetectionPipeline:
             # Graft the LSH pass's own accounting onto the union's
             # per-pass stats: pairs_new is what collect_candidates
             # measured against the cross-family union; everything else
-            # (every band's emitted pairs, bucket histogram, skips,
-            # filtered pairs) comes from the pass itself, since the
-            # stream above carries only its deduplicated keys.
+            # (every band's emitted pairs, bucket histogram, skips) comes
+            # from the pass itself, since the stream above carries only
+            # its deduplicated keys.
             for position, pass_stats in enumerate(stats.passes):
                 if pass_stats.label == "lsh":
                     stats.passes[position] = dataclasses.replace(

@@ -21,7 +21,6 @@ identical.
 from __future__ import annotations
 
 from repro.textsim.base import SimilarityMeasure, normalize_for_comparison
-from repro.textsim.cosine import SoftTfIdf, TfIdfCosine, cosine_tokens
 from repro.textsim.generalized_jaccard import GeneralizedJaccard, generalized_jaccard
 from repro.textsim.jaccard import (
     QgramJaccard,
@@ -72,7 +71,4 @@ __all__ = [
     "soundex",
     "tokenize",
     "qgrams",
-    "cosine_tokens",
-    "TfIdfCosine",
-    "SoftTfIdf",
 ]

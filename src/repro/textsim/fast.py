@@ -37,7 +37,7 @@ keys.  numpy is imported inside these functions only, so importing
 :mod:`repro.textsim` never loads it.
 
 The other kernels serve scalar callers (heterogeneity and plausibility
-scoring, ``SoftTfIdf``):
+scoring):
 
 * :func:`levenshtein_distance` — affix stripping plus a single-row DP;
 * :func:`levenshtein_within` / :func:`damerau_levenshtein_within` —
@@ -57,7 +57,7 @@ from __future__ import annotations
 import itertools
 import sys
 from functools import lru_cache
-from typing import Any, Dict, Iterable, List, Optional, Sequence, Tuple
+from typing import Any, Dict, List, Optional, Sequence, Tuple
 
 from repro.textsim.base import normalize_for_comparison
 from repro.textsim.tokens import qgrams, tokenize
@@ -689,17 +689,6 @@ def jaro_winkler_table(
 
 
 # --------------------------------------------------------------- Monge-Elkan
-
-
-def intern_values(values: Iterable[str]) -> Tuple[str, ...]:
-    """Intern a sequence of strings into a tuple.
-
-    Callers holding many heavily repeated strings (the LSH shingle sets of
-    :mod:`repro.dedup.embeddings`) collapse them to one object per
-    distinct value, so equality checks resolve by pointer identity and each
-    slot costs one pointer instead of one string copy.
-    """
-    return tuple(sys.intern(value) for value in values)
 
 
 @lru_cache(maxsize=131072)

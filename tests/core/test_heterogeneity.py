@@ -280,7 +280,8 @@ def weights_used(monkeypatch):
                 kwargs["heterogeneity_all"].weights,
                 kwargs["heterogeneity_primary"].weights,
                 HeterogeneityScorer.from_clusters(
-                    everything, profile.group_names
+                    everything, profile.group_names,
+                    profile.scored_attributes(profile.group_names),
                 ).weights,
                 HeterogeneityScorer.from_clusters(
                     everything, (profile.primary_group,), _primary_attributes(profile)
@@ -338,11 +339,18 @@ class TestRunningCountsMatchFullRebuild:
         ])
         # Version 1 has no record to compare with an earlier one: no scoring.
         assert_rebuilt(calls, 2)
-        assert "phone_num" not in calls[0][0]
-        # split_record dropped the empty values, so the attribute is only
-        # discovered with AA3 and goes last, with "" counted for AA1, AA2.
-        assert list(calls[1][0])[-1] == "phone_num"
+        # split_record dropped the empty values: AA1 and AA2 count "", so
+        # the attribute weighs nothing until AA3 brings a value.
+        assert calls[0][0]["phone_num"] == 0.0
         assert calls[1][0]["phone_num"] > 0.0
+
+    def test_all_group_weights_leave_out_the_id_attribute(self, snapshots, weights_used):
+        generator = TestDataGenerator()
+        calls = weights_used(generator)
+        UpdateProcess(generator).run_incremental(snapshots[:3])
+        assert calls
+        for used_all, _, _, _ in calls:
+            assert "ncid" not in used_all
 
     def test_single_cluster_takes_uniform_fallback(self, weights_used):
         generator = TestDataGenerator()

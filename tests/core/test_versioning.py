@@ -148,7 +148,7 @@ def _full_rescan_update(generator):
     scored = {
         "plausibility": score_clusters(clusters, version),
         "heterogeneity": HeterogeneityScorer.from_clusters(
-            clusters, profile.group_names
+            clusters, profile.group_names, profile.scored_attributes(profile.group_names)
         ).score_clusters(clusters, profile.group_names, version=version),
         "heterogeneity_person": HeterogeneityScorer.from_clusters(
             clusters, primary, primary_attributes

@@ -7,7 +7,7 @@ from repro.dedup import (
     sorted_neighborhood_candidates,
     unpack_pairs,
 )
-from repro.dedup.pipeline import iter_sorted_neighborhood_keys
+from repro.dedup.pipeline import CandidateStats, PassStats, iter_sorted_neighborhood_keys
 
 
 RECORDS = [
@@ -93,3 +93,14 @@ class TestMultipass:
         keys, stats = sorted_neighborhood_candidates(RECORDS, [], 5)
         assert keys == set()
         assert stats.passes == []
+
+
+class TestCandidateStats:
+    def test_merge_accumulates(self):
+        stats = CandidateStats(
+            record_count=10,
+            passes=[PassStats("a", 1, 1, 10), PassStats("b", 6, 5, 0)],
+        )
+        assert stats.pairs_emitted == 7
+        assert stats.unique_pairs == 6
+        assert stats.pairs_dropped == 10

@@ -10,40 +10,25 @@ from repro.dedup import (
     EvaluationPoint,
     RecordMatcher,
     best_f1,
-    confusion_counts,
     evaluate_thresholds,
-    f1_score,
     pack_pairs,
-    precision_recall_f1,
     score_candidates_packed,
 )
 from repro.dedup._reference import evaluate_thresholds_reference
 
 
 class TestBasicMetrics:
-    def test_confusion_counts(self):
-        predicted = {(0, 1), (0, 2), (3, 4)}
-        gold = {(0, 1), (3, 4), (5, 6)}
-        assert confusion_counts(predicted, gold) == (2, 1, 1)
+    def test_empty_prediction_has_precision_one(self):
+        point = EvaluationPoint(0.5, true_positives=0, false_positives=0, false_negatives=1)
+        assert point.precision == 1.0
+        assert point.recall == 0.0
+        assert point.f1 == 0.0
 
     def test_precision_recall_f1(self):
-        predicted = {(0, 1), (0, 2)}
-        gold = {(0, 1)}
-        precision, recall, f1 = precision_recall_f1(predicted, gold)
-        assert precision == 0.5
-        assert recall == 1.0
-        assert f1 == pytest.approx(2 / 3)
-
-    def test_empty_prediction_has_precision_one(self):
-        precision, recall, f1 = precision_recall_f1(set(), {(0, 1)})
-        assert precision == 1.0
-        assert recall == 0.0
-        assert f1 == 0.0
-
-    def test_f1_score_helper(self):
-        assert f1_score(1.0, 1.0) == 1.0
-        assert f1_score(0.0, 0.0) == 0.0
-        assert f1_score(0.5, 1.0) == pytest.approx(2 / 3)
+        point = EvaluationPoint(0.5, true_positives=1, false_positives=1, false_negatives=0)
+        assert point.precision == 0.5
+        assert point.recall == 1.0
+        assert point.f1 == pytest.approx(2 / 3)
 
     def test_evaluation_point_properties(self):
         point = EvaluationPoint(0.5, true_positives=8, false_positives=2, false_negatives=2)

@@ -11,12 +11,9 @@ algorithm in :mod:`repro.dedup._reference`:
   exactly, on registers with blank values, values shorter than the
   n-gram, grams shared across attributes, non-ASCII text, all-empty and
   duplicated records, ``rows=1``, ``bands=1`` and bucket caps that force
-  skips;
-* with a cosine floor, the candidate keys are the oracle's keys thinned
-  by :func:`repro.dedup.embeddings.cosine_prefilter`, and
-  ``pairs_filtered`` counts exactly the pairs it removed;
-* shingling is bit-identical to the naive oracle
-  (:func:`repro.dedup._reference.shingle_set_reference`);
+  skips — the oracle MinHashes the naive shingle sets of
+  :func:`repro.dedup._reference.shingle_set_reference`, so equal
+  signatures also prove the value-by-value shingling;
 * every emitted candidate is *justified*: canonical ``i < j`` packed
   keys whose signatures really collide on a band
   (:func:`repro.dedup.lsh.lsh_band_collisions`) — candidates are never
@@ -31,7 +28,6 @@ algorithm in :mod:`repro.dedup._reference`:
 
 import re
 import string
-from collections import Counter
 
 import pytest
 from hypothesis import example, given, settings
@@ -40,17 +36,12 @@ from hypothesis import strategies as st
 from repro.dedup import _reference as ref
 from repro.dedup import (
     DetectionPipeline,
-    cosine_prefilter,
     estimate_jaccard,
-    iter_lsh_keys,
     lsh_band_collisions,
     lsh_candidates,
     minhash_signatures,
-    shingle_record,
-    tfidf_vectors,
     unpack_pair,
 )
-from repro.dedup.lsh import BucketStats
 
 ATTRIBUTES = ("first_name", "midl_name", "last_name", "city", "zip")
 
@@ -110,8 +101,11 @@ class TestMatchesHistoricalOracle:
     """Signatures, keys and every counter equal the per-shingle tuple /
     dict-bucket oracle exactly — the proof of bit-identity."""
 
-    @staticmethod
-    def _check(records, geometry):
+    @given(oracle_registers(), oracle_geometry)
+    @example(PINNED_REGISTER, (1, 1, 3, 2))
+    @example(PINNED_REGISTER, (3, 2, 2, 1000))
+    @settings(max_examples=200, deadline=None)
+    def test_in_process(self, records, geometry):
         bands, rows, ngram, max_bucket_size = geometry
         shape = {"bands": bands, "rows": rows, "ngram": ngram}
         signatures = minhash_signatures(records, ATTRIBUTES, **shape)
@@ -124,38 +118,8 @@ class TestMatchesHistoricalOracle:
             records, ATTRIBUTES, max_bucket_size=max_bucket_size, **shape
         )
         assert keys == oracle_keys
-        assert stats == oracle_stats  # bucket_sizes compares as a mapping
-        return signatures, oracle
-
-    @given(oracle_registers(), oracle_geometry)
-    @example(PINNED_REGISTER, (1, 1, 3, 2))
-    @example(PINNED_REGISTER, (3, 2, 2, 1000))
-    @settings(max_examples=200, deadline=None)
-    def test_in_process(self, records, geometry):
-        signatures, oracle = self._check(records, geometry)
-        bands, rows, _ngram, max_bucket_size = geometry
-        stats, oracle_stats = BucketStats(), BucketStats()
-        emitted = Counter(
-            iter_lsh_keys(
-                signatures,
-                len(records),
-                bands=bands,
-                rows=rows,
-                max_bucket_size=max_bucket_size,
-                stats=stats,
-            )
-        )
-        oracle_emitted = Counter(
-            ref.lsh_keys_reference(
-                oracle,
-                len(records),
-                bands=bands,
-                rows=rows,
-                max_bucket_size=max_bucket_size,
-                stats=oracle_stats,
-            )
-        )
-        assert emitted == oracle_emitted
+        # Every band's emissions, skips and bucket sizes: bucket_sizes
+        # compares as a mapping.
         assert stats == oracle_stats
 
     @pytest.mark.parametrize(
@@ -172,28 +136,8 @@ class TestMatchesHistoricalOracle:
             with pytest.raises(ValueError, match=re.escape(message)):
                 candidates(PINNED_REGISTER, ATTRIBUTES, **options)
 
-    def test_invalid_bucket_cap_keeps_its_message_in_the_stream(self):
-        signatures = minhash_signatures(PINNED_REGISTER, ATTRIBUTES)
-        for stream in (
-            iter_lsh_keys(signatures, len(signatures), max_bucket_size=1),
-            ref.lsh_keys_reference(
-                signatures, len(signatures), bands=16, rows=4,
-                max_bucket_size=1, stats=BucketStats(),
-            ),
-        ):
-            with pytest.raises(ValueError, match="max_bucket_size must be >= 2, got 1"):
-                next(stream)
-
 
 class TestShingleOracle:
-    @given(record, st.integers(1, 4))
-    @settings(max_examples=150, deadline=None)
-    def test_shingles_equal_naive_reference(self, rec, ngram):
-        oracle = ref.shingle_set_reference(rec, ATTRIBUTES, ngram)
-        fast_path = shingle_record(rec, ATTRIBUTES, ngram)
-        assert set(fast_path) == oracle
-        assert list(fast_path) == sorted(oracle)
-
     @given(record, record)
     @settings(max_examples=100, deadline=None)
     def test_jaccard_reference_bounds(self, left, right):
@@ -255,7 +199,7 @@ class TestCandidatesJustified:
         # the S-curve floor at j = 1.0 is certainty.
         doubled = list(records) + [dict(records[0])]
         record_count = len(doubled)
-        if not shingle_record(doubled[0], ATTRIBUTES, 3):
+        if not ref.shingle_set_reference(doubled[0], ATTRIBUTES):
             return  # all-empty record shingles nothing, buckets nowhere
         keys, _stats = lsh_candidates(
             doubled, ATTRIBUTES, max_bucket_size=record_count + 1
@@ -269,18 +213,18 @@ class TestCandidatesJustified:
         signatures = minhash_signatures(
             records, ATTRIBUTES, bands=bands, rows=rows
         )
-        stats = BucketStats()
-        emitted = list(
-            iter_lsh_keys(
-                signatures,
-                len(records),
-                bands=bands,
-                rows=rows,
-                max_bucket_size=3,
-                stats=stats,
-            )
+        keys, candidate_stats = lsh_candidates(
+            records, ATTRIBUTES, bands=bands, rows=rows, max_bucket_size=3
         )
-        assert stats.pairs_emitted == len(emitted)
+        (lsh_pass,) = candidate_stats.passes
+        stats = lsh_pass.buckets
+        # Each kept bucket of k records emits its k(k-1)/2 pairs in its band.
+        assert stats.pairs_emitted == lsh_pass.pairs_emitted == sum(
+            size * (size - 1) // 2 * count
+            for size, count in stats.histogram()
+            if size <= 3
+        )
+        assert len(keys) <= stats.pairs_emitted
         assert stats.records_bucketed == sum(
             size * count for size, count in stats.histogram()
         )
@@ -295,7 +239,7 @@ class TestCandidatesJustified:
             count for size, count in stats.histogram() if size > 3
         )
         assert stats.buckets_skipped == oversized
-        assert stats.pairs_dropped == sum(
+        assert stats.pairs_dropped == lsh_pass.pairs_dropped == sum(
             size * (size - 1) // 2 * count
             for size, count in stats.histogram()
             if size > 3
@@ -316,34 +260,6 @@ def _family_register():
         ("RUTH", "AN", "MORE", "APEX", "27502"),
     ]
     return [dict(zip(ATTRIBUTES, values)) for values in base * 4]
-
-
-class TestCosinePrefilter:
-    #: One row per band: single-minimum collisions are common even
-    #: between different families, so the prefilter has low-cosine pairs
-    #: to remove at every floor below.
-    SHAPE = {"bands": 16, "rows": 1}
-
-    @pytest.mark.parametrize("floor", [0.2, 0.35, 1.0])
-    def test_keys_are_the_oracle_thinned_by_cosine(self, floor):
-        records = _family_register()
-        keys, stats = lsh_candidates(
-            records, ATTRIBUTES, cosine_floor=floor, **self.SHAPE
-        )
-        oracle_keys, oracle_stats = ref.lsh_candidates_reference(
-            records, ATTRIBUTES, **self.SHAPE
-        )
-        expected = set(
-            cosine_prefilter(
-                tfidf_vectors(records, ATTRIBUTES), oracle_keys, len(records), floor
-            )
-        )
-        assert keys == expected
-        (lsh_pass,) = stats.passes
-        (oracle_pass,) = oracle_stats.passes
-        assert lsh_pass.buckets.pairs_filtered == len(oracle_keys) - len(expected) > 0
-        assert lsh_pass.pairs_emitted == oracle_pass.pairs_emitted
-        assert lsh_pass.pairs_new == len(expected)
 
 
 class TestPipelineAccounting:

@@ -4,8 +4,8 @@
 (:mod:`repro.dedup._reference`) precisely so this suite can assert exact
 equality — not approximate — for every optimised stage:
 
-* packed-key candidate generation (SNM and standard blocking) against the
-  eager tuple-set oracles;
+* packed-key SNM candidate generation against the eager tuple-set
+  oracle;
 * the prepared-table matcher (the batch and the one-pair ``similarity``)
   against the historical per-pair accumulation, for every measure: the
   batch kernels of ME, Jaro-Winkler and q-gram Jaccard and the default
@@ -27,13 +27,10 @@ from repro.dedup import (
     DetectionPipeline,
     PairKeyOverflowError,
     RecordMatcher,
-    StandardBlocking,
-    blocking_candidates,
     evaluate_thresholds,
     pack_pair,
     pack_pairs,
     score_candidates_packed,
-    score_pairs_batch,
     sorted_neighborhood_candidates,
     unpack_pair,
     unpack_pairs,
@@ -130,21 +127,6 @@ class TestCandidateEquivalence:
         assert packed == pack_pairs(oracle, len(records))
         assert stats.unique_pairs == len(oracle)
 
-    @given(records_strategy, st.integers(2, 6))
-    @settings(max_examples=150, deadline=None)
-    def test_blocking_packed_equals_tuple_oracle(self, records, max_block_size):
-        blocker = StandardBlocking.on_attribute(
-            "city", max_block_size=max_block_size
-        )
-        oracle = ref.blocking_pairs_reference(
-            records, blocker.key_function, max_block_size
-        )
-        packed, stats = blocking_candidates(records, [blocker])
-        assert packed == pack_pairs(oracle, len(records))
-        dropped = stats.pairs_dropped
-        total_possible = stats.pairs_emitted + dropped
-        assert len(oracle) + dropped == total_possible
-
 
 class TestMatcherEquivalence:
     @given(records_strategy, weights_strategy)
@@ -168,9 +150,7 @@ class TestMatcherEquivalence:
         matcher = RecordMatcher(exact, weights, NAME_ATTRIBUTES)
         count = len(records)
         pairs = [(i, j) for i in range(count) for j in range(i + 1, count)]
-        batch = score_pairs_batch(
-            matcher.prepare(records), pack_pairs(pairs, count), count
-        )
+        batch = matcher.prepare(records).score(pack_pairs(pairs, count))
         assert batch == ref.score_candidates_reference(
             records, pairs, exact, weights, NAME_ATTRIBUTES
         )

@@ -235,6 +235,29 @@ class TestEvaluatePasses:
         with pytest.raises(SystemExit):
             main(["evaluate", "--dataset", str(dataset), "--passes", "bogus"])
 
+    def test_detect_reports_skipped_buckets_once(self, dataset, capsys):
+        _loaded, _keys, stats = self._candidates(
+            dataset, candidate_passes=("lsh",), max_bucket_size=2
+        )
+        (lsh_pass,) = stats.passes
+        buckets = lsh_pass.buckets
+        assert buckets.buckets_skipped > 0
+        capsys.readouterr()
+        assert main([
+            "detect", "--dataset", str(dataset), "--passes", "lsh", "--max-bucket", "2",
+        ]) == 0
+        lines = capsys.readouterr().out.splitlines()
+        assert lines[:2] == [
+            f"pass lsh: {lsh_pass.pairs_emitted} pairs, {lsh_pass.pairs_new} new",
+            f"  lsh buckets: {buckets.buckets_total} (max size {buckets.max_bucket}) "
+            f"[SKIPPED {buckets.buckets_skipped} oversized bucket(s), "
+            f"{buckets.pairs_dropped} pairs dropped]",
+        ]
+        assert lines[3] == (
+            f"WARNING: {buckets.pairs_dropped} candidate pair(s) dropped in LSH "
+            "buckets over --max-bucket 2"
+        )
+
 
 class TestWorkerAndShardFlags:
     """``--workers``/``--shards`` spread the work; they never change output.
@@ -295,12 +318,6 @@ class TestWorkerAndShardFlags:
             ("customize", ("--h-lo", "x"), "argument --h-lo: expected a number, got 'x'"),
             ("detect", ("--threshold", "nan"),
              "argument --threshold: must be a finite number in [0, 1], got nan"),
-            ("detect", ("--cosine-floor", "2"),
-             "argument --cosine-floor: must be a finite number in [0, 1], got 2"),
-            ("detect", ("--cosine-floor", "-1"),
-             "argument --cosine-floor: must be a finite number in [0, 1], got -1"),
-            ("detect", ("--cosine-floor", "nan"),
-             "argument --cosine-floor: must be a finite number in [0, 1], got nan"),
             ("augment", ("--share", "1.5"),
              "argument --share: must be a finite number in [0, 1], got 1.5"),
             ("augment", ("--errors", "-3"),
